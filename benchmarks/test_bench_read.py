@@ -3,16 +3,24 @@
 Not a paper artifact — the CI ``perf-smoke`` job runs this bench on every
 push.  It synthesizes the 50k-session spill tier
 (``repro.telemetry.synth``, low threshold so every kind has many sorted
-runs), drives the three headline analyses once through the record path
-(one streaming ``consume`` pass — the fastest record-object spelling) and
-once through ``repro.core.columnar_analysis``, asserts the outputs are
-*identical* (JSON serialization and report text, the byte-identity
-contract of docs/PERFORMANCE.md "The read path"), and then requires the
-columnar pass to be at least ``MIN_SPEEDUP`` times faster.  The ratio is
-machine-independent to first order — both paths scale with the same row
-volume on the same interpreter — so the gate catches a lost vectorized
-path or an accidentally quadratic planner, not percent-level drift.
-Wall times land in the ``read-path`` trajectory of ``BENCH_perf.json``.
+runs), drives the three headline analyses once through the per-session
+oracle (one streaming ``consume`` pass — the fastest record-object
+spelling) and once through ``repro.core.columnar_analysis``, asserts the
+outputs are *identical* (JSON serialization and report text, the
+byte-identity contract of docs/PERFORMANCE.md "The read path"), and then
+requires the columnar pass to be at least ``MIN_SPEEDUP`` times faster.
+The ratio is machine-independent to first order — both paths scale with
+the same row volume on the same interpreter — so the gate catches a lost
+vectorized path or an accidentally quadratic planner, not percent-level
+drift.  Wall times land in the ``read-path`` trajectory of
+``BENCH_perf.json``.
+
+The in-memory tier times what ``repro analyze``-style callers pay on a
+freshly simulated 1,000-session dataset: ``filter_proxies`` plus the
+three public analyses, each pass on a new filtered dataset so every pass
+encodes its columns once.  It records the best of ``MEMORY_REPEATS``
+passes as ``read-path-memory``, next to the same pass spelled with one
+oracle ``consume`` per analysis.
 """
 
 from __future__ import annotations
@@ -23,13 +31,19 @@ import time
 import pytest
 
 from bench_util import write_perf_record
+from repro.api import run
 from repro.core import columnar_analysis as ca
+from repro.core.faultscore import score_fault_localization
+from repro.core.localization import diagnose_dataset
+from repro.core.proxy_filter import filter_proxies
+from repro.core.qoe import summarize
 from repro.core.streaming import (
     FaultScoreAccumulator,
     LocalizationAccumulator,
     QoeAccumulator,
     consume,
 )
+from repro.simulation.config import SimulationConfig
 from repro.telemetry.synth import synthesize_spill
 
 pytestmark = pytest.mark.bench
@@ -40,6 +54,10 @@ SEED = 7
 THRESHOLD_ROWS = 32_768
 #: measured ~15x on the development host; 10x is the contract floor
 MIN_SPEEDUP = 10.0
+#: the in-memory tier: simulated sessions (after warmup) and timed passes
+MEMORY_SESSIONS = 1_000
+MEMORY_WARMUP = 500
+MEMORY_REPEATS = 5
 
 
 def test_read_path_speedup_and_identity(tmp_path):
@@ -83,4 +101,63 @@ def test_read_path_speedup_and_identity(tmp_path):
     assert speedup >= MIN_SPEEDUP, (
         f"columnar read path only {speedup:.1f}x faster than the record "
         f"path (contract floor {MIN_SPEEDUP}x, docs/PERFORMANCE.md)"
+    )
+
+
+def _best_of(repeats: int, fn) -> float:
+    best = float("inf")
+    for _ in range(repeats):
+        start = time.perf_counter()
+        fn()
+        best = min(best, time.perf_counter() - start)
+    return best
+
+
+def test_in_memory_read_path_identity_and_record():
+    config = SimulationConfig(
+        n_sessions=MEMORY_SESSIONS, warmup_sessions=MEMORY_WARMUP, seed=SEED
+    )
+    dataset = run(config).dataset
+
+    def columnar_pass():
+        filtered, _ = filter_proxies(dataset)
+        return (
+            summarize(filtered),
+            diagnose_dataset(filtered),
+            score_fault_localization(filtered),
+        )
+
+    def oracle_pass():
+        filtered, _ = filter_proxies(dataset)
+        return (
+            consume(filtered, QoeAccumulator())[0],
+            consume(filtered, LocalizationAccumulator())[0],
+            consume(filtered, FaultScoreAccumulator())[0],
+        )
+
+    (q, loc, fs), (q_rec, loc_rec, fs_rec) = columnar_pass(), oracle_pass()
+    assert json.dumps(q) == json.dumps(q_rec)
+    assert json.dumps(loc) == json.dumps(loc_rec)
+    assert fs == fs_rec
+    assert fs.format_report() == fs_rec.format_report()
+
+    records_wall_s = _best_of(MEMORY_REPEATS, oracle_pass)
+    # columnar last, so the recorded obs spans are the analysis.* breakdown
+    columnar_wall_s = _best_of(MEMORY_REPEATS, columnar_pass)
+    speedup = records_wall_s / columnar_wall_s
+    record = write_perf_record(
+        "read-path-memory",
+        columnar_wall_s,
+        n_sessions=dataset.n_sessions,
+        n_chunks=dataset.n_chunks,
+        extra={
+            "records_wall_s": round(records_wall_s, 4),
+            "speedup": round(speedup, 2),
+            "repeats": MEMORY_REPEATS,
+        },
+    )
+    print(
+        f"\n  read-path-memory: oracle {records_wall_s * 1e3:.1f} ms vs columnar "
+        f"{columnar_wall_s * 1e3:.1f} ms = {speedup:.2f}x "
+        f"({record['sessions_per_s']} sessions/s columnar)"
     )

@@ -21,13 +21,10 @@ from dataclasses import dataclass, fields
 from typing import Optional, Tuple
 
 __all__ = [
-    "ANALYSIS_MODES",
-    "AUTO_COLUMNAR_MIN_SESSIONS",
     "AUTO_FLEET_MIN_SESSIONS",
     "ENGINE_NAMES",
     "EXECUTION_FIELD_NAMES",
     "ExecutionOptions",
-    "resolve_analysis",
     "resolve_engine",
 ]
 
@@ -55,34 +52,6 @@ def resolve_engine(engine: str, n_sessions: int) -> str:
     if engine not in ENGINE_NAMES:
         raise ValueError(f"unknown engine {engine!r}; choose from {ENGINE_NAMES}")
     return engine
-
-
-#: legal values for the analyses' ``analysis=`` keyword — "auto" resolves
-#: per dataset (see :func:`resolve_analysis`)
-ANALYSIS_MODES: Tuple[str, ...] = ("auto", "records", "columnar")
-
-#: ``analysis="auto"`` threshold: below this many sessions the fixed cost
-#: of planning the columnar pass outweighs its per-row win, so small
-#: in-memory datasets stay on the record-object path.
-AUTO_COLUMNAR_MIN_SESSIONS = 256
-
-
-def resolve_analysis(analysis: str, n_sessions: int, spilled: bool = False) -> str:
-    """Resolve an ``analysis`` value to ``"records"`` or ``"columnar"``.
-
-    Explicit choices pass through; ``"auto"`` picks the columnar pass for
-    spilled datasets (whose rows already live in sorted numpy runs) and
-    for in-memory datasets of :data:`AUTO_COLUMNAR_MIN_SESSIONS` sessions
-    or more.  Pure function of its arguments, mirroring
-    :func:`resolve_engine`.
-    """
-    if analysis == "auto":
-        if spilled or n_sessions >= AUTO_COLUMNAR_MIN_SESSIONS:
-            return "columnar"
-        return "records"
-    if analysis not in ANALYSIS_MODES:
-        raise ValueError(f"unknown analysis {analysis!r}; choose from {ANALYSIS_MODES}")
-    return analysis
 
 
 @dataclass(frozen=True)

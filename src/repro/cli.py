@@ -150,11 +150,6 @@ def build_parser() -> argparse.ArgumentParser:
     faultscore.add_argument(
         "dataset", help="dataset directory from 'simulate --faults ...'"
     )
-    faultscore.add_argument(
-        "--analysis", choices=["auto", "records", "columnar"], default="auto",
-        help="read path for the scoring pass (byte-identical results; see "
-             "docs/PERFORMANCE.md, 'The read path')",
-    )
 
     scenario = commands.add_parser(
         "scenario", help="run a canned multi-period incident scenario"
@@ -313,13 +308,6 @@ def build_parser() -> argparse.ArgumentParser:
     analyze = commands.add_parser("analyze", help="QoE + bottleneck localization")
     analyze.add_argument("dataset", help="dataset directory from 'simulate'")
     analyze.add_argument("--no-proxy-filter", action="store_true")
-    analyze.add_argument(
-        "--analysis", choices=["auto", "records", "columnar"], default="auto",
-        help="read path: 'records' streams per-session record objects, "
-             "'columnar' computes on whole telemetry columns, 'auto' picks "
-             "by dataset size/residence; results are byte-identical either "
-             "way (see docs/PERFORMANCE.md, 'The read path')",
-    )
 
     findings = commands.add_parser("findings", help="evaluate Table-1 findings")
     findings.add_argument("dataset", help="dataset directory from 'simulate'")
@@ -571,7 +559,7 @@ def _cmd_faultscore(args: argparse.Namespace) -> int:
     from .core.faultscore import score_fault_localization
 
     dataset = load_dataset(args.dataset)
-    report = score_fault_localization(dataset, analysis=args.analysis)
+    report = score_fault_localization(dataset)
     print(report.format_report())
     if report.n_labeled == 0:
         print(
@@ -831,25 +819,18 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
             f"sessions {report.removal_reasons()}"
         )
 
-    # each columnar pass publishes its own registry; sum the analysis.*
+    # each analysis pass publishes its own registry; sum the analysis.*
     # span totals across passes so the breakdown covers the whole command
-    # (a record-path call publishes nothing, so the same run is never
-    # collected twice)
     analysis_spans: dict = {}
-    collected_runs: list = []
 
     def collect_spans() -> None:
-        run = obs.last_run()
-        if run is None or any(run is seen for seen in collected_runs):
-            return
-        collected_runs.append(run)
-        for span in run.get("spans", ()):
+        for span in obs.last_run()["spans"]:
             if span["name"].startswith("analysis."):
                 analysis_spans[span["name"]] = (
                     analysis_spans.get(span["name"], 0.0) + span["total_s"]
                 )
 
-    summary = qoe.summarize(dataset, analysis=args.analysis)
+    summary = qoe.summarize(dataset)
     collect_spans()
     print(
         plotting.format_table(
@@ -858,7 +839,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
             title="\nQoE summary",
         )
     )
-    fractions = diagnose_dataset(dataset, analysis=args.analysis)
+    fractions = diagnose_dataset(dataset)
     collect_spans()
     if fractions:
         ordered = sorted(fractions.items(), key=lambda kv: kv[1], reverse=True)
@@ -876,10 +857,9 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
         print("\nCounterfactual headroom (upper bounds on direct effects):")
         for report in headrooms.values():
             print(f"  {report}")
-    if analysis_spans:
-        print("\nRead-path span breakdown (docs/PERFORMANCE.md):")
-        for name, total_s in sorted(analysis_spans.items()):
-            print(f"  span {name}: {total_s:.3f}s")
+    print("\nRead-path span breakdown (docs/PERFORMANCE.md):")
+    for name, total_s in sorted(analysis_spans.items()):
+        print(f"  span {name}: {total_s:.3f}s")
     return 0
 
 

@@ -1,20 +1,20 @@
 """Vectorized columnar read path for the headline analyses.
 
-The classic analysis spellings (``qoe.summarize``,
-``localization.diagnose_dataset``, ``faultscore.score_fault_localization``)
-re-materialize one Python record object per telemetry row and join them
-into per-session ``SessionView`` objects.  This module computes the same
-three results directly on the numpy structured arrays of
-:mod:`repro.telemetry.columnar` — the join, the Eq. 2/4/5 chunk math, and
-the per-session reductions all run as whole-column numpy operations, with
-sessions grouped via ``sort_array`` order + ``searchsorted`` boundaries
-instead of per-session object graphs.
+``qoe.summarize``, ``localization.diagnose_dataset`` and
+``faultscore.score_fault_localization`` all compute here, directly on the
+numpy structured arrays of :mod:`repro.telemetry.columnar` — the join,
+the Eq. 2/4/5 chunk math, and the per-session reductions all run as
+whole-column numpy operations, with sessions grouped via ``sort_array``
+order + ``searchsorted`` boundaries instead of per-session object graphs.
+The per-session spelling of the same analyses — ``session_qoe``,
+``diagnose_session`` and the :mod:`repro.core.streaming` accumulators over
+``iter_sessions()`` — is the readable specification and the test oracle.
 
 Two invariants drive every line here:
 
-* **Byte identity.**  Results are bit-for-bit equal to the record-object
-  path (pinned by ``tests/test_columnar_analysis.py``).  Sums that the
-  classic path performs sequentially (``Python sum``, ``ndarray.mean/std``
+* **Byte identity.**  Results are bit-for-bit equal to the per-session
+  oracle (pinned by ``tests/test_columnar_analysis.py``).  Sums that the
+  oracle performs sequentially (``Python sum``, ``ndarray.mean/std``
   over axis 0) are reproduced with the stepped group accumulator
   :func:`_grouped_seq_sum` — never ``np.add.reduceat``/``np.sum``, whose
   pairwise summation regroups float additions.
@@ -23,10 +23,10 @@ Two invariants drive every line here:
   stay memory-mapped and only the current block's rows are materialized.
   Works for in-memory :class:`~repro.telemetry.dataset.Dataset` objects,
   single-directory spills, sharded spills, and multi-period
-  ``period-<label>/`` layouts alike.
+  ``period-<label>/`` layouts alike: all of them expose ``run_arrays``.
 
-See docs/PERFORMANCE.md ("The read path") for when this engine is chosen
-and docs/TELEMETRY.md for the columnar layout it consumes.
+See docs/PERFORMANCE.md ("The read path") and docs/TELEMETRY.md for the
+columnar layout it consumes.
 """
 
 from __future__ import annotations
@@ -36,7 +36,7 @@ from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..telemetry.columnar import COLUMN_SCHEMAS, ITER_BLOCK_ROWS, records_to_array, sort_array
+from ..telemetry.columnar import COLUMN_SCHEMAS, ITER_BLOCK_ROWS, sort_array
 from .downstack import RTO_FLOOR_MS
 from .faultscore import EXPECTED_BOTTLENECK, ClassScore, FaultScoreReport, parse_fault_labels
 from .localization import BAD_RENDER_FRACTION, BAD_SCORE, TAIL_RTT_MS, Bottleneck
@@ -44,7 +44,6 @@ from .localization import BAD_RENDER_FRACTION, BAD_SCORE, TAIL_RTT_MS, Bottlenec
 __all__ = [
     "ANALYSIS_KINDS",
     "analyze_dataset",
-    "resolve_analysis_mode",
 ]
 
 #: the analyses this engine can compute in one blockwise pass
@@ -65,34 +64,12 @@ _EXPECTED_CODES = {
 _MIN_EQ4_CHUNKS = 5
 
 
-def resolve_analysis_mode(dataset: Any, analysis: str = "auto") -> str:
-    """Resolve the ``analysis`` knob for *dataset* to ``records|columnar``.
-
-    Mirrors the engine registry (:func:`repro._execution.resolve_engine`):
-    ``auto`` prefers the columnar pass whenever the dataset is spilled (the
-    record path would materialize every row as an object) or large enough
-    for vectorization to win; explicit ``records``/``columnar`` always
-    obey.  Unknown names raise ``ValueError``.
-    """
-    from .._execution import resolve_analysis
-    from ..telemetry.dataset import Dataset
-    from ..telemetry.spill import SpilledDataset
-
-    spilled = isinstance(dataset, SpilledDataset)
-    if analysis == "auto" and not spilled and not isinstance(dataset, Dataset):
-        # duck-typed dataset (tests, adapters): the record path is the
-        # only one guaranteed to understand it
-        return "records"
-    n_sessions = int(getattr(dataset, "n_sessions", 0))
-    return resolve_analysis(analysis, n_sessions=n_sessions, spilled=spilled)
-
-
 # ---------------------------------------------------------------------------
 # sequential (non-pairwise) grouped float accumulation
 
 
 def _grouped_seq_sum(values: np.ndarray, starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
-    """Per-group sums that add elements *sequentially*, like the record path.
+    """Per-group sums that add elements *sequentially*, like the oracle.
 
     ``values`` holds the rows of every group back to back (group ``g``
     occupies ``values[starts[g]:starts[g]+counts[g]]``).  A plain
@@ -120,24 +97,13 @@ def _grouped_seq_sum(values: np.ndarray, starts: np.ndarray, counts: np.ndarray)
 def _dataset_runs(dataset: Any, kinds: Sequence[str]) -> Dict[str, List[np.ndarray]]:
     """Sorted per-kind run arrays for *dataset* (spilled or in-memory).
 
-    Spilled datasets expose their memory-mapped runs directly
-    (:meth:`~repro.telemetry.spill.SpilledDataset.run_arrays`); in-memory
-    datasets encode each kind into one sorted array.  Run order matters:
-    the blockwise assembly relies on stable re-sorts of
+    Spilled datasets expose their memory-mapped runs; in-memory datasets
+    one cached, encoded array per kind
+    (:meth:`~repro.telemetry.dataset.Dataset.run_arrays`).  Run order
+    matters: the blockwise assembly relies on stable re-sorts of
     run-enumeration-ordered concatenations reproducing the k-way merge.
     """
-    runs: Dict[str, List[np.ndarray]] = {}
-    if hasattr(dataset, "run_arrays"):
-        for kind in kinds:
-            runs[kind] = [a for a in dataset.run_arrays(kind) if len(a)]
-        return runs
-    for kind in kinds:
-        records = list(getattr(dataset, kind))
-        if records:
-            runs[kind] = [sort_array(kind, records_to_array(kind, records))]
-        else:
-            runs[kind] = []
-    return runs
+    return {kind: [a for a in dataset.run_arrays(kind) if len(a)] for kind in kinds}
 
 
 class _BlockPlan:
@@ -249,7 +215,7 @@ class _QoeState:
         self.n += n_kept
         counts = block.counts
         starts = block.starts
-        # the record path folds these three per-chunk columns left to
+        # the oracle folds these three per-chunk columns left to
         # right with Python sum(); _grouped_seq_sum replays that exact
         # addition order across all sessions at once
         triple = np.stack(
@@ -352,7 +318,7 @@ class _LabelMeta:
 class _FaultScoreState:
     """Blockwise twin of ``streaming.FaultScoreAccumulator``.
 
-    The only order-dependent part of the record path is the
+    The only order-dependent part of the oracle is the
     false-positive rule: a spurious verdict increments every class *that
     already exists*.  Global chunk positions let us replay that exactly —
     class ``c`` collects a false positive from each spurious event with a
@@ -631,7 +597,7 @@ def _compute_block(
     rto = rto_u[uinv]
     has_pos = has_pos_u[uinv]
 
-    # -- elementwise chunk math (bit-exact record-path associations) --------
+    # -- elementwise chunk math (bit-exact oracle associations) -------------
     d_wait = np.ascontiguousarray(cdn["d_wait_ms"])
     d_open = np.ascontiguousarray(cdn["d_open_ms"])
     d_read = np.ascontiguousarray(cdn["d_read_ms"])
@@ -687,7 +653,7 @@ def _compute_block(
             axis=1,
         )
         # inf TP_inst rows propagate nan through mean/std exactly like the
-        # record path; nan comparisons are False either way
+        # oracle; nan comparisons are False either way
         with np.errstate(invalid="ignore"):
             mu = _grouped_seq_sum(features, q_starts, q_counts) / q_counts[:, None]
             diff = features - mu[q_inv]
@@ -743,7 +709,7 @@ def _compute_block(
         default=_CODE_OF[Bottleneck.NONE],
     ).astype(np.int64)
 
-    # -- ground truth (last-wins, like the record path's dict rebuild) ------
+    # -- ground truth (last-wins, like the oracle's dict rebuild) -----------
     if want_truth:
         gkey = gt_code * fuse + gt["chunk_id"]
         has_truth, jt = _last_wins_match(gkey, jkey)
@@ -779,8 +745,8 @@ def analyze_dataset(
     """One vectorized blockwise pass computing *analyses* over *dataset*.
 
     Returns ``{name: result}`` with each result bit-identical to its
-    record-path spelling.  QoE-only passes skip loading TCP and
-    ground-truth columns entirely.
+    per-session oracle (:mod:`repro.core.streaming`).  QoE-only passes
+    skip loading TCP and ground-truth columns entirely.
     """
     from .. import obs
 

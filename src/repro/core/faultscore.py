@@ -144,26 +144,18 @@ class FaultScoreReport:
         return "\n".join(lines)
 
 
-def score_fault_localization(
-    dataset: Dataset, analysis: str = "auto"
-) -> FaultScoreReport:
+def score_fault_localization(dataset: Dataset) -> FaultScoreReport:
     """Attribute every chunk, then grade verdicts against ``fault_labels``.
 
-    Uses :func:`~repro.core.localization.diagnose_session` (so transient
-    download-stack flags use within-session statistics, exactly as the
-    operator-facing pipeline does), then joins each attribution with the
-    chunk's ground-truth labels.  *analysis* selects the read path
-    (docs/PERFORMANCE.md "The read path"): ``"columnar"`` runs the
-    vectorized pass (:mod:`~repro.core.columnar_analysis`), ``"records"``
-    streams one session at a time
-    (:class:`~repro.core.streaming.FaultScoreAccumulator`), ``"auto"``
-    picks per dataset.  Report state is O(fault classes) either way, so
-    spilled datasets score under a flat ceiling with identical results.
+    Attributions are :func:`~repro.core.localization.diagnose_session`'s
+    (so transient download-stack flags use within-session statistics,
+    exactly as the operator-facing pipeline does), joined with each
+    chunk's ground-truth labels.  Computed by the vectorized pass
+    (:mod:`~repro.core.columnar_analysis`, docs/PERFORMANCE.md "The read
+    path"), bit-identical to
+    :class:`~repro.core.streaming.FaultScoreAccumulator`; report state is
+    O(fault classes), so spilled datasets score under a flat ceiling.
     """
-    from .columnar_analysis import analyze_dataset, resolve_analysis_mode
+    from .columnar_analysis import analyze_dataset
 
-    if resolve_analysis_mode(dataset, analysis) == "columnar":
-        return analyze_dataset(dataset, analyses=("faultscore",))["faultscore"]
-    from .streaming import FaultScoreAccumulator, consume
-
-    return consume(dataset, FaultScoreAccumulator())[0]
+    return analyze_dataset(dataset, analyses=("faultscore",))["faultscore"]

@@ -184,22 +184,17 @@ def diagnose_session(session: SessionView) -> SessionDiagnosis:
     )
 
 
-def diagnose_dataset(dataset: Dataset, analysis: str = "auto") -> Dict[str, float]:
+def diagnose_dataset(dataset: Dataset) -> Dict[str, float]:
     """Fleet-level localization: share of chunks per bottleneck location.
 
     The operator's dashboard number: of all delivered chunks, how many had
-    a problem, and where did the problems live?  *analysis* selects the
-    read path (docs/PERFORMANCE.md "The read path"): ``"columnar"`` runs
-    the vectorized cascade (:mod:`~repro.core.columnar_analysis`),
-    ``"records"`` streams one session at a time
-    (:class:`~repro.core.streaming.LocalizationAccumulator`), ``"auto"``
-    picks per dataset; results are bit-identical either way and spilled
+    a problem, and where did the problems live?  Computed by the
+    vectorized cascade (:mod:`~repro.core.columnar_analysis`,
+    docs/PERFORMANCE.md "The read path"), bit-identical to folding
+    :func:`diagnose_session` over every session
+    (:class:`~repro.core.streaming.LocalizationAccumulator`); spilled
     datasets diagnose under a flat memory ceiling.
     """
-    from .columnar_analysis import analyze_dataset, resolve_analysis_mode
+    from .columnar_analysis import analyze_dataset
 
-    if resolve_analysis_mode(dataset, analysis) == "columnar":
-        return analyze_dataset(dataset, analyses=("localization",))["localization"]
-    from .streaming import LocalizationAccumulator, consume
-
-    return consume(dataset, LocalizationAccumulator())[0]
+    return analyze_dataset(dataset, analyses=("localization",))["localization"]

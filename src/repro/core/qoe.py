@@ -102,20 +102,15 @@ def startup_vs_first_chunk_srtt(
     return _first_chunk_relation(dataset, first_srtt, bin_edges)
 
 
-def summarize(dataset: Dataset, analysis: str = "auto") -> Dict[str, float]:
+def summarize(dataset: Dataset) -> Dict[str, float]:
     """Headline QoE numbers for a dataset (used by examples and reports).
 
-    *analysis* selects the read path (docs/PERFORMANCE.md "The read
-    path"): ``"columnar"`` computes on whole telemetry columns
-    (:mod:`~repro.core.columnar_analysis`), ``"records"`` streams sessions
-    one at a time (:class:`~repro.core.streaming.QoeAccumulator`), and
-    ``"auto"`` picks per dataset.  Both spellings return bit-identical
-    results under a flat memory ceiling (docs/TELEMETRY.md).
+    Computed on whole telemetry columns by the vectorized read path
+    (:mod:`~repro.core.columnar_analysis`, docs/PERFORMANCE.md "The read
+    path"), for in-memory and spilled datasets alike;
+    :class:`~repro.core.streaming.QoeAccumulator` folding
+    :func:`session_qoe` per session is its reference spelling.
     """
-    from .columnar_analysis import analyze_dataset, resolve_analysis_mode
+    from .columnar_analysis import analyze_dataset
 
-    if resolve_analysis_mode(dataset, analysis) == "columnar":
-        return analyze_dataset(dataset, analyses=("qoe",))["qoe"]
-    from .streaming import QoeAccumulator, consume
-
-    return consume(dataset, QoeAccumulator())[0]
+    return analyze_dataset(dataset, analyses=("qoe",))["qoe"]

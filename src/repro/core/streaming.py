@@ -1,26 +1,29 @@
 """One-pass streaming analyses: accumulate per session, never hold the fleet.
 
-The classic analysis entry points (:func:`repro.core.qoe.summarize`,
+Each headline analysis (:func:`repro.core.qoe.summarize`,
 :func:`repro.core.localization.diagnose_dataset`,
-:func:`repro.core.faultscore.score_fault_localization`) used to build
-``dataset.sessions()`` — every joined :class:`SessionView` in one list —
-before aggregating.  At million-session scale that list *is* the memory
-problem, and a :class:`~repro.telemetry.spill.SpilledDataset` pays a full
-disk pass per analysis on top.
+:func:`repro.core.faultscore.score_fault_localization`) has a
+per-session **accumulator** here: ``update(view)`` folds one joined
+:class:`SessionView` in, ``result()`` emits the analysis result.
+:func:`consume` drives any number of accumulators down a single
+``iter_sessions()`` pass, so peak memory is one session view plus the
+accumulators' own state (per-session scalars for the QoE quantiles —
+~8 bytes/session — and a handful of counters for the rest).
 
-This module splits each analysis into an **accumulator**: ``update(view)``
-folds one session in, ``result()`` emits the same value the classic
-function returns.  :func:`consume` drives any number of accumulators down
-a single ``iter_sessions()`` pass, so one disk scan feeds every analysis
-and peak memory is one session view plus the accumulators' own state
-(per-session scalars for the QoE quantiles — ~8 bytes/session — and a
-handful of counters for the rest; the RSS budget model in
-docs/TELEMETRY.md counts these terms).
+The public functions do not delegate here: they run the vectorized pass
+of :mod:`repro.core.columnar_analysis`.  The accumulators have two other
+jobs:
 
-The classic functions now delegate here, so both spellings stay
-byte-equivalent by construction::
+* **test oracle** — they spell the analyses session by session through
+  :func:`~repro.core.qoe.session_qoe` and
+  :func:`~repro.core.localization.diagnose_session`, and the columnar
+  pass must match them bit for bit::
 
-    qoe.summarize(ds) == consume(ds, QoeAccumulator())[0]
+      qoe.summarize(ds) == consume(ds, QoeAccumulator())[0]
+
+* **the live service's fold** — ``repro serve`` diagnoses each round's
+  views once and folds them into cumulative accumulators
+  (:mod:`repro.serve.service`).
 """
 
 from __future__ import annotations

@@ -18,7 +18,7 @@ the ASCII identifiers the simulator emits, vs 4 for ``U``).  Widths are
 part of the documented contract (docs/TELEMETRY.md); a value that does not
 fit raises :class:`ColumnOverflowError` instead of being truncated
 silently.  Canonical ordering (the :meth:`Dataset.sorted` keys) is a
-stable structured-array argsort over the same key columns.
+stable ``np.lexsort`` over the same key columns.
 """
 
 from __future__ import annotations
@@ -92,7 +92,6 @@ class ColumnSchema:
             for index, (name, _) in enumerate(fields)
             if self.dtype[name].kind == "S"
         )
-        self._getter = attrgetter(*(name for name, _ in fields))
         self._key_getter = attrgetter(*sort_keys)
 
     @property
@@ -237,32 +236,38 @@ def dtype_token(kind: str, field: str) -> str:
 def records_to_array(kind: str, records: Iterable[object]) -> np.ndarray:
     """Pack record objects into one structured array (exact, validated).
 
-    String fields are UTF-8 encoded; a value wider than its declared
-    column raises :class:`ColumnOverflowError` (numpy would truncate
-    silently, which must never happen to telemetry).
+    The array is filled one column at a time: one attribute sweep over
+    the records per field, converted by numpy in one call.  String fields
+    are UTF-8 encoded once per distinct value; a value wider than its
+    declared column raises :class:`ColumnOverflowError` (numpy would
+    truncate silently, which must never happen to telemetry).
     """
     schema = COLUMN_SCHEMAS[kind]
-    getter = schema._getter
-    rows: List[tuple] = []
-    string_fields = schema.string_fields
-    for record in records:
-        row = getter(record)
-        if not isinstance(row, tuple):  # single-field schema (never today)
-            row = (row,)
-        if string_fields:
-            row = list(row)
-            for index, name, width in string_fields:
-                encoded = row[index].encode("utf-8")
-                if len(encoded) > width:
-                    raise ColumnOverflowError(
-                        f"{kind}.{name}: value {row[index]!r} is "
-                        f"{len(encoded)} bytes, column width is {width} "
-                        "(docs/TELEMETRY.md, 'Columnar layout')"
-                    )
-                row[index] = encoded
-            row = tuple(row)
-        rows.append(row)
-    return np.array(rows, dtype=schema.dtype)
+    if not isinstance(records, list):
+        records = list(records)
+    n = len(records)
+    array = np.empty(n, dtype=schema.dtype)
+    widths = {name: width for _, name, width in schema.string_fields}
+    for name in schema.field_names:
+        column = map(attrgetter(name), records)
+        if name in widths:
+            encoded = _encode_strings(kind, name, widths[name], list(column))
+            array[name] = np.array(encoded, dtype=schema.dtype[name])
+        else:
+            array[name] = np.fromiter(column, schema.dtype[name], n)
+    return array
+
+
+def _encode_strings(kind: str, name: str, width: int, values: List[str]) -> List[bytes]:
+    """UTF-8 bytes of *values*, each distinct string encoded and checked once."""
+    encoded = {value: value.encode("utf-8") for value in dict.fromkeys(values)}
+    for value, raw in encoded.items():
+        if len(raw) > width:
+            raise ColumnOverflowError(
+                f"{kind}.{name}: value {value!r} is {len(raw)} bytes, column "
+                f"width is {width} (docs/TELEMETRY.md, 'Columnar layout')"
+            )
+    return list(map(encoded.__getitem__, values))
 
 
 def iter_records(
@@ -299,15 +304,17 @@ def array_to_records(kind: str, array: np.ndarray) -> List[object]:
 def sort_array(kind: str, array: np.ndarray) -> np.ndarray:
     """Stable canonical-order sort (the :meth:`Dataset.sorted` keys).
 
-    Key columns are ASCII-ordered bytes and numbers, so the structured
-    argsort orders rows exactly as the tuple keys ``Dataset.sorted`` uses;
-    ``kind='stable'`` preserves emission order between equal keys, which
-    is what makes spilled runs merge to the in-memory canonical order.
+    Key columns are ASCII-ordered bytes and numbers, so a lexicographic
+    sort over them orders rows exactly as the tuple keys ``Dataset.sorted``
+    uses.  ``np.lexsort`` is stable and sorts by its *last* key first, so
+    the keys go in reversed; stability preserves emission order between
+    equal keys, which is what makes spilled runs merge to the in-memory
+    canonical order.
     """
-    schema = COLUMN_SCHEMAS[kind]
     if len(array) <= 1:
         return array
-    return array[np.argsort(array, order=schema.sort_keys, kind="stable")]
+    keys = COLUMN_SCHEMAS[kind].sort_keys
+    return array[np.lexsort([array[name] for name in reversed(keys)])]
 
 
 def sort_key(kind: str):

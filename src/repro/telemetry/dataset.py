@@ -12,9 +12,12 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass, field
 from itertools import groupby
-from operator import attrgetter
+from operator import attrgetter, is_
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
 
+import numpy as np
+
+from .columnar import records_to_array, sort_array
 from .records import (
     CdnChunkRecord,
     CdnSessionRecord,
@@ -245,6 +248,14 @@ class Dataset:
     cdn_sessions: List[CdnSessionRecord] = field(default_factory=list)
     ground_truth: List[ChunkGroundTruth] = field(default_factory=list)
 
+    def __getstate__(self) -> dict:
+        # the column cache of run_arrays is derived data: it stays out of
+        # pickles (shard workers ship datasets through pipes) and is
+        # rebuilt on first use on the receiving side
+        state = self.__dict__.copy()
+        state.pop("_columns", None)
+        return state
+
     # -- basic shape ---------------------------------------------------------
 
     @property
@@ -330,6 +341,37 @@ class Dataset:
             ordered.tcp_snapshots,
             ordered.ground_truth,
         )
+
+    def run_arrays(self, kind: str) -> List[np.ndarray]:
+        """The kind's rows as sorted columnar runs (``[]`` when it has none).
+
+        The in-memory side of
+        :meth:`~repro.telemetry.spill.SpilledDataset.run_arrays`, the read
+        surface of the vectorized analyses: one read-only structured array
+        in canonical order.  It is encoded on first use and reused while
+        the kind's record list is the same list holding the same record
+        objects in the same order — records are frozen, so the same
+        objects give the same bytes.  An append, an element replacement or
+        a reassignment of the list makes the next call encode again.  The
+        cache stays out of ``==``, ``repr`` and pickling.
+        """
+        records = getattr(self, kind)
+        if not records:
+            return []
+        cache = self.__dict__.setdefault("_columns", {})
+        cached = cache.get(kind)
+        if cached is not None:
+            source, snapshot, array = cached
+            if (
+                source is records
+                and len(snapshot) == len(records)
+                and all(map(is_, snapshot, records))
+            ):
+                return [array]
+        array = sort_array(kind, records_to_array(kind, records))
+        array.flags.writeable = False
+        cache[kind] = (records, tuple(records), array)
+        return [array]
 
     # -- filtering / combining -------------------------------------------------
 

@@ -8,13 +8,17 @@ loudly at open time, never silently mid-analysis.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import pickle
+import random
+from operator import attrgetter
 
 import numpy as np
 import pytest
 
 from repro.api import run
+from repro.faults import FaultEvent, FaultSpec
 from repro.obs.manifest import dump_json
 from repro.simulation.config import SimulationConfig
 from repro.simulation.parallel import PeriodSpec, execute_periods
@@ -52,8 +56,63 @@ def reference_dataset():
     return run(_config()).dataset.sorted()
 
 
+@pytest.fixture(scope="module")
+def faulted_dataset():
+    """A small simulated dataset with fault labels, in emission order."""
+    spec = FaultSpec(
+        name="encode",
+        events=(
+            FaultEvent("deg", "server-degraded", 0.0, 1e12, 6.0, server_fraction=0.5),
+            FaultEvent("lat", "network-latency", 0.0, 1e12, 3.0),
+        ),
+    )
+    return run(_config(), faults=spec).dataset
+
+
 def _kind_records(dataset, kind):
     return list(getattr(dataset, kind))
+
+
+def _rowwise_records_to_array(kind, records):
+    """Oracle: the row-at-a-time encoder (one Python tuple per record)."""
+    schema = COLUMN_SCHEMAS[kind]
+    getter = attrgetter(*schema.field_names)
+    rows = []
+    for record in records:
+        row = list(getter(record))
+        for index, _, _ in schema.string_fields:
+            row[index] = row[index].encode("utf-8")
+        rows.append(tuple(row))
+    return np.array(rows, dtype=schema.dtype)
+
+
+def _argsort_sort_array(kind, array):
+    """Oracle: a stable structured-array argsort over the key columns.
+
+    It sorts a view holding only the key fields: ``np.argsort(array,
+    order=keys)`` would break ties by the remaining fields instead of
+    keeping emission order.
+    """
+    keys = list(COLUMN_SCHEMAS[kind].sort_keys)
+    return array[np.argsort(array[keys], kind="stable")]
+
+
+def _shuffled_with_duplicate_keys(kind, records, seed=0):
+    """*records* plus key-sharing copies that differ in a value column,
+    shuffled, so a sort's tie order is observable."""
+    schema = COLUMN_SCHEMAS[kind]
+    value_field = next(
+        name
+        for name in schema.field_names
+        if name not in schema.sort_keys and schema.dtype[name].kind == "f"
+    )
+    twins = [
+        dataclasses.replace(r, **{value_field: getattr(r, value_field) + 1.0})
+        for r in records[::3]
+    ]
+    mixed = records + twins
+    random.Random(seed).shuffle(mixed)
+    return mixed
 
 
 class TestColumnarRoundTrip:
@@ -77,10 +136,35 @@ class TestColumnarRoundTrip:
 
     def test_sort_array_matches_dataset_sorted(self, reference_dataset):
         for kind in SPILL_KINDS:
-            records = _kind_records(reference_dataset, kind)
-            shuffled = list(reversed(records))
+            shuffled = _shuffled_with_duplicate_keys(
+                kind, _kind_records(reference_dataset, kind)
+            )
+            expected = getattr(Dataset(**{kind: shuffled}).sorted(), kind)
             resorted = array_to_records(kind, sort_array(kind, records_to_array(kind, shuffled)))
-            assert [(r.session_id) for r in resorted] == [(r.session_id) for r in records]
+            assert resorted == expected, kind
+
+    @pytest.mark.parametrize("kind", SPILL_KINDS)
+    def test_encoder_and_sort_bytes_match_rowwise_oracle(self, faulted_dataset, kind):
+        records = _shuffled_with_duplicate_keys(
+            kind, _kind_records(faulted_dataset, kind), seed=3
+        )
+        assert records, f"faulted run produced no {kind}"
+        expected = _rowwise_records_to_array(kind, records)
+        array = records_to_array(kind, records)
+        assert array.dtype == expected.dtype
+        assert array.tobytes() == expected.tobytes()
+        assert (
+            sort_array(kind, array).tobytes()
+            == _argsort_sort_array(kind, expected).tobytes()
+        )
+
+    def test_encoder_accepts_any_iterable(self, faulted_dataset):
+        records = _kind_records(faulted_dataset, "ground_truth")
+        assert any(r.fault_labels for r in records)
+        assert (
+            records_to_array("ground_truth", iter(records)).tobytes()
+            == _rowwise_records_to_array("ground_truth", records).tobytes()
+        )
 
     def test_string_overflow_raises_not_truncates(self):
         record = PlayerSessionRecord(
@@ -95,6 +179,13 @@ class TestColumnarRoundTrip:
         )
         with pytest.raises(ColumnOverflowError, match="session_id"):
             records_to_array("player_sessions", [record])
+
+    def test_multibyte_overflow_counts_bytes_not_characters(self):
+        # 13 characters fit an S24 column by count, but are 26 UTF-8 bytes
+        fits = PlayerSessionRecord("s1", "ip", "ua", 1, 1.0, 0.0, "os", "b")
+        wide = dataclasses.replace(fits, session_id="é" * 13)
+        with pytest.raises(ColumnOverflowError, match="session_id.* 26 bytes"):
+            records_to_array("player_sessions", [fits, wide, fits])
 
     def test_iter_records_is_blockwise_lazy(self):
         # consuming one record must not require materializing the array

@@ -1,35 +1,35 @@
-"""Columnar analysis read path: byte identity with the record path.
+"""Columnar analysis read path: byte identity with the per-session oracle.
 
 The contract under test (docs/PERFORMANCE.md, "The read path"): for every
 dataset shape the pipeline produces — in-memory, single spill with many
 sorted runs per kind, sharded spill, multi-period layout (including an
 empty period), one session, no sessions at all — the vectorized
-``repro.core.columnar_analysis`` pass returns *identical* results to the
-record-object path: the same dicts in the same insertion order (asserted
-via JSON serialization), the same ``FaultScoreReport`` structure down to
-Counter key order and the formatted report text.
+``repro.core.columnar_analysis`` pass, and the three public analyses
+that run it, return *identical* results to the per-session oracle
+(``repro.core.streaming.consume``): the same dicts in the same insertion
+order (asserted via JSON serialization), the same ``FaultScoreReport``
+structure down to Counter key order and the formatted report text.
 
-Also pins the ``analysis`` knob itself: ``auto`` resolution thresholds,
-the ValueError on unknown names, the CLI choices, and the docs mentions
-(mirroring the engine-registry lint in ``tests/test_docs_contract.py``).
+Also pins the in-memory encode-once rule of ``Dataset.run_arrays``: one
+filter + three-analysis pass encodes each record kind once, mutations
+between calls re-encode, cached arrays are read-only, and the cache never
+shows in ``==``, ``repr`` or pickles.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import json
-from pathlib import Path
+import pickle
+from collections import Counter
 
 import pytest
 
-from repro._execution import (
-    ANALYSIS_MODES,
-    AUTO_COLUMNAR_MIN_SESSIONS,
-    resolve_analysis,
-)
 from repro.api import run
 from repro.core import columnar_analysis as ca
 from repro.core.faultscore import score_fault_localization
 from repro.core.localization import diagnose_dataset
+from repro.core.proxy_filter import filter_proxies
 from repro.core.qoe import summarize
 from repro.core.streaming import (
     FaultScoreAccumulator,
@@ -40,11 +40,11 @@ from repro.core.streaming import (
 from repro.faults import FaultEvent, FaultSpec
 from repro.obs.registry import MetricsRegistry
 from repro.simulation.config import SimulationConfig
+from repro.telemetry import dataset as dataset_module
+from repro.telemetry.columnar import SPILL_KINDS
+from repro.telemetry.dataset import Dataset
 from repro.telemetry.spill import SpilledDataset, SpillWriter
 from repro.telemetry.synth import synthesize_sharded, synthesize_spill
-
-REPO_ROOT = Path(__file__).resolve().parent.parent
-
 
 def _mixed_spec() -> FaultSpec:
     return FaultSpec(
@@ -58,10 +58,17 @@ def _mixed_spec() -> FaultSpec:
 
 
 @pytest.fixture(scope="module")
-def faulted_dataset():
-    """A simulated in-memory dataset with ground-truth labels of all layers."""
+def emitted_dataset():
+    """A simulated in-memory dataset with ground-truth labels of all layers,
+    records in emission order."""
     config = SimulationConfig(n_sessions=150, warmup_sessions=50, seed=11)
-    return run(config, faults=_mixed_spec()).dataset.sorted()
+    return run(config, faults=_mixed_spec()).dataset
+
+
+@pytest.fixture(scope="module")
+def faulted_dataset(emitted_dataset):
+    """The same dataset in canonical order."""
+    return emitted_dataset.sorted()
 
 
 def _assert_reports_identical(columnar, records) -> None:
@@ -78,33 +85,45 @@ def _assert_reports_identical(columnar, records) -> None:
     assert columnar.format_report() == records.format_report()
 
 
-def _assert_paths_identical(dataset) -> None:
-    """Record path (streaming consume) vs one columnar pass: identical."""
-    q_rec, loc_rec, fs_rec = consume(
+def _public_results(dataset):
+    return (
+        summarize(dataset),
+        diagnose_dataset(dataset),
+        score_fault_localization(dataset),
+    )
+
+
+def _assert_results_identical(results, oracle) -> None:
+    (q, loc, fs), (q_rec, loc_rec, fs_rec) = results, oracle
+    assert json.dumps(q) == json.dumps(q_rec)
+    assert json.dumps(loc) == json.dumps(loc_rec)
+    _assert_reports_identical(fs, fs_rec)
+
+
+def _oracle(dataset):
+    return consume(
         dataset, QoeAccumulator(), LocalizationAccumulator(), FaultScoreAccumulator()
     )
+
+
+def _assert_paths_identical(dataset) -> None:
+    """Per-session oracle vs one columnar pass and vs the public calls."""
+    oracle = _oracle(dataset)
     out = ca.analyze_dataset(dataset)
-    assert json.dumps(out["qoe"]) == json.dumps(q_rec)
-    assert json.dumps(out["localization"]) == json.dumps(loc_rec)
-    _assert_reports_identical(out["faultscore"], fs_rec)
+    _assert_results_identical(
+        (out["qoe"], out["localization"], out["faultscore"]), oracle
+    )
+    _assert_results_identical(_public_results(dataset), oracle)
+
+
+def _fresh_copy(dataset: Dataset) -> Dataset:
+    """A new Dataset over new lists of the same record objects."""
+    return Dataset(**{kind: list(getattr(dataset, kind)) for kind in SPILL_KINDS})
 
 
 class TestByteIdentity:
     def test_in_memory_faulted(self, faulted_dataset):
         _assert_paths_identical(faulted_dataset)
-        # the public knob reaches the same results through each entry point
-        q_rec = summarize(faulted_dataset, analysis="records")
-        assert json.dumps(summarize(faulted_dataset, analysis="columnar")) == (
-            json.dumps(q_rec)
-        )
-        loc_rec = diagnose_dataset(faulted_dataset, analysis="records")
-        assert json.dumps(diagnose_dataset(faulted_dataset, analysis="columnar")) == (
-            json.dumps(loc_rec)
-        )
-        _assert_reports_identical(
-            score_fault_localization(faulted_dataset, analysis="columnar"),
-            score_fault_localization(faulted_dataset, analysis="records"),
-        )
 
     def test_spilled_multi_run(self, tmp_path):
         # >4096 sessions => several sorted runs per kind, exercising the
@@ -147,48 +166,15 @@ class TestByteIdentity:
         spilled = synthesize_spill(tmp_path / "s", 600, seed=6, threshold_rows=512)
         monkeypatch.setattr(ca, "ITER_BLOCK_ROWS", 97)
         registry = MetricsRegistry()
-        out = ca.analyze_dataset(spilled, metrics=registry)
+        ca.analyze_dataset(spilled, metrics=registry)
         counters = registry.execution_snapshot()["counters"]
         assert counters["analysis.blocks_total"] > 5
         assert counters["analysis.sessions_total"] == 600
-        q_rec, loc_rec, fs_rec = consume(
-            spilled,
-            QoeAccumulator(),
-            LocalizationAccumulator(),
-            FaultScoreAccumulator(),
-        )
-        assert json.dumps(out["qoe"]) == json.dumps(q_rec)
-        assert json.dumps(out["localization"]) == json.dumps(loc_rec)
-        _assert_reports_identical(out["faultscore"], fs_rec)
+        _assert_paths_identical(spilled)
 
 
 class TestResolveAnalysis:
-    def test_auto_prefers_columnar_for_spills(self):
-        assert resolve_analysis("auto", n_sessions=1, spilled=True) == "columnar"
-
-    def test_auto_threshold_on_session_count(self):
-        at = AUTO_COLUMNAR_MIN_SESSIONS
-        assert resolve_analysis("auto", n_sessions=at) == "columnar"
-        assert resolve_analysis("auto", n_sessions=at - 1) == "records"
-
-    def test_explicit_modes_pass_through(self):
-        for mode in ("records", "columnar"):
-            assert resolve_analysis(mode, n_sessions=0) == mode
-            assert resolve_analysis(mode, n_sessions=10**6, spilled=True) == mode
-
-    def test_unknown_mode_rejected(self):
-        with pytest.raises(ValueError, match="unknown analysis"):
-            resolve_analysis("vectorized", n_sessions=100)
-
-    def test_duck_typed_dataset_stays_on_records(self):
-        class FakeDataset:
-            n_sessions = 10**6
-
-        assert ca.resolve_analysis_mode(FakeDataset(), "auto") == "records"
-
-    def test_spilled_dataset_resolves_columnar(self, tmp_path):
-        spilled = synthesize_spill(tmp_path / "s", 10, seed=1)
-        assert ca.resolve_analysis_mode(spilled, "auto") == "columnar"
+    """The analysis names ``analyze_dataset`` accepts."""
 
     def test_unknown_analysis_kind_rejected(self, tmp_path):
         spilled = synthesize_spill(tmp_path / "s", 10, seed=1)
@@ -196,25 +182,64 @@ class TestResolveAnalysis:
             ca.analyze_dataset(spilled, analyses=("qoe", "bogus"))
 
 
-class TestAnalysisKnobContractSync:
-    """The analysis knob is user-facing API: names must stay documented."""
+class TestSharedEncode:
+    """In-memory datasets encode each record kind once for every analysis."""
 
-    def test_every_mode_documented(self):
-        performance = (REPO_ROOT / "docs" / "PERFORMANCE.md").read_text(
-            encoding="utf-8"
-        )
-        for name in ANALYSIS_MODES:
-            assert f'"{name}"' in performance or f"`{name}`" in performance, (
-                f"analysis mode {name!r} not documented in docs/PERFORMANCE.md"
-            )
+    @pytest.fixture()
+    def encodes(self, monkeypatch):
+        counts: Counter = Counter()
+        encode = dataset_module.records_to_array
 
-    def test_cli_analysis_choices_match(self):
-        from repro.cli import build_parser
+        def counting(kind, records):
+            counts[kind] += 1
+            return encode(kind, records)
 
-        parser = build_parser()
-        for command in (["analyze", "x"], ["faultscore", "x"]):
-            args = parser.parse_args(command)
-            assert args.analysis == "auto"
-            for name in ANALYSIS_MODES:
-                parsed = parser.parse_args(command + ["--analysis", name])
-                assert parsed.analysis == name
+        monkeypatch.setattr(dataset_module, "records_to_array", counting)
+        return counts
+
+    def test_filter_and_three_analyses_encode_each_kind_once(
+        self, emitted_dataset, encodes
+    ):
+        filtered, _ = filter_proxies(emitted_dataset)
+        results = _public_results(filtered)
+        assert encodes == Counter(dict.fromkeys(SPILL_KINDS, 1))
+        _assert_results_identical(results, _oracle(filtered))
+
+    @pytest.mark.parametrize("mutation", ["append", "reassign", "replace"])
+    def test_mutation_between_calls_matches_a_fresh_dataset(
+        self, faulted_dataset, mutation
+    ):
+        dataset = _fresh_copy(faulted_dataset)
+        before = _public_results(dataset)
+        first = dataset.player_chunks[0]
+        stalled = dataclasses.replace(first, rebuffer_ms=first.rebuffer_ms + 5_000.0)
+        if mutation == "append":
+            dataset.player_chunks.append(stalled)
+        elif mutation == "reassign":
+            dataset.player_chunks = [stalled] + dataset.player_chunks[1:]
+        else:
+            dataset.player_chunks[0] = stalled
+        after = _public_results(dataset)
+        assert json.dumps(after[0]) != json.dumps(before[0])
+        _assert_results_identical(after, _public_results(_fresh_copy(dataset)))
+        _assert_results_identical(after, _oracle(dataset))
+
+    def test_cached_arrays_are_reused_and_reject_writes(self, faulted_dataset):
+        dataset = _fresh_copy(faulted_dataset)
+        for kind in SPILL_KINDS:
+            (array,) = dataset.run_arrays(kind)
+            assert dataset.run_arrays(kind)[0] is array
+            assert not array.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = array[-1]
+            with pytest.raises(ValueError, match="read-only"):
+                array["session_id"][0] = b"x"
+        assert Dataset().run_arrays("player_chunks") == []
+
+    def test_analysis_leaves_eq_repr_and_pickle_unchanged(self, faulted_dataset):
+        dataset = _fresh_copy(faulted_dataset)
+        before = (repr(dataset), pickle.dumps(dataset))
+        _public_results(dataset)
+        assert dataset == faulted_dataset
+        assert repr(dataset) == before[0]
+        assert pickle.dumps(dataset) == before[1]

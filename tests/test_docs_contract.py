@@ -1,6 +1,6 @@
 """Docs-sync lint: the curated docs must mirror the code contracts.
 
-Three guarantees, all bidirectional:
+The guarantees:
 
 * every metric/span registered in ``repro.obs`` is documented in
   docs/OBSERVABILITY.md, and every name documented there is registered —
@@ -14,16 +14,21 @@ Three guarantees, all bidirectional:
   docs/TELEMETRY.md, and every documented field/dtype matches the code,
   because string widths are part of the spill-format contract;
 * every intra-repo markdown link in the curated docs resolves to a real
-  file, so the cross-linked doc set (README → docs/* → DESIGN) never rots.
+  file, so the cross-linked doc set (README → docs/* → DESIGN) never rots;
+* the bench numbers docs/PERFORMANCE.md quotes (walls and ratios) are
+  records of BENCH_perf.json, never numbers restated from memory.
 
 Run by the CI ``docs`` job and by the tier-1 suite.
 """
 
 from __future__ import annotations
 
+import json
 import re
 from pathlib import Path
 from typing import List, Set, Tuple
+
+import pytest
 
 from repro.obs import METRIC_SPECS, SPAN_SPECS, TRACE_EVENT_SPECS
 from repro.telemetry.columnar import COLUMN_SCHEMAS, SPILL_KINDS, dtype_token
@@ -41,6 +46,8 @@ REPO_ROOT = Path(__file__).resolve().parent.parent
 OBSERVABILITY_MD = REPO_ROOT / "docs" / "OBSERVABILITY.md"
 SCENARIOS_MD = REPO_ROOT / "docs" / "SCENARIOS.md"
 TELEMETRY_MD = REPO_ROOT / "docs" / "TELEMETRY.md"
+PERFORMANCE_MD = REPO_ROOT / "docs" / "PERFORMANCE.md"
+BENCH_PERF_JSON = REPO_ROOT / "BENCH_perf.json"
 
 #: markdown files whose intra-repo links must resolve (curated docs; the
 #: generated reference dumps PAPERS.md / SNIPPETS.md are out of scope)
@@ -464,3 +471,57 @@ class TestServeContractSync:
             "docs/ARCHITECTURE.md module map lacks a repro.serve row"
         )
         assert "repro watch" in architecture or "`watch`" in architecture
+
+
+#: a quoted before → after pair with its ratio, e.g. "11.41 s → 0.63 s (**18.24×**"
+_QUOTED_WALLS = r"([0-9.]+) (m?s) → ([0-9.]+) \2 \(\*\*([0-9.]+)×\*\*"
+
+
+def _performance_quote(lead: str) -> Tuple[str, ...]:
+    """(before, unit, after, ratio) of the quote following *lead*."""
+    text = " ".join(PERFORMANCE_MD.read_text(encoding="utf-8").split())
+    match = re.search(lead + _QUOTED_WALLS, text)
+    assert match, f"docs/PERFORMANCE.md no longer quotes {lead!r} walls"
+    return match.groups()
+
+
+def _same_number(quoted: str, value: float) -> bool:
+    """*value* printed with the precision of *quoted* reads *quoted*."""
+    decimals = len(quoted.partition(".")[2])
+    return f"{value:.{decimals}f}" == quoted
+
+
+def _bench_records(scenario: str) -> List[dict]:
+    return json.loads(BENCH_PERF_JSON.read_text(encoding="utf-8"))[scenario]
+
+
+class TestPerformanceNumbersSync:
+    """Walls and ratios PERFORMANCE.md quotes match BENCH_perf.json records."""
+
+    @pytest.mark.parametrize("scenario", ["read-path", "read-path-memory"])
+    def test_read_path_quote_matches_a_record(self, scenario):
+        before, unit, after, ratio = _performance_quote(
+            rf"`{re.escape(scenario)}` — [^:]*: "
+        )
+        scale = 1e3 if unit == "ms" else 1.0
+        matching = [
+            record
+            for record in _bench_records(scenario)
+            if _same_number(before, record["records_wall_s"] * scale)
+            and _same_number(after, record["wall_s"] * scale)
+            and _same_number(ratio, record["speedup"])
+        ]
+        assert matching, (
+            f"docs/PERFORMANCE.md quotes {scenario} as {before} {unit} → "
+            f"{after} {unit} ({ratio}×); no BENCH_perf.json record says so"
+        )
+
+    def test_pr4_medium_quote_matches_the_records(self):
+        before, unit, after, ratio = _performance_quote(
+            r"\(`pr4-before`, `pr4-after`\): "
+        )
+        walls = {record["label"]: record["wall_s"] for record in _bench_records("medium")}
+        assert unit == "s"
+        assert _same_number(before, walls["pr4-before"])
+        assert _same_number(after, walls["pr4-after"])
+        assert _same_number(ratio, walls["pr4-before"] / walls["pr4-after"])
