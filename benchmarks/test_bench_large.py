@@ -1,13 +1,10 @@
-"""Large-tier bench: 10k-session fleet-scale throughput, both engines.
+"""Large-tier bench: 10k-session fleet-scale throughput.
 
 Not a paper artifact and not part of the default bench sweep — 10k
 sessions take minutes, so the tier is opt-in behind ``REPRO_BENCH_LARGE=1``
-(CI's scheduled perf job sets it and uploads ``BENCH_perf.json``).  This
-is the scale the fleet engine exists for: per-server cohort stepping
-amortizes scheduling across thousands of concurrent sessions, where the
-event loop pays a global heap operation per chunk.  Each engine records
-its own trajectory entry, so the event-vs-fleet gap is read straight off
-the ``large`` scenario's history.
+(CI's manually dispatched perf job sets it and uploads
+``BENCH_perf.json``).  Each run appends one entry to the ``large``
+scenario's history.
 """
 
 from __future__ import annotations
@@ -32,17 +29,14 @@ N_SESSIONS = 10_000
 SEED = 7
 
 
-def run_simulation(engine: str):
+def run_simulation():
     return simulate(
-        SimulationConfig(
-            n_sessions=N_SESSIONS, warmup_sessions=0, seed=SEED, engine=engine
-        )
+        SimulationConfig(n_sessions=N_SESSIONS, warmup_sessions=0, seed=SEED)
     )
 
 
-@pytest.mark.parametrize("engine", ["event", "fleet"])
-def test_bench_large_throughput(benchmark, engine):
-    result = benchmark.pedantic(run_simulation, args=(engine,), rounds=1, iterations=1)
+def test_bench_large_throughput(benchmark):
+    result = benchmark.pedantic(run_simulation, rounds=1, iterations=1)
     assert result.dataset.n_sessions == N_SESSIONS
     attach_observability(benchmark)
     record = write_perf_record(
@@ -50,7 +44,6 @@ def test_bench_large_throughput(benchmark, engine):
         benchmark.stats.stats.min,
         n_sessions=N_SESSIONS,
         n_chunks=result.dataset.n_chunks,
-        label=f"run-{engine}",
     )
-    print(f"\n  large[{engine}]: {record['wall_s']}s wall, "
+    print(f"\n  large: {record['wall_s']}s wall, "
           f"{record['chunks_per_s']} chunks/s, spans={record['spans']}")

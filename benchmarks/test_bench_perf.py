@@ -31,17 +31,14 @@ SEED = 7
 WALL_BUDGET_S = 30.0
 
 
-def run_simulation(engine: str = "event"):
+def run_simulation():
     return simulate(
-        SimulationConfig(
-            n_sessions=N_SESSIONS, warmup_sessions=0, seed=SEED, engine=engine
-        )
+        SimulationConfig(n_sessions=N_SESSIONS, warmup_sessions=0, seed=SEED)
     )
 
 
-@pytest.mark.parametrize("engine", ["event", "fleet"])
-def test_perf_smoke_under_budget(benchmark, engine):
-    result = benchmark.pedantic(run_simulation, args=(engine,), rounds=3, iterations=1)
+def test_perf_smoke_under_budget(benchmark):
+    result = benchmark.pedantic(run_simulation, rounds=3, iterations=1)
     assert result.dataset.n_sessions == N_SESSIONS
     attach_observability(benchmark)
     best_s = benchmark.stats.stats.min
@@ -50,24 +47,10 @@ def test_perf_smoke_under_budget(benchmark, engine):
         best_s,
         n_sessions=N_SESSIONS,
         n_chunks=result.dataset.n_chunks,
-        label=f"run-{engine}",
     )
-    print(f"\n  perf-smoke[{engine}]: {record['wall_s']}s wall, "
+    print(f"\n  perf-smoke: {record['wall_s']}s wall, "
           f"{record['sessions_per_s']} sessions/s, spans={record['spans']}")
     assert best_s < WALL_BUDGET_S, (
         f"perf smoke exceeded wall budget: {best_s:.2f}s >= {WALL_BUDGET_S}s "
         f"(see BENCH_perf.json trajectory)"
     )
-
-
-def test_perf_smoke_engines_identical():
-    """The cross-engine divergence gate CI runs alongside the timing.
-
-    Engine choice is an execution knob (docs/PERFORMANCE.md): the fleet
-    engine must reproduce the event loop's telemetry record for record on
-    the pinned smoke workload, or the perf job fails before any timing
-    comparison matters.
-    """
-    event = run_simulation("event").dataset.sorted()
-    fleet = run_simulation("fleet").dataset.sorted()
-    assert event == fleet, "fleet engine diverged from the event loop"

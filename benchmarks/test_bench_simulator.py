@@ -1,7 +1,7 @@
 """Bench: raw simulator throughput (sessions simulated per second).
 
 Not a paper artifact — an engineering benchmark guarding against
-performance regressions in the event loop / TCP model hot path.
+performance regressions in the period runner / TCP model hot path.
 """
 
 from bench_util import attach_observability, write_perf_record

@@ -2,9 +2,9 @@
 
 :class:`ExecutionOptions` is the typed view of the execution section of
 :class:`~repro.simulation.config.SimulationConfig` — the knobs that pick
-an execution strategy (worker count, stepping engine, telemetry
-residence, tracing) without changing a single simulated record.  The
-workload identity hash excludes exactly these fields, *structurally*:
+an execution strategy (worker count, telemetry residence, tracing)
+without changing a single simulated record.  The workload identity hash
+excludes exactly these fields, *structurally*:
 :data:`EXECUTION_FIELD_NAMES` is derived from this dataclass, so adding
 an execution knob here is all it takes to keep it out of the hash (the
 field list in ``repro.obs.manifest`` used to be maintained by hand).
@@ -20,38 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass, fields
 from typing import Optional, Tuple
 
-__all__ = [
-    "AUTO_FLEET_MIN_SESSIONS",
-    "ENGINE_NAMES",
-    "EXECUTION_FIELD_NAMES",
-    "ExecutionOptions",
-    "resolve_engine",
-]
-
-#: legal values for ``SimulationConfig.engine`` — "auto" resolves per run
-#: (see :func:`resolve_engine`)
-ENGINE_NAMES: Tuple[str, ...] = ("auto", "event", "fleet")
-
-#: ``engine="auto"`` threshold: below this many sessions per period the
-#: cohort bookkeeping of the fleet engine costs more than the heap it
-#: replaces, so small runs stay on the classic event loop.
-AUTO_FLEET_MIN_SESSIONS = 64
-
-
-def resolve_engine(engine: str, n_sessions: int) -> str:
-    """Resolve an ``engine`` config value to a concrete engine name.
-
-    ``"event"`` and ``"fleet"`` are explicit choices and pass through;
-    ``"auto"`` picks the fleet engine for periods of
-    :data:`AUTO_FLEET_MIN_SESSIONS` sessions or more, the event loop
-    below that.  Pure function of its arguments: every shard worker of a
-    run resolves to the same engine.
-    """
-    if engine == "auto":
-        return "fleet" if n_sessions >= AUTO_FLEET_MIN_SESSIONS else "event"
-    if engine not in ENGINE_NAMES:
-        raise ValueError(f"unknown engine {engine!r}; choose from {ENGINE_NAMES}")
-    return engine
+__all__ = ["EXECUTION_FIELD_NAMES", "ExecutionOptions"]
 
 
 @dataclass(frozen=True)
@@ -77,8 +46,6 @@ class ExecutionOptions:
     spill_dir: Optional[str] = None
     #: rows buffered per record kind before a sorted spill run is flushed
     spill_threshold_rows: int = 262_144
-    #: stepping engine: "event", "fleet", or "auto" (resolved per run)
-    engine: str = "auto"
 
 
 #: The structural exclusion list for the workload config hash: exactly the

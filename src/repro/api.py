@@ -21,15 +21,11 @@ three behind one signature::
     # fault injection: a FaultSpec object or a JSON spec path
     result = run(config, faults="examples/fault_cdn_degradation.json")
 
-Dispatch is driven entirely by the config's execution knobs through two
-explicit registries: ``config.workers`` picks the process-level executor
-from ``_EXECUTORS`` (serial vs sharded; for period lists, the first
-period's config), and ``config.engine`` picks the stepping engine per
-period from :data:`repro.engine.ENGINE_REGISTRY` (event loop vs fleet
-cohorts).  The same call scales from the classic in-process event loop to
-the sharded fleet runner without changing shape — and the determinism
-contract guarantees identical telemetry on every path (docs/PARALLEL.md,
-docs/PERFORMANCE.md).
+``config.workers`` picks the executor: ``workers > 1`` shards the run
+across worker processes, otherwise it runs in-process (for period lists,
+the first period's config decides).  The same call scales from one
+process to many without changing shape, and the determinism contract
+guarantees identical telemetry on every path (docs/PARALLEL.md).
 
 ``Simulator`` / ``ParallelSimulator`` remain public for advanced use
 (custom worlds, shard specs, chaos hooks), but new code and docs should go
@@ -40,7 +36,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from .cdn.server import CdnServer
 from .faults import FaultSpec
@@ -220,31 +216,14 @@ def run(
     config = config or SimulationConfig()
     if spec is not None:
         config = replace(config, faults=spec)
-    return _EXECUTORS[_execution_mode(config)](config)
-
-
-def _execution_mode(config: SimulationConfig) -> str:
-    """The process-level execution mode ("serial" | "sharded").
-
-    Orthogonal to the stepping engine: ``config.engine`` selects *how each
-    period steps* (resolved per period inside the driver via
-    :data:`repro.engine.ENGINE_REGISTRY`), while the mode here selects
-    *which processes* run those periods.
-    """
-    return "sharded" if config.workers > 1 else "serial"
-
-
-def _execute_serial(config: SimulationConfig) -> RunResult:
+    if config.workers > 1:
+        result = ParallelSimulator(config).run()
+        return RunResult(datasets=[result.dataset], labels=("",), simulation=result)
     simulator = Simulator(config)
     result = simulator.run()
     return RunResult(
         datasets=[result.dataset], labels=("",), simulation=result, simulator=simulator
     )
-
-
-def _execute_sharded(config: SimulationConfig) -> RunResult:
-    result = ParallelSimulator(config).run()
-    return RunResult(datasets=[result.dataset], labels=("",), simulation=result)
 
 
 def _merge_periods(datasets: List[Dataset]) -> Dataset:
@@ -304,22 +283,6 @@ def _execute_periods_sharded(
     return RunResult(datasets=datasets, labels=labels, simulation=simulation)
 
 
-#: Execution-mode dispatch tables.  Like :data:`repro.engine.ENGINE_REGISTRY`
-#: for stepping engines, these replace per-call-site if/else chains: adding
-#: an execution mode is a new entry here, and :func:`run` stays closed.
-_EXECUTORS: Dict[str, Callable[[SimulationConfig], RunResult]] = {
-    "serial": _execute_serial,
-    "sharded": _execute_sharded,
-}
-
-_PERIOD_EXECUTORS: Dict[
-    str, Callable[[List[PeriodSpec], SimulationConfig, Tuple[str, ...]], RunResult]
-] = {
-    "serial": _execute_periods_serial,
-    "sharded": _execute_periods_sharded,
-}
-
-
 def _run_periods(
     periods: List[PeriodSpec], spec: Optional[FaultSpec]
 ) -> RunResult:
@@ -332,6 +295,6 @@ def _run_periods(
         ]
     exec_config = periods[0].config
     labels = tuple(period.label for period in periods)
-    return _PERIOD_EXECUTORS[_execution_mode(exec_config)](
-        periods, exec_config, labels
-    )
+    if exec_config.workers > 1:
+        return _execute_periods_sharded(periods, exec_config, labels)
+    return _execute_periods_serial(periods, exec_config, labels)

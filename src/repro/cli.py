@@ -54,13 +54,6 @@ def build_parser() -> argparse.ArgumentParser:
              "identical telemetry (default: 1, the classic serial loop)",
     )
     sim.add_argument(
-        "--engine", choices=["auto", "event", "fleet"], default="auto",
-        help="stepping engine: 'event' is the classic per-session event "
-             "loop, 'fleet' advances calm sessions in vectorized cohorts, "
-             "'auto' picks by session count; every engine emits "
-             "byte-identical telemetry (see docs/PERFORMANCE.md)",
-    )
-    sim.add_argument(
         "--shard-timeout", type=float, default=None, metavar="S",
         help="wall-clock budget per shard attempt in seconds; a shard "
              "exceeding it is killed and retried once (default: none)",
@@ -139,8 +132,8 @@ def build_parser() -> argparse.ArgumentParser:
     mdiff.add_argument(
         "--include-execution", action="store_true",
         help="also compare the execution block (spans, shard reports, "
-             "engine/spill/analysis counters); excluded by default because "
-             "it legitimately varies across --engine/--workers choices",
+             "spill/analysis counters); excluded by default because it "
+             "legitimately varies across --workers/--spill-dir choices",
     )
 
     faultscore = commands.add_parser(
@@ -259,10 +252,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="exit after N rounds (default: run until interrupted)",
     )
     serve.add_argument(
-        "--engine", choices=["auto", "event", "fleet"], default="auto",
-        help="stepping engine per round (same registry as 'simulate')",
-    )
-    serve.add_argument(
         "--trace-sample", type=float, default=0.05, metavar="P",
         help="fraction of sessions feeding the /events trace ring "
              "(default: 0.05; 0 disables)",
@@ -350,7 +339,6 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         n_videos=args.videos,
         abr_name=args.abr,
         workers=args.workers,
-        engine=args.engine,
         shard_timeout_s=args.shard_timeout,
         # tracing is an execution knob: it never changes the workload
         trace_sample=args.trace_sample if args.trace_out else 0.0,
@@ -359,7 +347,6 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         spill_threshold_rows=args.spill_threshold,
     )
     mode = "serially" if args.workers <= 1 else f"on {args.workers} shard workers"
-    mode += f" ({args.engine} engine)"
     injected = f", faults from {args.faults}" if args.faults else ""
     print(
         f"simulating {args.sessions} sessions (+{warmup} warmup), "
@@ -520,10 +507,10 @@ def _cmd_metrics(args: argparse.Namespace) -> int:
             and not args.include_execution
             and payload.pop("execution", None) is not None
         ):
-            # the execution block (spans, shard reports, engine/spill/
-            # analysis counters) legitimately varies across --engine and
-            # --workers choices; only the workload-scoped payload is under
-            # the byte-identity contract (docs/OBSERVABILITY.md)
+            # the execution block (spans, shard reports, spill/analysis
+            # counters) legitimately varies across --workers/--spill-dir;
+            # only the workload-scoped payload is under the byte-identity
+            # contract (docs/OBSERVABILITY.md)
             dropped_execution = True
         documents.append(payload)
     if dropped_execution:
@@ -701,7 +688,6 @@ def _serve_config(args: argparse.Namespace) -> SimulationConfig:
     config = config.with_overrides(
         n_sessions=args.sessions,
         warmup_sessions=args.warmup,
-        engine=args.engine,
         trace_sample=args.trace_sample,
     )
     if args.faults:

@@ -225,8 +225,8 @@ class TcpConnection:
         # probe's epochs are invisible to epoch_window).  Zero-loss paths
         # use the exact loss-free fast path (stream-identical to the
         # general loop); lossy paths use the speculative planner, whose
-        # draw discipline is batched-by-construction (both engines share
-        # this code, so cross-engine identity is structural).
+        # draw discipline is batched-by-construction (serial and sharded
+        # runs share this code, so their identity is structural).
         can_batch = path.loss_rate == 0.0 and path.fault_probe is None
         can_speculate = path.loss_rate > 0.0 and path.fault_probe is None
 
@@ -488,8 +488,8 @@ class TcpConnection:
         extra RTT draw otherwise).  Only the rounds actually applied
         draw RTT-noise normals (one batched call), so no draws are
         wasted.  The draw discipline is *batched by construction*: every
-        engine runs this same code, so records are identical across
-        engines by sharing, not by re-derivation.
+        execution path runs this same code, so records are identical
+        across them by sharing, not by re-derivation.
 
         Overflow windows (in-flight above the bottleneck capacity) stay in
         the batch — their elevated loss probability is part of the plan.

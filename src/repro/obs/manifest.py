@@ -47,7 +47,7 @@ __all__ = [
 #: Config fields that choose *how* (or whether) the run is observed and
 #: executed, never *what* is simulated (see SimulationConfig).  Excluded
 #: from the workload identity hash so serial, sharded, traced, and
-#: fleet-stepped runs of one workload share a config_hash.  Derived
+#: spilled runs of one workload share a config_hash.  Derived
 #: structurally from :class:`~repro.simulation.execution.ExecutionOptions`
 #: — adding an execution knob there excludes it here automatically.
 EXECUTION_FIELDS = frozenset(EXECUTION_FIELD_NAMES)
@@ -100,7 +100,6 @@ def run_manifest(
     manifest = _identity(result)
     manifest["execution"] = {
         "workers": config.workers,
-        "engine": config.engine,
         "shard_by": config.shard_by,
         "shard_timeout_s": config.shard_timeout_s,
         "n_shards": len(shards) or 1,

@@ -108,15 +108,15 @@ def _specs(entries: Iterable[MetricSpec]) -> Dict[str, MetricSpec]:
 #: docs/OBSERVABILITY.md (tests/test_docs_contract.py enforces both ways).
 METRIC_SPECS: Dict[str, MetricSpec] = _specs(
     [
-        # -- engine (execution) ---------------------------------------------
+        # -- engine (period runner) -----------------------------------------
         MetricSpec(
             "engine.events_total", "counter", "events",
-            "Events dispatched by the discrete-event loop (all periods, "
-            "warmup included).", "—",
+            "Events dispatched by the period runner (all periods, warmup "
+            "included).", "—",
         ),
         MetricSpec(
             "engine.clock_ms", "gauge", "ms",
-            "Final simulation clock of the last completed event-loop run.",
+            "Final simulation clock of the last completed period.",
             "—",
         ),
         # -- CDN serving path (§4.1) ----------------------------------------

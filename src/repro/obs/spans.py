@@ -39,11 +39,11 @@ SPAN_SPECS: Dict[str, SpanSpec] = {
         ),
         SpanSpec(
             "driver.period",
-            "One measured collection period (generation, event loop, telemetry).",
+            "One measured collection period (generation, stepping, telemetry).",
         ),
         SpanSpec(
             "engine.run",
-            "One event-loop drain: dispatching scheduled events in time order.",
+            "One period drain: each server group's events in time order.",
         ),
         SpanSpec(
             "session.chunk",

@@ -1,7 +1,7 @@
 """Live service mode: rolling windows + online localization over HTTP.
 
 The batch pipeline replays a collection period and analyzes it after the
-fact; this package runs the same engines *continuously* — arrival round
+fact; this package runs the same simulator *continuously* — arrival round
 after arrival round on one checkpointed clock — and localizes problems
 while they develop, scored live against injected fault ground truth.
 ``repro serve`` boots it; ``repro watch`` tails it; the endpoint,

@@ -17,7 +17,7 @@ from ..client.abr import ABR_NAMES
 from ..faults.spec import FaultSpec
 from ..workload.catalog import DEFAULT_BITRATE_LADDER_KBPS
 from ..workload.clients import PopulationConfig
-from .._execution import ENGINE_NAMES, EXECUTION_FIELD_NAMES, ExecutionOptions
+from .._execution import EXECUTION_FIELD_NAMES, ExecutionOptions
 from .shard import SHARD_MODES
 
 __all__ = ["ExecutionOptions", "SimulationConfig"]
@@ -91,7 +91,7 @@ class SimulationConfig:
     # These knobs choose *how* the trace is computed, never *what* it is:
     # under the default ``server`` sharding the telemetry is identical for
     # any worker count (see docs/PARALLEL.md for the determinism contract).
-    #: worker processes; 1 = the classic in-process event loop
+    #: worker processes; 1 = in-process execution
     workers: int = 1
     #: wall-clock budget per shard attempt (seconds); None = no timeout
     shard_timeout_s: Optional[float] = None
@@ -116,11 +116,6 @@ class SimulationConfig:
     #: sorted run (the RSS-bound knob — see the budget model in
     #: docs/TELEMETRY.md)
     spill_threshold_rows: int = 262_144
-    #: stepping engine (docs/PERFORMANCE.md, "Fleet engine"): "event" is
-    #: the classic per-session event loop, "fleet" advances calm sessions
-    #: in vectorized cohorts, "auto" (default) picks by session count.
-    #: Execution knob: every engine emits byte-identical telemetry.
-    engine: str = "auto"
 
     def __post_init__(self) -> None:
         if self.n_sessions <= 0:
@@ -160,10 +155,6 @@ class SimulationConfig:
         if self.shard_by not in SHARD_MODES:
             raise ValueError(
                 f"unknown shard_by {self.shard_by!r}; choose from {SHARD_MODES}"
-            )
-        if self.engine not in ENGINE_NAMES:
-            raise ValueError(
-                f"unknown engine {self.engine!r}; choose from {ENGINE_NAMES}"
             )
         if self.faults is not None and not isinstance(self.faults, FaultSpec):
             raise TypeError(

@@ -1,8 +1,9 @@
 """Top-level simulation driver: config → telemetry dataset.
 
 Builds the world (catalog, client population, CDN deployment, servers),
-generates session plans, and runs them through the event loop.  The output
-is a :class:`~repro.telemetry.dataset.Dataset` — the same shape the paper's
+generates session plans, and runs them through the period runner
+(:mod:`repro.simulation.engine`).  The output is a
+:class:`~repro.telemetry.dataset.Dataset` — the same shape the paper's
 joined production beacons/logs would have — which the analysis pipeline in
 :mod:`repro.core` consumes without any knowledge of the simulator.
 """
@@ -26,7 +27,7 @@ from ..workload.catalog import Catalog, generate_catalog
 from ..workload.clients import ClientPopulation, generate_population
 from ..workload.sessions import SessionGenerator, SessionPlan
 from .config import SimulationConfig
-from .._execution import resolve_engine
+from .engine import run_period
 from .shard import ShardSpec
 
 if TYPE_CHECKING:  # avoid a runtime cycle: parallel.py imports this module
@@ -243,49 +244,9 @@ class Simulator:
         ``spill_subdir`` nests this period's spill below the configured
         directory (the multi-period runner's ``period-<name>/`` layout).
         """
-        config = self.config
-        n_sessions = n_sessions if n_sessions is not None else config.n_sessions
-        # Barrier 1: a sharded run may carry clock skew from a previous
-        # period; align on the fleet-wide clock before warming up.
-        self._sync_clock()
-        if config.warmup_sessions > 0 and not self._warmed:
-            # warmup telemetry was always discarded after the period; the
-            # discarding collector drops it on arrival so warmup RAM stays
-            # flat at any scale (docs/TELEMETRY.md)
-            discard = TelemetryCollector(record_ground_truth=False, discard=True)
-            with self.metrics.span("driver.warmup"):
-                self._clock_ms = self._run_period(
-                    n_sessions=config.warmup_sessions,
-                    seed=config.seed + 99_991,  # disjoint session stream
-                    collector=discard,
-                    start_ms=self._clock_ms,
-                    trace=None,  # warmup is never traced
-                )
-            self._warmed = True
-        # Barrier 2: the measured period starts when the *fleet's* warmup
-        # ends (the serial run's loop end), not when this shard's does.
-        self._sync_clock()
-        collector = self._measured_collector(spill_subdir)
-        with self.metrics.span("driver.period"):
-            self._clock_ms = self._run_period(
-                n_sessions=n_sessions,
-                seed=config.seed,
-                collector=collector,
-                start_ms=max(start_ms, self._clock_ms),
-                trace=self.trace,
-            )
-        result = SimulationResult(
-            dataset=collector.dataset(),
-            catalog=self.catalog,
-            population=self.population,
-            deployment=self.deployment,
-            servers=self.servers,
-            config=config,
-            metrics=self.metrics,
-            trace=self.trace,
+        return self._measured_period(
+            n_sessions, self.config.seed, start_ms, spill_subdir
         )
-        publish_last_run(self.metrics)
-        return result
 
     def run_round(
         self,
@@ -297,8 +258,8 @@ class Simulator:
 
         The service mode (:mod:`repro.serve`) feeds sessions continuously:
         each round simulates *n_sessions* fresh arrivals starting exactly
-        where the previous round's event loop drained, on the same cache
-        state, through the same engine registry as a batch run.  Round *k*
+        where the previous round's period drained, on the same cache
+        state, through the same period runner as a batch run.  Round *k*
         uses seed ``config.seed + k`` (the :meth:`run_days` convention), so
         session-id streams are disjoint across rounds and round 0
         reproduces :meth:`run`'s measured period exactly.  Warmup runs once
@@ -309,42 +270,9 @@ class Simulator:
         """
         if round_index < 0:
             raise ValueError("round_index must be non-negative")
-        config = self.config
-        n_sessions = n_sessions if n_sessions is not None else config.n_sessions
-        self._sync_clock()
-        if config.warmup_sessions > 0 and not self._warmed:
-            discard = TelemetryCollector(record_ground_truth=False, discard=True)
-            with self.metrics.span("driver.warmup"):
-                self._clock_ms = self._run_period(
-                    n_sessions=config.warmup_sessions,
-                    seed=config.seed + 99_991,
-                    collector=discard,
-                    start_ms=self._clock_ms,
-                    trace=None,  # warmup is never traced
-                )
-            self._warmed = True
-        self._sync_clock()
-        collector = self._measured_collector(spill_subdir)
-        with self.metrics.span("driver.period"):
-            self._clock_ms = self._run_period(
-                n_sessions=n_sessions,
-                seed=config.seed + round_index,
-                collector=collector,
-                start_ms=self._clock_ms,
-                trace=self.trace,
-            )
-        result = SimulationResult(
-            dataset=collector.dataset(),
-            catalog=self.catalog,
-            population=self.population,
-            deployment=self.deployment,
-            servers=self.servers,
-            config=config,
-            metrics=self.metrics,
-            trace=self.trace,
+        return self._measured_period(
+            n_sessions, self.config.seed + round_index, 0.0, spill_subdir
         )
-        publish_last_run(self.metrics)
-        return result
 
     @property
     def clock_ms(self) -> float:
@@ -359,11 +287,13 @@ class Simulator:
     ) -> SimulationResult:
         """Simulate *n_days* consecutive collection days on one cache state.
 
-        Sessions of day *k* start at ``k * day_length_ms``, so downstream
-        recurrence analyses (§4.2-1 repeats the tail-prefix extraction "for
-        every day in our dataset") can split the merged dataset on real
-        day boundaries.  Arrival pacing within a day is unchanged; the
-        remainder of the day is idle (caches persist, as in production).
+        Sessions of day *k* start at ``k * day_length_ms``, or when the
+        previous period (day or warmup) ends if that is later, so
+        downstream recurrence analyses (§4.2-1 repeats the tail-prefix
+        extraction "for every day in our dataset") can split the merged
+        dataset on real day boundaries.  Arrival pacing within a day is
+        unchanged; the remainder of the day is idle (caches persist, as in
+        production).
         """
         if n_days <= 0:
             raise ValueError("n_days must be positive")
@@ -371,35 +301,78 @@ class Simulator:
         sessions_per_day = (
             sessions_per_day if sessions_per_day is not None else config.n_sessions
         )
-        if config.warmup_sessions > 0 and not self._warmed:
+        self._warm_up()
+        collector = self._measured_collector()
+        for day in range(n_days):
+            with self.metrics.span("driver.period"):
+                self._clock_ms = run_period(
+                    self,
+                    n_sessions=sessions_per_day,
+                    seed=config.seed + day,  # a fresh session stream per day
+                    collector=collector,
+                    start_ms=max(self._clock_ms, day * day_length_ms),
+                    trace=self.trace,
+                )
+        return self._result(collector)
+
+    def _warm_up(self) -> None:
+        """Run the warmup sessions once, telemetry discarded.
+
+        The next period starts when the warmup ends.  In a sharded run the
+        clock is aligned on the fleet's before and after: a shard may carry
+        skew from a previous period, and the measured period starts when
+        the *fleet's* warmup ends (the serial run's), not this shard's.
+        """
+        self._sync_clock()
+        if self.config.warmup_sessions > 0 and not self._warmed:
+            # the discarding collector drops warmup telemetry on arrival,
+            # so warmup RAM stays flat at any scale (docs/TELEMETRY.md)
             discard = TelemetryCollector(record_ground_truth=False, discard=True)
             with self.metrics.span("driver.warmup"):
-                self._run_period(
-                    n_sessions=config.warmup_sessions,
-                    seed=config.seed + 99_991,
+                self._clock_ms = run_period(
+                    self,
+                    n_sessions=self.config.warmup_sessions,
+                    seed=self.config.seed + 99_991,  # disjoint session stream
                     collector=discard,
                     start_ms=self._clock_ms,
                     trace=None,  # warmup is never traced
                 )
             self._warmed = True
-        collector = self._measured_collector()
-        for day in range(n_days):
-            day_start = max(self._clock_ms, day * day_length_ms)
-            with self.metrics.span("driver.period"):
-                self._clock_ms = self._run_period(
-                    n_sessions=sessions_per_day,
-                    seed=config.seed + day,  # a fresh session stream per day
-                    collector=collector,
-                    start_ms=day_start,
-                    trace=self.trace,
-                )
+        self._sync_clock()
+
+    def _measured_period(
+        self,
+        n_sessions: Optional[int],
+        seed: int,
+        start_ms: float,
+        spill_subdir: Optional[str],
+    ) -> SimulationResult:
+        """Warm up if needed, then run one measured period from *start_ms*
+        (or the checkpointed clock, if later)."""
+        self._warm_up()
+        collector = self._measured_collector(spill_subdir)
+        with self.metrics.span("driver.period"):
+            self._clock_ms = run_period(
+                self,
+                n_sessions=(
+                    n_sessions if n_sessions is not None else self.config.n_sessions
+                ),
+                seed=seed,
+                collector=collector,
+                start_ms=max(start_ms, self._clock_ms),
+                trace=self.trace,
+            )
+        return self._result(collector)
+
+    def _result(self, collector: TelemetryCollector) -> SimulationResult:
+        """Package the collected telemetry with the world state."""
         result = SimulationResult(
             dataset=collector.dataset(),
             catalog=self.catalog,
             population=self.population,
             deployment=self.deployment,
             servers=self.servers,
-            config=config,
+            config=self.config,
             metrics=self.metrics,
             trace=self.trace,
         )
@@ -412,7 +385,7 @@ class Simulator:
             self._clock_ms = self._clock_sync(self._clock_ms)
 
     def _session_generator(self, seed: int) -> SessionGenerator:
-        """The period's session-plan generator (shared by every engine)."""
+        """The period's session-plan generator."""
         config = self.config
         return SessionGenerator(
             catalog=self.catalog,
@@ -421,33 +394,6 @@ class Simulator:
             arrival_rate_per_s=config.arrival_rate_per_s,
             watch_median_chunks=config.watch_median_chunks,
             watch_sigma_chunks=config.watch_sigma_chunks,
-        )
-
-    def _run_period(
-        self,
-        n_sessions: int,
-        seed: int,
-        collector: TelemetryCollector,
-        start_ms: float,
-        trace: Optional[TraceRecorder] = None,
-    ) -> float:
-        """Run one collection period into *collector*; returns the end time.
-
-        Dispatches through the engine registry (:mod:`repro.engine`):
-        ``config.engine`` resolves per period ("auto" picks by session
-        count) and every engine produces byte-identical telemetry, so the
-        choice is pure execution strategy.
-        """
-        from ..engine import get_engine  # local import: engine imports session
-
-        runner = get_engine(resolve_engine(self.config.engine, n_sessions))
-        return runner(
-            self,
-            n_sessions=n_sessions,
-            seed=seed,
-            collector=collector,
-            start_ms=start_ms,
-            trace=trace,
         )
 
     def _owns_plan(self, plan: SessionPlan) -> bool:

@@ -7,18 +7,6 @@ graph is still initializing); this shim is the supported import path.
 
 from __future__ import annotations
 
-from .._execution import (
-    AUTO_FLEET_MIN_SESSIONS,
-    ENGINE_NAMES,
-    EXECUTION_FIELD_NAMES,
-    ExecutionOptions,
-    resolve_engine,
-)
+from .._execution import EXECUTION_FIELD_NAMES, ExecutionOptions
 
-__all__ = [
-    "AUTO_FLEET_MIN_SESSIONS",
-    "ENGINE_NAMES",
-    "EXECUTION_FIELD_NAMES",
-    "ExecutionOptions",
-    "resolve_engine",
-]
+__all__ = ["EXECUTION_FIELD_NAMES", "ExecutionOptions"]

@@ -129,9 +129,6 @@ class SessionActor:
         )
         self.next_chunk = 0
         self.session_had_miss = False
-        #: bitrate chosen for the most recent chunk; the fleet engine's
-        #: ABR-switch demotion trigger compares consecutive values
-        self.last_bitrate_kbps: Optional[float] = None
         self._emit_session_records()
 
     # -- session-level telemetry ------------------------------------------------
@@ -197,7 +194,6 @@ class SessionActor:
 
         buffer_level_now = self.buffer.level_at(now_ms)
         bitrate = self.abr.choose_bitrate(buffer_level_now)
-        self.last_bitrate_kbps = float(bitrate)
         duration_ms = video.chunk_duration_ms(index)
         size_bytes = video.chunk_bytes(index, bitrate)
         key = (video.video_id, index, int(bitrate))

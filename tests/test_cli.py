@@ -1,8 +1,11 @@
 """Tests for the command-line interface."""
 
+import json
+
 import pytest
 
 from repro.cli import build_parser, main
+from repro.obs.manifest import load_run_manifest
 from repro.telemetry.io import load_dataset
 
 
@@ -22,36 +25,35 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["bogus"])
 
-    def test_simulate_engine_flag(self):
-        args = build_parser().parse_args(
-            ["simulate", "--out", "x", "--engine", "fleet"]
-        )
-        assert args.engine == "fleet"
-        default = build_parser().parse_args(["simulate", "--out", "x"])
-        assert default.engine == "auto"
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(["simulate", "--out", "x", "--engine", "warp"])
+    def test_removed_engine_flag_is_a_usage_error(self, tmp_path):
+        # the stepping-engine knob is gone: its flag is an unknown argument
+        removed = "engine"
+        argv = ["simulate", "--out", str(tmp_path / "x")]
+        assert removed not in vars(build_parser().parse_args(argv))
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv + [f"--{removed}", "fleet"])
+        assert exit_info.value.code == 2
 
 
 class TestCommands:
-    def test_simulate_engine_recorded_in_manifest(self, tmp_path, capsys):
-        import json
-
+    def test_manifest_with_engine_field_still_compares(self, tmp_path, capsys):
+        # manifests written while the engine knob existed carry
+        # execution.engine; they still load and diff as the same workload
         out = tmp_path / "ds"
         code = main(
-            [
-                "simulate",
-                "--sessions", "70",
-                "--warmup", "0",
-                "--seed", "3",
-                "--engine", "fleet",
-                "--out", str(out),
-            ]
+            ["simulate", "--sessions", "70", "--warmup", "0", "--seed", "3",
+             "--out", str(out)]
         )
         assert code == 0
-        assert "(fleet engine)" in capsys.readouterr().out
         manifest = json.loads((out / "manifest.json").read_text())
-        assert manifest["execution"]["engine"] == "fleet"
+        assert "engine" not in manifest["execution"]
+        manifest["execution"]["engine"] = "fleet"
+        old = tmp_path / "old-manifest.json"
+        old.write_text(json.dumps(manifest))
+        assert load_run_manifest(old)["execution"]["engine"] == "fleet"
+        capsys.readouterr()
+        assert main(["metrics", "diff", str(old), str(out / "manifest.json")]) == 0
+        assert "documents identical" in capsys.readouterr().out
 
     def test_list_prints_all_experiments(self, capsys):
         assert main(["list"]) == 0

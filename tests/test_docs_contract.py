@@ -337,47 +337,6 @@ class TestMarkdownLinks:
             )
 
 
-class TestEngineContractSync:
-    """Engine selection is user-facing API: names must stay documented."""
-
-    def test_every_engine_name_documented(self):
-        from repro.engine import ENGINE_NAMES
-
-        performance = (REPO_ROOT / "docs" / "PERFORMANCE.md").read_text(
-            encoding="utf-8"
-        )
-        for name in ENGINE_NAMES:
-            assert f'"{name}"' in performance or f"`{name}`" in performance, (
-                f"engine {name!r} not documented in docs/PERFORMANCE.md"
-            )
-
-    def test_registry_and_module_map_documented(self):
-        from repro.engine import ENGINE_NAMES, ENGINE_REGISTRY
-
-        architecture = (REPO_ROOT / "docs" / "ARCHITECTURE.md").read_text(
-            encoding="utf-8"
-        )
-        assert "`repro.engine`" in architecture, (
-            "docs/ARCHITECTURE.md module map lacks a repro.engine entry"
-        )
-        assert "ENGINE_REGISTRY" in architecture
-        # every concrete engine has a registry entry and a module mention
-        for name in set(ENGINE_NAMES) - {"auto"}:
-            assert name in ENGINE_REGISTRY
-            assert f"`{name}`" in architecture
-
-    def test_cli_engine_choices_match(self):
-        from repro.cli import build_parser
-        from repro.engine import ENGINE_NAMES
-
-        parser = build_parser()
-        args = parser.parse_args(["simulate", "--out", "x"])
-        assert args.engine == "auto"
-        for name in ENGINE_NAMES:
-            parsed = parser.parse_args(["simulate", "--out", "x", "--engine", name])
-            assert parsed.engine == name
-
-
 # the "Service mode" section tables: endpoint rows have a `/path` first
 # cell; window/incident field rows use JSON-key style (`"field"`) first
 # cells — deliberately distinct from the backticked metric names that
@@ -515,6 +474,26 @@ class TestPerformanceNumbersSync:
             f"docs/PERFORMANCE.md quotes {scenario} as {before} {unit} → "
             f"{after} {unit} ({ratio}×); no BENCH_perf.json record says so"
         )
+
+    def test_stepping_throughput_quotes_match_the_record(self):
+        # every wall and throughput figure of the "Stepping" section is
+        # the `per-server-heaps` medium record's
+        text = " ".join(PERFORMANCE_MD.read_text(encoding="utf-8").split())
+        section = text.partition("## Stepping ")[2].partition(" ## ")[0]
+        record = {
+            record["label"]: record for record in _bench_records("medium")
+        }["per-server-heaps"]
+        quoted = re.findall(r"([0-9][0-9.]*) (s wall|sessions/s|chunks/s)", section)
+        assert sorted(unit for _, unit in quoted) == [
+            "chunks/s", "s wall", "sessions/s"
+        ], f"docs/PERFORMANCE.md 'Stepping' quotes {quoted}"
+        field = {"s wall": "wall_s", "sessions/s": "sessions_per_s",
+                 "chunks/s": "chunks_per_s"}
+        for number, unit in quoted:
+            assert _same_number(number, record[field[unit]]), (
+                f"docs/PERFORMANCE.md 'Stepping' quotes {number} {unit}; the "
+                f"per-server-heaps record says {record[field[unit]]}"
+            )
 
     def test_pr4_medium_quote_matches_the_records(self):
         before, unit, after, ratio = _performance_quote(

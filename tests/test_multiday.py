@@ -9,14 +9,12 @@ from repro.simulation.config import SimulationConfig
 from repro.simulation.driver import Simulator
 
 DAY_MS = 86_400_000.0
+CONFIG = SimulationConfig(n_sessions=500, warmup_sessions=1000, seed=19)
 
 
 @pytest.fixture(scope="module")
 def three_day_result():
-    simulator = Simulator(
-        SimulationConfig(n_sessions=500, warmup_sessions=1000, seed=19)
-    )
-    return simulator.run_days(n_days=3, sessions_per_day=500)
+    return Simulator(CONFIG).run_days(n_days=3, sessions_per_day=500)
 
 
 class TestRunDays:
@@ -29,6 +27,20 @@ class TestRunDays:
             [min(int(s // DAY_MS), 2) for s in starts], minlength=3
         )
         assert all(count == 500 for count in day_counts)
+
+    def test_day_zero_starts_after_warmup(self, three_day_result):
+        # Day 0 starts when the warmup ends, as run()'s measured period
+        # does; starting earlier would overlap the warmup's traffic on the
+        # servers.  Same seed and start clock: the same sessions.
+        day_zero = [
+            s for s in three_day_result.dataset.player_sessions if s.start_ms < DAY_MS
+        ]
+        measured = Simulator(CONFIG).run(n_sessions=500).dataset
+        assert {str(s) for s in day_zero} == {str(s) for s in measured.player_sessions}
+        warmed = Simulator(CONFIG)
+        warmed._warm_up()
+        assert warmed.clock_ms > 0.0
+        assert min(s.start_ms for s in day_zero) >= warmed.clock_ms
 
     def test_session_ids_unique_across_days(self, three_day_result):
         ids = [s.session_id for s in three_day_result.dataset.player_sessions]

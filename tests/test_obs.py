@@ -36,6 +36,7 @@ from repro.obs import (
 )
 from repro.simulation.config import SimulationConfig
 from repro.simulation.driver import simulate
+from repro.simulation.execution import EXECUTION_FIELD_NAMES, ExecutionOptions
 
 
 def _config(**overrides) -> SimulationConfig:
@@ -225,6 +226,34 @@ class TestManifest:
         # the exclusion list must track SimulationConfig's real field names
         field_names = set(vars(SimulationConfig()).keys())
         assert EXECUTION_FIELDS <= field_names
+
+    def test_typed_view_mirrors_config(self):
+        config = SimulationConfig(n_sessions=10, workers=3, trace_sample=0.5)
+        options = config.execution
+        assert isinstance(options, ExecutionOptions)
+        for name in EXECUTION_FIELD_NAMES:
+            assert getattr(options, name) == getattr(config, name)
+
+    def test_hash_exclusion_is_structural(self):
+        # the manifest's exclusion set IS the ExecutionOptions field list:
+        # adding an execution knob to the dataclass excludes it from the
+        # workload hash automatically
+        assert EXECUTION_FIELDS == frozenset(EXECUTION_FIELD_NAMES)
+        assert "spill_dir" in EXECUTION_FIELDS
+
+    def test_spill_and_tracing_excluded_from_config_hash(self, tmp_path):
+        base = _config()
+        for overrides in (
+            dict(spill_dir=str(tmp_path)),
+            dict(trace_sample=0.5, workers=4),
+        ):
+            assert config_hash(base.with_overrides(**overrides)) == config_hash(base)
+
+    def test_engine_is_not_a_config_field(self):
+        # one stepping engine: the old execution knob is gone, not ignored
+        assert "engine" not in EXECUTION_FIELDS
+        with pytest.raises(TypeError, match="engine"):
+            SimulationConfig(engine="event")
 
     def test_metrics_document_shape(self, serial_result):
         document = metrics_document(serial_result)

@@ -8,8 +8,7 @@ The headline contracts under test (docs/OBSERVABILITY.md "Service mode"):
   hard error, never silent miscounting.
 * **Deterministic plane** — two same-seed services stepped the same
   number of rounds serve byte-identical ``/metrics`` and ``/windows``
-  payloads, regardless of polling, engine choice, or a concurrent reader
-  mid-rollover.
+  payloads, regardless of polling or a concurrent reader mid-rollover.
 * **Online localization** — the calibrated detector stays quiet on a
   healthy warmed-up fleet and flags the canned mid-run cache brownout
   (examples/fault_live_brownout.json) within one window of onset with
@@ -56,10 +55,8 @@ BROWNOUT_SPEC = REPO_ROOT / "examples" / "fault_live_brownout.json"
 SMALL = dict(n_sessions=60, warmup_sessions=200, seed=11, n_videos=15)
 
 
-def small_service(*, seed=11, engine="auto", trace_sample=0.0, **kwargs):
-    config = SimulationConfig(
-        **{**SMALL, "seed": seed, "engine": engine, "trace_sample": trace_sample}
-    )
+def small_service(*, seed=11, trace_sample=0.0, **kwargs):
+    config = SimulationConfig(**{**SMALL, "seed": seed, "trace_sample": trace_sample})
     return LiveService(config, window_ms=10_000.0, sessions_per_round=60, **kwargs)
 
 
@@ -134,13 +131,6 @@ class TestServiceDeterminism:
         a.run_rounds(3)
         b.run_rounds(3)
         assert dump_json(a.metrics_document()) == dump_json(b.metrics_document())
-
-    def test_windows_independent_of_engine_choice(self):
-        event = small_service(engine="event")
-        fleet = small_service(engine="fleet")
-        event.run_rounds(2)
-        fleet.run_rounds(2)
-        assert windows_bytes(event) == windows_bytes(fleet)
 
     def test_seed_changes_the_stream(self):
         a, b = small_service(seed=11), small_service(seed=12)

@@ -63,6 +63,17 @@ class TestEventLoop:
         assert len(loop) == 1
 
 
+class TestPeriodRunner:
+    def test_sessions_emitted_in_server_order(self):
+        # Each period drains one server group at a time, in sorted
+        # server-id order, so only one group's actors are alive at once.
+        # A global heap would emit sessions in start-time order instead.
+        result = Simulator(SimulationConfig(n_sessions=40, n_servers=12, seed=11)).run()
+        server_ids = [record.server_id for record in result.dataset.cdn_sessions]
+        assert len(set(server_ids)) > 1
+        assert server_ids == sorted(server_ids)
+
+
 class TestConfig:
     def test_defaults_valid(self):
         config = SimulationConfig()

@@ -96,6 +96,10 @@ class TestOverrideGrammar:
         with pytest.raises(ValueError, match="unknown config field"):
             _apply_overrides(SimulationConfig(), {"not_a_field": 1})
 
+    def test_removed_engine_field_rejected(self):
+        with pytest.raises(ValueError, match="unknown config field 'engine'"):
+            _apply_overrides(SimulationConfig(), {"engine": "fleet"})
+
     def test_execution_fields_rejected(self):
         with pytest.raises(ValueError, match="execution knob"):
             _apply_overrides(SimulationConfig(), {"workers": 4})

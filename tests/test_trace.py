@@ -425,7 +425,7 @@ class TestCli:
         self, tmp_path, capsys
     ):
         # the execution block (spans, shard reports, execution-scoped
-        # counters) legitimately varies across --engine/--workers choices;
+        # counters) legitimately varies across --workers/--spill-dir choices;
         # only the workload payload is under the byte-identity contract
         doc_a = tmp_path / "a.json"
         doc_b = tmp_path / "b.json"
