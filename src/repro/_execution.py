@@ -38,8 +38,6 @@ class ExecutionOptions:
     workers: int = 1
     #: wall-clock budget per shard attempt (seconds); None = no timeout
     shard_timeout_s: Optional[float] = None
-    #: shard partitioning mode: "server" (exact) or "session" (approximate)
-    shard_by: str = "server"
     #: fraction of sessions traced (head-sampled by session-id hash)
     trace_sample: float = 0.0
     #: telemetry memory mode: None = in-memory, path = spill directory

@@ -77,7 +77,7 @@ def run_all(scale: str = "medium", seed: int = 7, workers: int = 1) -> dict:
     """Run the entire suite against one shared simulation; returns {id: result}.
 
     ``workers > 1`` shards the shared simulation across worker processes
-    (identical telemetry under the default ``server`` sharding).
+    (identical telemetry).
     """
     results = {}
     for experiment_id in STANDALONE_EXPERIMENTS:

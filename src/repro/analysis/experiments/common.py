@@ -53,9 +53,9 @@ def standard_config(scale: str = "medium", seed: int = 7) -> SimulationConfig:
 def standard_result(scale: str = "medium", seed: int = 7, workers: int = 1) -> SimulationResult:
     """Run (once per process) and cache the standard simulation.
 
-    ``workers > 1`` shards the simulation across worker processes; the
-    default ``server`` sharding produces the same records as the serial
-    run (canonically ordered), so every experiment sees identical data.
+    ``workers > 1`` shards the simulation across worker processes, which
+    produces the same records as the serial run (canonically ordered), so
+    every experiment sees identical data.
     """
     config = standard_config(scale, seed)
     if workers > 1:

@@ -173,11 +173,11 @@ class NetworkPath:
 
         The returned state is constant until ``valid_until``: the end of the
         active episode, or the next episode's onset when the path is calm.
-        This is the per-epoch cache the TCP fast path uses to advance many
-        loss-free rounds without re-deriving episode state each round.  The
-        window ignores the fault overlay — callers combining both must also
-        consult :attr:`fault_probe` (the TCP fast path simply declines when
-        a probe is installed).
+        This is the per-epoch cache the TCP calm-window planner uses to
+        advance many rounds without re-deriving episode state each round.
+        The window ignores the fault overlay — callers combining both must
+        also consult :attr:`fault_probe` (the TCP planner simply declines
+        when a probe is installed).
         """
         self._advance_episodes(now_ms)
         if now_ms < self._episode_until_ms:

@@ -199,6 +199,15 @@ class TcpConnection:
 
         The returned duration is the time from the first data segment being
         sent to the last byte arriving at the receiver.
+
+        Rounds inside a calm epoch window go through the calm-window
+        planner (:meth:`_advance_calm_rounds`) in batches; the per-round
+        loop below takes every other round, and every round of a path
+        with a fault probe installed, because the probe's epochs are
+        invisible to :meth:`~repro.net.path.NetworkPath.epoch_window`.
+        On a zero-loss path the planner is value- and RNG-stream-identical
+        to the per-round loop; on a lossy path it samples the same law
+        with a different draw discipline (docs/PERFORMANCE.md).
         """
         if nbytes <= 0:
             raise ValueError("nbytes must be positive")
@@ -221,44 +230,14 @@ class TcpConnection:
         retx = 0
         rounds = 0
         min_rtt = float("inf")
-        # Batching is legal only when no fault overlay is installed (the
-        # probe's epochs are invisible to epoch_window).  Zero-loss paths
-        # use the exact loss-free fast path (stream-identical to the
-        # general loop); lossy paths use the speculative planner, whose
-        # draw discipline is batched-by-construction (serial and sharded
-        # runs share this code, so their identity is structural).
-        can_batch = path.loss_rate == 0.0 and path.fault_probe is None
-        can_speculate = path.loss_rate > 0.0 and path.fault_probe is None
+        can_plan = path.fault_probe is None
 
         while remaining > 0:
-            # -- analytic fast path: advance loss-free rounds inside one
-            # calm epoch window without touching numpy per round.  Each
-            # round still draws its own RTT-noise normal (batched:
-            # identical stream), so the RNG draw order matches the
-            # general loop exactly.
-            if can_batch:
-                mult, bw_div, valid_until = path.epoch_window(t)
-                if mult == 1.0 and bw_div == 1.0:
-                    t, remaining, sent_k, rounds_k, batch_min_rtt = (
-                        self._advance_loss_free_rounds(
-                            t, remaining, valid_until, samples
-                        )
-                    )
-                    if rounds_k:
-                        rounds += rounds_k
-                        sent += sent_k
-                        if batch_min_rtt < min_rtt:
-                            min_rtt = batch_min_rtt
-                        continue
-                    # rounds_k == 0: the epoch boundary is too close to
-                    # guarantee a loss-free round — take one general round.
-            elif can_speculate:
+            if can_plan:
                 mult, bw_div, valid_until = path.epoch_window(t)
                 if mult == 1.0 and bw_div == 1.0:
                     t, remaining, sent_k, retx_k, rounds_k, batch_min_rtt = (
-                        self._advance_speculative_rounds(
-                            t, remaining, valid_until, samples
-                        )
+                        self._advance_calm_rounds(t, remaining, valid_until, samples)
                     )
                     if rounds_k:
                         rounds += rounds_k
@@ -267,7 +246,9 @@ class TcpConnection:
                         if batch_min_rtt < min_rtt:
                             min_rtt = batch_min_rtt
                         continue
-                    # rounds_k == 0: boundary too close — one general round.
+                    # rounds_k == 0: the epoch boundary is too close, or a
+                    # zero-loss path's next window overruns the queue —
+                    # take one per-round step.
 
             inflight = min(int(self.cwnd), max_win, remaining)
             if inflight < 1:
@@ -332,205 +313,74 @@ class TcpConnection:
             samples=samples,
         )
 
-    def _advance_loss_free_rounds(
-        self,
-        t: float,
-        remaining: int,
-        valid_until: float,
-        samples: List[TcpStateSample],
-    ) -> Tuple[float, int, int, int, float]:
-        """Advance as many loss-free rounds as provably fit before
-        *valid_until*, analytically.
+    #: upper bound on rounds planned per batch (bounds the plan-pass work
+    #: when the loss rate is tiny or zero and the horizon long)
+    _PLAN_MAX_ROUNDS = 256
 
-        Value-identical to the same rounds of the general loop in the calm
-        regime (rtt multiplier 1.0, bandwidth divisor 1.0, zero loss
-        probability): per-round noise comes from the same path RNG stream
-        (one batched draw equals *k* scalar draws), the window grows with
-        the same clamped updates, and SRTT/RTTVAR apply the same
-        closed-form RFC 6298 step with the round's own in-flight ACK
-        count.  The plan is sized so that even at the +12σ noise bound no
-        batched round can reach *valid_until*, hence no congestion-episode
-        state (or RNG draw for one) can be missed.
-
-        Returns ``(new_t, new_remaining, segments_sent, rounds, min_rtt)``;
-        ``rounds == 0`` means no loss-free round could be guaranteed (the
-        boundary is too close, or the very next window would overrun the
-        bottleneck queue) and the caller must fall back to the general loop.
-        """
-        path = self.path
-        base_ms = path.base_rtt_ms
-        bottleneck = path.bottleneck_kbps
-        capacity_bytes = path._capacity_bytes
-        max_win = self.max_window_segments
-        mss = self.mss
-        growth = self.slow_start_growth
-        cwnd_cap = float(MAX_CWND_SEGMENTS)
-        ssthresh = self.ssthresh
-
-        # Plan pass: replay the deterministic window/remaining arithmetic
-        # to count the rounds that fit under the worst-case noise bound.
-        plan: List[Tuple[int, float]] = []
-        cwnd = self.cwnd
-        rem = remaining
-        worst_t = t
-        worst_base_ms = base_ms * _NOISE_BOUND
-        while rem > 0:
-            inflight = int(cwnd)
-            if inflight > max_win:
-                inflight = max_win
-            if inflight > rem:
-                inflight = rem
-            if inflight < 1:
-                inflight = 1
-            inflight_bytes = inflight * mss
-            if inflight_bytes > capacity_bytes:
-                # this window overruns the bottleneck queue: overflow loss
-                # becomes possible, so the general loop must take over
-                break
-            serialization_ms = inflight_bytes * 8.0 / bottleneck
-            worst_t += worst_base_ms + serialization_ms
-            if worst_t > valid_until:
-                break
-            plan.append((inflight, serialization_ms))
-            if cwnd < ssthresh:
-                cwnd = cwnd * growth
-            else:
-                cwnd = cwnd + 1.0
-            if cwnd > cwnd_cap:
-                cwnd = cwnd_cap
-            rem -= inflight
-        k = len(plan)
-        if k == 0:
-            return t, remaining, 0, 0, float("inf")
-
-        # One batched draw produces the same values, in the same order, as
-        # k scalar standard_normal() calls on the path's generator.
-        noise_z = path.rng.standard_normal(k).tolist()
-        pow_srtt = _POW_SRTT
-        pow_var = _POW_VAR
-        exp_ = math.exp
-        srtt = self.srtt_ms
-        rttvar = self.rttvar_ms
-        cwnd = self.cwnd
-        next_snap = self._next_snapshot_ms
-        interval = self.snapshot_interval_ms
-        retx_total = self.retx_total
-        min_rtt = float("inf")
-        sent = 0
-        for (inflight, serialization_ms), z in zip(plan, noise_z):
-            rtt = base_ms * exp_(0.08 * z)
-            if rtt < min_rtt:
-                min_rtt = rtt
-            observed = rtt + serialization_ms
-            if cwnd < ssthresh:
-                cwnd = cwnd * growth
-            else:
-                cwnd = cwnd + 1.0
-            if cwnd > cwnd_cap:
-                cwnd = cwnd_cap
-            if srtt is None:
-                srtt = observed
-                rttvar = observed / 2.0
-            else:
-                n = inflight if inflight < _OBSERVE_CAP else _OBSERVE_CAP
-                a = pow_srtt[n]
-                b = pow_var[n]
-                delta = srtt - observed
-                rttvar = b * rttvar + 2.0 * (a - b) * abs(delta)
-                srtt = observed + delta * a
-            sent += inflight
-            t += observed
-            while next_snap is not None and t >= next_snap:
-                samples.append(
-                    TcpStateSample(
-                        t_ms=next_snap,
-                        cwnd_segments=int(cwnd),
-                        srtt_ms=srtt,
-                        rttvar_ms=rttvar,
-                        retx_total=retx_total,
-                        mss=mss,
-                        # srtt is set above before any snapshot can fire,
-                        # so this matches state_sample()'s rto exactly
-                        rto_ms=RTO_FLOOR_MS + srtt + 4.0 * rttvar,
-                    )
-                )
-                next_snap += interval
-        self.srtt_ms = srtt
-        self.rttvar_ms = rttvar
-        self.cwnd = cwnd
-        self.bytes_acked_total += sent * mss
-        self._next_snapshot_ms = next_snap
-        return t, remaining - sent, sent, k, min_rtt
-
-    #: upper bound on rounds planned per speculative batch (bounds the
-    #: plan-pass work when the loss rate is tiny and the horizon long)
-    _SPECULATE_MAX_ROUNDS = 256
-
-    def _advance_speculative_rounds(
+    def _advance_calm_rounds(
         self,
         t: float,
         remaining: int,
         valid_until: float,
         samples: List[TcpStateSample],
     ) -> Tuple[float, int, int, int, int, float]:
-        """Advance rounds of a *lossy* path inside one calm epoch window.
+        """Advance a batch of rounds inside one calm epoch window.
 
-        Speculative window batching: plan up to K rounds assuming no loss
-        occurs (the no-loss window trajectory is deterministic), then
-        sample the *first lossy round* directly by inverting the
-        cumulative no-loss survival product with a single uniform draw —
-        exactly the distribution the general loop's per-round
-        ``binomial(inflight, loss_p)`` sequence induces, without a
-        binomial call per round.  The loss round's segment count is a
-        second uniform inverted through the binomial CDF conditioned on
-        >= 1 loss, and its recovery replays the general loop's
-        arithmetic exactly (RTO on severe loss, fast retransmit plus one
-        extra RTT draw otherwise).  Only the rounds actually applied
-        draw RTT-noise normals (one batched call), so no draws are
-        wasted.  The draw discipline is *batched by construction*: every
-        execution path runs this same code, so records are identical
-        across them by sharing, not by re-derivation.
+        The plan pass replays the deterministic no-loss window trajectory
+        (growth, in-flight clamps, serialization) for up to
+        ``_PLAN_MAX_ROUNDS`` rounds, budgeting each at the +12σ noise
+        bound so that no planned round can reach *valid_until* and no
+        congestion-episode RNG draw can be missed.  The apply loop then
+        runs the planned rounds in scalar ``math`` with one batched
+        RTT-noise draw, the closed-form RFC 6298 update and the 500 ms
+        snapshot grid.
 
-        Overflow windows (in-flight above the bottleneck capacity) stay in
-        the batch — their elevated loss probability is part of the plan.
-        The time bound uses the same +12σ worst-case noise guard as the
-        loss-free fast path, so no planned round can cross *valid_until*
-        and no congestion-episode RNG draw can be missed.
+        Loss: on a lossy path one uniform from the connection stream,
+        inverted through the running no-loss survival product, selects
+        the first round with >= 1 lost segment, with ``P(first loss at
+        j) = prod_{i<j} surv_i * (1 - surv_j)`` — the law the per-round
+        loop's ``binomial(inflight, loss_p)`` sequence induces.  The plan
+        stops at that round, so every planned round is applied.  Windows
+        above the bottleneck capacity stay in a lossy plan: their
+        overflow loss probability is part of the product.  A zero-loss
+        path is the case where every survival factor is 1: no uniform is
+        drawn, and the plan stops *before* a window that would overrun
+        the bottleneck queue, so the per-round loop takes that round with
+        its binomial draw.  The zero-loss batch is therefore value- and
+        RNG-stream-identical to the per-round loop; the lossy batch
+        differs from it draw by draw but follows the same law.
 
         Returns ``(new_t, new_remaining, segments_sent, segments_retx,
-        rounds, min_rtt)``; ``rounds == 0`` means not even one round fits
-        before the boundary and the caller must take a general round.
+        rounds, min_rtt)``; ``rounds == 0`` means no round could be
+        planned and the caller must take a per-round step.
         """
         path = self.path
         base_ms = path.base_rtt_ms
         bottleneck = path.bottleneck_kbps
         capacity_bytes = path._capacity_bytes
         loss_rate = path.loss_rate
+        lossy = loss_rate > 0.0
         max_win = self.max_window_segments
         mss = self.mss
         growth = self.slow_start_growth
         cwnd_cap = float(MAX_CWND_SEGMENTS)
         ssthresh = self.ssthresh
 
-        # First-loss inversion, fused with the plan pass: one uniform from
-        # the connection stream selects the first round with >= 1 lost
-        # segment, with P(first loss at j) = prod_{i<j} surv_i *
-        # (1 - surv_j) — the same law as drawing
-        # binomial(inflight_i, loss_p_i) round by round.  Because u is
-        # drawn up front, planning stops *at* the loss round: every
-        # planned round is applied, nothing is wasted.
-        u = self.rng.random()
+        # u is drawn before planning, so the plan can stop at the loss
+        # round.  Without loss every survival factor is 1 and u = 0.0
+        # never selects a round.
+        u = self.rng.random() if lossy else 0.0
         plan_inflight: List[int] = []
         plan_serial: List[float] = []
         loss_p = 0.0
         surv = 1.0
+        surv_cum = 1.0
         loss_round = -1
         cwnd = self.cwnd
         rem = remaining
         worst_t = t
         worst_base_ms = base_ms * _NOISE_BOUND
-        max_rounds = self._SPECULATE_MAX_ROUNDS
-        surv_cum = 1.0
+        max_rounds = self._PLAN_MAX_ROUNDS
         while rem > 0 and len(plan_inflight) < max_rounds:
             inflight = int(cwnd)
             if inflight > max_win:
@@ -544,18 +394,23 @@ class TcpConnection:
             worst_t += worst_base_ms + serialization_ms
             if worst_t > valid_until:
                 break
-            if inflight_bytes <= capacity_bytes:
-                loss_p = loss_rate if loss_rate < 0.9 else 0.9
-            else:
-                overflow = (inflight_bytes - capacity_bytes) / inflight_bytes
-                loss_p = min(0.9, loss_rate + overflow)
-            surv = (1.0 - loss_p) ** inflight
+            if lossy:
+                if inflight_bytes <= capacity_bytes:
+                    loss_p = loss_rate if loss_rate < 0.9 else 0.9
+                else:
+                    overflow = (inflight_bytes - capacity_bytes) / inflight_bytes
+                    loss_p = min(0.9, loss_rate + overflow)
+                surv = (1.0 - loss_p) ** inflight
+            elif inflight_bytes > capacity_bytes:
+                # overflow loss becomes possible: the per-round loop
+                # takes this window and draws its loss
+                break
             plan_inflight.append(inflight)
             plan_serial.append(serialization_ms)
             surv_cum *= surv
             if u > surv_cum:
-                # This round is the first with >= 1 lost segment; the
-                # trajectory past it depends on the loss, so stop here.
+                # the trajectory past the first lossy round depends on
+                # the loss, so the plan ends here
                 loss_round = len(plan_inflight) - 1
                 break
             if cwnd < ssthresh:
@@ -567,13 +422,11 @@ class TcpConnection:
             rem -= inflight
         n_apply = len(plan_inflight)
         if n_apply == 0:
-            # The epoch boundary is too close for even one round; the
-            # caller takes a general round.  (The uniform consumed above
-            # is simply discarded — deterministic either way.)
+            # A lossy path's uniform is discarded: deterministic either way.
             return t, remaining, 0, 0, 0, float("inf")
-        n_calm = n_apply if loss_round < 0 else loss_round
 
-        # One batched draw for exactly the normals these rounds need.
+        # One batched draw produces the same values, in the same order, as
+        # n_apply scalar standard_normal() calls on the path's generator.
         noise_z = path.rng.standard_normal(n_apply).tolist()
         pow_srtt = _POW_SRTT
         pow_var = _POW_VAR
@@ -585,93 +438,56 @@ class TcpConnection:
         interval = self.snapshot_interval_ms
         retx_total = self.retx_total
         min_rtt = float("inf")
-        sent = 0
         retx = 0
         delivered = 0
-        for i in range(n_calm):
-            inflight = plan_inflight[i]
+        for i, inflight in enumerate(plan_inflight):
             rtt = base_ms * exp_(0.08 * noise_z[i])
             if rtt < min_rtt:
                 min_rtt = rtt
             observed = rtt + plan_serial[i]
-            sent += inflight
-            if cwnd < ssthresh:
-                cwnd = cwnd * growth
-            else:
-                cwnd = cwnd + 1.0
-            if cwnd > cwnd_cap:
-                cwnd = cwnd_cap
-            if srtt is None:
-                srtt = observed
-                rttvar = observed / 2.0
-            else:
-                n = inflight if inflight < _OBSERVE_CAP else _OBSERVE_CAP
-                a = pow_srtt[n]
-                b = pow_var[n]
-                delta = srtt - observed
-                rttvar = b * rttvar + 2.0 * (a - b) * abs(delta)
-                srtt = observed + delta * a
-            delivered += inflight
-            t += observed
-            while next_snap is not None and t >= next_snap:
-                samples.append(
-                    TcpStateSample(
-                        t_ms=next_snap,
-                        cwnd_segments=int(cwnd),
-                        srtt_ms=srtt,
-                        rttvar_ms=rttvar,
-                        retx_total=retx_total,
-                        mss=mss,
-                        rto_ms=RTO_FLOOR_MS + srtt + 4.0 * rttvar,
-                    )
-                )
-                next_snap += interval
-        if loss_round >= 0:
-            # loss_p and surv still hold the loss round's values: the plan
-            # loop broke immediately after computing them.
-            j = loss_round
-            inflight = plan_inflight[j]
-            rtt = base_ms * exp_(0.08 * noise_z[j])
-            if rtt < min_rtt:
-                min_rtt = rtt
-            observed = rtt + plan_serial[j]
             round_time = observed
-            # Loss count: binomial(inflight, loss_p) conditioned on >= 1,
-            # by inverse-CDF walk along the pmf recurrence.  When the
-            # no-loss mass has underflowed the conditioning is vacuous and
-            # a plain binomial draw (clamped to >= 1) is exact to ~1e-250.
-            if surv < 1e-250:
-                losses = int(self.rng.binomial(inflight, loss_p))
-                if losses < 1:
-                    losses = 1
-            else:
-                u2 = self.rng.random()
-                target = surv + u2 * (1.0 - surv)
-                pmf = surv
-                cdf = surv
-                x = 0
-                ratio = loss_p / (1.0 - loss_p)
-                while cdf < target and x < inflight:
-                    pmf *= (inflight - x) / (x + 1.0) * ratio
-                    x += 1
-                    cdf += pmf
-                losses = x if x >= 1 else 1
-            sent += inflight + losses
-            retx += losses
-            retx_total += losses
-            severe = losses >= max(1, int(0.5 * inflight))
-            if severe:
-                # RTO from the pre-update estimator, as in the loop.
-                if srtt is None:
-                    round_time += 1000.0
+            if i == loss_round:
+                # Loss count: binomial(inflight, loss_p) conditioned on
+                # >= 1, by inverse-CDF walk along the pmf recurrence
+                # (loss_p and surv still hold this round's values).  When
+                # the no-loss mass has underflowed the conditioning is
+                # vacuous and a plain binomial draw (clamped to >= 1) is
+                # exact to ~1e-250.
+                if surv < 1e-250:
+                    retx = int(self.rng.binomial(inflight, loss_p))
+                    if retx < 1:
+                        retx = 1
                 else:
-                    round_time += RTO_FLOOR_MS + srtt + 4.0 * rttvar
-                ssthresh = max(cwnd / 2.0, 2.0)
-                cwnd = max(float(self.initial_cwnd) / 2.0, 2.0)
+                    target = surv + self.rng.random() * (1.0 - surv)
+                    pmf = surv
+                    cdf = surv
+                    x = 0
+                    ratio = loss_p / (1.0 - loss_p)
+                    while cdf < target and x < inflight:
+                        pmf *= (inflight - x) / (x + 1.0) * ratio
+                        x += 1
+                        cdf += pmf
+                    retx = x if x >= 1 else 1
+                retx_total += retx
+                if retx >= max(1, int(0.5 * inflight)):
+                    # RTO from the pre-update estimator, as in the loop.
+                    if srtt is None:
+                        round_time += 1000.0
+                    else:
+                        round_time += RTO_FLOOR_MS + srtt + 4.0 * rttvar
+                    ssthresh = max(cwnd / 2.0, 2.0)
+                    cwnd = max(float(self.initial_cwnd) / 2.0, 2.0)
+                else:
+                    round_time += path.sample_rtt(t + observed)
+                    ssthresh = max(inflight / 2.0, 2.0)
+                    cwnd = ssthresh
             else:
-                round_time += path.sample_rtt(t + observed)
-                ssthresh = max(inflight / 2.0, 2.0)
-                cwnd = ssthresh
+                if cwnd < ssthresh:
+                    cwnd = cwnd * growth
+                else:
+                    cwnd = cwnd + 1.0
+                if cwnd > cwnd_cap:
+                    cwnd = cwnd_cap
             if srtt is None:
                 srtt = observed
                 rttvar = observed / 2.0
@@ -693,6 +509,8 @@ class TcpConnection:
                         rttvar_ms=rttvar,
                         retx_total=retx_total,
                         mss=mss,
+                        # srtt is set above before any snapshot can fire,
+                        # so this matches state_sample()'s rto exactly
                         rto_ms=RTO_FLOOR_MS + srtt + 4.0 * rttvar,
                     )
                 )
@@ -704,4 +522,4 @@ class TcpConnection:
         self.retx_total = retx_total
         self.bytes_acked_total += delivered * mss
         self._next_snapshot_ms = next_snap
-        return t, remaining - delivered, sent, retx, n_apply, min_rtt
+        return t, remaining - delivered, delivered + retx, retx, n_apply, min_rtt

@@ -100,7 +100,6 @@ def run_manifest(
     manifest = _identity(result)
     manifest["execution"] = {
         "workers": config.workers,
-        "shard_by": config.shard_by,
         "shard_timeout_s": config.shard_timeout_s,
         "n_shards": len(shards) or 1,
         "shard_reports": shards,

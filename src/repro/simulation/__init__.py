@@ -3,7 +3,6 @@
 from .config import SimulationConfig
 from .controlled import ControlledRenderingResult, run_controlled_rendering_experiment
 from .driver import SimulationResult, Simulator, World, build_world, simulate
-from .engine import EventLoop
 from .parallel import (
     ParallelSimulator,
     PeriodSpec,
@@ -13,7 +12,7 @@ from .parallel import (
 )
 from .scenarios import SCENARIOS, ScenarioOutcome, run_scenario
 from .session import SessionActor
-from .shard import ShardSpec, shard_of_server, shard_of_session
+from .shard import ShardSpec, shard_of_server
 
 __all__ = [
     "SimulationConfig",
@@ -22,7 +21,6 @@ __all__ = [
     "World",
     "build_world",
     "simulate",
-    "EventLoop",
     "SessionActor",
     "ParallelSimulator",
     "PeriodSpec",
@@ -31,7 +29,6 @@ __all__ = [
     "execute_periods",
     "ShardSpec",
     "shard_of_server",
-    "shard_of_session",
     "ControlledRenderingResult",
     "run_controlled_rendering_experiment",
     "SCENARIOS",

@@ -18,7 +18,6 @@ from ..faults.spec import FaultSpec
 from ..workload.catalog import DEFAULT_BITRATE_LADDER_KBPS
 from ..workload.clients import PopulationConfig
 from .._execution import EXECUTION_FIELD_NAMES, ExecutionOptions
-from .shard import SHARD_MODES
 
 __all__ = ["ExecutionOptions", "SimulationConfig"]
 
@@ -89,14 +88,12 @@ class SimulationConfig:
 
     # -- execution ---------------------------------------------------------------
     # These knobs choose *how* the trace is computed, never *what* it is:
-    # under the default ``server`` sharding the telemetry is identical for
-    # any worker count (see docs/PARALLEL.md for the determinism contract).
+    # the telemetry is identical for any worker count (see
+    # docs/PARALLEL.md for the determinism contract).
     #: worker processes; 1 = in-process execution
     workers: int = 1
     #: wall-clock budget per shard attempt (seconds); None = no timeout
     shard_timeout_s: Optional[float] = None
-    #: shard partitioning mode: "server" (exact) or "session" (approximate)
-    shard_by: str = "server"
     #: per-chunk causal tracing (docs/OBSERVABILITY.md, "Tracing"): the
     #: fraction of sessions traced, head-sampled by session-id hash so the
     #: sampled set is shard-independent.  0.0 (default) disables tracing
@@ -151,10 +148,6 @@ class SimulationConfig:
         if self.abr_name not in ABR_NAMES:
             raise ValueError(
                 f"unknown abr_name {self.abr_name!r}; choose from {ABR_NAMES}"
-            )
-        if self.shard_by not in SHARD_MODES:
-            raise ValueError(
-                f"unknown shard_by {self.shard_by!r}; choose from {SHARD_MODES}"
             )
         if self.faults is not None and not isinstance(self.faults, FaultSpec):
             raise TypeError(

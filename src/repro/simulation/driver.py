@@ -401,13 +401,10 @@ class Simulator:
 
         Every shard regenerates the full session stream (so RNG consumption
         is independent of the shard count) and keeps only its own slice.
-        In ``server`` mode ownership follows the traffic-engineering
-        assignment, which is a pure function of stable ids — calling it
-        here and again at session start returns the same decision.
+        Ownership follows the traffic-engineering assignment, which is a
+        pure function of stable ids — calling it here and again at session
+        start returns the same decision.
         """
-        shard = self.shard
-        if shard.mode == "session":
-            return shard.owns_session(plan.session_id, server_id="")
         decision = self.mapping.assign(
             plan.client.prefix.geo, plan.video.video_id, plan.video.rank, plan.session_id
         )

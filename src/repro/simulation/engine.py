@@ -1,4 +1,4 @@
-"""The discrete-event engine: a heap event loop and the period runner.
+"""The discrete-event engine: the period runner.
 
 Sessions interact only through the CDN server they are mapped to (its
 caches and load EWMA), and the mapping is a pure function of stable ids.
@@ -14,8 +14,7 @@ of by every in-flight session (docs/PERFORMANCE.md, "Stepping").
 from __future__ import annotations
 
 import heapq
-import itertools
-from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 from ..cdn.mapping import MappingDecision
 from ..client.abr import make_abr
@@ -27,76 +26,7 @@ if TYPE_CHECKING:  # pragma: no cover — typing only, avoids a runtime cycle
     from ..obs.trace import TraceRecorder
     from .driver import Simulator
 
-__all__ = ["EventLoop", "run_period"]
-
-EventCallback = Callable[[float], None]
-
-
-class EventLoop:
-    """Heap-ordered event loop over absolute simulation time (ms).
-
-    Callbacks are scheduled at absolute times and may schedule further
-    events; equal-time events run in scheduling order.  The period runner
-    keeps the same order with an inline heap per server group.
-    """
-
-    def __init__(self) -> None:
-        self._heap: List[Tuple[float, int, EventCallback]] = []
-        self._counter = itertools.count()
-        self._now = 0.0
-        self._running = False
-        self.events_processed = 0
-
-    @property
-    def now_ms(self) -> float:
-        """Current simulation time (the timestamp of the last event)."""
-        return self._now
-
-    def schedule(self, at_ms: float, callback: EventCallback) -> None:
-        """Schedule *callback* to run at absolute time *at_ms*.
-
-        Scheduling in the past (relative to the event being processed) is a
-        logic error in the caller and raises immediately rather than
-        silently reordering history.
-        """
-        if self._running and at_ms < self._now:
-            raise ValueError(
-                f"cannot schedule at {at_ms} ms; current time is {self._now} ms"
-            )
-        heapq.heappush(self._heap, (at_ms, next(self._counter), callback))
-
-    def run(self, until_ms: Optional[float] = None) -> float:
-        """Process events in time order; returns the final simulation time.
-
-        Stops when the heap empties or the next event is past *until_ms*.
-        """
-        self._running = True
-        try:
-            # Hot loop: locals for the heap and heappop, and the
-            # unbounded case split out so the common path does no
-            # until_ms comparison and no peek-then-pop double access.
-            heap = self._heap
-            heappop = heapq.heappop
-            if until_ms is None:
-                while heap:
-                    at_ms, _, callback = heappop(heap)
-                    self._now = at_ms
-                    callback(at_ms)
-                    self.events_processed += 1
-            else:
-                while heap:
-                    if heap[0][0] > until_ms:
-                        break
-                    at_ms, _, callback = heappop(heap)
-                    self._now = at_ms
-                    callback(at_ms)
-                    self.events_processed += 1
-        finally:
-            self._running = False
-        return self._now
-
-    def __len__(self) -> int:
-        return len(self._heap)
+__all__ = ["run_period"]
 
 
 def run_period(
@@ -151,7 +81,7 @@ def _drain_group(
     """Run one server's sessions to completion; returns (events, end clock).
 
     Heap entries are ``(at_ms, seq, member index)``, so equal-time events
-    run in scheduling order, as in :class:`EventLoop`.  A member's first
+    run in scheduling order.  A member's first
     event builds its actor; every later one processes a chunk.  A finished
     actor is dropped at once, so only in-flight sessions hold memory.
     """

@@ -7,13 +7,11 @@ its own worker process with its own event loop and its own slice of the CDN
 fleet, and merges the per-shard telemetry into one canonical
 :class:`~repro.telemetry.dataset.Dataset`.
 
-Determinism contract (``server`` mode, the default): sessions interact only
-through their assigned CDN server, and a server's entire request stream
-stays inside one shard, so the merged dataset's records **equal the serial
-run's records** for the same seed — the only difference is emission order,
-which :meth:`Dataset.merge_all` canonicalizes away.  ``session`` mode trades
-that exactness for finer-grained balance (each shard replicates the fleet
-and caches see ~1/K of the traffic); see docs/PARALLEL.md.
+Determinism contract: sessions interact only through their assigned CDN
+server, and a server's entire request stream stays inside one shard, so
+the merged dataset's records **equal the serial run's records** for the
+same seed — the only difference is emission order, which
+:meth:`Dataset.merge_all` canonicalizes away (docs/PARALLEL.md).
 
 Clock barriers: the serial run starts a measured period when the *fleet's*
 previous phase ends (the event loop's final timestamp), a quantity no shard
@@ -60,7 +58,7 @@ from ..telemetry.dataset import Dataset
 from ..telemetry.spill import SpilledDataset
 from .config import SimulationConfig
 from .driver import SimulationResult, Simulator, World, build_world
-from .shard import SHARD_MODES, ShardSpec
+from .shard import ShardSpec
 
 __all__ = [
     "ShardReport",
@@ -77,7 +75,6 @@ class ShardReport:
 
     shard_index: int
     n_shards: int
-    mode: str
     #: measured sessions this shard simulated (across all periods)
     sessions: int
     #: CDN servers instantiated by this shard
@@ -335,9 +332,9 @@ class ParallelSimulator:
 
     Parameters default from the config's execution knobs so that
     ``ParallelSimulator(config)`` honours ``config.workers`` /
-    ``config.shard_timeout_s`` / ``config.shard_by``; explicit arguments
-    override.  ``fail_shard_attempts`` maps shard index → number of
-    attempts to crash deliberately (fault-injection for tests).
+    ``config.shard_timeout_s``; explicit arguments override.
+    ``fail_shard_attempts`` maps shard index → number of attempts to crash
+    deliberately (fault-injection for tests).
 
     The shard timeout bounds wall-clock per attempt, measured from launch
     and refreshed whenever the shard demonstrates progress (a barrier
@@ -351,7 +348,6 @@ class ParallelSimulator:
         self,
         config: Optional[SimulationConfig] = None,
         workers: Optional[int] = None,
-        shard_by: Optional[str] = None,
         shard_timeout_s: Optional[float] = None,
         mp_context: Optional[str] = None,
         allow_partial: bool = False,
@@ -361,11 +357,6 @@ class ParallelSimulator:
         self.workers = workers if workers is not None else self.config.workers
         if self.workers <= 0:
             raise ValueError("workers must be positive")
-        self.shard_by = shard_by if shard_by is not None else self.config.shard_by
-        if self.shard_by not in SHARD_MODES:
-            raise ValueError(
-                f"unknown shard_by {self.shard_by!r}; choose from {SHARD_MODES}"
-            )
         self.shard_timeout_s = (
             shard_timeout_s if shard_timeout_s is not None else self.config.shard_timeout_s
         )
@@ -390,11 +381,9 @@ class ParallelSimulator:
     ) -> SimulationResult:
         """Sharded equivalent of :meth:`Simulator.run`.
 
-        The returned dataset is canonically ordered; under ``server``
-        sharding its records equal ``Simulator(config).run()``'s for the
-        same seed.  ``result.servers`` is the union of the shards' fleets
-        (disjoint in ``server`` mode; replica keys are suffixed with
-        ``@s<shard>`` in ``session`` mode).
+        The returned dataset is canonically ordered; its records equal
+        ``Simulator(config).run()``'s for the same seed.
+        ``result.servers`` is the union of the shards' disjoint fleets.
         """
         world = build_world(self.config)
         period = PeriodSpec(config=self.config, n_sessions=n_sessions, start_ms=start_ms)
@@ -483,9 +472,7 @@ class ParallelSimulator:
                 )
         servers: Dict[str, CdnServer] = {}
         for index in sorted(outputs):
-            for server_id, server in outputs[index]["servers"].items():
-                key = server_id if self.shard_by == "server" else f"{server_id}@s{index}"
-                servers[key] = server
+            servers.update(outputs[index]["servers"])
         return merged, servers, [reports[index] for index in sorted(reports)], registry
 
     @staticmethod
@@ -494,10 +481,10 @@ class ParallelSimulator:
 
         In-memory shards k-way merge record lists (workers pre-sorted
         them); spilled shards merge *lazily* — the combined facade simply
-        iterates every shard's runs in sorted shard order, which under
-        ``server`` sharding (disjoint session-id ranges per shard) is the
-        same canonical order ``Dataset.merge_all`` would produce, without
-        reading a single row in the parent (docs/TELEMETRY.md).
+        iterates every shard's runs in sorted shard order, which (disjoint
+        session-id ranges per shard) is the same canonical order
+        ``Dataset.merge_all`` would produce, without reading a single row
+        in the parent (docs/TELEMETRY.md).
         """
         if shards and isinstance(shards[0], SpilledDataset):
             return SpilledDataset.merge_all(shards)
@@ -507,7 +494,7 @@ class ParallelSimulator:
         self, index: int, attempt: int, periods: Tuple[PeriodSpec, ...], world: World
     ) -> _Running:
         task = _ShardTask(
-            shard=ShardSpec(index=index, n_shards=self.n_shards, mode=self.shard_by),
+            shard=ShardSpec(index=index, n_shards=self.n_shards),
             periods=periods,
             world=world,
             attempt=attempt,
@@ -591,7 +578,6 @@ class ParallelSimulator:
                     reports[index] = ShardReport(
                         shard_index=index,
                         n_shards=self.n_shards,
-                        mode=self.shard_by,
                         sessions=payload["sessions"],
                         n_servers=len(payload["servers"]),
                         wall_time_s=payload["wall_time_s"],
@@ -683,7 +669,6 @@ class ParallelSimulator:
         reports[index] = ShardReport(
             shard_index=index,
             n_shards=self.n_shards,
-            mode=self.shard_by,
             sessions=0,
             n_servers=0,
             wall_time_s=0.0,

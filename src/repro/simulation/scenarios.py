@@ -24,14 +24,12 @@ Scenarios:
 * ``backend-brownout`` — the origin slows down (e.g. storage degradation):
   misses get much more expensive.
 
-The imperative ``_periods_*`` builders of PRs 3–5 are deprecated; new
-scenarios should be written as :class:`ScenarioSpec` values (JSON or
-code) and run via ``repro sweep`` or :func:`repro.sweep.run_cell`.
+New scenarios are written as :class:`ScenarioSpec` values (JSON or code)
+and run via ``repro sweep`` or :func:`repro.sweep.run_cell`.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional
 
@@ -92,55 +90,6 @@ SCENARIOS: Dict[str, Callable[[int], List[PeriodSpec]]] = {
 }
 
 
-def _deprecated_builder(name: str, **resolve_kwargs):
-    warnings.warn(
-        f"the imperative _periods_* builders are deprecated; use "
-        f"repro.sweep.CANNED_SCENARIOS[{name!r}].resolve(...) or the "
-        "scenario DSL (docs/SCENARIOS.md)",
-        DeprecationWarning,
-        stacklevel=3,
-    )
-    return CANNED_SCENARIOS[name].resolve(**resolve_kwargs)
-
-
-def _periods_flash_crowd(seed: int) -> List[PeriodSpec]:
-    """Deprecated: the flash-crowd ScenarioSpec replaces this builder."""
-    return _deprecated_builder("flash-crowd", seed=seed)
-
-
-def _periods_cache_flush(seed: int) -> List[PeriodSpec]:
-    """Deprecated: the cache-flush ScenarioSpec replaces this builder."""
-    return _deprecated_builder("cache-flush", seed=seed)
-
-
-def _periods_backend_brownout(seed: int, slowdown: float = 8.0) -> List[PeriodSpec]:
-    """Deprecated: the backend-brownout ScenarioSpec replaces this builder."""
-    from dataclasses import replace as _replace
-
-    from ..sweep.spec import PeriodDef
-
-    spec = CANNED_SCENARIOS["backend-brownout"]
-    if slowdown != 8.0:
-        periods = tuple(
-            PeriodDef(
-                label=period.label,
-                overrides=period.overrides,
-                mutation=period.mutation,
-                mutation_args=(slowdown,) if period.mutation else (),
-            )
-            for period in spec.periods
-        )
-        spec = _replace(spec, periods=periods)
-    warnings.warn(
-        "the imperative _periods_* builders are deprecated; use "
-        "repro.sweep.CANNED_SCENARIOS['backend-brownout'].resolve(...) or "
-        "the scenario DSL (docs/SCENARIOS.md)",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    return spec.resolve(seed=seed)
-
-
 def run_scenario(
     name: str,
     seed: int = 29,
@@ -151,8 +100,8 @@ def run_scenario(
 
     ``workers > 1`` executes both periods sharded across worker processes
     (each worker carries its slice of the fleet through baseline and
-    incident); the datasets are canonically ordered and, under the default
-    ``server`` sharding, identical to the serial run's records.
+    incident); the datasets are canonically ordered and identical to the
+    serial run's records.
 
     This is a thin wrapper over the scenario DSL plus the unified
     :func:`repro.api.run` facade — the named

@@ -3,28 +3,20 @@
 A shard is one slice of the session plan that a worker process executes on
 its own event loop.  Assignment must be a pure function of stable
 identifiers — never of worker count, arrival order, or process identity —
-so that the merged telemetry is reproducible and (in ``server`` mode)
-byte-identical to the serial run.
+so that the merged telemetry is reproducible and byte-identical to the
+serial run.
 
-Two partitioning modes:
+A session belongs to the shard that owns its assigned CDN server, and
+servers are distributed over shards by a stable hash of the server id.
+Sessions interact with each other **only** through the server they were
+mapped to (its cache, its RNG stream, its load estimate) — the actor,
+path, TCP, download-stack and rendering noise are all derived from
+per-session :func:`repro.workload.randomness.spawn` substreams.  Keeping
+each server's full request stream inside one shard therefore preserves
+every cross-session interaction of the serial run, and the merged dataset
+equals the serial dataset record-for-record.
 
-* ``server`` (default, *exact*): a session belongs to the shard that owns
-  its assigned CDN server, and servers are distributed over shards by a
-  stable hash of the server id.  Sessions interact with each other **only**
-  through the server they were mapped to (its cache, its RNG stream, its
-  load estimate) — the actor, path, TCP, download-stack and rendering noise
-  are all derived from per-session :func:`repro.workload.randomness.spawn`
-  substreams.  Keeping each server's full request stream inside one shard
-  therefore preserves every cross-session interaction of the serial run,
-  and the merged dataset equals the serial dataset record-for-record.
-* ``session`` (*approximate*): sessions are distributed by a stable hash of
-  the session id and every shard replicates the full server fleet.  A
-  server's request stream is split across shards, so each replica sees
-  ``~1/K`` of the traffic: per-shard caches are a fidelity approximation
-  fleet-wide (miss ratios rise with K).  Useful as a throughput-oriented
-  mode when per-record equality is not required.
-
-Both modes reuse :func:`repro.workload.randomness.stable_hash64`, the same
+The hash is :func:`repro.workload.randomness.stable_hash64`, the same
 primitive the traffic-engineering mapping uses, so shard membership is
 stable across processes, platforms and Python hash randomization.
 """
@@ -36,62 +28,38 @@ from typing import List, Sequence
 
 from ..workload.randomness import stable_hash64
 
-__all__ = ["SHARD_MODES", "ShardSpec", "shard_of_server", "shard_of_session"]
-
-SHARD_MODES = ("server", "session")
+__all__ = ["ShardSpec", "shard_of_server"]
 
 
 def shard_of_server(server_id: str, n_shards: int) -> int:
-    """Shard index owning *server_id* (``server`` mode)."""
+    """Shard index owning *server_id*."""
     if n_shards <= 0:
         raise ValueError("n_shards must be positive")
     return stable_hash64(f"shard|srv|{server_id}") % n_shards
-
-
-def shard_of_session(session_id: str, n_shards: int) -> int:
-    """Shard index owning *session_id* (``session`` mode)."""
-    if n_shards <= 0:
-        raise ValueError("n_shards must be positive")
-    return stable_hash64(f"shard|sess|{session_id}") % n_shards
 
 
 @dataclass(frozen=True)
 class ShardSpec:
     """One shard's identity: which slice of the world it simulates.
 
-    ``index`` is this shard's position in ``[0, n_shards)``; ``mode`` is one
-    of :data:`SHARD_MODES`.  The spec is pickled into the worker process and
-    consulted by :class:`~repro.simulation.driver.Simulator` when building
-    servers and filtering session plans.
+    ``index`` is this shard's position in ``[0, n_shards)``.  The spec is
+    pickled into the worker process and consulted by
+    :class:`~repro.simulation.driver.Simulator` when building servers and
+    filtering session plans.
     """
 
     index: int
     n_shards: int
-    mode: str = "server"
 
     def __post_init__(self) -> None:
-        if self.mode not in SHARD_MODES:
-            raise ValueError(f"unknown shard mode {self.mode!r}; choose from {SHARD_MODES}")
         if self.n_shards <= 0:
             raise ValueError("n_shards must be positive")
         if not 0 <= self.index < self.n_shards:
             raise ValueError(f"shard index {self.index} out of range [0, {self.n_shards})")
 
     def owns_server(self, server_id: str) -> bool:
-        """Should this shard instantiate (and warm) *server_id*?
-
-        In ``session`` mode every shard replicates the full fleet; in
-        ``server`` mode the fleet is partitioned by stable hash.
-        """
-        if self.mode == "session":
-            return True
+        """Should this shard instantiate (and warm) *server_id*?"""
         return shard_of_server(server_id, self.n_shards) == self.index
-
-    def owns_session(self, session_id: str, server_id: str) -> bool:
-        """Should this shard simulate the session mapped to *server_id*?"""
-        if self.mode == "session":
-            return shard_of_session(session_id, self.n_shards) == self.index
-        return self.owns_server(server_id)
 
 
 def partition_server_ids(server_ids: Sequence[str], n_shards: int) -> List[List[str]]:

@@ -544,7 +544,7 @@ class ScenarioSpec:
 
 #: The three historical scenarios of ``repro scenario``, re-expressed in
 #: the DSL.  ``repro.simulation.scenarios`` builds its registry from this
-#: table; the imperative ``_periods_*`` builders are deprecated wrappers.
+#: table.
 CANNED_SCENARIOS: Dict[str, ScenarioSpec] = {
     "flash-crowd": ScenarioSpec(
         name="flash-crowd",

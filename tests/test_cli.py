@@ -37,8 +37,9 @@ class TestParser:
 
 class TestCommands:
     def test_manifest_with_engine_field_still_compares(self, tmp_path, capsys):
-        # manifests written while the engine knob existed carry
-        # execution.engine; they still load and diff as the same workload
+        # manifests written while the engine and shard_by knobs existed
+        # carry execution.engine / execution.shard_by; they still load and
+        # diff as the same workload
         out = tmp_path / "ds"
         code = main(
             ["simulate", "--sessions", "70", "--warmup", "0", "--seed", "3",
@@ -46,11 +47,14 @@ class TestCommands:
         )
         assert code == 0
         manifest = json.loads((out / "manifest.json").read_text())
-        assert "engine" not in manifest["execution"]
-        manifest["execution"]["engine"] = "fleet"
+        removed = {"engine": "fleet", "shard_by": "server"}
+        for key, value in removed.items():
+            assert key not in manifest["execution"]
+            manifest["execution"][key] = value
         old = tmp_path / "old-manifest.json"
         old.write_text(json.dumps(manifest))
-        assert load_run_manifest(old)["execution"]["engine"] == "fleet"
+        loaded = load_run_manifest(old)["execution"]
+        assert {key: loaded[key] for key in removed} == removed
         capsys.readouterr()
         assert main(["metrics", "diff", str(old), str(out / "manifest.json")]) == 0
         assert "documents identical" in capsys.readouterr().out

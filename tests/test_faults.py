@@ -148,8 +148,9 @@ class TestConfigValidation:
             SimulationConfig(abr_name="psychic")
 
     def test_bad_shard_by(self):
-        with pytest.raises(ValueError, match="shard_by"):
-            SimulationConfig(shard_by="moon-phase")
+        # server sharding is the only mode: the knob is gone, not ignored
+        with pytest.raises(TypeError, match="shard_by"):
+            SimulationConfig(shard_by="session")
 
     def test_bad_faults_type(self):
         with pytest.raises(TypeError, match="faults"):

@@ -79,8 +79,6 @@ class TestShardSpec:
             ShardSpec(index=3, n_shards=3)
         with pytest.raises(ValueError):
             ShardSpec(index=0, n_shards=0)
-        with pytest.raises(ValueError):
-            ShardSpec(index=0, n_shards=2, mode="by-coin-flip")
 
 
 class TestSerialParallelEquality:
@@ -109,7 +107,6 @@ class TestSerialParallelEquality:
         reports = parallel_result.shard_reports
         assert [r.shard_index for r in reports] == [0, 1, 2, 3]
         assert all(r.succeeded and r.retries == 0 for r in reports)
-        assert all(r.mode == "server" for r in reports)
         assert sum(r.sessions for r in reports) == parallel_result.dataset.n_sessions
         assert sum(r.n_servers for r in reports) == len(parallel_result.servers)
 

@@ -1,16 +1,15 @@
 """Regression pins for the PR-4 hot-path optimizations (docs/PERFORMANCE.md).
 
-Four families of guarantees:
+Three families of guarantees:
 
 * the closed-form RFC 6298 estimator matches the iterative per-ACK
   reference on recorded ack sequences (exactly for one ACK, to float
   round-off for replayed updates, exactly at the 16-iteration cap);
-* the analytic loss-free TCP fast path is value- and RNG-stream-identical
-  to the general round loop it short-circuits;
+* on a zero-loss path the calm-window TCP planner is value- and
+  RNG-stream-identical to the per-round loop it short-circuits (its law
+  on lossy paths is checked in ``test_planner_law.py``);
 * ``Dataset.merge_all``'s k-way merge equals the old
-  concatenate-then-stable-sort, including tie-breaking by input position;
-* the ``EventLoop`` keeps FIFO order for equal-timestamp events and keeps
-  rejecting past scheduling, on both the bounded and unbounded run paths.
+  concatenate-then-stable-sort, including tie-breaking by input position.
 """
 
 from __future__ import annotations
@@ -21,7 +20,6 @@ import pytest
 from helpers import make_dataset, player_chunk, tcp_snap
 from repro.net.path import NetworkPath
 from repro.net.tcp import TcpConnection
-from repro.simulation.engine import EventLoop
 from repro.telemetry.dataset import Dataset
 
 
@@ -92,12 +90,12 @@ class TestClosedFormRfc6298:
         assert conn_a.rttvar_ms == conn_b.rttvar_ms
 
 
-class TestLossFreeFastPath:
+class TestCalmWindowPlanner:
     def make_conn(self, seed, *, probe=None, max_window_segments=64,
                   bottleneck_kbps=100_000.0):
         # Small receiver window so every round's in-flight window fits the
-        # bottleneck queue (rounds that would overflow it are excluded from
-        # batching per round), large enough to saturate.
+        # bottleneck queue (a zero-loss plan stops before a window that
+        # would overflow it), large enough to saturate.
         path = make_calm_path(
             np.random.default_rng(seed), bottleneck_kbps=bottleneck_kbps
         )
@@ -107,28 +105,46 @@ class TestLossFreeFastPath:
             max_window_segments=max_window_segments,
         )
 
-    def test_fast_path_equals_general_loop(self, monkeypatch):
+    def spy_batches(self, monkeypatch):
+        """Record the rounds of every planner batch."""
         batch_rounds = []
-        original = TcpConnection._advance_loss_free_rounds
+        original = TcpConnection._advance_calm_rounds
 
         def spy(self, *args, **kwargs):
             result = original(self, *args, **kwargs)
-            batch_rounds.append(result[3])
+            batch_rounds.append(result[4])
             return result
 
-        monkeypatch.setattr(TcpConnection, "_advance_loss_free_rounds", spy)
-        fast = self.make_conn(33)
+        monkeypatch.setattr(TcpConnection, "_advance_calm_rounds", spy)
+        return batch_rounds
+
+    @pytest.mark.parametrize("max_window_segments, starts_ms", [
+        pytest.param(64, (0.0, 20_000.0), id="window-64"),
+        # 857 rounds per transfer, which the 256-round cap splits into
+        # four batches
+        pytest.param(4, (0.0, 60_000.0), id="window-4-capped"),
+    ])
+    def test_fast_path_equals_general_loop(self, monkeypatch, max_window_segments,
+                                           starts_ms):
+        batch_rounds = self.spy_batches(monkeypatch)
+        fast = self.make_conn(33, max_window_segments=max_window_segments)
         # A probe that never reports a fault disables batching without
         # touching any sampled value or consuming any RNG draw, so the
         # control connection replays the identical general loop.
-        control = self.make_conn(33, probe=lambda now_ms: None)
+        control = self.make_conn(
+            33, probe=lambda now_ms: None, max_window_segments=max_window_segments
+        )
 
-        for start_ms in (0.0, 20_000.0):
+        total_rounds = 0
+        for start_ms in starts_ms:
             result_fast = fast.transfer(5_000_000, start_ms)
             result_control = control.transfer(5_000_000, start_ms)
             assert result_fast == result_control
+            total_rounds += result_fast.rounds
 
-        assert sum(batch_rounds) > 10  # the fast path did the bulk of the work
+        # the planner did every round, in batches of at most the cap
+        assert sum(batch_rounds) == total_rounds
+        assert max(batch_rounds) <= TcpConnection._PLAN_MAX_ROUNDS
         assert result_fast.rounds > 10
         # Full state sync: estimator, window, counters, and both RNG
         # streams line up exactly after the batched rounds.
@@ -145,15 +161,7 @@ class TestLossFreeFastPath:
         # the general loop, with batching resuming once loss halves the
         # window back under capacity. The interleaved trajectory must stay
         # identical to the pure general loop.
-        batch_rounds = []
-        original = TcpConnection._advance_loss_free_rounds
-
-        def spy(self, *args, **kwargs):
-            result = original(self, *args, **kwargs)
-            batch_rounds.append(result[3])
-            return result
-
-        monkeypatch.setattr(TcpConnection, "_advance_loss_free_rounds", spy)
+        batch_rounds = self.spy_batches(monkeypatch)
         # Narrow bottleneck: the queue holds ~107 segments, so slow start
         # overshoots it within a few rounds.
         fast = self.make_conn(
@@ -177,20 +185,6 @@ class TestLossFreeFastPath:
             assert getattr(fast, attr) == getattr(control, attr), attr
         assert fast.path.rng.random() == control.path.rng.random()
         assert fast.rng.random() == control.rng.random()
-
-    def test_fast_path_declines_on_lossy_path(self, monkeypatch):
-        batch_calls = []
-        original = TcpConnection._advance_loss_free_rounds
-
-        def spy(self, *args, **kwargs):
-            batch_calls.append(args)
-            return original(self, *args, **kwargs)
-
-        monkeypatch.setattr(TcpConnection, "_advance_loss_free_rounds", spy)
-        path = make_calm_path(np.random.default_rng(5), loss_rate=0.02)
-        conn = TcpConnection(path, np.random.default_rng(6), max_window_segments=64)
-        conn.transfer(2_000_000, 0.0)
-        assert batch_calls == []
 
 
 class TestKWayMerge:
@@ -233,42 +227,3 @@ class TestKWayMerge:
         assert [r.dfb_ms for r in merged.player_chunks] == [111.0, 222.0]
         flipped = Dataset.merge_all([second, first])
         assert [r.dfb_ms for r in flipped.player_chunks] == [222.0, 111.0]
-
-
-class TestEventLoopOrderPins:
-    def test_equal_timestamp_events_run_fifo(self):
-        loop = EventLoop()
-        order = []
-        for tag in range(5):
-            loop.schedule(10.0, lambda now, tag=tag: order.append(tag))
-        # An equal-timestamp event scheduled *during* the tied batch runs
-        # after every previously queued event at that timestamp.
-        loop.schedule(10.0, lambda now: loop.schedule(10.0, lambda n: order.append("late")))
-        loop.run()
-        assert order == [0, 1, 2, 3, 4, "late"]
-
-    def test_bounded_run_keeps_fifo_and_boundary(self):
-        loop = EventLoop()
-        order = []
-        for at, tag in [(10.0, "a"), (10.0, "b"), (20.0, "c"), (30.0, "d")]:
-            loop.schedule(at, lambda now, tag=tag: order.append(tag))
-        assert loop.run(until_ms=20.0) == 20.0
-        assert order == ["a", "b", "c"]  # events at the bound still run
-        assert len(loop) == 1
-        loop.run()
-        assert order == ["a", "b", "c", "d"]
-
-    def test_past_scheduling_rejected_inside_callbacks(self):
-        loop = EventLoop()
-        failures = []
-
-        def callback(now_ms):
-            with pytest.raises(ValueError):
-                loop.schedule(now_ms - 0.001, lambda n: None)
-            failures.append(now_ms)
-
-        loop.schedule(5.0, callback)
-        loop.run()
-        assert failures == [5.0]
-        # Outside run() the guard is inactive: pre-seeding history is legal.
-        loop.schedule(0.0, lambda n: None)

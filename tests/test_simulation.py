@@ -7,60 +7,6 @@ from repro.cdn.cache import CacheStatus
 from repro.simulation.config import SimulationConfig
 from repro.simulation.controlled import run_controlled_rendering_experiment
 from repro.simulation.driver import Simulator, simulate
-from repro.simulation.engine import EventLoop
-
-
-class TestEventLoop:
-    def test_runs_in_time_order(self):
-        loop = EventLoop()
-        order = []
-        loop.schedule(30.0, lambda t: order.append(("b", t)))
-        loop.schedule(10.0, lambda t: order.append(("a", t)))
-        loop.schedule(20.0, lambda t: order.append(("m", t)))
-        end = loop.run()
-        assert [name for name, _ in order] == ["a", "m", "b"]
-        assert end == 30.0
-        assert loop.events_processed == 3
-
-    def test_ties_fifo(self):
-        loop = EventLoop()
-        order = []
-        loop.schedule(5.0, lambda t: order.append("first"))
-        loop.schedule(5.0, lambda t: order.append("second"))
-        loop.run()
-        assert order == ["first", "second"]
-
-    def test_events_can_schedule_events(self):
-        loop = EventLoop()
-        seen = []
-
-        def chain(t):
-            seen.append(t)
-            if len(seen) < 3:
-                loop.schedule(t + 10.0, chain)
-
-        loop.schedule(0.0, chain)
-        loop.run()
-        assert seen == [0.0, 10.0, 20.0]
-
-    def test_scheduling_in_past_rejected(self):
-        loop = EventLoop()
-
-        def bad(t):
-            loop.schedule(t - 1.0, lambda _: None)
-
-        loop.schedule(10.0, bad)
-        with pytest.raises(ValueError):
-            loop.run()
-
-    def test_until_bound(self):
-        loop = EventLoop()
-        seen = []
-        loop.schedule(1.0, lambda t: seen.append(t))
-        loop.schedule(100.0, lambda t: seen.append(t))
-        loop.run(until_ms=50.0)
-        assert seen == [1.0]
-        assert len(loop) == 1
 
 
 class TestPeriodRunner:

@@ -252,16 +252,6 @@ class TestCannedScenarios:
         assert incident.mutation == "repro.simulation.scenarios:_slow_backend"
         assert incident.mutation_args == (8.0,)
 
-    def test_deprecated_builders_warn_and_delegate(self):
-        from repro.simulation import scenarios
-
-        with pytest.warns(DeprecationWarning):
-            legacy = scenarios._periods_flash_crowd(seed=41)
-        assert legacy == CANNED_SCENARIOS["flash-crowd"].resolve(seed=41)
-        with pytest.warns(DeprecationWarning):
-            legacy = scenarios._periods_backend_brownout(seed=2, slowdown=3.0)
-        assert legacy[1].mutation_args == (3.0,)
-
 
 # -- sweeps -------------------------------------------------------------------
 
