@@ -1,13 +1,15 @@
-"""Memory-smoke gate: streaming analyses over a spill under a heap budget.
+"""Memory-smoke gate: the columnar analysis pass over a spill under a heap budget.
 
 Not a paper artifact — the CI `memory-smoke` job runs exactly this bench
 on every push.  It generates a mid-size synthetic spill
 (`repro.telemetry.synth`, schema-valid columnar sessions straight to
-sorted on-disk runs), then streams the headline analyses over the lazy
-k-way merge with `tracemalloc` tracing, and fails if peak traced heap
-blows through the budget implied by docs/TELEMETRY.md's RSS model:
-write buffers + the per-kind read-side materialization budget +
-accumulator state — nothing that scales with total rows.
+sorted on-disk runs), then runs the QoE and localization analyses in one
+`analyze_dataset` pass — the blockwise columnar pass that `repro analyze`
+and `repro serve` run — with `tracemalloc` tracing, and fails if peak
+traced heap blows through the budget implied by docs/TELEMETRY.md's RSS
+model: one session-aligned block of rows at a time + the session-id
+universe + the analyses' per-session scalars — nothing that scales with
+total rows.
 
 The spill threshold is set low on purpose so the run has many sorted
 runs per kind: that is the regime where an unbounded reader (one full
@@ -18,8 +20,10 @@ the ``BENCH_perf.json`` trajectory (uploaded as a CI artifact).
 The `large` tier — a million-session spill, the paper-scale regime the
 columnar core is built for — is stubbed here behind
 ``REPRO_BENCH_LARGE=1``: too slow for per-push CI, same code path, run
-it manually before touching the spill reader or the streaming
-accumulators.
+it manually before touching the spill reader or the columnar pass.
+
+The serve tier steps the live service, which folds each round through
+the same pass, and requires its peak heap to stay flat in run duration.
 """
 
 from __future__ import annotations
@@ -31,11 +35,7 @@ import tracemalloc
 import pytest
 
 from bench_util import write_perf_record
-from repro.core.streaming import (
-    LocalizationAccumulator,
-    QoeAccumulator,
-    consume,
-)
+from repro.core.columnar_analysis import analyze_dataset
 from repro.telemetry.synth import synthesize_spill
 
 pytestmark = pytest.mark.bench
@@ -44,9 +44,11 @@ N_SESSIONS = 50_000
 SEED = 7
 #: low threshold => many sorted runs per kind (the stress regime)
 THRESHOLD_ROWS = 32_768
-#: peak traced heap budget.  Measured ~150 MB on a 2025 dev box at this
-#: scale; the model says the peak is independent of session count, so a
-#: generous 2x headroom only trips on an actual O(rows) regression.
+#: peak traced heap budget.  The columnar pass peaks at ~48 MB at this
+#: scale on a shared 2-core Linux container (the per-session pass this
+#: gate ran before peaked at ~134 MB); the model says the peak is
+#: independent of session count, so the headroom only trips on an actual
+#: O(rows) regression.
 PEAK_HEAP_BUDGET_MB = 320.0
 WALL_BUDGET_S = 600.0
 
@@ -54,11 +56,12 @@ LARGE_N_SESSIONS = 1_000_000
 
 
 def _stream_analyses(dataset):
-    return consume(dataset, QoeAccumulator(), LocalizationAccumulator())
+    out = analyze_dataset(dataset, ("qoe", "localization"))
+    return out["qoe"], out["localization"]
 
 
 def _run(tmp_path, n_sessions):
-    """Generate a spill, stream the analyses, return (peak bytes, wall s, qoe)."""
+    """Generate a spill, run the analyses, return (dataset, peak bytes, wall s)."""
     dataset = synthesize_spill(
         tmp_path / "spill", n_sessions, seed=SEED, threshold_rows=THRESHOLD_ROWS
     )
@@ -88,7 +91,7 @@ def test_memory_smoke_under_heap_budget(tmp_path):
           f"{peak_mb:.1f} MB peak heap, "
           f"{record['sessions_per_s']} sessions/s")
     assert peak_mb < PEAK_HEAP_BUDGET_MB, (
-        f"streaming pass peaked at {peak_mb:.1f} MB >= "
+        f"columnar pass peaked at {peak_mb:.1f} MB >= "
         f"{PEAK_HEAP_BUDGET_MB} MB — read-side memory is scaling with row "
         f"volume (docs/TELEMETRY.md, 'RSS budget model')"
     )

@@ -4,8 +4,9 @@ Not a paper artifact — the CI ``perf-smoke`` job runs this bench on every
 push.  It synthesizes the 50k-session spill tier
 (``repro.telemetry.synth``, low threshold so every kind has many sorted
 runs), drives the three headline analyses once through the per-session
-oracle (one streaming ``consume`` pass — the fastest record-object
-spelling) and once through ``repro.core.columnar_analysis``, asserts the
+oracle of ``tests/streaming_oracle.py`` (one ``consume`` pass — the
+fastest record-object spelling) and once through
+``repro.core.columnar_analysis``, asserts the
 outputs are *identical* (JSON serialization and report text, the
 byte-identity contract of docs/PERFORMANCE.md "The read path"), and then
 requires the columnar pass to be at least ``MIN_SPEEDUP`` times faster.
@@ -26,7 +27,9 @@ oracle ``consume`` per analysis.
 from __future__ import annotations
 
 import json
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -37,14 +40,17 @@ from repro.core.faultscore import score_fault_localization
 from repro.core.localization import diagnose_dataset
 from repro.core.proxy_filter import filter_proxies
 from repro.core.qoe import summarize
-from repro.core.streaming import (
+from repro.simulation.config import SimulationConfig
+from repro.telemetry.synth import synthesize_spill
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests"))
+
+from streaming_oracle import (  # noqa: E402  (needs the tests directory on the path)
     FaultScoreAccumulator,
     LocalizationAccumulator,
     QoeAccumulator,
     consume,
 )
-from repro.simulation.config import SimulationConfig
-from repro.telemetry.synth import synthesize_spill
 
 pytestmark = pytest.mark.bench
 

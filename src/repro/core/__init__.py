@@ -18,7 +18,6 @@ from . import (
     qoe,
     rendering_diag,
     report,
-    streaming,
     whatif,
 )
 from .comparison import ComparisonReport, compare_datasets
@@ -44,7 +43,6 @@ __all__ = [
     "qoe",
     "rendering_diag",
     "report",
-    "streaming",
     "whatif",
     "filter_proxies",
     "ProxyFilterReport",

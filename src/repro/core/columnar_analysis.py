@@ -6,21 +6,30 @@ numpy structured arrays of :mod:`repro.telemetry.columnar` — the join,
 the Eq. 2/4/5 chunk math, and the per-session reductions all run as
 whole-column numpy operations, with sessions grouped via ``sort_array``
 order + ``searchsorted`` boundaries instead of per-session object graphs.
-The per-session spelling of the same analyses — ``session_qoe``,
-``diagnose_session`` and the :mod:`repro.core.streaming` accumulators over
-``iter_sessions()`` — is the readable specification and the test oracle.
+:func:`iter_joined_blocks` yields the joined, diagnosed blocks; batch
+analyses fold them into per-analysis states, and ``repro serve`` folds
+each round's blocks into its rolling windows and into the
+:class:`LocalizationState` and :class:`FaultScoreState` it carries across
+rounds.  The per-session spelling of the same analyses — ``session_qoe``
+and ``diagnose_session`` folded by the accumulators of
+``tests/streaming_oracle.py`` — is the readable specification and the
+test oracle.
 
 Two invariants drive every line here:
 
 * **Byte identity.**  Results are bit-for-bit equal to the per-session
-  oracle (pinned by ``tests/test_columnar_analysis.py``).  Sums that the
-  oracle performs sequentially (``Python sum``, ``ndarray.mean/std``
-  over axis 0) are reproduced with the stepped group accumulator
-  :func:`_grouped_seq_sum` — never ``np.add.reduceat``/``np.sum``, whose
-  pairwise summation regroups float additions.
+  oracle (pinned by ``tests/test_columnar_analysis.py`` and
+  ``tests/test_serve.py``).  Sums that the oracle performs sequentially
+  (``Python sum``, ``ndarray.mean/std`` over axis 0) are reproduced with
+  the stepped group accumulator :func:`_grouped_seq_sum` — never
+  ``np.add.reduceat``/``np.sum``, whose pairwise summation regroups float
+  additions.
 * **Bounded memory.**  Datasets are consumed in session-aligned blocks
   sized by :data:`~repro.telemetry.columnar.ITER_BLOCK_ROWS`; spilled runs
   stay memory-mapped and only the current block's rows are materialized.
+  The localization and fault-score states hold O(fault classes)
+  counters, so a service can carry them across rounds indefinitely; the
+  QoE state keeps per-session scalars for its quantiles.
   Works for in-memory :class:`~repro.telemetry.dataset.Dataset` objects,
   single-directory spills, sharded spills, and multi-period
   ``period-<label>/`` layouts alike: all of them expose ``run_arrays``.
@@ -32,7 +41,7 @@ columnar layout it consumes.
 from __future__ import annotations
 
 from collections import Counter
-from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Any, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -43,7 +52,11 @@ from .localization import BAD_RENDER_FRACTION, BAD_SCORE, TAIL_RTT_MS, Bottlenec
 
 __all__ = [
     "ANALYSIS_KINDS",
+    "FaultScoreState",
+    "JoinedBlock",
+    "LocalizationState",
     "analyze_dataset",
+    "iter_joined_blocks",
 ]
 
 #: the analyses this engine can compute in one blockwise pass
@@ -171,13 +184,27 @@ def _member_codes(
 
     Returns ``(rows, codes)`` where ``codes[i]`` is the index into *kept*
     of row i's session.  Both stay sorted because *arr* is session-sorted.
+    When every row is kept, *rows* is *arr* itself, not a copy.
     """
     if len(arr) == 0 or len(kept) == 0:
         return arr[:0], np.empty(0, dtype=np.int64)
     col = arr["session_id"]
     idx = np.minimum(np.searchsorted(kept, col), len(kept) - 1)
     mask = kept[idx] == col
+    if mask.all():
+        return arr, idx
     return arr[mask], idx[mask]
+
+
+def _last_rows(sids: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """The distinct values of the sorted *sids* and each one's last row.
+
+    The last row of a value is the one a ``dict[sid] = record`` rebuild
+    keeps.  ``return_index`` makes ``np.unique`` sort stably, which is
+    also the fast sort for input that is already in order.
+    """
+    values, first, counts = np.unique(sids, return_index=True, return_counts=True)
+    return values, first + counts - 1
 
 
 def _last_wins_match(keys: np.ndarray, queries: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
@@ -200,7 +227,7 @@ def _last_wins_match(keys: np.ndarray, queries: np.ndarray) -> Tuple[np.ndarray,
 
 
 class _QoeState:
-    """Blockwise twin of ``streaming.QoeAccumulator`` (bit-identical)."""
+    """Blockwise twin of the oracle's ``QoeAccumulator`` (bit-identical)."""
 
     def __init__(self) -> None:
         self.n = 0
@@ -210,7 +237,7 @@ class _QoeState:
         self._dropped: List[np.ndarray] = []
         self._chunks: List[np.ndarray] = []
 
-    def update(self, block: "_JoinedBlock") -> None:
+    def update(self, block: "JoinedBlock") -> None:
         n_kept = block.n_kept
         self.n += n_kept
         counts = block.counts
@@ -270,14 +297,18 @@ class _QoeState:
         }
 
 
-class _LocalizationState:
-    """Blockwise twin of ``streaming.LocalizationAccumulator``."""
+class LocalizationState:
+    """Share of chunks per bottleneck, folded block by block.
+
+    The blockwise twin of the oracle's ``LocalizationAccumulator``; its
+    state is one counter per bottleneck location.
+    """
 
     def __init__(self) -> None:
         self._counts = np.zeros(len(_BOTTLENECKS), dtype=np.int64)
         self._total = 0
 
-    def update(self, block: "_JoinedBlock") -> None:
+    def update(self, block: "JoinedBlock") -> None:
         self._counts += np.bincount(block.verdict, minlength=len(_BOTTLENECKS))
         self._total += len(block.verdict)
 
@@ -315,17 +346,20 @@ class _LabelMeta:
         self.spurious = frozenset(range(1, len(_BOTTLENECKS))) - layer_codes
 
 
-class _FaultScoreState:
-    """Blockwise twin of ``streaming.FaultScoreAccumulator``.
+class FaultScoreState:
+    """Localization verdicts graded against ``fault_labels``, block by block.
 
-    The only order-dependent part of the oracle is the
-    false-positive rule: a spurious verdict increments every class *that
-    already exists*.  Global chunk positions let us replay that exactly —
-    class ``c`` collects a false positive from each spurious event with a
-    matching code at position >= the class's first occurrence (the
-    creating chunk itself can never be spurious *for its own class*:
-    carrying label ``c`` puts ``expected(c)`` inside its expected-layer
-    union).  Dict insertion orders are reconstructed from first-occurrence
+    The blockwise twin of the oracle's ``FaultScoreAccumulator``.  The
+    only order-dependent part of the oracle is the false-positive rule: a
+    spurious verdict increments every class *that already exists*.
+    Global chunk positions replay that exactly — class ``c`` collects a
+    false positive from each spurious event with a matching code at
+    position >= the class's first occurrence (the creating chunk itself
+    can never be spurious *for its own class*: carrying label ``c`` puts
+    ``expected(c)`` inside its expected-layer union).  Blocks arrive in
+    position order, so each block's spurious events are counted as it
+    arrives and the state stays O(fault classes) however many blocks it
+    folds.  Dict insertion orders are reconstructed from first-occurrence
     positions the same way.
     """
 
@@ -341,11 +375,9 @@ class _FaultScoreState:
         self._class_first: Dict[str, int] = {}
         self._tp: Dict[str, int] = {}
         self._fn: Dict[str, int] = {}
-        self._spurious: Dict[int, List[np.ndarray]] = {
-            code: [] for code in range(1, len(_BOTTLENECKS))
-        }
+        self._fp: Dict[str, int] = {}
 
-    def update(self, block: "_JoinedBlock") -> None:
+    def update(self, block: "JoinedBlock") -> None:
         n = len(block.verdict)
         self.n_chunks += n
         has_truth = block.has_truth
@@ -405,18 +437,21 @@ class _FaultScoreState:
                     self._tp[fault_class] = self._tp.get(fault_class, 0) + count
                 else:
                     self._fn[fault_class] = self._fn.get(fault_class, 0) + count
-        # spurious-event positions, per verdict code (ascending: blocks
-        # arrive in order and pos is ascending within a block)
+        # false positives: every class first seen at or before a spurious
+        # event and expecting its layer (classes from earlier blocks
+        # precede every position of this one)
         spurious_table = np.zeros((len(unique_labels), n_codes), dtype=bool)
         for i, meta in enumerate(metas):
             for code in meta.spurious:
                 spurious_table[i, code] = True
         row_spurious = spurious_table[inverse, verdicts]
         if row_spurious.any():
-            for code in range(1, n_codes):
-                sel = row_spurious & (verdicts == code)
-                if sel.any():
-                    self._spurious[code].append(pos[sel])
+            spurious_pos = pos[row_spurious]
+            spurious_codes = verdicts[row_spurious]
+            for fault_class, first in self._class_first.items():
+                hits = np.isin(spurious_codes, _EXPECTED_CODES[fault_class])
+                hits &= spurious_pos >= first
+                self._fp[fault_class] = self._fp.get(fault_class, 0) + int(hits.sum())
         self._offset += n
 
     def result(self) -> FaultScoreReport:
@@ -424,26 +459,15 @@ class _FaultScoreState:
         report.n_chunks = self.n_chunks
         report.n_labeled = self.n_labeled
         report.n_unscored = self.n_unscored
-        spurious = {
-            code: (
-                np.concatenate(chunks) if chunks else np.empty(0, dtype=np.int64)
-            )
-            for code, chunks in self._spurious.items()
-        }
         for fault_class in sorted(
             self._class_first, key=lambda fc: (self._class_first[fc], fc)
         ):
-            first = self._class_first[fault_class]
-            false_positives = 0
-            for code in _EXPECTED_CODES[fault_class]:
-                arr = spurious[code]
-                false_positives += len(arr) - int(np.searchsorted(arr, first, side="left"))
             report.classes[fault_class] = ClassScore(
                 fault_class,
                 tuple(b.value for b in EXPECTED_BOTTLENECK[fault_class]),
                 true_positives=self._tp.get(fault_class, 0),
                 false_negatives=self._fn.get(fault_class, 0),
-                false_positives=false_positives,
+                false_positives=self._fp.get(fault_class, 0),
             )
         for category in sorted(
             self._cat_first, key=lambda c: (self._cat_first[c], c)
@@ -465,16 +489,30 @@ class _FaultScoreState:
 # the blockwise join + chunk math
 
 
-class _JoinedBlock:
+class JoinedBlock:
     """One session-aligned block after the player<->CDN join.
 
-    Field arrays are aligned with the joined chunk rows (canonical order:
-    session, then chunk id, then original row order for duplicates —
-    exactly the order ``iter_joined_sessions`` yields chunks in).
+    Sessions are the block's *kept* sessions (a player and a CDN session
+    record both exist), numbered ``0..n_kept-1`` in session-id order;
+    ``player_sessions`` and ``cdn_sessions`` hold their last-wins rows.
+    Every other array is aligned with the joined chunk rows, in canonical
+    order: session, then chunk id, then original row order for duplicates
+    — the order a session-by-session join yields chunks in.
+    ``player_rows`` and ``cdn_rows`` are those rows themselves, ``jcode``
+    their session numbers, and ``counts``/``starts`` each session's run
+    of rows.  ``verdict`` holds the cascade's
+    :class:`~repro.core.localization.Bottleneck` codes (enum order) and
+    ``fault_labels`` the last-wins ground-truth labels where
+    ``has_truth``; both are zero when the pass loaded no TCP or
+    ground-truth columns.
     """
 
     __slots__ = (
         "n_kept",
+        "player_sessions",
+        "cdn_sessions",
+        "player_rows",
+        "cdn_rows",
         "jcode",
         "counts",
         "starts",
@@ -496,15 +534,18 @@ def _compute_block(
     index: int,
     want_cascade: bool,
     want_truth: bool,
-) -> Optional[_JoinedBlock]:
+) -> Optional[JoinedBlock]:
     ps = plan.block("player_sessions", index)
     cs = plan.block("cdn_sessions", index)
-    ps_sids = np.unique(ps["session_id"])
-    cs_sids = np.unique(cs["session_id"])
-    kept = ps_sids[np.isin(ps_sids, cs_sids, assume_unique=True)]
+    ps_sids, ps_last = _last_rows(ps["session_id"])
+    cs_sids, cs_last = _last_rows(cs["session_id"])
+    in_cs = np.isin(ps_sids, cs_sids, assume_unique=True)
+    kept = ps_sids[in_cs]
     n_kept = len(kept)
     if n_kept == 0:
         return None
+    ps_last = ps_last[in_cs]
+    cs_last = cs_last[np.isin(cs_sids, kept, assume_unique=True)]
     pc, pc_code = _member_codes(kept, plan.block("player_chunks", index))
     cc, cc_code = _member_codes(kept, plan.block("cdn_chunks", index))
     loaded = [pc, cc]
@@ -533,8 +574,13 @@ def _compute_block(
     cdn = cc[j[matched]]
     n = len(joined)
 
-    block = _JoinedBlock()
+    block = JoinedBlock()
     block.n_kept = n_kept
+    # session rows that are all kept and distinct need no copy
+    block.player_sessions = ps if len(ps_last) == len(ps) else ps[ps_last]
+    block.cdn_sessions = cs if len(cs_last) == len(cs) else cs[cs_last]
+    block.player_rows = joined
+    block.cdn_rows = cdn
     block.jcode = jcode
     counts = np.bincount(jcode, minlength=n_kept)
     block.counts = counts
@@ -732,9 +778,50 @@ def _compute_block(
 
 _STATE_FACTORIES = {
     "qoe": _QoeState,
-    "localization": _LocalizationState,
-    "faultscore": _FaultScoreState,
+    "localization": LocalizationState,
+    "faultscore": FaultScoreState,
 }
+
+
+def iter_joined_blocks(
+    dataset: Any,
+    analyses: Iterable[str] = ANALYSIS_KINDS,
+    metrics: Optional[Any] = None,
+) -> Iterator[JoinedBlock]:
+    """The joined blocks of *dataset*, in session order.
+
+    Loads only what *analyses* need: TCP snapshots for the localization
+    cascade, ground truth for fault scoring; a QoE-only pass leaves
+    ``verdict`` and ``fault_labels`` zero.  Blocks with no kept session
+    are skipped.  Each block runs — the consumer's work on it included —
+    inside an ``analysis.block`` span of *metrics* and is counted in its
+    ``analysis.*_total`` counters.
+    """
+    from .. import obs
+
+    registry = metrics if metrics is not None else obs.MetricsRegistry()
+    blocks_total = registry.counter("analysis.blocks_total")
+    sessions_total = registry.counter("analysis.sessions_total")
+    chunks_total = registry.counter("analysis.chunks_total")
+    requested = tuple(analyses)
+    want_truth = "faultscore" in requested
+    want_cascade = want_truth or "localization" in requested
+    kinds = ["player_sessions", "cdn_sessions", "player_chunks", "cdn_chunks"]
+    if want_cascade:
+        kinds.append("tcp_snapshots")
+    if want_truth:
+        kinds.append("ground_truth")
+    plan = _BlockPlan(_dataset_runs(dataset, kinds), kinds)
+    for i in range(plan.n_blocks):
+        with registry.span("analysis.block"):
+            block = _compute_block(plan, i, want_cascade, want_truth)
+            blocks_total.inc()
+            if block is None:
+                continue
+            sessions_total.inc(block.n_kept)
+            chunks_total.inc(len(block.verdict))
+            yield block
+            del block  # build the next block without holding this one
 
 
 def analyze_dataset(
@@ -745,7 +832,7 @@ def analyze_dataset(
     """One vectorized blockwise pass computing *analyses* over *dataset*.
 
     Returns ``{name: result}`` with each result bit-identical to its
-    per-session oracle (:mod:`repro.core.streaming`).  QoE-only passes
+    per-session oracle (``tests/streaming_oracle.py``).  QoE-only passes
     skip loading TCP and ground-truth columns entirely.
     """
     from .. import obs
@@ -757,32 +844,12 @@ def analyze_dataset(
                 f"unknown analysis {name!r}; choose from {ANALYSIS_KINDS}"
             )
     registry = metrics if metrics is not None else obs.MetricsRegistry()
-    blocks_total = registry.counter("analysis.blocks_total")
-    sessions_total = registry.counter("analysis.sessions_total")
-    chunks_total = registry.counter("analysis.chunks_total")
-
-    want_truth = "faultscore" in requested
-    want_cascade = want_truth or "localization" in requested
-    kinds = ["player_sessions", "cdn_sessions", "player_chunks", "cdn_chunks"]
-    if want_cascade:
-        kinds.append("tcp_snapshots")
-    if want_truth:
-        kinds.append("ground_truth")
-
     states = {name: _STATE_FACTORIES[name]() for name in requested}
     with registry.span("analysis.read"):
-        runs = _dataset_runs(dataset, kinds)
-        plan = _BlockPlan(runs, kinds)
-        for i in range(plan.n_blocks):
-            with registry.span("analysis.block"):
-                block = _compute_block(plan, i, want_cascade, want_truth)
-                blocks_total.inc()
-                if block is None:
-                    continue
-                sessions_total.inc(block.n_kept)
-                chunks_total.inc(len(block.verdict))
-                for state in states.values():
-                    state.update(block)
+        for block in iter_joined_blocks(dataset, requested, metrics=registry):
+            for state in states.values():
+                state.update(block)
+            del block  # not held while the next block is built
     if metrics is None:
         obs.publish_last_run(registry)
     return {name: states[name].result() for name in requested}

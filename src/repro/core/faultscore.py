@@ -152,9 +152,10 @@ def score_fault_localization(dataset: Dataset) -> FaultScoreReport:
     exactly as the operator-facing pipeline does), joined with each
     chunk's ground-truth labels.  Computed by the vectorized pass
     (:mod:`~repro.core.columnar_analysis`, docs/PERFORMANCE.md "The read
-    path"), bit-identical to
-    :class:`~repro.core.streaming.FaultScoreAccumulator`; report state is
-    O(fault classes), so spilled datasets score under a flat ceiling.
+    path"), bit-identical to the per-session ``FaultScoreAccumulator`` of
+    ``tests/streaming_oracle.py``; its state is O(fault classes), so
+    spilled datasets score under a flat ceiling and ``repro serve``
+    carries it across rounds.
     """
     from .columnar_analysis import analyze_dataset
 

@@ -190,10 +190,11 @@ def diagnose_dataset(dataset: Dataset) -> Dict[str, float]:
     The operator's dashboard number: of all delivered chunks, how many had
     a problem, and where did the problems live?  Computed by the
     vectorized cascade (:mod:`~repro.core.columnar_analysis`,
-    docs/PERFORMANCE.md "The read path"), bit-identical to folding
-    :func:`diagnose_session` over every session
-    (:class:`~repro.core.streaming.LocalizationAccumulator`); spilled
-    datasets diagnose under a flat memory ceiling.
+    docs/PERFORMANCE.md "The read path") that ``repro serve`` also folds
+    every round, bit-identical to folding :func:`diagnose_session` over
+    every session (the ``LocalizationAccumulator`` of
+    ``tests/streaming_oracle.py``); spilled datasets diagnose under a
+    flat memory ceiling.
     """
     from .columnar_analysis import analyze_dataset
 

@@ -107,9 +107,9 @@ def summarize(dataset: Dataset) -> Dict[str, float]:
 
     Computed on whole telemetry columns by the vectorized read path
     (:mod:`~repro.core.columnar_analysis`, docs/PERFORMANCE.md "The read
-    path"), for in-memory and spilled datasets alike;
-    :class:`~repro.core.streaming.QoeAccumulator` folding
-    :func:`session_qoe` per session is its reference spelling.
+    path"), for in-memory and spilled datasets alike; folding
+    :func:`session_qoe` per session (the ``QoeAccumulator`` of
+    ``tests/streaming_oracle.py``) is its reference spelling.
     """
     from .columnar_analysis import analyze_dataset
 

@@ -72,9 +72,9 @@ class NetworkPath:
             raise ValueError("bottleneck_kbps must be positive")
         if not 0.0 <= self.loss_rate < 1.0:
             raise ValueError("loss_rate must be in [0, 1)")
-        # Hot-path cache: bdp/buffer depend only on init-time fields, and the
-        # TCP model reads their sum once per round.  Computed with the exact
-        # float expression of the properties so comparisons are unchanged.
+        # What the bottleneck holds before it drops: the baseline BDP plus
+        # its buffer (a BDP multiple).  Init-time fields only, and the TCP
+        # model reads it every round.
         bdp = self.bottleneck_kbps * self.base_rtt_ms / 8.0
         self._capacity_bytes = bdp + self.buffer_bdp_multiple * bdp
 
@@ -142,32 +142,6 @@ class NetworkPath:
             return None
         return self.fault_probe(now_ms)
 
-    def current_bottleneck_kbps(self, now_ms: float) -> float:
-        """Bandwidth available to us at *now_ms*.
-
-        During a congestion episode the bottleneck queue is shared with
-        cross traffic, so our share of the link shrinks.
-        """
-        bandwidth = self.bottleneck_kbps / self._episode_state(now_ms)[1]
-        fault = self._fault_state(now_ms)
-        if fault is not None:
-            bandwidth /= fault.bw_div
-        return bandwidth
-
-    def episode_loss_boost(self, now_ms: float) -> float:
-        """Extra per-segment loss probability during congestion episodes.
-
-        Collapses (large bandwidth divisors) drop aggressively; bufferbloat
-        episodes (latency-dominant) drop only occasionally off a full queue.
-        """
-        rtt_mult, bw_div = self._episode_state(now_ms)
-        boost = 0.0
-        if bw_div > 1.0:
-            boost += 0.012 * (bw_div - 1.0)
-        if rtt_mult > 1.0:
-            boost += 0.003 * min(rtt_mult - 1.0, 5.0)
-        return min(0.06, boost)
-
     def epoch_window(self, now_ms: float) -> "Tuple[float, float, float]":
         """(rtt multiplier, bandwidth divisor, valid-until ms) at *now_ms*.
 
@@ -189,11 +163,20 @@ class NetworkPath:
     ) -> "Tuple[float, float, float]":
         """One TCP round's (rtt sample, bottleneck kbps, segment loss prob).
 
-        Value- and RNG-stream-identical to calling :meth:`sample_rtt`,
-        :meth:`current_bottleneck_kbps` and :meth:`segment_loss_probability`
-        at the same *now_ms*, but with a single episode-state advance and a
-        single fault-probe evaluation instead of three of each — this is the
-        consolidated query the TCP transfer loop issues once per round.
+        The query the TCP transfer loop issues once per round: one
+        episode-state advance and one fault-probe evaluation.
+
+        * The RTT is :meth:`sample_rtt`'s sample, value- and
+          RNG-stream-identical.
+        * During a congestion episode the bottleneck queue is shared with
+          cross traffic, so our share of the link shrinks.
+        * The per-segment loss probability is random loss, plus episode
+          loss, plus congestion loss.  Collapses (large bandwidth
+          divisors) drop aggressively; bufferbloat episodes drop only
+          occasionally off a full queue.  Once *inflight_bytes* overruns
+          the bottleneck buffer, the tail of each burst is dropped: the
+          slow-start overshoot that concentrates losses in the first
+          chunk (Fig. 15).
         """
         self._advance_episodes(now_ms)
         if now_ms < self._episode_until_ms:
@@ -243,34 +226,6 @@ class NetworkPath:
         if fault is not None:
             rtt *= fault.rtt_mult
         return rtt
-
-    @property
-    def bdp_bytes(self) -> float:
-        """Bandwidth-delay product of the baseline path, in bytes."""
-        return self.bottleneck_kbps * self.base_rtt_ms / 8.0
-
-    @property
-    def buffer_bytes(self) -> float:
-        """Bottleneck queue size in bytes (BDP multiple)."""
-        return self.buffer_bdp_multiple * self.bdp_bytes
-
-    def segment_loss_probability(self, inflight_bytes: float, now_ms: float = 0.0) -> float:
-        """Per-segment loss probability given current bytes in flight.
-
-        Random loss, plus episode loss (shared queue under pressure), plus
-        congestion loss: once the window overruns the bottleneck buffer,
-        the tail of each burst is dropped — this is the slow-start
-        overshoot that concentrates losses in the first chunk (Fig. 15).
-        """
-        base = self.loss_rate + self.episode_loss_boost(now_ms)
-        fault = self._fault_state(now_ms)
-        if fault is not None:
-            base += fault.loss_add
-        capacity = self.bdp_bytes + self.buffer_bytes
-        if inflight_bytes <= capacity:
-            return min(0.9, base)
-        overflow_fraction = (inflight_bytes - capacity) / max(inflight_bytes, 1.0)
-        return min(0.9, base + overflow_fraction)
 
 
 def build_session_path(

@@ -71,7 +71,7 @@ SPAN_SPECS: Dict[str, SpanSpec] = {
         SpanSpec(
             "analysis.block",
             "One session-aligned block of the columnar analysis pass (join, "
-            "chunk math, accumulator updates).",
+            "chunk math, and the caller's fold of the block).",
         ),
         SpanSpec(
             "serve.round",

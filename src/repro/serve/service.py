@@ -2,11 +2,16 @@
 
 :class:`LiveService` is what ``repro serve`` runs: it owns a
 :class:`~repro.simulation.driver.Simulator` on the checkpointed clock
-(:meth:`~repro.simulation.driver.Simulator.run_round`), feeds each
-round's joined sessions into the rolling windows and the streaming
-accumulators of :mod:`repro.core.streaming`, runs the online incident
+(:meth:`~repro.simulation.driver.Simulator.run_round`), folds each
+round's telemetry through the columnar localization cascade
+(:func:`~repro.core.columnar_analysis.iter_joined_blocks`, the pass batch
+analyses run) into the rolling windows and into the localization and
+fault-score states it carries across rounds, runs the online incident
 detector over every window the round sealed, and scores detections live
-against the injected FaultSpec epochs.
+against the injected FaultSpec epochs.  Round telemetry therefore meets
+the batch column-width contract: a value wider than its column (for
+example ``fault_labels`` beyond 160 bytes) raises
+:class:`~repro.telemetry.columnar.ColumnOverflowError`.
 
 Thread model: one writer (the round loop calling :meth:`step`), any
 number of HTTP readers.  A single lock serializes steps against snapshot
@@ -18,8 +23,9 @@ polling, the service-mode extension of the determinism contract.
 
 Memory stays flat in run duration by construction: per-round telemetry
 is dropped after folding, sealed windows live in a bounded deque, the
-cumulative accumulators hold O(1) state, and the trace ring keeps only
-the newest ``max_trace_events`` events (docs/TELEMETRY.md budget model).
+cumulative localization and fault-score states hold O(fault classes)
+counters, and the trace ring keeps only the newest ``max_trace_events``
+events (docs/TELEMETRY.md budget model).
 """
 
 from __future__ import annotations
@@ -30,8 +36,7 @@ import time
 from typing import Any, Dict, List, Optional
 
 from .. import __version__
-from ..core.localization import diagnose_session
-from ..core.streaming import FaultScoreAccumulator, LocalizationAccumulator
+from ..core.columnar_analysis import FaultScoreState, LocalizationState, iter_joined_blocks
 from ..obs.manifest import MANIFEST_SCHEMA, MANIFEST_SCHEMA_VERSION, config_hash
 from ..obs.trace import TRACE_SCHEMA, TraceEvent, event_json_line
 from ..simulation.config import SimulationConfig
@@ -70,8 +75,8 @@ class LiveService:
         self._scoreboard = FaultScoreboard(
             self.config.faults, window_ms, min_chunks=min_chunks
         )
-        self._localization = LocalizationAccumulator()
-        self._faultscore = FaultScoreAccumulator()
+        self._localization = LocalizationState()
+        self._faultscore = FaultScoreState()
         self._max_trace_events = int(max_trace_events)
         self._trace_ring: List[TraceEvent] = []
         self._rounds = 0
@@ -91,13 +96,12 @@ class LiveService:
                     self._rounds, n_sessions=self.sessions_per_round
                 )
                 round_sessions = round_chunks = 0
-                for view in result.dataset.iter_sessions():
-                    diagnosis = diagnose_session(view)
-                    self._windows.fold(view, diagnosis)
-                    self._localization.update(view, diagnosis=diagnosis)
-                    self._faultscore.update(view, diagnosis=diagnosis)
-                    round_sessions += 1
-                    round_chunks += view.n_chunks
+                for block in iter_joined_blocks(result.dataset, metrics=self._sim.metrics):
+                    self._windows.fold(block)
+                    self._localization.update(block)
+                    self._faultscore.update(block)
+                    round_sessions += block.n_kept
+                    round_chunks += len(block.verdict)
                 sealed = self._windows.seal_through(self._sim.clock_ms)
                 incidents_before = self._detector.n_opened
                 for window in sealed:

@@ -3,9 +3,10 @@
 The paper's operators watch the service in fixed windows, not finished
 datasets: rebuffer ratio, join time, and per-server/per-ISP aggregates
 per interval, with problems localized as they develop (§1, §4).  This
-module folds joined session views into tumbling ``window_ms`` buckets
-keyed by each chunk's request time and **seals** every bucket that can
-no longer receive data.
+module folds the joined, diagnosed blocks of the columnar cascade
+(:func:`~repro.core.columnar_analysis.iter_joined_blocks`) into tumbling
+``window_ms`` buckets keyed by each chunk's request time and **seals**
+every bucket that can no longer receive data.
 
 Sealing is exact, not heuristic: a service round drains its event loop
 completely, so the round-end clock is ``>=`` every emitted chunk time,
@@ -27,10 +28,10 @@ from __future__ import annotations
 import json
 from collections import Counter, deque
 from statistics import median
-from typing import Any, Deque, Dict, List, Optional
+from typing import Any, Deque, Dict, List
 
-from ..core.localization import Bottleneck, SessionDiagnosis
-from ..telemetry.dataset import SessionView
+from ..core.columnar_analysis import JoinedBlock
+from ..core.localization import Bottleneck
 
 __all__ = ["WINDOW_SCHEMA", "WINDOW_DOC_FIELDS", "RollingWindows", "window_json_line"]
 
@@ -83,6 +84,8 @@ class _Bucket:
         self.fault_labels: Counter = Counter()
 
 
+#: a block's verdict codes index the Bottleneck members in enum order
+_VERDICTS = tuple(Bottleneck)
 _NETWORK_VERDICTS = frozenset(
     {Bottleneck.NETWORK_LATENCY, Bottleneck.NETWORK_THROUGHPUT}
 )
@@ -91,8 +94,8 @@ _NETWORK_VERDICTS = frozenset(
 class RollingWindows:
     """Tumbling ``window_ms`` buckets over chunk request times.
 
-    ``fold`` charges one session's chunks to their windows (plus the
-    session itself and its join time to the window containing the session
+    ``fold`` charges one joined block's chunks to their windows (plus
+    each session and its join time to the window containing the session
     start); ``seal_through`` finalizes every bucket ending at or before
     the supplied clock into an immutable window document.  Sealed
     documents are retained in a bounded deque (``retain``), so a
@@ -124,33 +127,58 @@ class RollingWindows:
             bucket = self._buckets[index] = _Bucket()
         return bucket
 
-    def fold(self, view: SessionView, diagnosis: SessionDiagnosis) -> None:
-        """Charge one joined session (and its diagnosis) to its windows."""
-        session_bucket = self._bucket(view.player_session.start_ms)
-        session_bucket.n_sessions += 1
-        join_ms = view.startup_delay_ms
-        if join_ms is not None:
-            session_bucket.joins.append(join_ms)
-        org = view.cdn_session.org
-        for chunk, attribution in zip(view.chunks, diagnosis.attributions):
-            bucket = self._bucket(chunk.player.request_sent_ms)
+    def fold(self, block: JoinedBlock) -> None:
+        """Charge one joined block's sessions and chunks to their windows.
+
+        A session counts, with its join time, in the window holding its
+        start; a chunk, with its verdict, in the window holding its
+        request.  Chunks fold in block order — session, then chunk — so a
+        window's float sums add in the order a session-by-session fold
+        adds them.
+        """
+        # join time: the first chunk's download, when that chunk is chunk 0
+        chunk_ids = block.chunk_id.tolist()
+        download_ms = block.download_ms.tolist()
+        for start_ms, first, count in zip(
+            block.player_sessions["start_ms"].tolist(),
+            block.starts.tolist(),
+            block.counts.tolist(),
+        ):
+            bucket = self._bucket(start_ms)
+            bucket.n_sessions += 1
+            if count and chunk_ids[first] == 0:
+                bucket.joins.append(download_ms[first])
+        orgs = [org.decode("utf-8") for org in block.cdn_sessions["org"].tolist()]
+        players = block.player_rows
+        for t_ms, media_ms, rebuffer_ms, rebuffers, code, server, session, labels in zip(
+            players["request_sent_ms"].tolist(),
+            block.chunk_duration_ms.tolist(),
+            block.rebuffer_ms.tolist(),
+            players["rebuffer_count"].tolist(),
+            block.verdict.tolist(),
+            block.cdn_rows["server_id"].tolist(),
+            block.jcode.tolist(),
+            block.fault_labels.tolist(),
+        ):
+            bucket = self._bucket(t_ms)
             bucket.n_chunks += 1
-            bucket.media_ms += chunk.player.chunk_duration_ms
-            bucket.rebuffer_ms += chunk.player.rebuffer_ms
-            bucket.rebuffer_events += chunk.player.rebuffer_count
-            verdict = attribution.bottleneck
+            bucket.media_ms += media_ms
+            bucket.rebuffer_ms += rebuffer_ms
+            bucket.rebuffer_events += rebuffers
+            verdict = _VERDICTS[code]
             bucket.bottlenecks[verdict.value] += 1
-            server_id = chunk.cdn.server_id
+            server_id = server.decode("utf-8")
             bucket.server_chunks[server_id] += 1
             if verdict is Bottleneck.SERVER:
                 bucket.server_problems[server_id] += 1
+            org = orgs[session]
             bucket.org_chunks[org] += 1
             if verdict in _NETWORK_VERDICTS:
                 bucket.org_network[org] += 1
-            if chunk.truth is not None and chunk.truth.fault_labels:
-                for label in chunk.truth.fault_labels.split(","):
-                    if label:
-                        bucket.fault_labels[label] += 1
+            # chunks without ground truth carry empty labels
+            for label in labels.decode("utf-8").split(","):
+                if label:
+                    bucket.fault_labels[label] += 1
 
     def _seal(self, index: int, bucket: _Bucket) -> Dict[str, Any]:
         problems = sum(

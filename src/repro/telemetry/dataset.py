@@ -17,7 +17,7 @@ from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tupl
 
 import numpy as np
 
-from .columnar import records_to_array, sort_array
+from .columnar import SPILL_KINDS, records_to_array, sort_array, sort_key
 from .records import (
     CdnChunkRecord,
     CdnSessionRecord,
@@ -375,17 +375,25 @@ class Dataset:
 
     # -- filtering / combining -------------------------------------------------
 
+    @classmethod
+    def collect(cls, source, keep_ids: Optional[Iterable[str]] = None) -> "Dataset":
+        """A new dataset holding *source*'s records of every kind, in order.
+
+        *source* is anything exposing the record kinds as attributes (a
+        ``Dataset`` or a spilled one); with *keep_ids*, only those
+        sessions' records are kept.
+        """
+        keep: Optional[Set[str]] = None if keep_ids is None else set(keep_ids)
+        return cls(
+            **{
+                kind: [r for r in getattr(source, kind) if keep is None or r.session_id in keep]
+                for kind in SPILL_KINDS
+            }
+        )
+
     def filter_sessions(self, keep_ids: Iterable[str]) -> "Dataset":
         """A new dataset containing only the given session ids."""
-        keep: Set[str] = set(keep_ids)
-        return Dataset(
-            player_chunks=[r for r in self.player_chunks if r.session_id in keep],
-            cdn_chunks=[r for r in self.cdn_chunks if r.session_id in keep],
-            tcp_snapshots=[r for r in self.tcp_snapshots if r.session_id in keep],
-            player_sessions=[r for r in self.player_sessions if r.session_id in keep],
-            cdn_sessions=[r for r in self.cdn_sessions if r.session_id in keep],
-            ground_truth=[r for r in self.ground_truth if r.session_id in keep],
-        )
+        return Dataset.collect(self, keep_ids)
 
     def merge(self, other: "Dataset", canonicalize: bool = False) -> "Dataset":
         """Concatenate two datasets (e.g. multiple simulated days).
@@ -396,12 +404,7 @@ class Dataset:
         workload compare equal with ``==``.
         """
         merged = Dataset(
-            player_chunks=self.player_chunks + other.player_chunks,
-            cdn_chunks=self.cdn_chunks + other.cdn_chunks,
-            tcp_snapshots=self.tcp_snapshots + other.tcp_snapshots,
-            player_sessions=self.player_sessions + other.player_sessions,
-            cdn_sessions=self.cdn_sessions + other.cdn_sessions,
-            ground_truth=self.ground_truth + other.ground_truth,
+            **{kind: getattr(self, kind) + getattr(other, kind) for kind in SPILL_KINDS}
         )
         return merged.sorted() if canonicalize else merged
 
@@ -434,22 +437,13 @@ class Dataset:
             return merged
         if not assume_sorted:
             inputs = [dataset.sorted() for dataset in inputs]
-        by_chunk = lambda r: (r.session_id, r.chunk_id)  # noqa: E731
-        by_session = lambda r: r.session_id  # noqa: E731
-
-        def kway(lists, key):
-            return list(heapq.merge(*lists, key=key))
-
         return cls(
-            player_chunks=kway((d.player_chunks for d in inputs), by_chunk),
-            cdn_chunks=kway((d.cdn_chunks for d in inputs), by_chunk),
-            tcp_snapshots=kway(
-                (d.tcp_snapshots for d in inputs),
-                lambda r: (r.session_id, r.chunk_id, r.t_ms),
-            ),
-            player_sessions=kway((d.player_sessions for d in inputs), by_session),
-            cdn_sessions=kway((d.cdn_sessions for d in inputs), by_session),
-            ground_truth=kway((d.ground_truth for d in inputs), by_chunk),
+            **{
+                kind: list(
+                    heapq.merge(*(getattr(d, kind) for d in inputs), key=sort_key(kind))
+                )
+                for kind in SPILL_KINDS
+            }
         )
 
     def sorted(self) -> "Dataset":
@@ -460,16 +454,9 @@ class Dataset:
         stable, so records sharing a key keep their emission order.  Two
         runs of the same seeded workload that differ only in how sessions
         were interleaved (serial event loop vs. merged shards) become
-        ``==``-comparable after canonicalization.
+        ``==``-comparable after canonicalization.  The keys are the
+        columnar schema's (:func:`~repro.telemetry.columnar.sort_key`).
         """
-        by_chunk = lambda r: (r.session_id, r.chunk_id)  # noqa: E731
         return Dataset(
-            player_chunks=sorted(self.player_chunks, key=by_chunk),
-            cdn_chunks=sorted(self.cdn_chunks, key=by_chunk),
-            tcp_snapshots=sorted(
-                self.tcp_snapshots, key=lambda r: (r.session_id, r.chunk_id, r.t_ms)
-            ),
-            player_sessions=sorted(self.player_sessions, key=lambda r: r.session_id),
-            cdn_sessions=sorted(self.cdn_sessions, key=lambda r: r.session_id),
-            ground_truth=sorted(self.ground_truth, key=by_chunk),
+            **{kind: sorted(getattr(self, kind), key=sort_key(kind)) for kind in SPILL_KINDS}
         )

@@ -395,23 +395,8 @@ class SpilledDataset:
 
     def filter_sessions(self, keep_ids) -> Dataset:
         """Materialize only the kept sessions into an in-memory Dataset."""
-        keep = set(keep_ids)
-        return Dataset(
-            player_chunks=[r for r in self.player_chunks if r.session_id in keep],
-            cdn_chunks=[r for r in self.cdn_chunks if r.session_id in keep],
-            tcp_snapshots=[r for r in self.tcp_snapshots if r.session_id in keep],
-            player_sessions=[r for r in self.player_sessions if r.session_id in keep],
-            cdn_sessions=[r for r in self.cdn_sessions if r.session_id in keep],
-            ground_truth=[r for r in self.ground_truth if r.session_id in keep],
-        )
+        return Dataset.collect(self, keep_ids)
 
     def to_dataset(self) -> Dataset:
         """Fully materialize (tests / small spills only)."""
-        return Dataset(
-            player_chunks=list(self.player_chunks),
-            cdn_chunks=list(self.cdn_chunks),
-            tcp_snapshots=list(self.tcp_snapshots),
-            player_sessions=list(self.player_sessions),
-            cdn_sessions=list(self.cdn_sessions),
-            ground_truth=list(self.ground_truth),
-        )
+        return Dataset.collect(self)

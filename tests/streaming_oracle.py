@@ -1,4 +1,4 @@
-"""One-pass streaming analyses: accumulate per session, never hold the fleet.
+"""The per-session oracle of the columnar analyses and of the serve fold.
 
 Each headline analysis (:func:`repro.core.qoe.summarize`,
 :func:`repro.core.localization.diagnose_dataset`,
@@ -6,24 +6,22 @@ Each headline analysis (:func:`repro.core.qoe.summarize`,
 per-session **accumulator** here: ``update(view)`` folds one joined
 :class:`SessionView` in, ``result()`` emits the analysis result.
 :func:`consume` drives any number of accumulators down a single
-``iter_sessions()`` pass, so peak memory is one session view plus the
-accumulators' own state (per-session scalars for the QoE quantiles —
-~8 bytes/session — and a handful of counters for the rest).
+``iter_sessions()`` pass.  They spell the analyses session by session
+through :func:`~repro.core.qoe.session_qoe` and
+:func:`~repro.core.localization.diagnose_session`, and the vectorized
+pass of :mod:`repro.core.columnar_analysis` must match them bit for bit::
 
-The public functions do not delegate here: they run the vectorized pass
-of :mod:`repro.core.columnar_analysis`.  The accumulators have two other
-jobs:
+    qoe.summarize(ds) == consume(ds, QoeAccumulator())[0]
 
-* **test oracle** — they spell the analyses session by session through
-  :func:`~repro.core.qoe.session_qoe` and
-  :func:`~repro.core.localization.diagnose_session`, and the columnar
-  pass must match them bit for bit::
+:func:`fold_view` is the matching spelling of
+:meth:`repro.serve.windows.RollingWindows.fold`: it charges one diagnosed
+session to the rolling windows, chunk by chunk.  Replaying a service's
+rounds through it and through the accumulators must rebuild the
+service's ``/windows``, localization and fault-score outputs exactly
+(``tests/test_serve.py``).
 
-      qoe.summarize(ds) == consume(ds, QoeAccumulator())[0]
-
-* **the live service's fold** — ``repro serve`` diagnoses each round's
-  views once and folds them into cumulative accumulators
-  (:mod:`repro.serve.service`).
+No runtime code imports this module.  Tests import it by name from the
+``tests`` directory; scripts put that directory on ``sys.path`` first.
 """
 
 from __future__ import annotations
@@ -33,21 +31,23 @@ from typing import Any, Dict, List
 
 import numpy as np
 
-from ..telemetry.dataset import SessionView
-from .faultscore import (
+from repro.core.faultscore import (
     EXPECTED_BOTTLENECK,
     ClassScore,
     FaultScoreReport,
     parse_fault_labels,
 )
-from .localization import Bottleneck, diagnose_session
-from .qoe import session_qoe
+from repro.core.localization import Bottleneck, diagnose_session
+from repro.core.qoe import session_qoe
+from repro.serve.windows import RollingWindows
+from repro.telemetry.dataset import SessionView
 
 __all__ = [
     "QoeAccumulator",
     "LocalizationAccumulator",
     "FaultScoreAccumulator",
     "consume",
+    "fold_view",
 ]
 
 
@@ -107,13 +107,8 @@ class LocalizationAccumulator:
         self._counts: Counter = Counter()
         self._total = 0
 
-    def update(self, view: SessionView, diagnosis=None) -> None:
-        """Fold one session; *diagnosis* reuses a precomputed
-        :func:`diagnose_session` result (the live service diagnoses each
-        view once and shares it across consumers)."""
-        if diagnosis is None:
-            diagnosis = diagnose_session(view)
-        for attribution in diagnosis.attributions:
+    def update(self, view: SessionView) -> None:
+        for attribution in diagnose_session(view).attributions:
             self._counts[attribution.bottleneck] += 1
             self._total += 1
 
@@ -136,11 +131,9 @@ class FaultScoreAccumulator:
     def __init__(self) -> None:
         self.report = FaultScoreReport()
 
-    def update(self, view: SessionView, diagnosis=None) -> None:
+    def update(self, view: SessionView) -> None:
         report = self.report
-        if diagnosis is None:
-            diagnosis = diagnose_session(view)
-        for chunk, attribution in zip(view.chunks, diagnosis.attributions):
+        for chunk, attribution in zip(view.chunks, diagnose_session(view).attributions):
             report.n_chunks += 1
             if chunk.truth is None:
                 report.n_unscored += 1
@@ -194,3 +187,36 @@ def consume(dataset, *accumulators) -> List[Any]:
         for accumulator in accumulators:
             accumulator.update(view)
     return [accumulator.result() for accumulator in accumulators]
+
+
+_NETWORK_VERDICTS = frozenset({Bottleneck.NETWORK_LATENCY, Bottleneck.NETWORK_THROUGHPUT})
+
+
+def fold_view(windows: RollingWindows, view: SessionView) -> None:
+    """Charge one joined session, diagnosed chunk by chunk, to *windows*."""
+    diagnosis = diagnose_session(view)
+    session_bucket = windows._bucket(view.player_session.start_ms)
+    session_bucket.n_sessions += 1
+    join_ms = view.startup_delay_ms
+    if join_ms is not None:
+        session_bucket.joins.append(join_ms)
+    org = view.cdn_session.org
+    for chunk, attribution in zip(view.chunks, diagnosis.attributions):
+        bucket = windows._bucket(chunk.player.request_sent_ms)
+        bucket.n_chunks += 1
+        bucket.media_ms += chunk.player.chunk_duration_ms
+        bucket.rebuffer_ms += chunk.player.rebuffer_ms
+        bucket.rebuffer_events += chunk.player.rebuffer_count
+        verdict = attribution.bottleneck
+        bucket.bottlenecks[verdict.value] += 1
+        server_id = chunk.cdn.server_id
+        bucket.server_chunks[server_id] += 1
+        if verdict is Bottleneck.SERVER:
+            bucket.server_problems[server_id] += 1
+        bucket.org_chunks[org] += 1
+        if verdict in _NETWORK_VERDICTS:
+            bucket.org_network[org] += 1
+        if chunk.truth is not None and chunk.truth.fault_labels:
+            for label in chunk.truth.fault_labels.split(","):
+                if label:
+                    bucket.fault_labels[label] += 1

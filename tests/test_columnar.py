@@ -391,11 +391,7 @@ class TestSyntheticGenerator:
 
     def test_one_pass_consume_matches_classic(self, tmp_path):
         from repro.core import diagnose_dataset, qoe
-        from repro.core.streaming import (
-            LocalizationAccumulator,
-            QoeAccumulator,
-            consume,
-        )
+        from streaming_oracle import LocalizationAccumulator, QoeAccumulator, consume
 
         spilled = synthesize_spill(tmp_path / "s", 300, seed=7, threshold_rows=512)
         q, loc = consume(spilled, QoeAccumulator(), LocalizationAccumulator())

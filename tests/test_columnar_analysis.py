@@ -6,9 +6,11 @@ sorted runs per kind, sharded spill, multi-period layout (including an
 empty period), one session, no sessions at all — the vectorized
 ``repro.core.columnar_analysis`` pass, and the three public analyses
 that run it, return *identical* results to the per-session oracle
-(``repro.core.streaming.consume``): the same dicts in the same insertion
-order (asserted via JSON serialization), the same ``FaultScoreReport``
-structure down to Counter key order and the formatted report text.
+(``consume`` in ``tests/streaming_oracle.py``): the same dicts in the
+same insertion order (asserted via JSON serialization), the same
+``FaultScoreReport`` structure down to Counter key order and the
+formatted report text.  The fault-score state that ``repro serve``
+carries across rounds must not grow with the blocks it folds.
 
 Also pins the in-memory encode-once rule of ``Dataset.run_arrays``: one
 filter + three-analysis pass encodes each record kind once, mutations
@@ -23,20 +25,15 @@ import json
 import pickle
 from collections import Counter
 
+import numpy as np
 import pytest
 
 from repro.api import run
 from repro.core import columnar_analysis as ca
 from repro.core.faultscore import score_fault_localization
-from repro.core.localization import diagnose_dataset
+from repro.core.localization import Bottleneck, diagnose_dataset
 from repro.core.proxy_filter import filter_proxies
 from repro.core.qoe import summarize
-from repro.core.streaming import (
-    FaultScoreAccumulator,
-    LocalizationAccumulator,
-    QoeAccumulator,
-    consume,
-)
 from repro.faults import FaultEvent, FaultSpec
 from repro.obs.registry import MetricsRegistry
 from repro.simulation.config import SimulationConfig
@@ -45,6 +42,13 @@ from repro.telemetry.columnar import SPILL_KINDS
 from repro.telemetry.dataset import Dataset
 from repro.telemetry.spill import SpilledDataset, SpillWriter
 from repro.telemetry.synth import synthesize_sharded, synthesize_spill
+from streaming_oracle import (
+    FaultScoreAccumulator,
+    LocalizationAccumulator,
+    QoeAccumulator,
+    consume,
+)
+
 
 def _mixed_spec() -> FaultSpec:
     return FaultSpec(
@@ -118,7 +122,7 @@ def _assert_paths_identical(dataset) -> None:
 
 def _fresh_copy(dataset: Dataset) -> Dataset:
     """A new Dataset over new lists of the same record objects."""
-    return Dataset(**{kind: list(getattr(dataset, kind)) for kind in SPILL_KINDS})
+    return Dataset.collect(dataset)
 
 
 class TestByteIdentity:
@@ -171,6 +175,51 @@ class TestByteIdentity:
         assert counters["analysis.blocks_total"] > 5
         assert counters["analysis.sessions_total"] == 600
         _assert_paths_identical(spilled)
+
+    def test_forced_small_blocks_with_fault_labels(self, faulted_dataset, monkeypatch):
+        # the fault-score state counts false positives block by block, so
+        # identity must not depend on where block cuts fall in labelled data
+        monkeypatch.setattr(ca, "ITER_BLOCK_ROWS", 97)
+        blocks = list(ca.iter_joined_blocks(faulted_dataset))
+        assert len(blocks) > 5
+        _assert_paths_identical(faulted_dataset)
+
+
+class TestFaultScoreState:
+    """The fault-score state ``repro serve`` carries across rounds."""
+
+    def test_state_does_not_grow_with_blocks_fed(self, faulted_dataset):
+        blocks = list(ca.iter_joined_blocks(faulted_dataset))
+        state = ca.FaultScoreState()
+        sizes = []
+        for _ in range(20):
+            for block in blocks:
+                state.update(block)
+            sizes.append(len(pickle.dumps(state)))
+        # spurious verdicts exist, so a per-event record would grow
+        assert any(s.false_positives for s in state.result().classes.values())
+        assert sizes[-1] - sizes[0] <= 1024, sizes
+
+    def test_false_positives_count_only_for_classes_seen_by_then(self):
+        server = list(Bottleneck).index(Bottleneck.SERVER)
+        # an unlabelled server verdict, the class's first chunk, another
+        # unlabelled server verdict, a clean chunk
+        rows = [(server, b""), (server, b"cache-brownout:e1"), (server, b""), (0, b"")]
+
+        def block(part):
+            joined = ca.JoinedBlock()
+            joined.verdict = np.array([verdict for verdict, _ in part], dtype=np.int64)
+            joined.has_truth = np.ones(len(part), dtype=bool)
+            joined.fault_labels = np.array([labels for _, labels in part], dtype="S160")
+            return joined
+
+        whole, split = ca.FaultScoreState(), ca.FaultScoreState()
+        whole.update(block(rows))
+        for row in rows:
+            split.update(block([row]))
+        (score,) = whole.result().classes.values()
+        assert (score.true_positives, score.false_positives) == (1, 1)
+        assert split.result() == whole.result()
 
 
 class TestResolveAnalysis:

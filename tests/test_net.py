@@ -59,26 +59,32 @@ class TestNetworkPath:
 
     def test_bdp_formula(self, rng):
         path = make_path(rng, base_rtt_ms=100.0, bottleneck_kbps=8000.0)
-        # 8000 kbps * 100 ms = 800 kbit = 100 kB
-        assert path.bdp_bytes == pytest.approx(100_000.0)
+        # 8000 kbps * 100 ms = 800 kbit = 100 kB of BDP; with the default
+        # 1.5 BDP buffer, 250 kB in flight fit and one byte more overflows
+        assert path.sample_round(0.0, 250_000.0)[2] == 0.0
+        assert path.sample_round(0.0, 250_001.0)[2] > 0.0
 
     def test_buffer_scales_with_multiple(self, rng):
+        # 20 Mbps * 60 ms = 150 kB of BDP; the buffer adds 1x or 3x that
         p1 = make_path(rng, buffer_bdp_multiple=1.0)
         p2 = make_path(np.random.default_rng(0), buffer_bdp_multiple=3.0)
-        assert p2.buffer_bytes == pytest.approx(3.0 * p1.buffer_bytes)
+        assert p1.sample_round(0.0, 300_000.0)[2] == 0.0
+        assert p1.sample_round(0.0, 300_001.0)[2] > 0.0
+        assert p2.sample_round(0.0, 600_000.0)[2] == 0.0
+        assert p2.sample_round(0.0, 600_001.0)[2] > 0.0
 
     def test_no_loss_when_under_capacity(self, rng):
         path = make_path(rng)
-        assert path.segment_loss_probability(1000.0, 0.0) == 0.0
+        assert path.sample_round(0.0, 1000.0)[2] == 0.0
 
     def test_overflow_loss_when_over_capacity(self, rng):
         path = make_path(rng)
-        capacity = path.bdp_bytes + path.buffer_bytes
-        assert path.segment_loss_probability(capacity * 2.0, 0.0) > 0.2
+        capacity = 2.5 * 150_000.0  # BDP plus the default 1.5 BDP buffer
+        assert path.sample_round(0.0, capacity * 2.0)[2] > 0.2
 
     def test_loss_probability_capped(self, rng):
         path = make_path(rng, loss_rate=0.1)
-        assert path.segment_loss_probability(1e12, 0.0) <= 0.9
+        assert path.sample_round(0.0, 1e12)[2] <= 0.9
 
     def test_episode_inflates_rtt_and_cuts_bandwidth(self):
         rng = np.random.default_rng(2)
@@ -88,12 +94,13 @@ class TestNetworkPath:
             episode_gap_mean_ms=1000.0,
             episode_duration_mean_ms=50_000.0,
         )
-        multipliers = [path.congestion_multiplier(t) for t in range(0, 200_000, 500)]
-        assert max(multipliers) > 1.5
         t_in_episode = next(
-            t for t, m in zip(range(0, 200_000, 500), multipliers) if m > 1.5
+            t for t in range(0, 200_000, 500) if path.congestion_multiplier(t) > 1.5
         )
-        assert path.current_bottleneck_kbps(t_in_episode) < path.bottleneck_kbps
+        rtt_mult, bw_div, valid_until = path.epoch_window(t_in_episode)
+        assert rtt_mult > 1.5 and bw_div > 1.0 and valid_until > t_in_episode
+        bandwidth = path.sample_round(t_in_episode, 0.0)[1]
+        assert bandwidth == path.bottleneck_kbps / bw_div < path.bottleneck_kbps
 
     def test_episode_state_resets_after_episode(self):
         rng = np.random.default_rng(3)

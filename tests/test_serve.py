@@ -13,10 +13,15 @@ The headline contracts under test (docs/OBSERVABILITY.md "Service mode"):
   healthy warmed-up fleet and flags the canned mid-run cache brownout
   (examples/fault_live_brownout.json) within one window of onset with
   window recall >= 0.8, blaming a concrete server.
+* **One cascade** — the service folds each round through the columnar
+  cascade; replaying its rounds session by session through the oracle
+  of ``tests/streaming_oracle.py`` rebuilds its windows, localization
+  shares and fault-score report exactly.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import threading
 import urllib.error
@@ -26,6 +31,7 @@ from pathlib import Path
 import pytest
 
 from repro.cli import main as cli_main
+from repro.core.columnar_analysis import iter_joined_blocks
 from repro.faults.spec import FaultSpec
 from repro.obs.manifest import dump_json
 from repro.obs.trace import TRACE_SCHEMA
@@ -47,6 +53,8 @@ from repro.serve import (
     window_json_line,
 )
 from repro.simulation.config import SimulationConfig
+from repro.telemetry.dataset import Dataset
+from streaming_oracle import FaultScoreAccumulator, LocalizationAccumulator, fold_view
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 BROWNOUT_SPEC = REPO_ROOT / "examples" / "fault_live_brownout.json"
@@ -331,8 +339,12 @@ class TestFaultScoreboard:
 
 
 @pytest.fixture(scope="module")
-def brownout_service():
-    """The serve defaults against examples/fault_live_brownout.json."""
+def brownout_run():
+    """The serve defaults against examples/fault_live_brownout.json.
+
+    Returns the service stepped 8 rounds and, per round, the telemetry it
+    folded and its round-end clock.
+    """
     config = SimulationConfig(
         n_sessions=150,
         warmup_sessions=2000,
@@ -340,8 +352,22 @@ def brownout_service():
         faults=FaultSpec.load(BROWNOUT_SPEC),
     )
     service = LiveService(config, window_ms=10_000.0, sessions_per_round=150)
+    rounds = []
+    run_round = service._sim.run_round
+
+    def recording_run_round(*args, **kwargs):
+        result = run_round(*args, **kwargs)
+        rounds.append((result.dataset, service._sim.clock_ms))
+        return result
+
+    service._sim.run_round = recording_run_round
     service.run_rounds(8)
-    return service
+    return service, rounds
+
+
+@pytest.fixture(scope="module")
+def brownout_service(brownout_run):
+    return brownout_run[0]
 
 
 class TestBrownoutAcceptance:
@@ -372,6 +398,66 @@ class TestBrownoutAcceptance:
         service.run_rounds(6)
         assert service.incident_documents() == []
         assert service.health_document()["incidents"] == 0
+
+
+class TestOracleReplay:
+    """The round fold equals the per-session oracle replayed over the rounds."""
+
+    def test_windows_equal_the_per_session_fold(self, brownout_run):
+        service, rounds = brownout_run
+        windows = RollingWindows(service.window_ms)
+        for dataset, clock_ms in rounds:
+            for view in dataset.iter_sessions():
+                fold_view(windows, view)
+            windows.seal_through(clock_ms)
+        assert any(doc["fault_labels"] for doc in windows.sealed)
+        assert windows.n_sealed_total == service.health_document()["windows_sealed"]
+        assert windows_bytes(service) == "\n".join(
+            window_json_line(doc) for doc in windows.sealed
+        )
+
+    def test_fold_equals_the_oracle_on_lost_and_duplicate_records(self, brownout_run):
+        service, rounds = brownout_run
+        dataset, clock_ms = rounds[0]
+        sids = sorted(r.session_id for r in dataset.player_sessions)
+        damaged = Dataset.collect(dataset)
+        # first-chunk beacons lost (no join time), one CDN chunk lost, one
+        # session without its CDN record, one CDN record re-sent (last wins)
+        damaged.player_chunks = [
+            r for r in damaged.player_chunks if not (r.session_id in sids[:5] and r.chunk_id == 0)
+        ]
+        damaged.cdn_chunks = [
+            r for r in damaged.cdn_chunks if not (r.session_id == sids[5] and r.chunk_id == 1)
+        ]
+        resent = next(r for r in damaged.cdn_sessions if r.session_id == sids[7])
+        damaged.cdn_sessions = [r for r in damaged.cdn_sessions if r.session_id != sids[6]]
+        damaged.cdn_sessions.append(dataclasses.replace(resent, org="resent-org"))
+        folded, oracle = RollingWindows(service.window_ms), RollingWindows(service.window_ms)
+        for block in iter_joined_blocks(damaged):
+            folded.fold(block)
+        for view in damaged.iter_sessions():
+            fold_view(oracle, view)
+        folded.seal_through(clock_ms)
+        oracle.seal_through(clock_ms)
+        assert any("resent-org" in doc["orgs"] for doc in oracle.sealed)
+        assert [window_json_line(d) for d in folded.sealed] == [
+            window_json_line(d) for d in oracle.sealed
+        ]
+
+    def test_localization_and_faultscore_equal_the_accumulators(self, brownout_run):
+        service, rounds = brownout_run
+        localization = LocalizationAccumulator()
+        faultscore = FaultScoreAccumulator()
+        for dataset, _ in rounds:
+            for view in dataset.iter_sessions():
+                localization.update(view)
+                faultscore.update(view)
+        health = service.health_document()
+        assert json.dumps(health["localization"]) == json.dumps(localization.result())
+        report, expected = service.faultscore_report(), faultscore.result()
+        assert report.n_labeled > 0
+        assert report == expected
+        assert report.format_report() == expected.format_report()
 
 
 # ---------------------------------------------------------------------------
