@@ -4,8 +4,12 @@ from __future__ import annotations
 
 import json
 import os
+import platform
+import subprocess
 import time
 from typing import Any, Dict, Optional
+
+import numpy as np
 
 from repro import obs
 from repro.analysis.experiments import run_experiment
@@ -62,6 +66,56 @@ def span_totals() -> Dict[str, float]:
     return {name: round(total, 6) for name, total in sorted(totals.items())}
 
 
+def _git(*args: str) -> Optional[str]:
+    """Output of ``git *args`` in the repository, or None when git fails."""
+    try:
+        out = subprocess.run(
+            ["git", "-C", os.path.dirname(PERF_RECORD_PATH), *args],
+            capture_output=True,
+            text=True,
+            timeout=30,
+        )
+    except (OSError, subprocess.TimeoutExpired):
+        return None
+    return out.stdout if out.returncode == 0 else None
+
+
+def _cpu_model() -> str:
+    try:
+        with open("/proc/cpuinfo", "r", encoding="utf-8") as handle:
+            for line in handle:
+                if line.startswith("model name"):
+                    return line.split(":", 1)[1].strip()
+    except OSError:
+        pass
+    return platform.processor() or "unknown"
+
+
+def provenance(instrumented: bool) -> Dict[str, Any]:
+    """Where and how a record was measured: the fields of ``bench/run.py --out`` records.
+
+    ``commit`` and ``dirty`` name the code (``dirty`` is true when tracked
+    files differ from the commit; both are None outside a git checkout),
+    ``host`` the machine, ``python`` and ``numpy`` the interpreter, and
+    ``instrumented`` says whether the timing ran under a tracer such as
+    ``tracemalloc``, which slows it.
+    """
+    commit = _git("rev-parse", "HEAD")
+    status = _git("status", "--porcelain", "--untracked-files=no")
+    return {
+        "commit": commit.strip() if commit else None,
+        "dirty": None if status is None else bool(status.strip()),
+        "host": {
+            "nproc": os.cpu_count(),
+            "platform": platform.platform(),
+            "cpu_model": _cpu_model(),
+        },
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "instrumented": instrumented,
+    }
+
+
 def write_perf_record(
     scenario: str,
     wall_s: float,
@@ -71,6 +125,7 @@ def write_perf_record(
     label: str = "run",
     path: Optional[str] = None,
     extra: Optional[Dict[str, Any]] = None,
+    instrumented: bool = False,
 ) -> Dict[str, Any]:
     """Append one timing record for *scenario* to ``BENCH_perf.json``.
 
@@ -80,6 +135,8 @@ def write_perf_record(
     spans (docs/OBSERVABILITY.md).  CI's perf-smoke job re-runs the pinned
     workload, appends its entry, and uploads the file as an artifact, so a
     hot-path regression shows up as a visible step in the time series.
+    Every record carries its :func:`provenance`; pass
+    ``instrumented=True`` when *wall_s* was timed under a tracer.
     """
     target = path or PERF_RECORD_PATH
     try:
@@ -96,6 +153,7 @@ def write_perf_record(
         "sessions_per_s": round(n_sessions / wall_s, 1),
         "chunks_per_s": round(n_chunks / wall_s, 1),
         "spans": span_totals(),
+        **provenance(instrumented),
     }
     if extra:
         record.update(extra)

@@ -44,7 +44,7 @@ N_SESSIONS = 50_000
 SEED = 7
 #: low threshold => many sorted runs per kind (the stress regime)
 THRESHOLD_ROWS = 32_768
-#: peak traced heap budget.  The columnar pass peaks at ~48 MB at this
+#: peak traced heap budget.  The columnar pass peaks at ~33 MB at this
 #: scale on a shared 2-core Linux container (the per-session pass this
 #: gate ran before peaked at ~134 MB); the model says the peak is
 #: independent of session count, so the headroom only trips on an actual
@@ -86,6 +86,7 @@ def test_memory_smoke_under_heap_budget(tmp_path):
         n_sessions=N_SESSIONS,
         n_chunks=dataset.n_chunks,
         extra={"peak_heap_mb": round(peak_mb, 1)},
+        instrumented=True,
     )
     print(f"\n  memory-smoke: {record['wall_s']}s wall (tracemalloc on), "
           f"{peak_mb:.1f} MB peak heap, "
@@ -114,6 +115,7 @@ def test_memory_large_tier(tmp_path):
         n_sessions=LARGE_N_SESSIONS,
         n_chunks=dataset.n_chunks,
         extra={"peak_heap_mb": round(peak_mb, 1)},
+        instrumented=True,
     )
     print(f"\n  memory-large: {wall_s:.1f}s wall, {peak_mb:.1f} MB peak heap")
     assert peak_mb < PEAK_HEAP_BUDGET_MB
@@ -168,6 +170,7 @@ def test_memory_serve_peak_flat_in_run_duration():
             "peak_long_mb": round(peak_long / 1e6, 1),
             "rounds": SERVE_ROUNDS_LONG,
         },
+        instrumented=True,
     )
     print(
         f"\n  memory-serve: {record['wall_s']}s wall, "

@@ -58,7 +58,7 @@ N_SESSIONS = 50_000
 SEED = 7
 #: low threshold => many sorted runs per kind (the planner's stress regime)
 THRESHOLD_ROWS = 32_768
-#: measured ~15x on the development host; 10x is the contract floor
+#: measured ~44x on the development host; 10x is the contract floor
 MIN_SPEEDUP = 10.0
 #: the in-memory tier: simulated sessions (after warmup) and timed passes
 MEMORY_SESSIONS = 1_000

@@ -4,8 +4,14 @@
 ``faultscore.score_fault_localization`` all compute here, directly on the
 numpy structured arrays of :mod:`repro.telemetry.columnar` — the join,
 the Eq. 2/4/5 chunk math, and the per-session reductions all run as
-whole-column numpy operations, with sessions grouped via ``sort_array``
-order + ``searchsorted`` boundaries instead of per-session object graphs.
+whole-column numpy operations instead of per-session object graphs.
+Each block's rows carry an int64 session code, their session's index in
+the block's slice of the sorted player-session universe.  Codes come from
+the session-id change points of each run slice, so the byte-string ids
+are compared once per row and searched once per distinct session; from
+there on the join keeps sessions with boolean masks over codes, matches
+kinds on fused ``code * (max chunk id + 1) + chunk_id`` keys, and groups
+rows on the change points of keys that are already sorted.
 :func:`iter_joined_blocks` yields the joined, diagnosed blocks; batch
 analyses fold them into per-analysis states, and ``repro serve`` folds
 each round's blocks into its rolling windows and into the
@@ -40,12 +46,13 @@ columnar layout it consumes.
 
 from __future__ import annotations
 
+import math
 from collections import Counter
 from typing import Any, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..telemetry.columnar import COLUMN_SCHEMAS, ITER_BLOCK_ROWS, sort_array
+from ..telemetry.columnar import COLUMN_SCHEMAS, ITER_BLOCK_ROWS
 from .downstack import RTO_FLOOR_MS
 from .faultscore import EXPECTED_BOTTLENECK, ClassScore, FaultScoreReport, parse_fault_labels
 from .localization import BAD_RENDER_FRACTION, BAD_SCORE, TAIL_RTT_MS, Bottleneck
@@ -75,6 +82,8 @@ _EXPECTED_CODES = {
 
 #: Eq. 4 needs at least this many TCP-qualified chunks per session
 _MIN_EQ4_CHUNKS = 5
+
+_INT64_MAX = int(np.iinfo(np.int64).max)
 
 
 # ---------------------------------------------------------------------------
@@ -119,38 +128,165 @@ def _dataset_runs(dataset: Any, kinds: Sequence[str]) -> Dict[str, List[np.ndarr
     return {kind: [a for a in dataset.run_arrays(kind) if len(a)] for kind in kinds}
 
 
-class _BlockPlan:
-    """Session-aligned block boundaries precomputed per run.
+def _change_points(values: np.ndarray) -> np.ndarray:
+    """True at the first row of every run of equal values in sorted *values*."""
+    new = np.ones(len(values), dtype=bool)
+    new[1:] = values[1:] != values[:-1]
+    return new
 
-    For every run of every kind the session-id column is extracted *once*,
+
+def _byte_change_points(values: np.ndarray) -> np.ndarray:
+    """:func:`_change_points` of a contiguous fixed-width bytes column.
+
+    numpy compares ``S`` values byte by byte; viewing each row as
+    unsigned words compares several bytes at a time.
+    """
+    word = np.dtype(f"u{math.gcd(values.dtype.itemsize, 8)}")
+    words = values.view(word).reshape(len(values), -1)
+    new = np.ones(len(values), dtype=bool)
+    new[1:] = (words[1:] != words[:-1]).any(axis=1)
+    return new
+
+
+def _last_of_runs(new: np.ndarray) -> np.ndarray:
+    """The last row of every run, given the runs' :func:`_change_points`.
+
+    The last row of a key is the one a ``dict[key] = record`` rebuild
+    keeps.
+    """
+    last = np.ones(len(new), dtype=bool)
+    last[:-1] = new[1:]
+    return np.flatnonzero(last)
+
+
+def _session_universe(ps_runs: Sequence[np.ndarray]) -> np.ndarray:
+    """The sorted distinct session ids of the session-sorted *ps_runs*.
+
+    numpy's stable sort finds stretches that are already in order, so
+    sorting the runs' concatenation costs about one pass over each run;
+    the change points then drop repeated ids.
+    """
+    if not ps_runs:
+        return np.empty(0, dtype=COLUMN_SCHEMAS["player_sessions"].dtype["session_id"])
+    ids = np.sort(np.concatenate([run["session_id"] for run in ps_runs]), kind="stable")
+    return ids[_change_points(ids)]
+
+
+def _fuse_factor(n_codes: int, chunk_ids: Iterable[np.ndarray]) -> int:
+    """The multiplier of the ``code * fuse + chunk_id`` int64 keys.
+
+    Codes run ``0..n_codes-1``.  Raises ``ValueError`` for a negative
+    chunk id (it would sort before its session's other chunks) and for
+    ids so large that a fused key could leave int64 (it would wrap).
+    """
+    max_id = 0
+    for ids in chunk_ids:
+        if len(ids):
+            if int(ids.min()) < 0:
+                raise ValueError("columnar analysis requires non-negative chunk ids")
+            max_id = max(max_id, int(ids.max()))
+    fuse = max_id + 1
+    # the largest key is (n_codes - 1) * fuse + max_id = n_codes * fuse - 1,
+    # and fuse itself is an int64 factor
+    if n_codes * fuse - 1 > _INT64_MAX or fuse > _INT64_MAX:
+        raise ValueError(
+            f"columnar analysis requires (session, chunk) keys that fit int64: "
+            f"{n_codes} sessions with chunk ids up to {max_id} do not"
+        )
+    return fuse
+
+
+def _take(rows: np.ndarray, index: np.ndarray) -> np.ndarray:
+    """``rows[index]`` for a structured array, copied row by row.
+
+    numpy copies structured rows field by field.  Viewed as fixed-width
+    void records, a gather copies each row in one piece, several times
+    faster, and the view back restores the fields.
+    """
+    opaque = np.dtype((np.void, rows.dtype.itemsize))
+    return rows.view(opaque)[index].view(rows.dtype)
+
+
+def _concat(arrays: Sequence[np.ndarray]) -> np.ndarray:
+    """``np.concatenate`` of same-dtype structured arrays, row by row (see :func:`_take`)."""
+    dtype = arrays[0].dtype
+    opaque = np.dtype((np.void, dtype.itemsize))
+    return np.concatenate([array.view(opaque) for array in arrays]).view(dtype)
+
+
+def _coded(rows: np.ndarray, sids: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Session-sorted *rows* restricted to the sessions in sorted *sids*.
+
+    Returns ``(rows, codes)`` where ``codes[i]`` is the index into *sids*
+    of row i's session.  The ids are compared once per row, to find where
+    the session changes, and searched once per distinct session.  When
+    every row's session is in *sids*, *rows* is returned as given.
+    """
+    new = _change_points(rows["session_id"])
+    starts = np.flatnonzero(new)
+    distinct = rows["session_id"][starts]
+    found = np.searchsorted(sids, distinct)
+    member = sids[np.minimum(found, len(sids) - 1)] == distinct
+    lengths = np.diff(np.append(starts, len(rows)))
+    codes = np.repeat(found, lengths)
+    if member.all():
+        return rows, codes
+    keep = np.repeat(member, lengths)
+    return _take(rows, keep), codes[keep]
+
+
+def _merge_parts(
+    kind: str, parts: List[Tuple[np.ndarray, np.ndarray]], n_codes: int
+) -> Tuple[np.ndarray, np.ndarray]:
+    """One block's coded parts, listed in run order, merged in key order.
+
+    Runs were stable-sorted at flush, and ``heapq.merge`` resolves ties
+    to the earlier stream — which is exactly run order — so a stable
+    sort of the run-ordered concatenation on ``(code, chunk_id)``
+    reproduces the global merge order bit-for-bit.  The stable sort
+    finds the parts' sorted stretches, so parts whose session ranges do
+    not overlap cost about one pass.  Snapshots of one ``(session,
+    chunk)`` key keep run order rather than ``t_ms`` order;
+    :func:`_tcp_by_key` reads them without relying on it.
+    """
+    if len(parts) == 1:
+        return parts[0]
+    rows = _concat([rows for rows, _ in parts])
+    codes = np.concatenate([codes for _, codes in parts])
+    if COLUMN_SCHEMAS[kind].sort_keys == ("session_id",):
+        key = codes
+    else:
+        chunk_id = rows["chunk_id"]
+        key = codes * _fuse_factor(n_codes, [chunk_id]) + chunk_id
+    order = np.argsort(key, kind="stable")
+    return _take(rows, order), codes[order]
+
+
+class _BlockPlan:
+    """Session-aligned blocks over the universe of player sessions.
+
+    Block ``i`` owns a contiguous slice of the sorted universe.  For
+    every run of every kind the session-id column is extracted *once*,
     both block boundary vectors are computed with two ``searchsorted``
-    calls, and the column is dropped — peak transient memory is one run's
-    session-id column, not the whole kind's.
+    calls, and the column is dropped — peak transient memory is one
+    run's session-id column, not the whole kind's.  :meth:`block` then
+    codes each run's slice of a block by session and merges the slices.
     """
 
     def __init__(self, runs: Dict[str, List[np.ndarray]], kinds: Sequence[str]):
-        ps_runs = runs.get("player_sessions", ())
-        if ps_runs:
-            universe = np.unique(
-                np.concatenate([np.asarray(r["session_id"]) for r in ps_runs])
-            )
-        else:
-            universe = np.empty(0, dtype=COLUMN_SCHEMAS["player_sessions"].dtype["session_id"])
-        self.n_sids = len(universe)
-        if self.n_sids == 0:
+        self.universe = _session_universe(runs.get("player_sessions", ()))
+        n_sids = len(self.universe)
+        self.slices: Dict[str, List[Tuple[np.ndarray, np.ndarray, np.ndarray]]] = {}
+        if n_sids == 0:
             self.n_blocks = 0
-            self.slices: Dict[str, List[Tuple[np.ndarray, np.ndarray, np.ndarray]]] = {}
             return
         total_rows = max(sum(len(r) for r in runs.get(kind, ())) for kind in kinds)
-        rows_per_session = max(1.0, total_rows / self.n_sids)
+        rows_per_session = max(1.0, total_rows / n_sids)
         block_sessions = max(1, int(ITER_BLOCK_ROWS / rows_per_session))
-        bounds = list(range(0, self.n_sids, block_sessions))
-        self.n_blocks = len(bounds)
-        los = universe[np.asarray(bounds, dtype=np.int64)]
-        his = universe[
-            np.minimum(np.asarray(bounds, dtype=np.int64) + block_sessions, self.n_sids) - 1
-        ]
-        self.slices = {}
+        self.bounds = np.append(np.arange(0, n_sids, block_sessions), n_sids)
+        self.n_blocks = len(self.bounds) - 1
+        los = self.universe[self.bounds[:-1]]
+        his = self.universe[self.bounds[1:] - 1]
         for kind in kinds:
             entries = []
             for run in runs.get(kind, ()):
@@ -161,65 +297,44 @@ class _BlockPlan:
                 entries.append((run, a, b))
             self.slices[kind] = entries
 
-    def block(self, kind: str, i: int) -> np.ndarray:
-        """Rows of *kind* for block *i*, in canonical merge order."""
-        parts = [
-            np.asarray(run[a[i] : b[i]]) for run, a, b in self.slices[kind] if b[i] > a[i]
-        ]
+    def block(self, kind: str, i: int) -> Tuple[np.ndarray, np.ndarray]:
+        """Rows of *kind* for block *i* in key order (see :func:`_merge_parts`), and codes.
+
+        ``codes[r]`` is row r's session as an index into the block's
+        slice of the universe; rows of sessions outside it are dropped.
+        """
+        sids = self.universe[self.bounds[i] : self.bounds[i + 1]]
+        parts = []
+        for run, a, b in self.slices[kind]:
+            if b[i] > a[i]:
+                rows, codes = _coded(np.asarray(run[a[i] : b[i]]), sids)
+                if len(rows):
+                    parts.append((rows, codes))
         if not parts:
-            return np.empty(0, dtype=COLUMN_SCHEMAS[kind].dtype)
-        if len(parts) == 1:
-            return parts[0]
-        # runs were stable-sorted at flush, and heapq.merge resolves ties
-        # to the earlier stream — which is exactly run enumeration order —
-        # so a stable sort of the enumeration-ordered concatenation
-        # reproduces the global merge order bit-for-bit.
-        return sort_array(kind, np.concatenate(parts))
+            return np.empty(0, dtype=COLUMN_SCHEMAS[kind].dtype), np.empty(0, dtype=np.int64)
+        return _merge_parts(kind, parts, len(sids))
 
 
-def _member_codes(
-    kept: np.ndarray, arr: np.ndarray
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Filter *arr* to rows whose session_id is in sorted *kept*.
-
-    Returns ``(rows, codes)`` where ``codes[i]`` is the index into *kept*
-    of row i's session.  Both stay sorted because *arr* is session-sorted.
-    When every row is kept, *rows* is *arr* itself, not a copy.
-    """
-    if len(arr) == 0 or len(kept) == 0:
-        return arr[:0], np.empty(0, dtype=np.int64)
-    col = arr["session_id"]
-    idx = np.minimum(np.searchsorted(kept, col), len(kept) - 1)
-    mask = kept[idx] == col
-    if mask.all():
-        return arr, idx
-    return arr[mask], idx[mask]
-
-
-def _last_rows(sids: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """The distinct values of the sorted *sids* and each one's last row.
-
-    The last row of a value is the one a ``dict[sid] = record`` rebuild
-    keeps.  ``return_index`` makes ``np.unique`` sort stably, which is
-    also the fast sort for input that is already in order.
-    """
-    values, first, counts = np.unique(sids, return_index=True, return_counts=True)
-    return values, first + counts - 1
-
-
-def _last_wins_match(keys: np.ndarray, queries: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+def _last_wins_match(
+    keys: np.ndarray, queries: np.ndarray
+) -> Optional[Tuple[np.ndarray, np.ndarray]]:
     """Last-wins lookup of *queries* in sorted *keys*.
 
     Returns ``(matched, j)``: ``matched[i]`` iff ``queries[i]`` occurs in
     *keys*, and ``j[i]`` the index of its *last* occurrence — the same row
-    a ``dict[(sid, chunk_id)] = record`` rebuild would keep.
+    a ``dict[(sid, chunk_id)] = record`` rebuild would keep (an index
+    into *keys* even where unmatched, when *keys* is not empty).  Returns
+    ``None`` when *keys* equals *queries* and holds no duplicate: query
+    i then matches key i.
     """
+    if np.array_equal(keys, queries) and bool(np.all(keys[1:] > keys[:-1])):
+        return None
     if len(keys) == 0:
         return np.zeros(len(queries), dtype=bool), np.zeros(len(queries), dtype=np.int64)
     j = np.searchsorted(keys, queries, side="right") - 1
     matched = j >= 0
     matched &= keys[np.maximum(j, 0)] == queries
-    return matched, j
+    return matched, np.maximum(j, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -389,9 +504,16 @@ class FaultScoreState:
         pos = self._offset + np.flatnonzero(has_truth)
         verdicts = block.verdict[has_truth]
         labels = block.fault_labels[has_truth]
-        unique_labels, first_idx, inverse, label_counts = np.unique(
-            labels, return_index=True, return_inverse=True, return_counts=True
+        # a label holds for long stretches of rows: sort only the first
+        # row of each stretch (a label's first row always starts one)
+        new = _byte_change_points(labels)
+        heads = np.flatnonzero(new)
+        unique_labels, head_first, head_inverse = np.unique(
+            labels[heads], return_index=True, return_inverse=True
         )
+        first_idx = heads[head_first]
+        inverse = head_inverse[np.cumsum(new) - 1]
+        label_counts = np.bincount(inverse, minlength=len(unique_labels))
         metas = []
         for raw in unique_labels:
             raw_b = bytes(raw)
@@ -504,7 +626,9 @@ class JoinedBlock:
     :class:`~repro.core.localization.Bottleneck` codes (enum order) and
     ``fault_labels`` the last-wins ground-truth labels where
     ``has_truth``; both are zero when the pass loaded no TCP or
-    ground-truth columns.
+    ground-truth columns.  Arrays may be read-only views of the
+    dataset's runs (rows that needed no copy are handed back as they
+    are): treat a block as read-only.
     """
 
     __slots__ = (
@@ -529,56 +653,111 @@ class JoinedBlock:
     )
 
 
+def _tcp_by_key(tm: np.ndarray, tkey: np.ndarray, jkey: np.ndarray) -> Tuple[np.ndarray, ...]:
+    """The TCP facts the cascade reads, for each joined row's key.
+
+    Snapshots group on the change points of their sorted keys *tkey*;
+    within a group they may come in run order.  A group's last snapshot
+    gives srtt, cwnd and mss: its latest ``t_ms``, and of several at
+    that time the later row — where a merge on ``t_ms`` that breaks ties
+    by run order puts it.  Its snapshots with a positive srtt give the
+    minimum srtt and the largest RTO estimate.  Returns ``(has_tcp,
+    last_srtt, last_cwnd, last_mss, srtt_min, rto, has_pos)`` aligned
+    with *jkey*.
+    """
+    n = len(jkey)
+    if len(tm) == 0:
+        return (
+            np.zeros(n, dtype=bool),
+            np.zeros(n),
+            np.zeros(n, dtype=np.int64),
+            np.zeros(n, dtype=np.int64),
+            np.full(n, np.inf),
+            np.zeros(n),
+            np.zeros(n, dtype=bool),
+        )
+    new = _change_points(tkey)
+    starts = np.flatnonzero(new)
+    match = _last_wins_match(tkey[starts], jkey)
+    if match is None:
+        has_tcp, group = np.ones(n, dtype=bool), np.arange(n)
+    else:
+        has_tcp, group = match
+    t_ms = np.ascontiguousarray(tm["t_ms"])
+    at_latest = t_ms == np.maximum.reduceat(t_ms, starts)[np.cumsum(new) - 1]
+    row = np.where(at_latest, np.arange(len(tm)), -1)
+    last = np.maximum.reduceat(row, starts)[group]
+    srtt = np.ascontiguousarray(tm["srtt_ms"])
+    positive = srtt > 0
+    rto = np.full(len(tm), -np.inf)
+    rto[positive] = RTO_FLOOR_MS + srtt[positive] + 4.0 * tm["rttvar_ms"][positive]
+    srtt_min = np.minimum.reduceat(np.where(positive, srtt, np.inf), starts)[group]
+    has_pos = has_tcp & np.logical_or.reduceat(positive, starts)[group]
+    return (
+        has_tcp,
+        np.where(has_tcp, srtt[last], 0.0),
+        np.where(has_tcp, tm["cwnd_segments"][last], 0),
+        np.where(has_tcp, tm["mss"][last], 0),
+        np.where(has_tcp, srtt_min, np.inf),
+        np.where(has_pos, np.maximum.reduceat(rto, starts)[group], 0.0),
+        has_pos,
+    )
+
+
 def _compute_block(
     plan: _BlockPlan,
     index: int,
     want_cascade: bool,
     want_truth: bool,
 ) -> Optional[JoinedBlock]:
-    ps = plan.block("player_sessions", index)
-    cs = plan.block("cdn_sessions", index)
-    ps_sids, ps_last = _last_rows(ps["session_id"])
-    cs_sids, cs_last = _last_rows(cs["session_id"])
-    in_cs = np.isin(ps_sids, cs_sids, assume_unique=True)
-    kept = ps_sids[in_cs]
-    n_kept = len(kept)
+    ps, ps_code = plan.block("player_sessions", index)
+    cs, cs_code = plan.block("cdn_sessions", index)
+    # every session of the block's universe slice has a player row, so
+    # ps_last holds one row per code
+    ps_last = _last_of_runs(_change_points(ps_code))
+    cs_last = _last_of_runs(_change_points(cs_code))
+    kept = np.zeros(len(ps_last), dtype=bool)
+    kept[cs_code[cs_last]] = True
+    n_kept = int(np.count_nonzero(kept))
     if n_kept == 0:
         return None
-    ps_last = ps_last[in_cs]
-    cs_last = cs_last[np.isin(cs_sids, kept, assume_unique=True)]
-    pc, pc_code = _member_codes(kept, plan.block("player_chunks", index))
-    cc, cc_code = _member_codes(kept, plan.block("cdn_chunks", index))
-    loaded = [pc, cc]
+    kinds = ["player_chunks", "cdn_chunks"]
     if want_cascade:
-        tm, tm_code = _member_codes(kept, plan.block("tcp_snapshots", index))
-        loaded.append(tm)
+        kinds.append("tcp_snapshots")
     if want_truth:
-        gt, gt_code = _member_codes(kept, plan.block("ground_truth", index))
-        loaded.append(gt)
-    max_id = 0
-    for arr in loaded:
-        if len(arr):
-            ids = arr["chunk_id"]
-            low = int(ids.min())
-            if low < 0:
-                raise ValueError("columnar analysis requires non-negative chunk ids")
-            max_id = max(max_id, int(ids.max()))
-    fuse = np.int64(max_id + 1)
+        kinds.append("ground_truth")
+    loaded = [plan.block(kind, index) for kind in kinds]
+    if n_kept < len(kept):
+        # drop the rows of sessions without a CDN record, renumbering codes
+        renumber = np.cumsum(kept) - 1
+        for k, (rows, codes) in enumerate(loaded):
+            mask = kept[codes]
+            loaded[k] = (_take(rows, mask), renumber[codes[mask]])
+        ps_last = ps_last[kept]
+    chunk_ids = [np.ascontiguousarray(rows["chunk_id"]) for rows, _ in loaded]
+    fuse = _fuse_factor(n_kept, chunk_ids)
+    # (session, chunk) keys, sorted like the rows they key
+    keys = [codes * fuse + ids for (_, codes), ids in zip(loaded, chunk_ids)]
+    (pc, pc_code), (cc, _) = loaded[:2]
 
-    pkey = pc_code * fuse + pc["chunk_id"]
-    ckey = cc_code * fuse + cc["chunk_id"]
-    matched, j = _last_wins_match(ckey, pkey)
-    joined = pc[matched]
-    jcode = pc_code[matched]
-    jkey = pkey[matched]
-    cdn = cc[j[matched]]
+    match = _last_wins_match(keys[1], keys[0])
+    if match is None:
+        # one CDN row per player row, pairwise: no copy
+        joined, cdn, jcode, jkey, chunk_id = pc, cc, pc_code, keys[0], chunk_ids[0]
+    else:
+        matched, j = match
+        joined = _take(pc, matched)
+        cdn = _take(cc, j[matched])
+        jcode = pc_code[matched]
+        jkey = keys[0][matched]
+        chunk_id = chunk_ids[0][matched]
     n = len(joined)
 
     block = JoinedBlock()
     block.n_kept = n_kept
     # session rows that are all kept and distinct need no copy
-    block.player_sessions = ps if len(ps_last) == len(ps) else ps[ps_last]
-    block.cdn_sessions = cs if len(cs_last) == len(cs) else cs[cs_last]
+    block.player_sessions = ps if len(ps) == n_kept else _take(ps, ps_last)
+    block.cdn_sessions = cs if len(cs) == n_kept else _take(cs, cs_last)
     block.player_rows = joined
     block.cdn_rows = cdn
     block.jcode = jcode
@@ -587,7 +766,7 @@ def _compute_block(
     block.starts = np.concatenate(
         [np.zeros(1, dtype=np.int64), np.cumsum(counts)[:-1]]
     )
-    block.chunk_id = np.ascontiguousarray(joined["chunk_id"])
+    block.chunk_id = chunk_id
     block.rebuffer_ms = np.ascontiguousarray(joined["rebuffer_ms"])
     block.chunk_duration_ms = np.ascontiguousarray(joined["chunk_duration_ms"])
     block.bitrate_kbps = np.ascontiguousarray(joined["bitrate_kbps"])
@@ -602,46 +781,10 @@ def _compute_block(
         block.fault_labels = np.zeros(n, dtype=COLUMN_SCHEMAS["ground_truth"].dtype["fault_labels"])
         return block
 
-    # -- per-chunk TCP aggregates (keyed by distinct (session, chunk)) ------
-    ukeys, uinv = np.unique(jkey, return_inverse=True)
-    nu = len(ukeys)
-    tkey = tm_code * fuse + tm["chunk_id"]
-    t_lo = np.searchsorted(tkey, ukeys, side="left")
-    t_hi = np.searchsorted(tkey, ukeys, side="right")
-    has_tcp_u = t_hi > t_lo
-    if len(tm):
-        last_i = np.maximum(t_hi - 1, 0)
-        last_srtt_u = np.where(has_tcp_u, tm["srtt_ms"][last_i], 0.0)
-        last_cwnd_u = np.where(has_tcp_u, tm["cwnd_segments"][last_i], 0)
-        last_mss_u = np.where(has_tcp_u, tm["mss"][last_i], 0)
-    else:
-        last_srtt_u = np.zeros(nu)
-        last_cwnd_u = np.zeros(nu, dtype=np.int64)
-        last_mss_u = np.zeros(nu, dtype=np.int64)
-    srtt_min_u = np.full(nu, np.inf)
-    rto_u = np.zeros(nu)
-    has_pos_u = np.zeros(nu, dtype=bool)
-    if len(tm) and nu:
-        gi = np.minimum(np.searchsorted(ukeys, tkey), nu - 1)
-        valid = ukeys[gi] == tkey
-        srtt_all = tm["srtt_ms"]
-        sub = valid & (srtt_all > 0)
-        if sub.any():
-            groups = gi[sub]
-            srtt_s = srtt_all[sub]
-            rto_s = RTO_FLOOR_MS + srtt_s + 4.0 * tm["rttvar_ms"][sub]
-            group_u, group_start = np.unique(groups, return_index=True)
-            srtt_min_u[group_u] = np.minimum.reduceat(srtt_s, group_start)
-            rto_u[group_u] = np.maximum.reduceat(rto_s, group_start)
-            has_pos_u[group_u] = True
-
-    has_tcp = has_tcp_u[uinv]
-    last_srtt = last_srtt_u[uinv]
-    last_cwnd = last_cwnd_u[uinv]
-    last_mss = last_mss_u[uinv]
-    srtt_min = srtt_min_u[uinv]
-    rto = rto_u[uinv]
-    has_pos = has_pos_u[uinv]
+    # -- per-chunk TCP aggregates -------------------------------------------
+    has_tcp, last_srtt, last_cwnd, last_mss, srtt_min, rto, has_pos = _tcp_by_key(
+        loaded[2][0], keys[2], jkey
+    )
 
     # -- elementwise chunk math (bit-exact oracle associations) -------------
     d_wait = np.ascontiguousarray(cdn["d_wait_ms"])
@@ -683,11 +826,10 @@ def _compute_block(
     idx_q = np.flatnonzero(qualified)
     transient_flag = np.zeros(n, dtype=bool)
     if len(idx_q):
-        qcode = jcode[idx_q]
-        _, q_inv, q_counts = np.unique(qcode, return_inverse=True, return_counts=True)
-        q_starts = np.concatenate(
-            [np.zeros(1, dtype=np.int64), np.cumsum(q_counts)[:-1]]
-        )
+        q_new = _change_points(jcode[idx_q])
+        q_inv = np.cumsum(q_new) - 1
+        q_starts = np.flatnonzero(q_new)
+        q_counts = np.diff(np.append(q_starts, len(idx_q)))
         features = np.stack(
             [
                 dfb[idx_q],
@@ -716,13 +858,14 @@ def _compute_block(
                 & (features[:, 3] < mu_r[:, 3] + sg_r[:, 3])
                 & (features[:, 4] < mu_r[:, 4] + sg_r[:, 4])
             )
-        flagged = eligible & high_dfb & high_tp & normal_net
-        flagged_keys = np.unique(jkey[idx_q][flagged])
-        if len(flagged_keys):
+        flagged_rows = idx_q[eligible & high_dfb & high_tp & normal_net]
+        if len(flagged_rows):
             # the Eq. 4 flag set holds chunk *ids*, so every joined row
             # sharing a flagged (session, chunk) key is flagged
-            fi = np.minimum(np.searchsorted(flagged_keys, jkey), len(flagged_keys) - 1)
-            transient_flag = flagged_keys[fi] == jkey
+            key_index = np.cumsum(_change_points(jkey)) - 1
+            flagged_keys = np.zeros(n, dtype=bool)
+            flagged_keys[key_index[flagged_rows]] = True
+            transient_flag = flagged_keys[key_index]
 
     # -- the attribution cascade, as one np.select --------------------------
     with np.errstate(invalid="ignore"):
@@ -757,13 +900,17 @@ def _compute_block(
 
     # -- ground truth (last-wins, like the oracle's dict rebuild) -----------
     if want_truth:
-        gkey = gt_code * fuse + gt["chunk_id"]
-        has_truth, jt = _last_wins_match(gkey, jkey)
-        labels = np.zeros(n, dtype=COLUMN_SCHEMAS["ground_truth"].dtype["fault_labels"])
-        if has_truth.any():
+        gt = loaded[3][0]
+        match = _last_wins_match(keys[3], jkey)
+        if match is None:
+            block.has_truth = np.ones(n, dtype=bool)
+            block.fault_labels = gt["fault_labels"]
+        else:
+            has_truth, jt = match
+            labels = np.zeros(n, dtype=COLUMN_SCHEMAS["ground_truth"].dtype["fault_labels"])
             labels[has_truth] = gt["fault_labels"][jt[has_truth]]
-        block.has_truth = has_truth
-        block.fault_labels = labels
+            block.has_truth = has_truth
+            block.fault_labels = labels
     else:
         block.has_truth = np.zeros(n, dtype=bool)
         block.fault_labels = np.zeros(

@@ -23,22 +23,27 @@ from __future__ import annotations
 import dataclasses
 import json
 import pickle
+import tempfile
 from collections import Counter
+from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 from repro.api import run
 from repro.core import columnar_analysis as ca
 from repro.core.faultscore import score_fault_localization
-from repro.core.localization import Bottleneck, diagnose_dataset
+from repro.core.localization import Bottleneck, diagnose_dataset, diagnose_session
 from repro.core.proxy_filter import filter_proxies
 from repro.core.qoe import summarize
 from repro.faults import FaultEvent, FaultSpec
 from repro.obs.registry import MetricsRegistry
 from repro.simulation.config import SimulationConfig
 from repro.telemetry import dataset as dataset_module
-from repro.telemetry.columnar import SPILL_KINDS
+from repro.telemetry.columnar import COLUMN_SCHEMAS, SPILL_KINDS, array_to_records
 from repro.telemetry.dataset import Dataset
 from repro.telemetry.spill import SpilledDataset, SpillWriter
 from repro.telemetry.synth import synthesize_sharded, synthesize_spill
@@ -176,6 +181,30 @@ class TestByteIdentity:
         assert counters["analysis.sessions_total"] == 600
         _assert_paths_identical(spilled)
 
+    def test_snapshot_without_srtt_sets_no_rtt_floor(self):
+        # only the 300 ms sample bounds the chunk's RTT baseline: counting
+        # the srtt-0 snapshot would call 60 ms of server time a bottleneck
+        snapshots = [
+            _record("tcp_snapshots", session_id="s0", chunk_id=0, t_ms=t_ms,
+                    srtt_ms=srtt_ms, cwnd_segments=10, mss=1460)
+            for t_ms, srtt_ms in ((0.0, 0.0), (1.0, 300.0))
+        ]
+        dataset = Dataset(
+            player_sessions=[_record("player_sessions", session_id="s0")],
+            cdn_sessions=[_record("cdn_sessions", session_id="s0")],
+            player_chunks=[
+                _record("player_chunks", session_id="s0", chunk_id=0, dfb_ms=400.0,
+                        dlb_ms=400.0, chunk_duration_ms=4000.0, total_frames=96)
+            ],
+            cdn_chunks=[
+                _record("cdn_chunks", session_id="s0", chunk_id=0, d_wait_ms=30.0,
+                        d_open_ms=30.0)
+            ],
+            tcp_snapshots=snapshots,
+        )
+        _assert_paths_identical(dataset)
+        assert diagnose_dataset(dataset)[Bottleneck.SERVER.value] == 0.0
+
     def test_forced_small_blocks_with_fault_labels(self, faulted_dataset, monkeypatch):
         # the fault-score state counts false positives block by block, so
         # identity must not depend on where block cuts fall in labelled data
@@ -183,6 +212,296 @@ class TestByteIdentity:
         blocks = list(ca.iter_joined_blocks(faulted_dataset))
         assert len(blocks) > 5
         _assert_paths_identical(faulted_dataset)
+
+
+@pytest.fixture(scope="module")
+def finely_spilled(tmp_path_factory):
+    """The faulted run spilled every 64 rows: each kind has many runs, and
+    the runs of a chunk kind split sessions between them."""
+    directory = tmp_path_factory.mktemp("fine") / "spill"
+    config = SimulationConfig(
+        n_sessions=150,
+        warmup_sessions=50,
+        seed=11,
+        spill_dir=str(directory),
+        spill_threshold_rows=64,
+    )
+    return run(config, faults=_mixed_spec()).dataset
+
+
+class TestOverlappingRuns:
+    """Blocks whose sessions span several runs merge them by int keys."""
+
+    @pytest.mark.parametrize(
+        "kind", ["player_chunks", "cdn_chunks", "tcp_snapshots", "ground_truth"]
+    )
+    def test_runs_split_sessions(self, finely_spilled, kind):
+        runs = finely_spilled.run_arrays(kind)
+        assert len(runs) > 10
+        holders = Counter(sid for r in runs for sid in set(r["session_id"].tolist()))
+        assert max(holders.values()) > 1
+        # and the runs' session ranges interleave, not just touch
+        ranges = sorted((r["session_id"][0], r["session_id"][-1]) for r in runs)
+        assert sum(hi > lo for (_, hi), (lo, _) in zip(ranges, ranges[1:])) > len(runs) // 2
+
+    @pytest.mark.parametrize("block_rows", [None, 97])
+    def test_identity_with_oracle_and_in_memory_run(
+        self, finely_spilled, faulted_dataset, monkeypatch, block_rows
+    ):
+        if block_rows is not None:
+            monkeypatch.setattr(ca, "ITER_BLOCK_ROWS", block_rows)
+        _assert_paths_identical(finely_spilled)
+        spilled = ca.analyze_dataset(finely_spilled)
+        memory = ca.analyze_dataset(faulted_dataset)
+        _assert_results_identical(
+            (spilled["qoe"], spilled["localization"], spilled["faultscore"]),
+            (memory["qoe"], memory["localization"], memory["faultscore"]),
+        )
+
+
+_CHUNK_KINDS = ("player_chunks", "cdn_chunks", "tcp_snapshots", "ground_truth")
+
+
+def _shift_chunk_ids(dataset: Dataset, offset: int) -> Dataset:
+    """A copy of *dataset* with *offset* added to every chunk id."""
+    shifted = Dataset.collect(dataset)
+    for kind in _CHUNK_KINDS:
+        setattr(
+            shifted,
+            kind,
+            [dataclasses.replace(r, chunk_id=r.chunk_id + offset) for r in getattr(shifted, kind)],
+        )
+    return shifted
+
+
+def _spill(records_by_kind, directory: Path, threshold_rows: int) -> SpilledDataset:
+    writer = SpillWriter(directory, threshold_rows=threshold_rows)
+    for kind, records in records_by_kind:
+        for record in records:
+            writer.add(kind, record)
+    return writer.finalize()
+
+
+class TestChunkIdRange:
+    """Fused ``(session, chunk)`` keys are int64: ids that cannot fit raise."""
+
+    @pytest.fixture(scope="class")
+    def thirty_sessions(self, emitted_dataset):
+        keep = [r.session_id for r in emitted_dataset.player_sessions[:30]]
+        return emitted_dataset.filter_sessions(keep)
+
+    def _emission_spill(self, dataset, tmp_path):
+        # records in emission order, so the 16-row runs overlap
+        return _spill(
+            [(kind, getattr(dataset, kind)) for kind in SPILL_KINDS], tmp_path / "s", 16
+        )
+
+    def test_large_ids_that_fit_match_the_oracle(self, thirty_sessions, tmp_path):
+        shifted = _shift_chunk_ids(thirty_sessions, 2**40)
+        _assert_paths_identical(shifted)
+        _assert_paths_identical(self._emission_spill(shifted, tmp_path))
+
+    def test_in_memory_join_key_overflow_raises(self, thirty_sessions):
+        shifted = _shift_chunk_ids(thirty_sessions, 2**60)
+        with pytest.raises(ValueError, match="fit int64"):
+            ca.analyze_dataset(shifted)
+
+    def test_multi_run_spill_key_overflow_raises(self, thirty_sessions, tmp_path):
+        spilled = self._emission_spill(_shift_chunk_ids(thirty_sessions, 2**60), tmp_path)
+        assert len(spilled.run_arrays("player_chunks")) > 5
+        with pytest.raises(ValueError, match="fit int64"):
+            ca.analyze_dataset(spilled, ("qoe",))
+        with pytest.raises(ValueError, match="fit int64"):
+            ca.analyze_dataset(spilled)
+
+    def test_key_limit_is_exact(self):
+        # a block holds at most ITER_BLOCK_ROWS = 2**16 sessions, so any id
+        # below 2**47 fits: the largest key is 2**16 * 2**47 - 1
+        assert ca.ITER_BLOCK_ROWS == 2**16
+        assert ca._fuse_factor(2**16, [np.array([2**47 - 1])]) == 2**47
+        with pytest.raises(ValueError, match="fit int64"):
+            ca._fuse_factor(2**16, [np.array([2**47])])
+        # one session: the keys are the ids, but the factor is an int64 too
+        assert ca._fuse_factor(1, [np.array([2**63 - 2])]) == 2**63 - 1
+        with pytest.raises(ValueError, match="fit int64"):
+            ca._fuse_factor(1, [np.array([2**63 - 1])])
+
+    def test_largest_key_that_fits_matches_the_oracle(self, thirty_sessions):
+        keep = [r.session_id for r in thirty_sessions.player_sessions[:2]]
+        two = thirty_sessions.filter_sessions(keep)
+        top = max(r.chunk_id for kind in _CHUNK_KINDS for r in getattr(two, kind))
+        # two sessions with chunk ids up to 2**62 - 1: the last key is 2**63 - 1
+        _assert_paths_identical(_shift_chunk_ids(two, 2**62 - 1 - top))
+        with pytest.raises(ValueError, match="fit int64"):
+            ca.analyze_dataset(_shift_chunk_ids(two, 2**62 - top))
+
+    def test_negative_ids_raise(self, thirty_sessions, tmp_path):
+        shifted = _shift_chunk_ids(thirty_sessions, -1)
+        with pytest.raises(ValueError, match="non-negative chunk ids"):
+            ca.analyze_dataset(shifted)
+        with pytest.raises(ValueError, match="non-negative chunk ids"):
+            ca.analyze_dataset(self._emission_spill(shifted, tmp_path))
+
+
+def _record(kind: str, **values):
+    """One record of *kind*: the given fields, zero or empty elsewhere."""
+    row = np.zeros(1, dtype=COLUMN_SCHEMAS[kind].dtype)
+    for name, value in values.items():
+        row[name] = value
+    (record,) = array_to_records(kind, row)
+    return record
+
+
+_MS = st.sampled_from((0.0, 2.0, 30.0, 400.0, 5000.0))
+#: copies of a record; one is the common case and the one examples shrink to
+_COPIES = st.sampled_from((1, 2, 0))
+_FIELDS = {
+    "player_sessions": st.fixed_dictionaries({"start_ms": _MS}),
+    "cdn_sessions": st.fixed_dictionaries({"org": st.sampled_from(("isp-a", "isp-b"))}),
+    "player_chunks": st.fixed_dictionaries(
+        {
+            "dfb_ms": _MS,
+            "dlb_ms": _MS,
+            "bitrate_kbps": st.sampled_from((235.0, 3000.0)),
+            "chunk_duration_ms": st.sampled_from((4000.0, 0.0)),
+            "rebuffer_count": st.integers(0, 1),
+            "rebuffer_ms": _MS,
+            "visible": st.booleans(),
+            "dropped_frames": st.integers(0, 96),
+            "total_frames": st.sampled_from((96, 0)),
+            "hw_rendered": st.booleans(),
+        }
+    ),
+    "cdn_chunks": st.fixed_dictionaries(
+        {
+            "d_wait_ms": _MS,
+            "d_open_ms": _MS,
+            "d_read_ms": _MS,
+            "d_be_ms": _MS,
+            "chunk_bytes": st.sampled_from((250_000, 0)),
+            "server_id": st.sampled_from(("server-a", "server-b")),
+        }
+    ),
+    # a slow, a fast and an unmeasured connection: which snapshot is last
+    # decides the transient-throughput signal
+    "tcp_snapshots": st.builds(
+        lambda t_ms, connection: dict(
+            t_ms=t_ms, cwnd_segments=connection[0], srtt_ms=connection[1], rttvar_ms=5.0, mss=1460
+        ),
+        st.sampled_from((0.0, 1.0, 2.0)),
+        st.sampled_from(((1, 300.0), (80, 20.0), (10, 0.0))),
+    ),
+    "ground_truth": st.fixed_dictionaries(
+        {
+            "fault_labels": st.sampled_from(
+                ("", "server-degraded:d1", "network-latency:l1,client-render:r1", "mystery:x1")
+            )
+        }
+    ),
+}
+
+
+@st.composite
+def _emissions(draw):
+    """Records of every kind for up to four sessions, in a random emission
+    order.  A session may lack its player or CDN session record or carry
+    two; a chunk may lack either side, repeat on either side, and carry
+    several snapshots, some at the same time.  In a mirrored example every
+    chunk has as many CDN and ground-truth rows as player rows, so blocks
+    can take the join's pairwise path with repeated keys."""
+    records = []
+    mirror = draw(st.booleans())
+
+    def emit(kind, copies, **key):
+        for _ in range(copies):
+            records.append((kind, _record(kind, session_id=sid, **key, **draw(_FIELDS[kind]))))
+
+    for sid in ("s0", "s1", "s2", "s3")[: draw(st.sampled_from((4, 3, 2, 1)))]:
+        emit("player_sessions", draw(_COPIES))
+        emit("cdn_sessions", draw(_COPIES))
+        for chunk_id in range(draw(st.integers(0, 7))):
+            players = draw(_COPIES)
+            emit("player_chunks", players, chunk_id=chunk_id)
+            emit("cdn_chunks", players if mirror else draw(_COPIES), chunk_id=chunk_id)
+            emit("tcp_snapshots", draw(st.sampled_from((2, 1, 3, 0))), chunk_id=chunk_id)
+            emit("ground_truth", players if mirror else draw(_COPIES), chunk_id=chunk_id)
+    return draw(st.permutations(records))
+
+
+def _gap_session_emissions():
+    """Three sessions with three chunks each, where the middle session has
+    no player session record: its rows fall inside the block's session
+    range but outside its universe."""
+    records = []
+    for sid in ("s0", "s1", "s2"):
+        if sid != "s1":
+            records.append(("player_sessions", _record("player_sessions", session_id=sid)))
+        records.append(("cdn_sessions", _record("cdn_sessions", session_id=sid)))
+        for chunk_id in range(3):
+            key = dict(session_id=sid, chunk_id=chunk_id)
+            player = _record("player_chunks", dlb_ms=400.0, chunk_duration_ms=4000.0, **key)
+            records.append(("player_chunks", player))
+            records.append(("cdn_chunks", _record("cdn_chunks", **key)))
+    return records
+
+
+def _assert_blocks_hold_the_oracle_views(dataset) -> None:
+    """Session by session and chunk by chunk, the joined blocks hold the
+    oracle views' records, ground-truth labels and verdicts, in order."""
+    views = list(dataset.iter_sessions())
+    blocks = list(ca.iter_joined_blocks(dataset))
+    assert [
+        pair
+        for block in blocks
+        for pair in zip(
+            array_to_records("player_sessions", block.player_sessions),
+            array_to_records("cdn_sessions", block.cdn_sessions),
+        )
+    ] == [(view.player_session, view.cdn_session) for view in views]
+    expected = [
+        (chunk.player, chunk.cdn, chunk.truth and chunk.truth.fault_labels, attribution.bottleneck)
+        for view in views
+        for chunk, attribution in zip(view.chunks, diagnose_session(view).attributions)
+    ]
+    bottlenecks = list(Bottleneck)
+    actual = [
+        (player, cdn, labels.decode() if has_truth else None, bottlenecks[verdict])
+        for block in blocks
+        for player, cdn, has_truth, labels, verdict in zip(
+            array_to_records("player_chunks", block.player_rows),
+            array_to_records("cdn_chunks", block.cdn_rows),
+            block.has_truth,
+            block.fault_labels,
+            block.verdict,
+        )
+    ]
+    assert actual == expected
+
+
+class TestMergeShapes:
+    """Columnar == oracle on small spills of every merge shape the planner meets."""
+
+    @settings(
+        max_examples=60,
+        deadline=None,
+        suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large],
+    )
+    @given(
+        emissions=_emissions(),
+        threshold_rows=st.integers(1, 6),
+        block_rows=st.sampled_from((1, 5, ca.ITER_BLOCK_ROWS)),
+    )
+    @example(emissions=_gap_session_emissions(), threshold_rows=3, block_rows=5)
+    def test_columnar_matches_oracle(self, emissions, threshold_rows, block_rows):
+        with tempfile.TemporaryDirectory() as tmp:
+            spilled = _spill(
+                [(kind, [record]) for kind, record in emissions],
+                Path(tmp) / "spill",
+                threshold_rows,
+            )
+            with mock.patch.object(ca, "ITER_BLOCK_ROWS", block_rows):
+                _assert_paths_identical(spilled)
+                _assert_blocks_hold_the_oracle_views(spilled)
 
 
 class TestFaultScoreState:
