@@ -69,10 +69,12 @@ class RunResult:
     """Everything a finished :func:`run` produced.
 
     ``datasets`` holds one dataset per period (a plain single-config run
-    is one period).  ``simulation`` is the combined
-    :class:`~repro.simulation.driver.SimulationResult` handle — config,
-    end-of-run fleet state, shard reports, metrics registry — that the
-    observability emitters consume.  ``simulator`` is the live serial
+    is one period).  Periods are never merged: they may reuse session
+    ids, so the run's counts are sums over ``datasets``.  ``simulation``
+    is the combined :class:`~repro.simulation.driver.SimulationResult`
+    handle — config, end-of-run fleet state, shard reports, metrics
+    registry — that the observability emitters consume; its ``dataset``
+    is None for a multi-period run.  ``simulator`` is the live serial
     simulator when one was used (its caches can keep running), None for
     sharded runs whose fleet state was merged back from workers.
     """
@@ -132,11 +134,11 @@ class RunResult:
 
     def manifest(self, wall_time_s: Optional[float] = None) -> Dict[str, object]:
         """The run manifest (identity + execution), as a plain dict."""
-        return run_manifest(self.simulation, wall_time_s)
+        return run_manifest(self.simulation, wall_time_s, self.datasets)
 
     def metrics_document(self) -> Dict[str, object]:
         """The deterministic metrics document (identity + registry)."""
-        return metrics_document(self.simulation)
+        return metrics_document(self.simulation, self.datasets)
 
     def save(
         self, directory: Union[str, Path], wall_time_s: Optional[float] = None
@@ -160,11 +162,11 @@ class RunResult:
                 save_dataset(
                     dataset.sorted(), directory / (label or f"period-{index}")
                 )
-        save_run_manifest(self.simulation, directory, wall_time_s=wall_time_s)
+        save_run_manifest(self.simulation, directory, wall_time_s, self.datasets)
         return directory
 
     def write_metrics_document(self, path: Union[str, Path]) -> Path:
-        return write_metrics_document(self.simulation, path)
+        return write_metrics_document(self.simulation, path, self.datasets)
 
     def write_trace(self, path: Union[str, Path]) -> Tuple[Path, Path]:
         """Export the causal trace as JSONL + Chrome trace-event JSON.
@@ -226,25 +228,13 @@ def run(
     )
 
 
-def _merge_periods(datasets: List[Dataset]) -> Dataset:
-    """Combine per-period datasets into one, honouring the memory mode.
-
-    Spilled periods merge lazily — the combined facade iterates every
-    period's runs without materializing rows (docs/TELEMETRY.md)."""
-    from .telemetry.spill import SpilledDataset
-
-    if datasets and isinstance(datasets[0], SpilledDataset):
-        return SpilledDataset.merge_all(datasets)
-    return Dataset.merge_all(datasets, canonicalize=True)
-
-
 def _execute_periods_serial(
     periods: List[PeriodSpec], exec_config: SimulationConfig, labels: Tuple[str, ...]
 ) -> RunResult:
     metrics = MetricsRegistry()
     datasets, simulator = execute_periods(periods, metrics=metrics)
     simulation = SimulationResult(
-        dataset=_merge_periods(datasets),
+        dataset=None,
         catalog=simulator.catalog,
         population=simulator.population,
         deployment=simulator.deployment,
@@ -270,7 +260,7 @@ def _execute_periods_sharded(
 
     world = build_world(exec_config)
     simulation = SimulationResult(
-        dataset=_merge_periods(datasets),
+        dataset=None,
         catalog=world.catalog,
         population=world.population,
         deployment=world.deployment,

@@ -26,6 +26,7 @@ from .api import run
 from .core import diagnose_dataset, evaluate_key_findings, filter_proxies, qoe, whatif
 from .simulation.config import SimulationConfig
 from .telemetry.io import load_dataset
+from .telemetry.spill import DEFAULT_SPILL_THRESHOLD_ROWS
 
 __all__ = ["main", "build_parser"]
 
@@ -65,9 +66,10 @@ def build_parser() -> argparse.ArgumentParser:
              "dataset is byte-identical either way (see docs/TELEMETRY.md)",
     )
     sim.add_argument(
-        "--spill-threshold", type=int, default=262_144, metavar="ROWS",
+        "--spill-threshold", type=int, default=DEFAULT_SPILL_THRESHOLD_ROWS,
+        metavar="ROWS",
         help="rows buffered per record kind before a sorted run is flushed "
-             "(the RSS knob; default: 262144, ~80 MB of write buffer)",
+             "(the RSS knob; default: %(default)s, ~80 MB of write buffer)",
     )
     sim.add_argument("--out", required=True, help="output dataset directory")
     sim.add_argument(

@@ -37,8 +37,9 @@ Two invariants drive every line here:
   counters, so a service can carry them across rounds indefinitely; the
   QoE state keeps per-session scalars for its quantiles.
   Works for in-memory :class:`~repro.telemetry.dataset.Dataset` objects,
-  single-directory spills, sharded spills, and multi-period
-  ``period-<label>/`` layouts alike: all of them expose ``run_arrays``.
+  single-directory spills and sharded spills alike: all of them expose
+  ``run_arrays``.  A multi-period run's periods stay separate datasets,
+  and :func:`analyze_datasets` folds them into one set of states.
 
 See docs/PERFORMANCE.md ("The read path") and docs/TELEMETRY.md for the
 columnar layout it consumes.
@@ -63,6 +64,7 @@ __all__ = [
     "JoinedBlock",
     "LocalizationState",
     "analyze_dataset",
+    "analyze_datasets",
     "iter_joined_blocks",
 ]
 
@@ -464,33 +466,27 @@ class _LabelMeta:
 class FaultScoreState:
     """Localization verdicts graded against ``fault_labels``, block by block.
 
-    The blockwise twin of the oracle's ``FaultScoreAccumulator``.  The
-    only order-dependent part of the oracle is the false-positive rule: a
-    spurious verdict increments every class *that already exists*.
-    Global chunk positions replay that exactly — class ``c`` collects a
-    false positive from each spurious event with a matching code at
-    position >= the class's first occurrence (the creating chunk itself
-    can never be spurious *for its own class*: carrying label ``c`` puts
-    ``expected(c)`` inside its expected-layer union).  Blocks arrive in
-    position order, so each block's spurious events are counted as it
-    arrives and the state stays O(fault classes) however many blocks it
-    folds.  Dict insertion orders are reconstructed from first-occurrence
-    positions the same way.
+    The blockwise twin of the oracle's ``FaultScoreAccumulator``.  Every
+    tally is a count over chunks, so neither block order nor block cuts
+    matter: a spurious verdict (one naming a layer that none of the
+    chunk's faults maps to) is counted per verdict code, and ``result``
+    gives each class present in the data the spurious counts of its
+    expected codes as false positives.  The state stays O(fault classes)
+    however many blocks it folds, and the report comes out in canonical
+    order: classes and confusion rows sorted, verdict columns in
+    :class:`~repro.core.localization.Bottleneck` order.
     """
 
     def __init__(self) -> None:
         self.n_chunks = 0
         self.n_labeled = 0
         self.n_unscored = 0
-        self._offset = 0
         self._meta_cache: Dict[bytes, _LabelMeta] = {}
-        self._cat_first: Dict[str, int] = {}
-        self._catv_count: Dict[Tuple[str, int], int] = {}
-        self._catv_first: Dict[Tuple[str, int], int] = {}
-        self._class_first: Dict[str, int] = {}
-        self._tp: Dict[str, int] = {}
-        self._fn: Dict[str, int] = {}
-        self._fp: Dict[str, int] = {}
+        #: (truth category, verdict code) -> chunks
+        self._confusion: Dict[Tuple[str, int], int] = {}
+        #: fault class -> [true positives, false negatives]
+        self._tallies: Dict[str, List[int]] = {}
+        self._spurious = np.zeros(len(_BOTTLENECKS), dtype=np.int64)
 
     def update(self, block: "JoinedBlock") -> None:
         n = len(block.verdict)
@@ -499,111 +495,63 @@ class FaultScoreState:
         n_truth = int(has_truth.sum())
         self.n_unscored += n - n_truth
         if n_truth == 0:
-            self._offset += n
             return
-        pos = self._offset + np.flatnonzero(has_truth)
         verdicts = block.verdict[has_truth]
         labels = block.fault_labels[has_truth]
         # a label holds for long stretches of rows: sort only the first
-        # row of each stretch (a label's first row always starts one)
+        # row of each stretch
         new = _byte_change_points(labels)
-        heads = np.flatnonzero(new)
-        unique_labels, head_first, head_inverse = np.unique(
-            labels[heads], return_index=True, return_inverse=True
+        unique_labels, head_inverse = np.unique(
+            labels[np.flatnonzero(new)], return_inverse=True
         )
-        first_idx = heads[head_first]
         inverse = head_inverse[np.cumsum(new) - 1]
-        label_counts = np.bincount(inverse, minlength=len(unique_labels))
-        metas = []
-        for raw in unique_labels:
+        # one count per distinct (label, verdict) pair covers the
+        # confusion matrix, the TP/FN tallies and the spurious verdicts
+        n_codes = len(_BOTTLENECKS)
+        pair_counts = np.bincount(
+            inverse * n_codes + verdicts, minlength=len(unique_labels) * n_codes
+        ).reshape(len(unique_labels), n_codes)
+        for raw, counts in zip(unique_labels, pair_counts):
             raw_b = bytes(raw)
             meta = self._meta_cache.get(raw_b)
             if meta is None:
                 meta = self._meta_cache[raw_b] = _LabelMeta(raw_b)
-            metas.append(meta)
-        label_first_pos = pos[first_idx]
-        for i, meta in enumerate(metas):
             if meta.labeled:
-                self.n_labeled += int(label_counts[i])
-            first = int(label_first_pos[i])
-            for category in meta.categories:
-                prev = self._cat_first.get(category)
-                if prev is None or first < prev:
-                    self._cat_first[category] = first
-            for fault_class in meta.known:
-                prev = self._class_first.get(fault_class)
-                if prev is None or first < prev:
-                    self._class_first[fault_class] = first
-        # one pass over the distinct (label, verdict) pairs covers the
-        # confusion matrix and the TP/FN tallies
-        n_codes = len(_BOTTLENECKS)
-        fused = inverse.astype(np.int64) * n_codes + verdicts
-        fused_u, fused_first, fused_counts = np.unique(
-            fused, return_index=True, return_counts=True
-        )
-        fused_first_pos = pos[fused_first]
-        for f, first_p, count in zip(fused_u, fused_first_pos, fused_counts):
-            label_i = int(f) // n_codes
-            code = int(f) % n_codes
-            count = int(count)
-            first_p = int(first_p)
-            meta = metas[label_i]
-            for category in meta.categories:
-                key = (category, code)
-                self._catv_count[key] = self._catv_count.get(key, 0) + count
-                prev = self._catv_first.get(key)
-                if prev is None or first_p < prev:
-                    self._catv_first[key] = first_p
-            for fault_class in meta.known:
-                if code in meta.expected_codes[fault_class]:
-                    self._tp[fault_class] = self._tp.get(fault_class, 0) + count
-                else:
-                    self._fn[fault_class] = self._fn.get(fault_class, 0) + count
-        # false positives: every class first seen at or before a spurious
-        # event and expecting its layer (classes from earlier blocks
-        # precede every position of this one)
-        spurious_table = np.zeros((len(unique_labels), n_codes), dtype=bool)
-        for i, meta in enumerate(metas):
-            for code in meta.spurious:
-                spurious_table[i, code] = True
-        row_spurious = spurious_table[inverse, verdicts]
-        if row_spurious.any():
-            spurious_pos = pos[row_spurious]
-            spurious_codes = verdicts[row_spurious]
-            for fault_class, first in self._class_first.items():
-                hits = np.isin(spurious_codes, _EXPECTED_CODES[fault_class])
-                hits &= spurious_pos >= first
-                self._fp[fault_class] = self._fp.get(fault_class, 0) + int(hits.sum())
-        self._offset += n
+                self.n_labeled += int(counts.sum())
+            for code in np.flatnonzero(counts).tolist():
+                count = int(counts[code])
+                for category in meta.categories:
+                    key = (category, code)
+                    self._confusion[key] = self._confusion.get(key, 0) + count
+                for fault_class in meta.known:
+                    tally = self._tallies.setdefault(fault_class, [0, 0])
+                    if code in meta.expected_codes[fault_class]:
+                        tally[0] += count
+                    else:
+                        tally[1] += count
+                if code in meta.spurious:
+                    self._spurious[code] += count
 
     def result(self) -> FaultScoreReport:
         report = FaultScoreReport()
         report.n_chunks = self.n_chunks
         report.n_labeled = self.n_labeled
         report.n_unscored = self.n_unscored
-        for fault_class in sorted(
-            self._class_first, key=lambda fc: (self._class_first[fc], fc)
-        ):
+        for fault_class in sorted(self._tallies):
+            true_positives, false_negatives = self._tallies[fault_class]
             report.classes[fault_class] = ClassScore(
                 fault_class,
                 tuple(b.value for b in EXPECTED_BOTTLENECK[fault_class]),
-                true_positives=self._tp.get(fault_class, 0),
-                false_negatives=self._fn.get(fault_class, 0),
-                false_positives=self._fp.get(fault_class, 0),
+                true_positives=true_positives,
+                false_negatives=false_negatives,
+                false_positives=int(
+                    self._spurious[list(_EXPECTED_CODES[fault_class])].sum()
+                ),
             )
-        for category in sorted(
-            self._cat_first, key=lambda c: (self._cat_first[c], c)
-        ):
-            counter: Counter = Counter()
-            codes = [
-                code
-                for (cat, code) in self._catv_count
-                if cat == category
-            ]
-            codes.sort(key=lambda code: self._catv_first[(category, code)])
-            for code in codes:
-                counter[_BOTTLENECKS[code].value] = self._catv_count[(category, code)]
-            report.confusion[category] = counter
+        for category, code in sorted(self._confusion):
+            report.confusion.setdefault(category, Counter())[
+                _BOTTLENECKS[code].value
+            ] = self._confusion[(category, code)]
         return report
 
 
@@ -982,6 +930,21 @@ def analyze_dataset(
     per-session oracle (``tests/streaming_oracle.py``).  QoE-only passes
     skip loading TCP and ground-truth columns entirely.
     """
+    return analyze_datasets((dataset,), analyses, metrics)
+
+
+def analyze_datasets(
+    datasets: Iterable[Any],
+    analyses: Iterable[str] = ANALYSIS_KINDS,
+    metrics: Optional[Any] = None,
+) -> Dict[str, Any]:
+    """:func:`analyze_dataset` folding every dataset's blocks, in order,
+    into one state per analysis.
+
+    Each dataset is joined on its own, so no session is joined across
+    datasets: this is how a multi-period run, whose periods may reuse
+    session ids, is analyzed as a whole.
+    """
     from .. import obs
 
     requested = tuple(analyses)
@@ -993,10 +956,11 @@ def analyze_dataset(
     registry = metrics if metrics is not None else obs.MetricsRegistry()
     states = {name: _STATE_FACTORIES[name]() for name in requested}
     with registry.span("analysis.read"):
-        for block in iter_joined_blocks(dataset, requested, metrics=registry):
-            for state in states.values():
-                state.update(block)
-            del block  # not held while the next block is built
+        for dataset in datasets:
+            for block in iter_joined_blocks(dataset, requested, metrics=registry):
+                for state in states.values():
+                    state.update(block)
+                del block  # not held while the next block is built
     if metrics is None:
         obs.publish_last_run(registry)
     return {name: states[name].result() for name in requested}

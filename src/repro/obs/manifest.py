@@ -21,9 +21,8 @@ import dataclasses
 import hashlib
 import json
 from pathlib import Path
-from typing import TYPE_CHECKING, Any, Dict, Optional, Union
+from typing import TYPE_CHECKING, Any, Dict, Optional, Sequence, Union
 
-from .._execution import EXECUTION_FIELD_NAMES
 
 if TYPE_CHECKING:  # pragma: no cover - typing only, avoids a runtime cycle
     from ..simulation.config import SimulationConfig
@@ -45,12 +44,14 @@ __all__ = [
 ]
 
 #: Config fields that choose *how* (or whether) the run is observed and
-#: executed, never *what* is simulated (see SimulationConfig).  Excluded
-#: from the workload identity hash so serial, sharded, traced, and
-#: spilled runs of one workload share a config_hash.  Derived
-#: structurally from :class:`~repro.simulation.execution.ExecutionOptions`
-#: — adding an execution knob there excludes it here automatically.
-EXECUTION_FIELDS = frozenset(EXECUTION_FIELD_NAMES)
+#: executed, never *what* is simulated (the execution section of
+#: SimulationConfig).  Excluded from the workload identity hash so
+#: serial, sharded, traced, and spilled runs of one workload share a
+#: config_hash, and banned from sweep specs.  A new execution knob goes
+#: into this list.
+EXECUTION_FIELDS = frozenset(
+    {"workers", "shard_timeout_s", "trace_sample", "spill_dir", "spill_threshold_rows"}
+)
 
 MANIFEST_SCHEMA = "repro.obs/1"
 #: Integer schema version carried by every manifest (see the migration
@@ -68,8 +69,16 @@ def config_hash(config: "SimulationConfig") -> str:
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()[:16]
 
 
-def _identity(result: "SimulationResult") -> Dict[str, Any]:
-    """The deterministic manifest block shared by both artifacts."""
+def _identity(
+    result: "SimulationResult", datasets: Optional[Sequence[Any]] = None
+) -> Dict[str, Any]:
+    """The deterministic manifest block shared by both artifacts.
+
+    *datasets* are the run's period datasets (default: the one
+    ``result.dataset``); the counts are their sums.
+    """
+    if datasets is None:
+        datasets = (result.dataset,)
     # Imported lazily: repro/__init__ imports the driver, which imports
     # this package before __version__ is bound.
     from .. import __version__
@@ -80,24 +89,28 @@ def _identity(result: "SimulationResult") -> Dict[str, Any]:
         "package_version": __version__,
         "seed": result.config.seed,
         "config_hash": config_hash(result.config),
-        "n_sessions": result.dataset.n_sessions,
-        "n_chunks": result.dataset.n_chunks,
+        "n_sessions": sum(dataset.n_sessions for dataset in datasets),
+        "n_chunks": sum(dataset.n_chunks for dataset in datasets),
     }
 
 
-def metrics_document(result: "SimulationResult") -> Dict[str, Any]:
+def metrics_document(
+    result: "SimulationResult", datasets: Optional[Sequence[Any]] = None
+) -> Dict[str, Any]:
     """The deterministic ``--metrics-out`` payload: identity + registry."""
     metrics = result.metrics.snapshot() if result.metrics is not None else {}
-    return {"manifest": _identity(result), "metrics": metrics}
+    return {"manifest": _identity(result, datasets), "metrics": metrics}
 
 
 def run_manifest(
-    result: "SimulationResult", wall_time_s: Optional[float] = None
+    result: "SimulationResult",
+    wall_time_s: Optional[float] = None,
+    datasets: Optional[Sequence[Any]] = None,
 ) -> Dict[str, Any]:
     """The full execution manifest written next to a persisted dataset."""
     config = result.config
     shards = [dataclasses.asdict(report) for report in result.shard_reports]
-    manifest = _identity(result)
+    manifest = _identity(result, datasets)
     manifest["execution"] = {
         "workers": config.workers,
         "shard_timeout_s": config.shard_timeout_s,
@@ -122,10 +135,14 @@ def dump_json(document: Dict[str, Any]) -> str:
     return json.dumps(document, sort_keys=True, indent=2) + "\n"
 
 
-def write_metrics_document(result: "SimulationResult", path: Union[str, Path]) -> Path:
+def write_metrics_document(
+    result: "SimulationResult",
+    path: Union[str, Path],
+    datasets: Optional[Sequence[Any]] = None,
+) -> Path:
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(dump_json(metrics_document(result)), encoding="utf-8")
+    path.write_text(dump_json(metrics_document(result, datasets)), encoding="utf-8")
     return path
 
 
@@ -133,12 +150,15 @@ def save_run_manifest(
     result: "SimulationResult",
     directory: Union[str, Path],
     wall_time_s: Optional[float] = None,
+    datasets: Optional[Sequence[Any]] = None,
 ) -> Path:
     """Write ``manifest.json`` into a dataset directory; returns the path."""
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     path = directory / MANIFEST_FILENAME
-    path.write_text(dump_json(run_manifest(result, wall_time_s)), encoding="utf-8")
+    path.write_text(
+        dump_json(run_manifest(result, wall_time_s, datasets)), encoding="utf-8"
+    )
     return path
 
 

@@ -15,11 +15,11 @@ from ..cdn.mapping import VALID_STRATEGIES
 from ..cdn.server import CdnServerConfig
 from ..client.abr import ABR_NAMES
 from ..faults.spec import FaultSpec
+from ..telemetry.spill import DEFAULT_SPILL_THRESHOLD_ROWS
 from ..workload.catalog import DEFAULT_BITRATE_LADDER_KBPS
 from ..workload.clients import PopulationConfig
-from .._execution import EXECUTION_FIELD_NAMES, ExecutionOptions
 
-__all__ = ["ExecutionOptions", "SimulationConfig"]
+__all__ = ["SimulationConfig"]
 
 
 @dataclass
@@ -89,7 +89,9 @@ class SimulationConfig:
     # -- execution ---------------------------------------------------------------
     # These knobs choose *how* the trace is computed, never *what* it is:
     # the telemetry is identical for any worker count (see
-    # docs/PARALLEL.md for the determinism contract).
+    # docs/PARALLEL.md for the determinism contract).  Their names are
+    # ``repro.obs.manifest.EXECUTION_FIELDS``, which the config hash
+    # excludes.
     #: worker processes; 1 = in-process execution
     workers: int = 1
     #: wall-clock budget per shard attempt (seconds); None = no timeout
@@ -112,7 +114,7 @@ class SimulationConfig:
     #: rows buffered per record kind before the spill writer flushes one
     #: sorted run (the RSS-bound knob — see the budget model in
     #: docs/TELEMETRY.md)
-    spill_threshold_rows: int = 262_144
+    spill_threshold_rows: int = DEFAULT_SPILL_THRESHOLD_ROWS
 
     def __post_init__(self) -> None:
         if self.n_sessions <= 0:
@@ -153,20 +155,6 @@ class SimulationConfig:
             raise TypeError(
                 f"faults must be a FaultSpec (or None), got {type(self.faults).__name__}"
             )
-
-    @property
-    def execution(self) -> ExecutionOptions:
-        """The execution knobs as a typed immutable view.
-
-        The fields are mirrored structurally from
-        :class:`~repro.simulation.execution.ExecutionOptions`, which is
-        also what the workload config hash excludes — adding an execution
-        knob there keeps config, hash, and this view in sync by
-        construction.
-        """
-        return ExecutionOptions(
-            **{name: getattr(self, name) for name in EXECUTION_FIELD_NAMES}
-        )
 
     def with_overrides(self, **kwargs) -> "SimulationConfig":
         """A copy with the given fields replaced (convenience for sweeps)."""

@@ -75,7 +75,9 @@ def build_world(config: SimulationConfig) -> World:
 class SimulationResult:
     """A finished run: the telemetry plus world objects for inspection."""
 
-    dataset: Dataset
+    #: the run's telemetry; None for a multi-period run, whose period
+    #: datasets stay apart (``repro.api.RunResult.datasets``)
+    dataset: Optional[Dataset]
     catalog: Catalog
     population: ClientPopulation
     deployment: Deployment

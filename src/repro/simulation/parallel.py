@@ -282,7 +282,7 @@ def _shard_worker_main(task: _ShardTask, conn) -> None:
             {
                 # Ship each period's dataset canonically pre-sorted: sorting
                 # happens in the workers (in parallel), and the parent's
-                # k-way merge can then skip its per-shard resort pass.
+                # stable re-sort before its k-way merge is then linear.
                 "datasets": [dataset.sorted() for dataset in datasets],
                 "servers": simulator.servers,
                 "sessions": sum(d.n_sessions for d in datasets),
@@ -479,16 +479,17 @@ class ParallelSimulator:
     def _merge_period_datasets(shards: List[Any]):
         """Merge one period's shard datasets, honouring the memory mode.
 
-        In-memory shards k-way merge record lists (workers pre-sorted
-        them); spilled shards merge *lazily* — the combined facade simply
-        iterates every shard's runs in sorted shard order, which (disjoint
-        session-id ranges per shard) is the same canonical order
-        ``Dataset.merge_all`` would produce, without reading a single row
-        in the parent (docs/TELEMETRY.md).
+        This is the one place telemetry is merged, and only the shards of
+        one period.  In-memory shards k-way merge record lists (workers
+        pre-sorted them); spilled shards merge *lazily* — the combined
+        facade simply iterates every shard's runs in sorted shard order,
+        which (disjoint session-id ranges per shard) is the same canonical
+        order ``Dataset.merge_all`` would produce, without reading a
+        single row in the parent (docs/TELEMETRY.md).
         """
         if shards and isinstance(shards[0], SpilledDataset):
             return SpilledDataset.merge_all(shards)
-        return Dataset.merge_all(shards, canonicalize=True, assume_sorted=True)
+        return Dataset.merge_all(shards)
 
     def _launch(
         self, index: int, attempt: int, periods: Tuple[PeriodSpec, ...], world: World

@@ -4,10 +4,10 @@ Three layers, all deterministic (no wall clock, no process identity — a
 sweep report is byte-identical for any ``--workers`` value):
 
 * :func:`outcome_document` — the canonical JSON view of one multi-period
-  run: per-period QoE, overall QoE, first-vs-last-period deltas, and a
-  fault-localization scorecard when the telemetry carries ground-truth
-  labels.  ``repro scenario --json`` and every sweep cell share this
-  document shape.
+  run: per-period QoE, overall QoE over every period's sessions,
+  first-vs-last-period deltas, and a fault-localization scorecard when
+  the telemetry carries ground-truth labels.  ``repro scenario --json``
+  and every sweep cell share this document shape.
 * :func:`aggregate_report` — the grid-level comparison: one headline row
   per cell plus rankings by rebuffer ratio (ascending: best cells first)
   and by fault-localization recall (descending).
@@ -28,7 +28,7 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
 from ..analysis import plotting
 from ..core import qoe
-from ..core.faultscore import score_fault_localization
+from ..core.faultscore import FaultScoreReport
 from ..telemetry.dataset import Dataset
 
 __all__ = [
@@ -68,13 +68,12 @@ def _round_floats(value: Any, digits: int = 6) -> Any:
     return value
 
 
-def faultscore_summary(dataset: Dataset) -> Optional[Dict[str, Any]]:
-    """Grade localization against ground truth, as a plain JSON dict.
+def faultscore_summary(report: FaultScoreReport) -> Optional[Dict[str, Any]]:
+    """A localization-vs-ground-truth report as a plain JSON dict.
 
-    Returns None when the dataset carries no fault labels (nothing to
+    Returns None when the telemetry carried no fault labels (nothing to
     score) — an un-faulted sweep cell simply has no ``faultscore`` block.
     """
-    report = score_fault_localization(dataset)
     if report.n_labeled == 0:
         return None
     pooled_tp = sum(score.true_positives for score in report.classes.values())
@@ -107,19 +106,17 @@ def outcome_document(
     """The canonical JSON view of one (possibly multi-period) run.
 
     *labels*/*datasets* are the per-period telemetry in period order (a
-    single-period run is one entry).  ``overall`` summarizes the merged
-    telemetry; ``deltas`` (multi-period only) is last-period QoE minus
-    first-period QoE, the incident-vs-baseline damage vector.
+    single-period run is one entry).  ``overall`` and ``faultscore`` are
+    every period's sessions: one analysis state per analysis folds each
+    period's joined blocks in turn, and the counts are sums.  Periods may
+    reuse session ids, so no session is joined across periods.
+    ``deltas`` (multi-period only) is last-period QoE minus first-period
+    QoE, the incident-vs-baseline damage vector.
     """
     if len(labels) != len(datasets):
         raise ValueError("labels and datasets must align")
     if not datasets:
         raise ValueError("outcome needs at least one period")
-    merged = (
-        datasets[0]
-        if len(datasets) == 1
-        else Dataset.merge_all(list(datasets), canonicalize=True)
-    )
     periods = []
     for label, dataset in zip(labels, datasets):
         periods.append(
@@ -130,14 +127,19 @@ def outcome_document(
                 "qoe": qoe.summarize(dataset),
             }
         )
+    # imported here, like the core analyses do, so `import repro` does not
+    # load the columnar pass
+    from ..core.columnar_analysis import analyze_datasets
+
+    overall = analyze_datasets(datasets, ("qoe", "faultscore"))
     document: Dict[str, Any] = {
         "schema": OUTCOME_SCHEMA,
         "name": name,
         "periods": periods,
         "overall": {
-            "n_sessions": merged.n_sessions,
-            "n_chunks": merged.n_chunks,
-            "qoe": qoe.summarize(merged),
+            "n_sessions": sum(period["n_sessions"] for period in periods),
+            "n_chunks": sum(period["n_chunks"] for period in periods),
+            "qoe": overall["qoe"],
         },
     }
     if coordinates:
@@ -149,7 +151,7 @@ def outcome_document(
             for key in first
             if key in last and isinstance(first[key], (int, float))
         }
-    score = faultscore_summary(merged)
+    score = faultscore_summary(overall["faultscore"])
     if score is not None:
         document["faultscore"] = score
     return _round_floats(document)

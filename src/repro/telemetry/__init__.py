@@ -2,14 +2,14 @@
 
 Two storage regimes behind one record facade (docs/TELEMETRY.md):
 in-memory lists of record objects (:class:`Dataset`) and bounded-memory
-columnar spills (:class:`SpilledDataset`), joined by the same streaming
-merge-join (:func:`iter_joined_sessions`).
+columnar spills (:class:`SpilledDataset`).  Record views of both come
+from one join, :meth:`Dataset.sessions`; a spill materializes first.
 """
 
 from .beacons import export_beacons_csv, import_beacons_csv
 from .collector import TelemetryCollector
 from .columnar import COLUMN_SCHEMAS, ColumnOverflowError
-from .dataset import Dataset, JoinedChunk, SessionView, iter_joined_sessions
+from .dataset import Dataset, JoinedChunk, SessionView
 from .io import load_dataset, save_dataset
 from .spill import SpillError, SpilledDataset, SpillWriter
 from .synth import synthesize_sharded, synthesize_spill
@@ -27,7 +27,6 @@ __all__ = [
     "Dataset",
     "JoinedChunk",
     "SessionView",
-    "iter_joined_sessions",
     "COLUMN_SCHEMAS",
     "ColumnOverflowError",
     "SpillWriter",

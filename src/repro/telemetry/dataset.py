@@ -3,17 +3,20 @@
 "A key to end-to-end analysis is to trace session performance from the
 player through the CDN (at the granularity of chunks).  We implement
 tracing by using a globally unique session ID and per-session chunk IDs."
-(§2.2).  :meth:`Dataset.join_chunks` performs exactly that join; every
-analysis in :mod:`repro.core` operates on the joined views.
+(§2.2).  :meth:`Dataset.join_chunks` performs exactly that join, and
+:meth:`Dataset.sessions` groups it by session.  They are the one join
+that builds record views, in memory and for spills alike
+(:class:`~repro.telemetry.spill.SpilledDataset` materializes, then calls
+them); the headline analyses run the columnar join of
+:mod:`repro.core.columnar_analysis` instead.
 """
 
 from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass, field
-from itertools import groupby
-from operator import attrgetter, is_
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
+from operator import is_
+from typing import Dict, Iterable, Iterator, List, Optional, Set, Tuple
 
 import numpy as np
 
@@ -27,7 +30,7 @@ from .records import (
     TcpInfoRecord,
 )
 
-__all__ = ["JoinedChunk", "SessionView", "Dataset", "iter_joined_sessions"]
+__all__ = ["JoinedChunk", "SessionView", "Dataset"]
 
 
 @dataclass(frozen=True)
@@ -149,94 +152,6 @@ class SessionView:
         return result
 
 
-class _GroupCursor:
-    """Step through a session-id-sorted record stream, one sid group at a time.
-
-    ``take(sid)`` discards groups below *sid* and returns the group equal
-    to it (or ``[]``).  Callers request sids in ascending order, so the
-    whole pass is O(N) and at most one session's records are live.
-    """
-
-    __slots__ = ("_groups", "_sid", "_group")
-
-    def __init__(self, records: Iterable) -> None:
-        self._groups = groupby(records, key=attrgetter("session_id"))
-        self._advance()
-
-    def _advance(self) -> None:
-        self._sid, self._group = next(self._groups, (None, None))
-
-    def take(self, sid: str) -> list:
-        while self._sid is not None and self._sid < sid:
-            self._advance()
-        if self._sid == sid:
-            records = list(self._group)
-            self._advance()
-            return records
-        return []
-
-
-def iter_joined_sessions(
-    player_sessions: Iterable[PlayerSessionRecord],
-    cdn_sessions: Iterable[CdnSessionRecord],
-    player_chunks: Iterable[PlayerChunkRecord],
-    cdn_chunks: Iterable[CdnChunkRecord],
-    tcp_snapshots: Iterable[TcpInfoRecord],
-    ground_truth: Iterable[ChunkGroundTruth],
-) -> Iterator[SessionView]:
-    """Streaming merge-join: canonical-ordered record streams → session views.
-
-    Produces exactly what :meth:`Dataset.sessions` produces — same views,
-    same order, same duplicate-key semantics — but one session at a time,
-    so joining a spilled million-session run never materializes more than
-    one session's records.  Inputs **must** be in canonical order (the
-    :meth:`Dataset.sorted` keys); equal-key semantics then coincide with
-    the dict-index join: dict insertion last-wins over emission order
-    equals last-wins over a stable canonical sort.
-    """
-    cdn_session_groups = _GroupCursor(cdn_sessions)
-    player_chunk_groups = _GroupCursor(player_chunks)
-    cdn_chunk_groups = _GroupCursor(cdn_chunks)
-    tcp_groups = _GroupCursor(tcp_snapshots)
-    truth_groups = _GroupCursor(ground_truth)
-    for sid, player_group in groupby(player_sessions, key=attrgetter("session_id")):
-        players = list(player_group)
-        cdns = cdn_session_groups.take(sid)
-        if not cdns:
-            continue
-        view = SessionView(
-            session_id=sid, player_session=players[-1], cdn_session=cdns[-1]
-        )
-        cdn_index: Dict[Tuple[str, int], CdnChunkRecord] = {
-            (r.session_id, r.chunk_id): r for r in cdn_chunk_groups.take(sid)
-        }
-        truth_index: Dict[Tuple[str, int], ChunkGroundTruth] = {
-            (r.session_id, r.chunk_id): r for r in truth_groups.take(sid)
-        }
-        tcp_index: Dict[Tuple[str, int], List[TcpInfoRecord]] = {}
-        for snapshot in tcp_groups.take(sid):
-            tcp_index.setdefault((snapshot.session_id, snapshot.chunk_id), []).append(
-                snapshot
-            )
-        for snapshots in tcp_index.values():
-            snapshots.sort(key=lambda s: s.t_ms)
-        for player in player_chunk_groups.take(sid):
-            key = (player.session_id, player.chunk_id)
-            cdn = cdn_index.get(key)
-            if cdn is None:
-                continue
-            view.chunks.append(
-                JoinedChunk(
-                    player=player,
-                    cdn=cdn,
-                    tcp=tuple(tcp_index.get(key, ())),
-                    truth=truth_index.get(key),
-                )
-            )
-        view.chunks.sort(key=lambda c: c.chunk_id)
-        yield view
-
-
 @dataclass
 class Dataset:
     """All telemetry from one simulated collection period."""
@@ -324,23 +239,13 @@ class Dataset:
         return [views[sid] for sid in sorted(views)]
 
     def iter_sessions(self) -> Iterator[SessionView]:
-        """Streaming equivalent of :meth:`sessions` (same views, same order).
+        """Iterate :meth:`sessions` (same views, same order).
 
-        The uniform iteration surface shared with
-        :class:`~repro.telemetry.spill.SpilledDataset`: analyses that loop
-        over ``dataset.iter_sessions()`` run identically on in-memory and
-        spilled telemetry, holding one session at a time instead of the
-        full view list.
+        The iteration surface shared with
+        :class:`~repro.telemetry.spill.SpilledDataset`, whose record views
+        come from this same join.
         """
-        ordered = self.sorted()
-        return iter_joined_sessions(
-            ordered.player_sessions,
-            ordered.cdn_sessions,
-            ordered.player_chunks,
-            ordered.cdn_chunks,
-            ordered.tcp_snapshots,
-            ordered.ground_truth,
-        )
+        return iter(self.sessions())
 
     def run_arrays(self, kind: str) -> List[np.ndarray]:
         """The kind's rows as sorted columnar runs (``[]`` when it has none).
@@ -395,48 +300,20 @@ class Dataset:
         """A new dataset containing only the given session ids."""
         return Dataset.collect(self, keep_ids)
 
-    def merge(self, other: "Dataset", canonicalize: bool = False) -> "Dataset":
-        """Concatenate two datasets (e.g. multiple simulated days).
-
-        With ``canonicalize=True`` the merged record lists are put in the
-        canonical (session, chunk, time) order of :meth:`sorted`, so that
-        datasets collected by differently-partitioned runs of the same
-        workload compare equal with ``==``.
-        """
-        merged = Dataset(
-            **{kind: getattr(self, kind) + getattr(other, kind) for kind in SPILL_KINDS}
-        )
-        return merged.sorted() if canonicalize else merged
-
     @classmethod
-    def merge_all(
-        cls,
-        datasets: Iterable["Dataset"],
-        canonicalize: bool = True,
-        assume_sorted: bool = False,
-    ) -> "Dataset":
-        """Merge any number of datasets; canonically ordered by default.
+    def merge_all(cls, datasets: Iterable["Dataset"]) -> "Dataset":
+        """Merge the shard datasets of one period into canonical order.
 
         This is the merge the sharded runner uses: shard outputs arrive in
-        nondeterministic completion order, and canonicalization makes the
-        result independent of both that order and the shard count.
-
-        Canonicalization is a k-way :func:`heapq.merge` of per-input sorted
-        lists — O(N log k) instead of concatenate-then-resort's O(N log N).
-        Both ``heapq.merge`` and :meth:`sorted` are stable with ties broken
-        by input position, so the result is identical to the old
-        concatenate-then-stable-sort.  ``assume_sorted=True`` skips the
-        per-input :meth:`sorted` pass for producers (shard workers) whose
-        outputs are already canonically ordered.
+        nondeterministic completion order, and canonical order makes the
+        result independent of both that order and the shard count.  Each
+        input is stable-sorted (linear for the pre-sorted lists shard
+        workers ship), then a k-way :func:`heapq.merge` combines them with
+        ties broken by input position — the same result as concatenating
+        and stable-sorting.  Telemetry of different periods is never
+        merged: periods may reuse session ids.
         """
-        inputs = list(datasets)
-        if not canonicalize:
-            merged = cls()
-            for dataset in inputs:
-                merged = merged.merge(dataset)
-            return merged
-        if not assume_sorted:
-            inputs = [dataset.sorted() for dataset in inputs]
+        inputs = [dataset.sorted() for dataset in datasets]
         return cls(
             **{
                 kind: list(

@@ -15,11 +15,14 @@ dtype, and the ordered run list (docs/TELEMETRY.md, "Spill-file format").
   order of :meth:`Dataset.sorted` (runs are stable-sorted at flush time
   and flushed in emission order, so merge ties resolve to emission order —
   the same tie-break as one big stable sort);
-* :meth:`iter_sessions` streams joined :class:`SessionView`s one session
-  at a time via the merge-join in :mod:`repro.telemetry.dataset`;
-* :meth:`merge_all` combines shard spill directories *lazily* — no row is
-  read at merge time; the parent's iteration order (shard-index order,
-  then run order) reproduces ``Dataset.merge_all``'s canonical output.
+* record views (:meth:`sessions`, :meth:`iter_sessions`,
+  :meth:`join_chunks`) materialize the spill and run the one join of
+  :mod:`repro.telemetry.dataset` — they are for tests and small spills;
+  whole-spill analyses run the columnar pass instead;
+* :meth:`merge_all` combines one period's shard spill directories
+  *lazily* — no row is read at merge time; the parent's iteration order
+  (shard-index order, then run order) reproduces ``Dataset.merge_all``'s
+  canonical output.
 
 The facade is pickle-cheap (directory paths only), which is how shard
 workers ship a million-session result through a multiprocessing pipe.
@@ -43,7 +46,7 @@ from .columnar import (
     sort_array,
     sort_key,
 )
-from .dataset import Dataset, SessionView, iter_joined_sessions
+from .dataset import Dataset, JoinedChunk, SessionView
 
 __all__ = [
     "SPILL_FORMAT",
@@ -249,12 +252,14 @@ class SpilledDataset:
 
     Implements the :class:`Dataset` surface the pipeline relies on —
     per-kind record iteration (as properties, in canonical order),
-    ``n_sessions``/``n_chunks``, ``sessions()``/``iter_sessions()``,
-    ``join_chunks()``, ``sorted()``, ``filter_sessions`` and
-    ``to_dataset()`` — while never holding more than one materialized
-    block per run in memory.  Construction validates the manifest and
-    every run file (header, dtype, row count), so corruption surfaces at
-    open time as :class:`SpillError`, not mid-analysis.
+    ``run_arrays``, ``n_sessions``/``n_chunks``, ``sorted()``,
+    ``filter_sessions`` and ``to_dataset()`` — while never holding more
+    than one materialized block per run in memory.  The record views
+    (``sessions()``, ``iter_sessions()``, ``join_chunks()``) are the
+    exception: they materialize the whole spill first.  Construction
+    validates the manifest and every run file (header, dtype, row count),
+    so corruption surfaces at open time as :class:`SpillError`, not
+    mid-analysis.
     """
 
     def __init__(self, directories: Union[str, Path, Sequence[Union[str, Path]]]) -> None:
@@ -350,23 +355,16 @@ class SpilledDataset:
 
     # -- joining -------------------------------------------------------------
 
-    def iter_sessions(self) -> Iterator[SessionView]:
-        """Stream joined session views in session-id order, one at a time."""
-        return iter_joined_sessions(
-            self.player_sessions,
-            self.cdn_sessions,
-            self.player_chunks,
-            self.cdn_chunks,
-            self.tcp_snapshots,
-            self.ground_truth,
-        )
-
     def sessions(self) -> List[SessionView]:
-        """Materialized :meth:`iter_sessions` (Dataset-compat fallback)."""
-        return list(self.iter_sessions())
+        """:meth:`Dataset.sessions` of the materialized spill."""
+        return self.to_dataset().sessions()
 
-    def join_chunks(self) -> List[object]:
-        return [chunk for view in self.iter_sessions() for chunk in view.chunks]
+    def iter_sessions(self) -> Iterator[SessionView]:
+        return iter(self.sessions())
+
+    def join_chunks(self) -> List[JoinedChunk]:
+        """:meth:`Dataset.join_chunks` of the materialized spill."""
+        return self.to_dataset().join_chunks()
 
     # -- combining / conversion ----------------------------------------------
 
@@ -376,7 +374,7 @@ class SpilledDataset:
 
     @classmethod
     def merge_all(cls, datasets: Sequence["SpilledDataset"]) -> "SpilledDataset":
-        """Lazily combine spills (shard outputs) into one canonical view.
+        """Lazily combine one period's shard spills into one canonical view.
 
         No rows are read: the merged facade simply iterates the union of
         the inputs' runs.  Callers pass shards in sorted shard order, the

@@ -124,12 +124,13 @@ class LocalizationAccumulator:
 class FaultScoreAccumulator:
     """Streaming :func:`repro.core.faultscore.score_fault_localization`.
 
-    State is the :class:`FaultScoreReport` itself (per-class tallies and
-    the confusion matrix) — O(fault classes), not O(sessions).
+    State is the per-class tallies, the confusion matrix and one count of
+    spurious verdicts per verdict — O(fault classes), not O(sessions).
     """
 
     def __init__(self) -> None:
         self.report = FaultScoreReport()
+        self._spurious: Counter = Counter()
 
     def update(self, view: SessionView) -> None:
         report = self.report
@@ -165,15 +166,39 @@ class FaultScoreAccumulator:
                     score.true_positives += 1
                 else:
                     score.false_negatives += 1
-            # precision: a verdict naming a layer no active fault maps to is
-            # a false positive for every class expecting that layer
+            # a verdict naming a layer no active fault maps to is spurious
             if predicted is not Bottleneck.NONE and predicted not in expected_layers:
-                for score in report.classes.values():
-                    if predicted.value in score.expected:
-                        score.false_positives += 1
+                self._spurious[predicted.value] += 1
 
-    def result(self):
-        return self.report
+    def result(self) -> FaultScoreReport:
+        """The report in canonical order: classes and confusion rows
+        sorted, verdict columns in :class:`Bottleneck` order.  Precision
+        counts every spurious verdict naming a class's layer as one of its
+        false positives, wherever it came in the data."""
+        report = self.report
+        classes = {}
+        for name in sorted(report.classes):
+            score = report.classes[name]
+            classes[name] = ClassScore(
+                name,
+                score.expected,
+                true_positives=score.true_positives,
+                false_negatives=score.false_negatives,
+                false_positives=sum(self._spurious[value] for value in score.expected),
+            )
+        confusion = {}
+        for category in sorted(report.confusion):
+            row = report.confusion[category]
+            confusion[category] = Counter(
+                {b.value: row[b.value] for b in Bottleneck if b.value in row}
+            )
+        return FaultScoreReport(
+            n_chunks=report.n_chunks,
+            n_labeled=report.n_labeled,
+            n_unscored=report.n_unscored,
+            classes=classes,
+            confusion=confusion,
+        )
 
 
 def consume(dataset, *accumulators) -> List[Any]:

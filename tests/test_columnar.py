@@ -17,6 +17,7 @@ from operator import attrgetter
 import numpy as np
 import pytest
 
+from helpers import cdn_chunk, make_dataset, player_chunk
 from repro.api import run
 from repro.faults import FaultEvent, FaultSpec
 from repro.obs.manifest import dump_json
@@ -335,6 +336,23 @@ class TestMemoryModeByteIdentity:
         execution = result.manifest()["execution"]
         assert execution["metrics"]["counters"]["telemetry.spill.rows_total"] > 0
         assert execution["spill_dir"] == str(tmp_path / "s")
+
+    def test_record_views_agree_across_residence(self, tmp_path):
+        # a chunk pair whose session beacons were lost joins as a chunk
+        # but belongs to no session view, in memory and spilled alike
+        dataset = make_dataset(3)
+        dataset.player_chunks.append(player_chunk(session="s0", chunk=4))
+        dataset.cdn_chunks.append(cdn_chunk(session="s0", chunk=4))
+        writer = SpillWriter(tmp_path / "s", threshold_rows=2)
+        for kind in SPILL_KINDS:
+            for record in getattr(dataset, kind):
+                writer.add(kind, record)
+        spilled = writer.finalize()
+        assert len(spilled.run_arrays("player_chunks")) == 2
+        joined = spilled.join_chunks()
+        assert len(joined) == 4
+        assert joined == dataset.sorted().join_chunks()
+        assert spilled.sessions() == dataset.sessions()
 
     def test_streaming_sessions_equal_materialized(self, reference_dataset, tmp_path):
         spilled = run(

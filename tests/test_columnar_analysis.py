@@ -519,10 +519,11 @@ class TestFaultScoreState:
         assert any(s.false_positives for s in state.result().classes.values())
         assert sizes[-1] - sizes[0] <= 1024, sizes
 
-    def test_false_positives_count_only_for_classes_seen_by_then(self):
+    def test_false_positives_do_not_depend_on_block_order(self):
         server = list(Bottleneck).index(Bottleneck.SERVER)
         # an unlabelled server verdict, the class's first chunk, another
-        # unlabelled server verdict, a clean chunk
+        # unlabelled server verdict, a clean chunk: both spurious server
+        # verdicts count against the class, wherever they come
         rows = [(server, b""), (server, b"cache-brownout:e1"), (server, b""), (0, b"")]
 
         def block(part):
@@ -532,13 +533,17 @@ class TestFaultScoreState:
             joined.fault_labels = np.array([labels for _, labels in part], dtype="S160")
             return joined
 
-        whole, split = ca.FaultScoreState(), ca.FaultScoreState()
+        whole, split, reverse = (ca.FaultScoreState() for _ in range(3))
         whole.update(block(rows))
         for row in rows:
             split.update(block([row]))
+        for row in reversed(rows):
+            reverse.update(block([row]))
         (score,) = whole.result().classes.values()
-        assert (score.true_positives, score.false_positives) == (1, 1)
+        assert (score.true_positives, score.false_positives) == (1, 2)
         assert split.result() == whole.result()
+        assert reverse.result() == whole.result()
+        assert reverse.result().format_report() == whole.result().format_report()
 
 
 class TestResolveAnalysis:

@@ -36,7 +36,6 @@ from repro.obs import (
 )
 from repro.simulation.config import SimulationConfig
 from repro.simulation.driver import simulate
-from repro.simulation.execution import EXECUTION_FIELD_NAMES, ExecutionOptions
 
 
 def _config(**overrides) -> SimulationConfig:
@@ -227,19 +226,20 @@ class TestManifest:
         field_names = set(vars(SimulationConfig()).keys())
         assert EXECUTION_FIELDS <= field_names
 
-    def test_typed_view_mirrors_config(self):
-        config = SimulationConfig(n_sessions=10, workers=3, trace_sample=0.5)
-        options = config.execution
-        assert isinstance(options, ExecutionOptions)
-        for name in EXECUTION_FIELD_NAMES:
-            assert getattr(options, name) == getattr(config, name)
-
-    def test_hash_exclusion_is_structural(self):
-        # the manifest's exclusion set IS the ExecutionOptions field list:
-        # adding an execution knob to the dataclass excludes it from the
-        # workload hash automatically
-        assert EXECUTION_FIELDS == frozenset(EXECUTION_FIELD_NAMES)
-        assert "spill_dir" in EXECUTION_FIELDS
+    def test_hash_exclusion_is_structural(self, tmp_path):
+        # the workload hash drops exactly the EXECUTION_FIELDS list: a knob
+        # on it never changes the hash, whatever its value
+        base = _config()
+        changed = dict(
+            workers=3,
+            shard_timeout_s=5.0,
+            trace_sample=0.5,
+            spill_dir=str(tmp_path),
+            spill_threshold_rows=7,
+        )
+        assert set(changed) == EXECUTION_FIELDS
+        for name, value in changed.items():
+            assert config_hash(base.with_overrides(**{name: value})) == config_hash(base)
 
     def test_spill_and_tracing_excluded_from_config_hash(self, tmp_path):
         base = _config()

@@ -20,6 +20,7 @@ import pytest
 from helpers import make_dataset, player_chunk, tcp_snap
 from repro.net.path import NetworkPath
 from repro.net.tcp import TcpConnection
+from repro.telemetry.columnar import SPILL_KINDS
 from repro.telemetry.dataset import Dataset
 
 
@@ -209,14 +210,13 @@ class TestKWayMerge:
     def test_merge_all_equals_concat_then_stable_sort(self):
         shards = self.shard_datasets()
         merged = Dataset.merge_all(shards)
-        reference = Dataset()
-        for shard in shards:
-            reference = reference.merge(shard, canonicalize=False)
+        reference = Dataset(
+            **{
+                kind: [record for shard in shards for record in getattr(shard, kind)]
+                for kind in SPILL_KINDS
+            }
+        )
         assert merged == reference.sorted()
-
-    def test_assume_sorted_skips_nothing_when_inputs_sorted(self):
-        shards = [shard.sorted() for shard in self.shard_datasets()]
-        assert Dataset.merge_all(shards, assume_sorted=True) == Dataset.merge_all(shards)
 
     def test_ties_prefer_earlier_inputs(self):
         # Identical sort keys across shards: the k-way merge must keep

@@ -44,7 +44,9 @@ from repro.sweep import (
     run_cell,
     run_sweep,
 )
+from repro.sweep.report import _round_floats
 from repro.sweep.spec import _apply_overrides
+from streaming_oracle import QoeAccumulator
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
@@ -372,6 +374,34 @@ class TestOutcomeDocument:
         assert score["n_labeled"] > 0
         assert 0.0 <= score["recall"] <= 1.0
         assert "server-degraded" in score["classes"]
+
+    def test_multi_period_overall_folds_the_periods(self):
+        # both periods draw from one session-id stream: overall holds every
+        # period's sessions and never joins a session across periods
+        spec = _tiny_scenario(
+            base={"n_sessions": 30},
+            periods=(
+                PeriodDef(label="baseline"),
+                PeriodDef(
+                    label="incident",
+                    mutation="repro.simulation.scenarios:_flush_caches",
+                ),
+            ),
+        )
+        result = run(periods=spec.resolve())
+        ids = [{r.session_id for r in d.player_sessions} for d in result.datasets]
+        assert ids[0] == ids[1]
+        document = outcome_document("flush", list(result.labels), result.datasets)
+        periods, overall = document["periods"], document["overall"]
+        assert overall["qoe"]["n_sessions"] == sum(
+            period["qoe"]["n_sessions"] for period in periods
+        ) == 60
+        assert overall["n_sessions"] == result.manifest()["n_sessions"] == 60
+        fold = QoeAccumulator()
+        for dataset in result.datasets:
+            for view in dataset.iter_sessions():
+                fold.update(view)
+        assert overall["qoe"] == _round_floats(fold.result())
 
     def test_aggregate_ranking_orders_and_failures(self):
         def doc(name, rebuf, recall):

@@ -133,7 +133,7 @@ class TestDatasetJoin:
             player_sessions=[player_session(session="s2")],
             cdn_sessions=[cdn_session(session="s2")],
         )
-        merged = d1.merge(d2)
+        merged = Dataset.merge_all([d1, d2])
         assert merged.n_sessions == 2
         assert len(merged.sessions()) == 2
 
