@@ -6,8 +6,9 @@ from typing import Dict
 
 import numpy as np
 
+from repro.api import run
 from repro.simulation.config import SimulationConfig
-from repro.simulation.driver import SimulationResult, simulate
+from repro.simulation.driver import SimulationResult
 
 ABLATION_SESSIONS = 600
 ABLATION_WARMUP = 1200
@@ -89,5 +90,5 @@ def run_config(**overrides) -> SimulationResult:
     """
     key = repr(sorted(overrides.items(), key=lambda kv: kv[0]))
     if key not in _CACHE:
-        _CACHE[key] = simulate(ablation_config(**overrides))
+        _CACHE[key] = run(ablation_config(**overrides))
     return _CACHE[key]

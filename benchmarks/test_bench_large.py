@@ -14,8 +14,8 @@ import os
 import pytest
 
 from bench_util import attach_observability, write_perf_record
+from repro.api import run
 from repro.simulation.config import SimulationConfig
-from repro.simulation.driver import simulate
 
 pytestmark = [
     pytest.mark.bench,
@@ -30,7 +30,7 @@ SEED = 7
 
 
 def run_simulation():
-    return simulate(
+    return run(
         SimulationConfig(n_sessions=N_SESSIONS, warmup_sessions=0, seed=SEED)
     )
 

@@ -1,7 +1,7 @@
 """Bench: sharded parallel runner vs the serial simulator on one workload.
 
 Times the same ≥5k-session collection period through the classic serial
-``Simulator`` and through ``ParallelSimulator(workers=4)``, asserting both
+``Simulator`` and through ``run`` with ``workers=4``, asserting both
 that the outputs agree (the determinism contract, at benchmark scale) and
 that sharding pays for itself: on a multi-core host the sharded run must
 not be slower than the serial one; on a single-core host (e.g. a 1-vCPU CI
@@ -16,9 +16,9 @@ import time
 
 import pytest
 
+from repro.api import run
 from repro.simulation.config import SimulationConfig
 from repro.simulation.driver import Simulator
-from repro.simulation.parallel import ParallelSimulator
 
 pytestmark = pytest.mark.bench
 
@@ -40,7 +40,8 @@ def test_bench_parallel_vs_serial(benchmark):
     serial_s = time.perf_counter() - started
 
     parallel = benchmark.pedantic(
-        ParallelSimulator(_config(), workers=WORKERS).run,
+        run,
+        args=(_config().with_overrides(workers=WORKERS),),
         rounds=1,
         iterations=1,
         warmup_rounds=0,

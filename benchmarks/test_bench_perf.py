@@ -19,8 +19,8 @@ from __future__ import annotations
 import pytest
 
 from bench_util import attach_observability, write_perf_record
+from repro.api import run
 from repro.simulation.config import SimulationConfig
-from repro.simulation.driver import simulate
 
 pytestmark = pytest.mark.bench
 
@@ -32,7 +32,7 @@ WALL_BUDGET_S = 30.0
 
 
 def run_simulation():
-    return simulate(
+    return run(
         SimulationConfig(n_sessions=N_SESSIONS, warmup_sessions=0, seed=SEED)
     )
 

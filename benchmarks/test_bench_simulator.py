@@ -5,14 +5,14 @@ performance regressions in the period runner / TCP model hot path.
 """
 
 from bench_util import attach_observability, write_perf_record
+from repro.api import run
 from repro.simulation.config import SimulationConfig
-from repro.simulation.driver import simulate
 
 N_SESSIONS = 300
 
 
 def run_simulation():
-    return simulate(SimulationConfig(n_sessions=N_SESSIONS, warmup_sessions=0, seed=42))
+    return run(SimulationConfig(n_sessions=N_SESSIONS, warmup_sessions=0, seed=42))
 
 
 def test_bench_simulator_throughput(benchmark):

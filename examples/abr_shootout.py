@@ -10,11 +10,11 @@ Run:  python examples/abr_shootout.py
 
 import numpy as np
 
-from repro import SimulationConfig, simulate
+from repro import SimulationConfig, run
 
 
 def evaluate(abr_name: str, screen: bool = False):
-    result = simulate(
+    result = run(
         SimulationConfig(
             n_sessions=1200,
             warmup_sessions=2400,

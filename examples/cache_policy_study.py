@@ -11,7 +11,7 @@ Run:  python examples/cache_policy_study.py
 
 import numpy as np
 
-from repro import SimulationConfig, simulate
+from repro import SimulationConfig, run
 from repro.cdn.cache import TwoLevelCache
 from repro.workload.popularity import PopularityModel
 
@@ -46,11 +46,11 @@ def miss_stats(result):
 def operational_fixes() -> None:
     print("\nOperational fixes on the full simulator (800 sessions each):")
     base_config = SimulationConfig(n_sessions=800, warmup_sessions=1600, seed=23)
-    baseline = simulate(base_config)
-    prefetch = simulate(
+    baseline = run(base_config)
+    prefetch = run(
         base_config.with_overrides(prefetch_after_miss=True, prefetch_depth=4)
     )
-    warmed = simulate(base_config.with_overrides(warm_first_chunks=True))
+    warmed = run(base_config.with_overrides(warm_first_chunks=True))
 
     base_first, base_later = miss_stats(baseline)
     _, prefetch_later = miss_stats(prefetch)

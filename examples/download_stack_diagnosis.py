@@ -17,14 +17,14 @@ Run:  python examples/download_stack_diagnosis.py
 
 import numpy as np
 
-from repro import SimulationConfig, simulate
+from repro import SimulationConfig, run
 from repro.client.abr import ChunkObservation, RateBasedAbr
 from repro.core import downstack, filter_proxies
 
 
 def main() -> None:
     print("Simulating 4000 sessions...")
-    result = simulate(
+    result = run(
         SimulationConfig(n_sessions=4000, warmup_sessions=6000, seed=13)
     )
     dataset, _ = filter_proxies(result.dataset)

@@ -14,14 +14,14 @@ Run:  python examples/enterprise_latency_audit.py
 
 import numpy as np
 
-from repro import SimulationConfig, simulate
+from repro import SimulationConfig, run
 from repro.core import filter_proxies, netdiag, persistence
 from repro.core.decomposition import session_min_rtt
 
 
 def main() -> None:
     print("Simulating 6000 sessions...")
-    result = simulate(SimulationConfig(n_sessions=6000, warmup_sessions=6000, seed=31))
+    result = run(SimulationConfig(n_sessions=6000, warmup_sessions=6000, seed=31))
     dataset, _ = filter_proxies(result.dataset)
     sessions = dataset.sessions()
 

@@ -11,21 +11,23 @@ Run:  python examples/incident_analysis.py [scenario]
 
 import sys
 
+from repro import run
 from repro.core.comparison import compare_datasets
 from repro.core.localization import diagnose_dataset
-from repro.simulation.scenarios import SCENARIOS, run_scenario
+from repro.sweep import CANNED_SCENARIOS
 
 
 def analyze(name: str) -> None:
     print(f"=== scenario: {name} ===")
-    outcome = run_scenario(name)
-    report = compare_datasets(outcome.baseline, outcome.incident)
+    result = run(periods=CANNED_SCENARIOS[name].resolve())
+    baseline, incident = result.period("baseline"), result.period("incident")
+    report = compare_datasets(baseline, incident)
     print(report)
     moved = report.significant_changes
     if moved:
         print("significant movements: " + ", ".join(d.metric for d in moved))
-    baseline_loc = diagnose_dataset(outcome.baseline)
-    incident_loc = diagnose_dataset(outcome.incident)
+    baseline_loc = diagnose_dataset(baseline)
+    incident_loc = diagnose_dataset(incident)
     print("bottleneck shift (share of chunks, baseline -> incident):")
     for location in sorted(baseline_loc):
         before = 100.0 * baseline_loc[location]
@@ -36,7 +38,7 @@ def analyze(name: str) -> None:
 
 
 def main() -> None:
-    names = sys.argv[1:] if len(sys.argv) > 1 else sorted(SCENARIOS)
+    names = sys.argv[1:] if len(sys.argv) > 1 else sorted(CANNED_SCENARIOS)
     for name in names:
         analyze(name)
 

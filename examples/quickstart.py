@@ -10,7 +10,7 @@ Run:  python examples/quickstart.py [n_sessions]
 
 import sys
 
-from repro import SimulationConfig, simulate
+from repro import SimulationConfig, run
 from repro.core import evaluate_key_findings, filter_proxies, qoe
 
 
@@ -18,7 +18,7 @@ def main() -> None:
     n_sessions = int(sys.argv[1]) if len(sys.argv) > 1 else 2000
 
     print(f"Simulating {n_sessions} sessions (plus cache warmup)...")
-    result = simulate(
+    result = run(
         SimulationConfig(n_sessions=n_sessions, warmup_sessions=2 * n_sessions, seed=7)
     )
     print(

@@ -24,17 +24,17 @@ Quickstart::
     dataset, _ = filter_proxies(result.dataset)
     print(qoe.summarize(dataset))
 
-:func:`repro.api.run` is the supported entry point for every execution
-shape — serial, sharded (``workers=4``), multi-period, and fault-injected
-(``faults="examples/fault_cdn_degradation.json"``).  The lower-level
-``Simulator`` / ``simulate`` names remain exported for backward
-compatibility but new code should go through ``run()``.
+:func:`repro.api.run` is the one entry point for every execution shape —
+serial, sharded (``workers=4``), multi-period, and fault-injected
+(``faults="examples/fault_cdn_degradation.json"``) — and every run returns
+one :class:`SimulationResult`.  ``Simulator`` stays exported for stepping
+a fleet by hand (custom periods, ``run_days``, service rounds).
 """
 
-from .api import RunResult, run
+from .api import run
 from .faults import FaultSpec
 from .simulation.config import SimulationConfig
-from .simulation.driver import SimulationResult, Simulator, simulate
+from .simulation.driver import SimulationResult, Simulator
 from .sweep import ScenarioSpec, SweepSpec, run_sweep
 from .telemetry.dataset import Dataset, JoinedChunk, SessionView
 
@@ -42,7 +42,6 @@ __version__ = "1.0.0"
 
 __all__ = [
     "run",
-    "RunResult",
     "FaultSpec",
     "ScenarioSpec",
     "SweepSpec",
@@ -50,7 +49,6 @@ __all__ = [
     "SimulationConfig",
     "SimulationResult",
     "Simulator",
-    "simulate",
     "Dataset",
     "JoinedChunk",
     "SessionView",

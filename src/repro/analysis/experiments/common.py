@@ -13,9 +13,10 @@ from __future__ import annotations
 from functools import lru_cache
 from typing import Dict, Tuple
 
+from ...api import run
 from ...core.proxy_filter import filter_proxies
 from ...simulation.config import SimulationConfig
-from ...simulation.driver import SimulationResult, Simulator
+from ...simulation.driver import SimulationResult
 from ...telemetry.dataset import Dataset
 from ...workload.geo import GeoPoint
 
@@ -57,12 +58,7 @@ def standard_result(scale: str = "medium", seed: int = 7, workers: int = 1) -> S
     produces the same records as the serial run (canonically ordered), so
     every experiment sees identical data.
     """
-    config = standard_config(scale, seed)
-    if workers > 1:
-        from ...simulation.parallel import ParallelSimulator
-
-        return ParallelSimulator(config, workers=workers).run()
-    return Simulator(config).run()
+    return run(standard_config(scale, seed).with_overrides(workers=workers))
 
 
 @lru_cache(maxsize=4)

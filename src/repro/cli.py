@@ -375,12 +375,11 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         f"(+ manifest.json)"
     )
     for report in result.shard_reports:
-        status = "ok" if report.succeeded else f"FAILED ({report.error})"
         print(
             f"  shard {report.shard_index}/{report.n_shards}: "
             f"{report.sessions} sessions on {report.n_servers} servers in "
             f"{report.wall_time_s:.2f}s, retries={report.retries}, "
-            f"peak_rss={report.peak_rss_bytes / 1e6:.0f} MB [{status}]"
+            f"peak_rss={report.peak_rss_bytes / 1e6:.0f} MB"
         )
     if args.metrics_out:
         metrics_path = result.write_metrics_document(args.metrics_out)
@@ -562,29 +561,25 @@ def _cmd_faultscore(args: argparse.Namespace) -> int:
 
 def _cmd_scenario(args: argparse.Namespace) -> int:
     from .core import compare_datasets
-    from .simulation.scenarios import SCENARIOS, run_scenario
+    from .sweep.spec import CANNED_SCENARIOS
 
-    if args.name not in SCENARIOS:
+    if args.name not in CANNED_SCENARIOS:
         print(
             f"unknown scenario {args.name!r}; choose from "
-            f"{', '.join(sorted(SCENARIOS))}",
+            f"{', '.join(sorted(CANNED_SCENARIOS))}",
             file=sys.stderr,
         )
         return 2
     print(f"running scenario {args.name!r}, seed {args.seed}, "
           f"workers {args.workers}...")
-    outcome = run_scenario(
-        args.name, seed=args.seed, workers=args.workers
-    )
-    comparison = compare_datasets(outcome.baseline, outcome.incident)
+    periods = CANNED_SCENARIOS[args.name].resolve(seed=args.seed, workers=args.workers)
+    result = run(periods=periods)
+    baseline, incident = result.period("baseline"), result.period("incident")
+    comparison = compare_datasets(baseline, incident)
     print(comparison)
     if args.out:
-        from .telemetry.io import save_dataset
-
-        base = Path(args.out)
-        save_dataset(outcome.baseline, base / "baseline")
-        save_dataset(outcome.incident, base / "incident")
-        print(f"wrote baseline/ and incident/ datasets under {base}")
+        path = result.save(args.out)
+        print(f"wrote baseline/ and incident/ datasets (+ manifest.json) under {path}")
     if args.json_out:
         from .obs.manifest import dump_json
         from .sweep.report import outcome_document
@@ -592,7 +587,7 @@ def _cmd_scenario(args: argparse.Namespace) -> int:
         document = outcome_document(
             name=args.name,
             labels=["baseline", "incident"],
-            datasets=[outcome.baseline, outcome.incident],
+            datasets=[baseline, incident],
         )
         payload = dump_json(document)
         if args.json_out == "-":

@@ -125,22 +125,9 @@ class NetworkPath:
                 self.rng.exponential(self.episode_gap_mean_ms)
             )
 
-    def _episode_state(self, now_ms: float) -> "tuple[float, float]":
-        """(rtt multiplier, bandwidth divisor) in effect at *now_ms*."""
-        self._advance_episodes(now_ms)
-        if now_ms < self._episode_until_ms:
-            return self._episode_rtt_mult, self._episode_bw_div
-        return 1.0, 1.0
-
     def congestion_multiplier(self, now_ms: float) -> float:
         """Current latency inflation from the episode process (>= 1)."""
-        return self._episode_state(now_ms)[0]
-
-    def _fault_state(self, now_ms: float) -> Optional["PathFaultState"]:
-        """Injected fault state at *now_ms* (None without a probe/epoch)."""
-        if self.fault_probe is None:
-            return None
-        return self.fault_probe(now_ms)
+        return self.epoch_window(now_ms)[0]
 
     def epoch_window(self, now_ms: float) -> "Tuple[float, float, float]":
         """(rtt multiplier, bandwidth divisor, valid-until ms) at *now_ms*.
@@ -166,8 +153,8 @@ class NetworkPath:
         The query the TCP transfer loop issues once per round: one
         episode-state advance and one fault-probe evaluation.
 
-        * The RTT is :meth:`sample_rtt`'s sample, value- and
-          RNG-stream-identical.
+        * The RTT is the baseline times the episode multiplier times
+          lognormal measurement noise (what :meth:`sample_rtt` returns).
         * During a congestion episode the bottleneck queue is shared with
           cross traffic, so our share of the link shrinks.
         * The per-segment loss probability is random loss, plus episode
@@ -217,15 +204,10 @@ class NetworkPath:
 
         Does not include self-induced queueing from our own TCP transfer —
         the TCP model adds that on top (self-loading, §4.2-1's caveat about
-        SRTT samples reflecting queueing delay).
+        SRTT samples reflecting queueing delay).  It is
+        :meth:`sample_round`'s RTT with nothing in flight.
         """
-        multiplier = self.congestion_multiplier(now_ms)
-        noise = float(self.rng.lognormal(0.0, 0.08))  # small measurement noise
-        rtt = self.base_rtt_ms * multiplier * noise
-        fault = self._fault_state(now_ms)
-        if fault is not None:
-            rtt *= fault.rtt_mult
-        return rtt
+        return self.sample_round(now_ms, 0.0)[0]
 
 
 def build_session_path(

@@ -21,7 +21,7 @@ import dataclasses
 import hashlib
 import json
 from pathlib import Path
-from typing import TYPE_CHECKING, Any, Dict, Optional, Sequence, Union
+from typing import TYPE_CHECKING, Any, Dict, Optional, Union
 
 
 if TYPE_CHECKING:  # pragma: no cover - typing only, avoids a runtime cycle
@@ -70,15 +70,13 @@ def config_hash(config: "SimulationConfig") -> str:
 
 
 def _identity(
-    result: "SimulationResult", datasets: Optional[Sequence[Any]] = None
+    config: "SimulationConfig", n_sessions: int, n_chunks: int
 ) -> Dict[str, Any]:
-    """The deterministic manifest block shared by both artifacts.
+    """The deterministic manifest block shared by every identity artifact.
 
-    *datasets* are the run's period datasets (default: the one
-    ``result.dataset``); the counts are their sums.
+    A batch run's metrics document and manifest, and the live service's
+    ``/metrics``, all lead with this block.
     """
-    if datasets is None:
-        datasets = (result.dataset,)
     # Imported lazily: repro/__init__ imports the driver, which imports
     # this package before __version__ is bound.
     from .. import __version__
@@ -87,30 +85,35 @@ def _identity(
         "schema": MANIFEST_SCHEMA,
         "schema_version": MANIFEST_SCHEMA_VERSION,
         "package_version": __version__,
-        "seed": result.config.seed,
-        "config_hash": config_hash(result.config),
-        "n_sessions": sum(dataset.n_sessions for dataset in datasets),
-        "n_chunks": sum(dataset.n_chunks for dataset in datasets),
+        "seed": config.seed,
+        "config_hash": config_hash(config),
+        "n_sessions": n_sessions,
+        "n_chunks": n_chunks,
     }
 
 
-def metrics_document(
-    result: "SimulationResult", datasets: Optional[Sequence[Any]] = None
-) -> Dict[str, Any]:
+def _run_identity(result: "SimulationResult") -> Dict[str, Any]:
+    """A finished run's identity block: counts summed over its periods."""
+    return _identity(
+        result.config,
+        sum(dataset.n_sessions for dataset in result.datasets),
+        sum(dataset.n_chunks for dataset in result.datasets),
+    )
+
+
+def metrics_document(result: "SimulationResult") -> Dict[str, Any]:
     """The deterministic ``--metrics-out`` payload: identity + registry."""
     metrics = result.metrics.snapshot() if result.metrics is not None else {}
-    return {"manifest": _identity(result, datasets), "metrics": metrics}
+    return {"manifest": _run_identity(result), "metrics": metrics}
 
 
 def run_manifest(
-    result: "SimulationResult",
-    wall_time_s: Optional[float] = None,
-    datasets: Optional[Sequence[Any]] = None,
+    result: "SimulationResult", wall_time_s: Optional[float] = None
 ) -> Dict[str, Any]:
     """The full execution manifest written next to a persisted dataset."""
     config = result.config
     shards = [dataclasses.asdict(report) for report in result.shard_reports]
-    manifest = _identity(result, datasets)
+    manifest = _run_identity(result)
     manifest["execution"] = {
         "workers": config.workers,
         "shard_timeout_s": config.shard_timeout_s,
@@ -135,14 +138,10 @@ def dump_json(document: Dict[str, Any]) -> str:
     return json.dumps(document, sort_keys=True, indent=2) + "\n"
 
 
-def write_metrics_document(
-    result: "SimulationResult",
-    path: Union[str, Path],
-    datasets: Optional[Sequence[Any]] = None,
-) -> Path:
+def write_metrics_document(result: "SimulationResult", path: Union[str, Path]) -> Path:
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(dump_json(metrics_document(result, datasets)), encoding="utf-8")
+    path.write_text(dump_json(metrics_document(result)), encoding="utf-8")
     return path
 
 
@@ -150,15 +149,12 @@ def save_run_manifest(
     result: "SimulationResult",
     directory: Union[str, Path],
     wall_time_s: Optional[float] = None,
-    datasets: Optional[Sequence[Any]] = None,
 ) -> Path:
     """Write ``manifest.json`` into a dataset directory; returns the path."""
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     path = directory / MANIFEST_FILENAME
-    path.write_text(
-        dump_json(run_manifest(result, wall_time_s, datasets)), encoding="utf-8"
-    )
+    path.write_text(dump_json(run_manifest(result, wall_time_s)), encoding="utf-8")
     return path
 
 

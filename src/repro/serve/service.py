@@ -35,9 +35,8 @@ import threading
 import time
 from typing import Any, Dict, List, Optional
 
-from .. import __version__
 from ..core.columnar_analysis import FaultScoreState, LocalizationState, iter_joined_blocks
-from ..obs.manifest import MANIFEST_SCHEMA, MANIFEST_SCHEMA_VERSION, config_hash
+from ..obs.manifest import _identity, config_hash
 from ..obs.trace import TRACE_SCHEMA, TraceEvent, event_json_line
 from ..simulation.config import SimulationConfig
 from ..simulation.driver import Simulator
@@ -151,15 +150,7 @@ class LiveService:
         """
         with self._lock:
             return {
-                "manifest": {
-                    "schema": MANIFEST_SCHEMA,
-                    "schema_version": MANIFEST_SCHEMA_VERSION,
-                    "package_version": __version__,
-                    "seed": self.config.seed,
-                    "config_hash": config_hash(self.config),
-                    "n_sessions": self._n_sessions,
-                    "n_chunks": self._n_chunks,
-                },
+                "manifest": _identity(self.config, self._n_sessions, self._n_chunks),
                 "metrics": self._sim.metrics.snapshot(),
             }
 

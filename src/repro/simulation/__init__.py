@@ -2,7 +2,7 @@
 
 from .config import SimulationConfig
 from .controlled import ControlledRenderingResult, run_controlled_rendering_experiment
-from .driver import SimulationResult, Simulator, World, build_world, simulate
+from .driver import SimulationResult, Simulator, World, build_world
 from .parallel import (
     ParallelSimulator,
     PeriodSpec,
@@ -10,7 +10,6 @@ from .parallel import (
     ShardReport,
     execute_periods,
 )
-from .scenarios import SCENARIOS, ScenarioOutcome, run_scenario
 from .session import SessionActor
 from .shard import ShardSpec, shard_of_server
 
@@ -20,7 +19,6 @@ __all__ = [
     "Simulator",
     "World",
     "build_world",
-    "simulate",
     "SessionActor",
     "ParallelSimulator",
     "PeriodSpec",
@@ -31,7 +29,4 @@ __all__ = [
     "shard_of_server",
     "ControlledRenderingResult",
     "run_controlled_rendering_experiment",
-    "SCENARIOS",
-    "ScenarioOutcome",
-    "run_scenario",
 ]

@@ -12,17 +12,24 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import TYPE_CHECKING, Callable, Dict, List, Optional
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Tuple, Union
 
 from ..cdn.mapping import TrafficEngineering
 from ..cdn.pop import Deployment, build_default_deployment
 from ..cdn.server import CdnServer
 from ..faults.injector import FaultInjector
 from ..obs import publish_last_run
+from ..obs.manifest import (
+    metrics_document,
+    run_manifest,
+    save_run_manifest,
+    write_metrics_document,
+)
 from ..obs.registry import MetricsRegistry
-from ..obs.trace import TraceRecorder
+from ..obs.trace import TraceRecorder, write_trace
 from ..telemetry.collector import TelemetryCollector
 from ..telemetry.dataset import Dataset
+from ..telemetry.io import save_dataset
 from ..workload.catalog import Catalog, generate_catalog
 from ..workload.clients import ClientPopulation, generate_population
 from ..workload.sessions import SessionGenerator, SessionPlan
@@ -33,7 +40,7 @@ from .shard import ShardSpec
 if TYPE_CHECKING:  # avoid a runtime cycle: parallel.py imports this module
     from .parallel import ShardReport
 
-__all__ = ["World", "build_world", "SimulationResult", "Simulator", "simulate"]
+__all__ = ["World", "build_world", "SimulationResult", "Simulator"]
 
 
 @dataclass
@@ -73,16 +80,22 @@ def build_world(config: SimulationConfig) -> World:
 
 @dataclass
 class SimulationResult:
-    """A finished run: the telemetry plus world objects for inspection."""
+    """A finished run: one telemetry dataset per period, plus world state.
 
-    #: the run's telemetry; None for a multi-period run, whose period
-    #: datasets stay apart (``repro.api.RunResult.datasets``)
-    dataset: Optional[Dataset]
+    A single-config run is one period, labelled ``""``.  Periods are never
+    merged: they may reuse session ids, so the run's counts are sums over
+    ``datasets``.  ``config`` is the first period's.  ``simulator`` is the
+    live serial simulator (its caches can keep running); a sharded run,
+    whose fleet was merged back from its workers, leaves it None.
+    """
+
+    datasets: List[Dataset]
     catalog: Catalog
     population: ClientPopulation
     deployment: Deployment
     servers: Dict[str, CdnServer]
     config: SimulationConfig
+    labels: Tuple[str, ...] = ("",)
     #: per-shard execution telemetry; empty for serial runs
     shard_reports: List["ShardReport"] = field(default_factory=list)
     #: observability registry of the run (merged across shards when
@@ -91,6 +104,24 @@ class SimulationResult:
     #: per-chunk causal trace recorder (merged across shards when sharded);
     #: None unless ``config.trace_sample > 0`` (docs/OBSERVABILITY.md)
     trace: Optional[TraceRecorder] = None
+    simulator: Optional["Simulator"] = None
+
+    @property
+    def dataset(self) -> Dataset:
+        """The single period's dataset (raises on multi-period runs)."""
+        if len(self.datasets) != 1:
+            raise ValueError(
+                f"run produced {len(self.datasets)} period datasets "
+                f"{self.labels!r}; use .datasets or .period(label)"
+            )
+        return self.datasets[0]
+
+    def period(self, label: str) -> Dataset:
+        """The dataset of the period labelled *label*."""
+        for dataset, period_label in zip(self.datasets, self.labels):
+            if period_label == label:
+                return dataset
+        raise KeyError(f"no period labeled {label!r}; have {self.labels!r}")
 
     @property
     def fleet_miss_ratio(self) -> float:
@@ -105,6 +136,55 @@ class SimulationResult:
             if status.value == "miss"
         )
         return misses / total
+
+    # -- observability artifacts ---------------------------------------------
+
+    def manifest(self, wall_time_s: Optional[float] = None) -> Dict[str, object]:
+        """The run manifest (identity + execution), as a plain dict."""
+        return run_manifest(self, wall_time_s)
+
+    def metrics_document(self) -> Dict[str, object]:
+        """The deterministic metrics document (identity + registry)."""
+        return metrics_document(self)
+
+    def save(
+        self, directory: Union[str, Path], wall_time_s: Optional[float] = None
+    ) -> Path:
+        """Persist the datasets plus ``manifest.json`` into *directory*.
+
+        A multi-period run persists each period into a ``<label>/``
+        subdirectory, with the manifest at the top level.  Datasets are
+        written in canonical record order (``sorted()``), so the JSONL
+        bytes are identical for any ``workers`` count and either memory
+        mode (docs/TELEMETRY.md).  Returns the directory.
+        """
+        directory = Path(directory)
+        if len(self.datasets) == 1:
+            save_dataset(self.datasets[0].sorted(), directory)
+        else:
+            for index, (dataset, label) in enumerate(zip(self.datasets, self.labels)):
+                save_dataset(
+                    dataset.sorted(), directory / (label or f"period-{index}")
+                )
+        save_run_manifest(self, directory, wall_time_s)
+        return directory
+
+    def write_metrics_document(self, path: Union[str, Path]) -> Path:
+        return write_metrics_document(self, path)
+
+    def write_trace(self, path: Union[str, Path]) -> Tuple[Path, Path]:
+        """Export the causal trace as JSONL + Chrome trace-event JSON.
+
+        The JSONL bytes are identical for any ``--workers`` value (the
+        determinism contract, docs/OBSERVABILITY.md).  Returns the
+        (jsonl, chrome) paths; raises if the run was not traced.
+        """
+        if self.trace is None:
+            raise ValueError(
+                "run was not traced; set config.trace_sample > 0 "
+                "(CLI: --trace-out/--trace-sample)"
+            )
+        return write_trace(self.trace.events(), path)
 
 
 class Simulator:
@@ -176,6 +256,29 @@ class Simulator:
         self._clock_ms = 0.0
         if config.warm_first_chunks:
             self._warm_first_chunks()
+
+    def successor(self, config: SimulationConfig) -> "Simulator":
+        """A simulator for *config* that continues this one's fleet.
+
+        The multi-period runner starts one at every config change (the
+        flash-crowd pattern).  It builds its world from *config* but
+        inherits the servers, the deployment, the clock and the warm
+        state, so its periods continue this run's timeline on the same
+        caches.  It shares the shard, the clock barrier, the metrics
+        registry and the trace recorder.
+        """
+        successor = Simulator(
+            config,
+            shard=self.shard,
+            clock_sync=self._clock_sync,
+            metrics=self.metrics,
+            trace=self.trace,
+        )
+        successor.servers = self.servers
+        successor.deployment = self.deployment
+        successor._clock_ms = self._clock_ms
+        successor._warmed = self._warmed
+        return successor
 
     def _spill_dir(self, subdir: Optional[str] = None) -> Optional[Path]:
         """This executor's spill directory (None = in-memory telemetry).
@@ -369,7 +472,7 @@ class Simulator:
     def _result(self, collector: TelemetryCollector) -> SimulationResult:
         """Package the collected telemetry with the world state."""
         result = SimulationResult(
-            dataset=collector.dataset(),
+            datasets=[collector.dataset()],
             catalog=self.catalog,
             population=self.population,
             deployment=self.deployment,
@@ -377,6 +480,7 @@ class Simulator:
             config=self.config,
             metrics=self.metrics,
             trace=self.trace,
+            simulator=self,
         )
         publish_last_run(self.metrics)
         return result
@@ -411,18 +515,3 @@ class Simulator:
             plan.client.prefix.geo, plan.video.video_id, plan.video.rank, plan.session_id
         )
         return decision.server_id in self.servers
-
-
-def simulate(config: Optional[SimulationConfig] = None) -> SimulationResult:
-    """One-shot convenience: build the world and run one collection period.
-
-    With ``config.workers > 1`` the run is sharded across worker processes
-    by :class:`~repro.simulation.parallel.ParallelSimulator`; the default
-    serial path is byte-for-byte what it always was.
-    """
-    config = config or SimulationConfig()
-    if config.workers > 1:
-        from .parallel import ParallelSimulator  # local import: avoids a cycle
-
-        return ParallelSimulator(config).run()
-    return Simulator(config).run()

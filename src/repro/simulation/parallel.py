@@ -25,14 +25,16 @@ Fault tolerance: a worker that crashes or exceeds the shard timeout is
 retried once on a fresh process (replaying any barrier rounds it had
 passed — contributions are deterministic, so replays are idempotent).
 Shards that already finished are never re-run; their results are preserved.
+A shard failing its retry too fails the run (:class:`ShardFailedError`).
 Every shard's execution is summarized in a :class:`ShardReport` (wall time,
 sessions, retries, peak RSS) attached to the
 :class:`~repro.simulation.driver.SimulationResult`.
 
-Multi-period runs (:meth:`ParallelSimulator.run_periods`) execute a list of
-:class:`PeriodSpec` back to back inside each worker, carrying cache state
-across periods exactly as the incident scenarios do serially — this is how
-``repro.simulation.scenarios`` opts in to sharded execution.
+A run is a list of :class:`PeriodSpec` (one period for a single-config
+run).  :func:`execute_periods` runs the list back to back on one
+simulator, carrying cache state and the clock across periods; the serial
+path calls it directly, and :meth:`ParallelSimulator.run_periods` calls it
+inside every worker.  :func:`repro.api.run` picks between the two.
 """
 
 from __future__ import annotations
@@ -48,7 +50,7 @@ from collections import deque
 from dataclasses import dataclass
 from multiprocessing import connection as mp_connection
 from pathlib import Path
-from typing import Any, Callable, Dict, List, Optional, Sequence, Set, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..cdn.server import CdnServer
 from ..obs import publish_last_run
@@ -79,15 +81,13 @@ class ShardReport:
     sessions: int
     #: CDN servers instantiated by this shard
     n_servers: int
-    #: wall-clock seconds of the successful attempt (0.0 if the shard failed)
+    #: wall-clock seconds of the attempt that produced the result
     wall_time_s: float
     #: failed attempts before the one that produced the result
     retries: int
     #: worker peak resident set size in bytes (0 if unavailable)
     peak_rss_bytes: int
     worker_pid: int
-    succeeded: bool = True
-    error: Optional[str] = None
     #: wall-clock span breakdown of the worker: ((span name, total s), ...)
     #: sorted by name — see docs/OBSERVABILITY.md for the span contract
     span_totals: Tuple[Tuple[str, float], ...] = ()
@@ -106,11 +106,11 @@ class ShardFailedError(RuntimeError):
 class PeriodSpec:
     """One collection period of a (possibly multi-period) run.
 
-    Consecutive periods execute on the same worker, so cache state carries
-    over exactly as it does for the serial incident scenarios.  A period
-    whose ``config`` differs from the previous period's gets a fresh
-    :class:`Simulator` that (with ``carry_fleet``) inherits the previous
-    period's warmed servers and deployment — the flash-crowd pattern.
+    Consecutive periods execute on the same simulator (in a sharded run,
+    on the same worker), so cache state and the clock carry over.  A
+    period whose ``config`` differs from the previous period's runs on
+    :meth:`Simulator.successor`, which keeps the fleet, the clock and the
+    warm state — the flash-crowd pattern.
 
     ``mutation`` names a module-level callable as ``"pkg.module:function"``
     invoked as ``fn(simulator, *mutation_args)`` before the period runs
@@ -124,7 +124,6 @@ class PeriodSpec:
     label: str = ""
     mutation: Optional[str] = None
     mutation_args: Tuple[Any, ...] = ()
-    carry_fleet: bool = True
 
 
 def _period_spill_subdirs(periods: Sequence[PeriodSpec]) -> List[Optional[str]]:
@@ -169,7 +168,7 @@ def execute_periods(
 ) -> Tuple[List[Dataset], Simulator]:
     """Run *periods* back to back on one (optionally sharded) simulator.
 
-    This is the single execution path shared by the serial scenario runner
+    This is the single execution path shared by serial runs
     (``shard=None``) and the shard workers, so both produce identical
     per-server request streams.  Returns one dataset per period plus the
     final simulator (whose servers hold the end-of-run cache state).
@@ -198,14 +197,7 @@ def execute_periods(
                 metrics=metrics, trace=trace,
             )
         elif spec.config != simulator.config:
-            successor = Simulator(
-                spec.config, shard=shard, clock_sync=clock_sync, metrics=metrics,
-                trace=trace,
-            )
-            if spec.carry_fleet:
-                successor.servers = simulator.servers
-                successor.deployment = simulator.deployment
-            simulator = successor
+            simulator = simulator.successor(spec.config)
         if spec.mutation is not None:
             _resolve_mutation(spec.mutation)(simulator, *spec.mutation_args)
         datasets.append(
@@ -330,9 +322,9 @@ class _SyncRound:
 class ParallelSimulator:
     """Run one simulated workload as K deterministic shards in parallel.
 
-    Parameters default from the config's execution knobs so that
-    ``ParallelSimulator(config)`` honours ``config.workers`` /
-    ``config.shard_timeout_s``; explicit arguments override.
+    ``config.workers`` is the shard (and worker) count and
+    ``config.shard_timeout_s`` the per-attempt budget.  Workers start with
+    fork where the platform offers it, else with spawn.
     ``fail_shard_attempts`` maps shard index → number of attempts to crash
     deliberately (fault-injection for tests).
 
@@ -346,109 +338,41 @@ class ParallelSimulator:
 
     def __init__(
         self,
-        config: Optional[SimulationConfig] = None,
-        workers: Optional[int] = None,
-        shard_timeout_s: Optional[float] = None,
-        mp_context: Optional[str] = None,
-        allow_partial: bool = False,
+        config: SimulationConfig,
         fail_shard_attempts: Optional[Dict[int, int]] = None,
     ) -> None:
-        self.config = config or SimulationConfig()
-        self.workers = workers if workers is not None else self.config.workers
-        if self.workers <= 0:
-            raise ValueError("workers must be positive")
-        self.shard_timeout_s = (
-            shard_timeout_s if shard_timeout_s is not None else self.config.shard_timeout_s
-        )
-        method = mp_context or (
-            "fork" if "fork" in mp.get_all_start_methods() else "spawn"
-        )
+        self.config = config
+        method = "fork" if "fork" in mp.get_all_start_methods() else "spawn"
         self._ctx = mp.get_context(method)
-        self.allow_partial = allow_partial
         self._fail_shard_attempts = dict(fail_shard_attempts or {})
         #: shard count == worker count: every worker owns exactly one shard
-        self.n_shards = self.workers
-        #: merged observability registry of the last completed run
-        self.metrics: Optional[MetricsRegistry] = None
-        #: merged causal-trace recorder of the last completed run (None
-        #: unless the config enables tracing)
-        self.trace: Optional[TraceRecorder] = None
+        self.n_shards = config.workers
 
-    # -- public API ----------------------------------------------------------
+    def run_periods(self, periods: Sequence[PeriodSpec]) -> SimulationResult:
+        """Run consecutive periods sharded; one merged dataset each.
 
-    def run(
-        self, n_sessions: Optional[int] = None, start_ms: float = 0.0
-    ) -> SimulationResult:
-        """Sharded equivalent of :meth:`Simulator.run`.
-
-        The returned dataset is canonically ordered; its records equal
-        ``Simulator(config).run()``'s for the same seed.
+        Cache state and the clock carry across periods *within* each
+        worker, as in the serial :func:`execute_periods`; the datasets are
+        canonically ordered and their records equal the serial run's.
         ``result.servers`` is the union of the shards' disjoint fleets.
-        """
-        world = build_world(self.config)
-        period = PeriodSpec(config=self.config, n_sessions=n_sessions, start_ms=start_ms)
-        datasets, servers, reports, registry = self._run_sharded((period,), world)
-        result = SimulationResult(
-            dataset=datasets[0],
-            catalog=world.catalog,
-            population=world.population,
-            deployment=world.deployment,
-            servers=servers,
-            config=self.config,
-            shard_reports=reports,
-            metrics=registry,
-            trace=self.trace,
-        )
-        publish_last_run(registry)
-        return result
-
-    def run_periods(
-        self, periods: Sequence[PeriodSpec]
-    ) -> Tuple[List[Dataset], Dict[str, CdnServer], List[ShardReport]]:
-        """Run several consecutive periods sharded; one merged dataset each.
-
-        Cache state carries across periods *within* each worker, mirroring
-        the serial scenario runner.  Returns (datasets, merged fleet,
-        shard reports).  Spilled multi-period runs land each period under
-        ``<spill_dir>/shard-<k>/period-<name>/`` — validate the layout in
-        the parent so a bad spec fails before any worker launches.
+        The world is built once, here, and shipped to the workers.
+        Spilled multi-period runs land each period under
+        ``<spill_dir>/shard-<k>/period-<name>/`` — the layout is validated
+        here so a bad spec fails before any worker launches.
         """
         if not periods:
             raise ValueError("periods must be non-empty")
+        periods = tuple(periods)
         _period_spill_subdirs(periods)
         world = build_world(periods[0].config)
-        datasets, servers, reports, registry = self._run_sharded(tuple(periods), world)
-        self.metrics = registry
-        publish_last_run(registry)
-        return datasets, servers, reports
-
-    # -- orchestration -------------------------------------------------------
-
-    def _run_sharded(
-        self, periods: Tuple[PeriodSpec, ...], world: World
-    ) -> Tuple[List[Dataset], Dict[str, CdnServer], List[ShardReport], MetricsRegistry]:
-        outputs: Dict[int, Dict[str, Any]] = {}
-        reports: Dict[int, ShardReport] = {}
-        pending = deque(range(self.n_shards))
-        attempts: Dict[int, int] = {index: 0 for index in range(self.n_shards)}
-        running: Dict[int, _Running] = {}
-        rounds: Dict[int, _SyncRound] = {}
-        active: Set[int] = set(range(self.n_shards))
-        try:
-            while pending or running:
-                while pending and len(running) < self.workers:
-                    index = pending.popleft()
-                    running[index] = self._launch(index, attempts[index], periods, world)
-                self._reap(running, outputs, reports, pending, attempts, rounds, active)
-        finally:
-            for state in running.values():
-                self._kill(state)
+        outputs, reports = self._run_shards(periods, world)
         # Merge the shard registries in sorted shard order.  Counters and
         # histogram buckets are integers and gauges merge by max, so the
         # fold equals the serial run's registry for any shard count.
         registry = MetricsRegistry()
+        trace: Optional[TraceRecorder] = None
         with registry.span("parallel.merge"):
-            merged = [
+            datasets = [
                 self._merge_period_datasets(
                     [outputs[index]["datasets"][p] for index in sorted(outputs)]
                 )
@@ -461,10 +385,9 @@ class ParallelSimulator:
             # pre-sorted events; a k-way merge in sorted shard order IS the
             # canonical (session, chunk, seq) order, so the export equals
             # the serial run's byte for byte.
-            self.trace = None
             if self.config.trace_sample > 0:
-                self.trace = TraceRecorder(self.config.trace_sample)
-                self.trace.adopt_sorted(
+                trace = TraceRecorder(self.config.trace_sample)
+                trace.adopt_sorted(
                     TraceRecorder.merge_sorted(
                         outputs[index].get("trace") or []
                         for index in sorted(outputs)
@@ -473,7 +396,42 @@ class ParallelSimulator:
         servers: Dict[str, CdnServer] = {}
         for index in sorted(outputs):
             servers.update(outputs[index]["servers"])
-        return merged, servers, [reports[index] for index in sorted(reports)], registry
+        publish_last_run(registry)
+        return SimulationResult(
+            datasets=datasets,
+            labels=tuple(period.label for period in periods),
+            catalog=world.catalog,
+            population=world.population,
+            deployment=world.deployment,
+            servers=servers,
+            config=self.config,
+            shard_reports=reports,
+            metrics=registry,
+            trace=trace,
+        )
+
+    # -- orchestration -------------------------------------------------------
+
+    def _run_shards(
+        self, periods: Tuple[PeriodSpec, ...], world: World
+    ) -> Tuple[Dict[int, Dict[str, Any]], List[ShardReport]]:
+        """Launch every shard, serve its barriers, retry failures once."""
+        outputs: Dict[int, Dict[str, Any]] = {}
+        reports: Dict[int, ShardReport] = {}
+        pending = deque(range(self.n_shards))
+        attempts: Dict[int, int] = {index: 0 for index in range(self.n_shards)}
+        running: Dict[int, _Running] = {}
+        rounds: Dict[int, _SyncRound] = {}
+        try:
+            while pending or running:
+                while pending:
+                    index = pending.popleft()
+                    running[index] = self._launch(index, attempts[index], periods, world)
+                self._reap(running, outputs, reports, pending, attempts, rounds)
+        finally:
+            for state in running.values():
+                self._kill(state)
+        return outputs, [reports[index] for index in sorted(reports)]
 
     @staticmethod
     def _merge_period_datasets(shards: List[Any]):
@@ -519,15 +477,14 @@ class ParallelSimulator:
         pending: deque,
         attempts: Dict[int, int],
         rounds: Dict[int, _SyncRound],
-        active: Set[int],
     ) -> None:
         """Wait for one event (message, crash, or timeout) and process it."""
+        timeout_s = self.config.shard_timeout_s
         timeout = None
-        if self.shard_timeout_s is not None:
+        if timeout_s is not None:
             now = time.monotonic()
             nearest = min(
-                state.started_monotonic + self.shard_timeout_s
-                for state in running.values()
+                state.started_monotonic + timeout_s for state in running.values()
             )
             timeout = max(0.0, nearest - now)
         ready = set(
@@ -543,9 +500,7 @@ class ParallelSimulator:
                     payload = None  # died before sending anything
                 if payload is not None and "sync" in payload:
                     state.started_monotonic = now  # barrier message = progress
-                    self._handle_sync(
-                        index, state, payload, running, rounds, active
-                    )
+                    self._handle_sync(index, state, payload, running, rounds)
                     continue
                 state.conn.close()
                 state.proc.join()
@@ -555,24 +510,13 @@ class ParallelSimulator:
                         index,
                         state,
                         f"worker crashed (exit code {state.proc.exitcode})",
-                        reports,
                         pending,
                         attempts,
-                        running,
                         rounds,
-                        active,
                     )
                 elif "error" in payload:
                     self._handle_failure(
-                        index,
-                        state,
-                        payload["error"],
-                        reports,
-                        pending,
-                        attempts,
-                        running,
-                        rounds,
-                        active,
+                        index, state, payload["error"], pending, attempts, rounds
                     )
                 else:
                     outputs[index] = payload
@@ -587,22 +531,16 @@ class ParallelSimulator:
                         worker_pid=payload["pid"],
                         span_totals=tuple(payload.get("span_totals", ())),
                     )
-            elif (
-                self.shard_timeout_s is not None
-                and now - state.started_monotonic > self.shard_timeout_s
-            ):
+            elif timeout_s is not None and now - state.started_monotonic > timeout_s:
                 self._kill(state)
                 del running[index]
                 self._handle_failure(
                     index,
                     state,
-                    f"shard exceeded timeout of {self.shard_timeout_s:g}s",
-                    reports,
+                    f"shard exceeded timeout of {timeout_s:g}s",
                     pending,
                     attempts,
-                    running,
                     rounds,
-                    active,
                 )
 
     def _handle_sync(
@@ -612,7 +550,6 @@ class ParallelSimulator:
         payload: Dict[str, Any],
         running: Dict[int, _Running],
         rounds: Dict[int, _SyncRound],
-        active: Set[int],
     ) -> None:
         number = payload["sync"]
         sync_round = rounds.setdefault(number, _SyncRound(clocks={}, waiting={}))
@@ -622,63 +559,32 @@ class ParallelSimulator:
             state.conn.send(sync_round.result)
             return
         sync_round.waiting[index] = state.conn
-        self._complete_rounds(rounds, running, active)
-
-    def _complete_rounds(
-        self,
-        rounds: Dict[int, _SyncRound],
-        running: Dict[int, _Running],
-        active: Set[int],
-    ) -> None:
-        """Resolve every barrier round all active shards have reached."""
+        if len(sync_round.clocks) < self.n_shards:
+            return
+        # every shard has reached this barrier: release them all
+        sync_round.result = max(sync_round.clocks.values())
         now = time.monotonic()
-        for sync_round in rounds.values():
-            if sync_round.result is not None or not active:
-                continue
-            if not active <= set(sync_round.clocks):
-                continue
-            sync_round.result = max(sync_round.clocks[i] for i in sync_round.clocks)
-            for waiter_index, conn in sync_round.waiting.items():
-                conn.send(sync_round.result)
-                if waiter_index in running:  # barrier wait is not the shard's fault
-                    running[waiter_index].started_monotonic = now
-            sync_round.waiting.clear()
+        for waiter_index, conn in sync_round.waiting.items():
+            conn.send(sync_round.result)
+            if waiter_index in running:  # barrier wait is not the shard's fault
+                running[waiter_index].started_monotonic = now
+        sync_round.waiting.clear()
 
     def _handle_failure(
         self,
         index: int,
         state: _Running,
         reason: str,
-        reports: Dict[int, ShardReport],
         pending: deque,
         attempts: Dict[int, int],
-        running: Dict[int, _Running],
         rounds: Dict[int, _SyncRound],
-        active: Set[int],
     ) -> None:
         for sync_round in rounds.values():  # drop its stale barrier handle
             sync_round.waiting.pop(index, None)
-        if state.attempt + 1 < self.MAX_ATTEMPTS:
-            attempts[index] = state.attempt + 1
-            pending.append(index)  # fresh worker, same deterministic shard
-            return
-        if not self.allow_partial:
+        if state.attempt + 1 >= self.MAX_ATTEMPTS:
             raise ShardFailedError(index, reason)
-        active.discard(index)
-        # barriers may now be resolvable without the lost shard
-        self._complete_rounds(rounds, running, active)
-        reports[index] = ShardReport(
-            shard_index=index,
-            n_shards=self.n_shards,
-            sessions=0,
-            n_servers=0,
-            wall_time_s=0.0,
-            retries=state.attempt,
-            peak_rss_bytes=0,
-            worker_pid=state.proc.pid or 0,
-            succeeded=False,
-            error=reason,
-        )
+        attempts[index] = state.attempt + 1
+        pending.append(index)  # fresh worker, same deterministic shard
 
     @staticmethod
     def _kill(state: _Running) -> None:

@@ -64,8 +64,8 @@ __all__ = [
     "SweepSpec",
 ]
 
-#: seed used when neither the spec nor the caller provides one (the
-#: historical ``run_scenario`` default).
+#: seed used when neither the spec nor the caller provides one (also the
+#: ``repro scenario --seed`` default).
 DEFAULT_SCENARIO_SEED = 29
 
 #: override-transform keywords (the only legal keys of a transform dict)
@@ -272,7 +272,8 @@ def _shape_diurnal(params: Mapping[str, Any]) -> ShapeResult:
 
     Each phase runs ``1/len(phases)`` of the base session count at the
     base arrival rate times the phase multiplier, on a shifted session
-    stream (seed offset), carrying cache state phase to phase.
+    stream (seed offset), carrying cache state and the clock phase to
+    phase.
     """
     p = _shape_params(
         params,
@@ -542,9 +543,8 @@ class ScenarioSpec:
         return _save_json(self.to_dict(), path)
 
 
-#: The three historical scenarios of ``repro scenario``, re-expressed in
-#: the DSL.  ``repro.simulation.scenarios`` builds its registry from this
-#: table.
+#: The three scenarios of ``repro scenario``, expressed in the DSL.  Their
+#: period mutations live in ``repro.simulation.scenarios``.
 CANNED_SCENARIOS: Dict[str, ScenarioSpec] = {
     "flash-crowd": ScenarioSpec(
         name="flash-crowd",

@@ -5,6 +5,7 @@ import pytest
 
 from helpers import cdn_chunk, make_dataset, player_chunk, tcp_snap
 from repro.analysis.stats import empirical_ccdf, empirical_cdf
+from repro.api import run
 from repro.cdn.cache import CacheStatus, TwoLevelCache
 from repro.cdn.mapping import TrafficEngineering
 from repro.cdn.pop import build_default_deployment
@@ -12,7 +13,6 @@ from repro.client.downloadstack import DownloadStackEffect
 from repro.core import netdiag, popularity
 from repro.core.proxy_filter import filter_proxies
 from repro.simulation.config import SimulationConfig
-from repro.simulation.driver import simulate
 from repro.telemetry.dataset import Dataset
 from repro.workload.catalog import Video
 from repro.workload.geo import GeoPoint
@@ -182,7 +182,7 @@ class TestProxyFilterEdges:
 
 class TestSimulationEdges:
     def test_single_session_simulation(self):
-        result = simulate(SimulationConfig(n_sessions=1, seed=99))
+        result = run(SimulationConfig(n_sessions=1, seed=99))
         assert result.dataset.n_sessions == 1
         session = result.dataset.sessions()[0]
         assert session.n_chunks >= 1
@@ -192,14 +192,14 @@ class TestSimulationEdges:
         base = SimulationConfig(
             n_sessions=100, seed=12, prefetch_after_miss=True, prefetch_depth=0
         )
-        with_prefetch = simulate(base)
-        without = simulate(base.with_overrides(prefetch_after_miss=False))
+        with_prefetch = run(base)
+        without = run(base.with_overrides(prefetch_after_miss=False))
         a = [c.cache_status for c in with_prefetch.dataset.cdn_chunks]
         b = [c.cache_status for c in without.dataset.cdn_chunks]
         assert a == b
 
     def test_buffer_abr_sessions_start_low(self):
-        result = simulate(SimulationConfig(n_sessions=60, seed=14, abr_name="buffer"))
+        result = run(SimulationConfig(n_sessions=60, seed=14, abr_name="buffer"))
         first_bitrates = {
             c.bitrate_kbps
             for c in result.dataset.player_chunks

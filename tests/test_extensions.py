@@ -6,8 +6,10 @@ import numpy as np
 import pytest
 
 from helpers import make_dataset, player_chunk
+from repro.api import run
+from repro.cli import main as cli_main
 from repro.core.comparison import bootstrap_ci, compare_datasets
-from repro.simulation.scenarios import SCENARIOS, run_scenario
+from repro.sweep import CANNED_SCENARIOS
 from repro.telemetry.beacons import export_beacons_csv, import_beacons_csv
 
 
@@ -159,30 +161,36 @@ class TestCompareDatasets:
         assert "startup_ms" in text
 
 
+def _run_scenario(name, seed):
+    """A canned scenario's baseline and incident datasets."""
+    result = run(periods=CANNED_SCENARIOS[name].resolve(seed=seed))
+    return result.period("baseline"), result.period("incident")
+
+
 class TestScenarios:
-    def test_unknown_scenario(self):
-        with pytest.raises(ValueError):
-            run_scenario("alien-invasion")
+    def test_unknown_scenario(self, capsys):
+        assert cli_main(["scenario", "alien-invasion"]) == 2
+        assert "choose from" in capsys.readouterr().err
 
     def test_registry_names(self):
-        assert set(SCENARIOS) == {"flash-crowd", "cache-flush", "backend-brownout"}
+        assert set(CANNED_SCENARIOS) == {"flash-crowd", "cache-flush", "backend-brownout"}
 
-    @pytest.mark.parametrize("name", sorted(SCENARIOS))
+    @pytest.mark.parametrize("name", sorted(CANNED_SCENARIOS))
     def test_scenario_produces_both_periods(self, name):
-        outcome = run_scenario(name, seed=41)
-        assert outcome.baseline.n_sessions == 800
-        assert outcome.incident.n_sessions == 800
+        baseline, incident = _run_scenario(name, seed=41)
+        assert baseline.n_sessions == 800
+        assert incident.n_sessions == 800
 
     def test_cache_flush_hurts_misses(self):
-        outcome = run_scenario("cache-flush", seed=43)
+        baseline, incident = _run_scenario("cache-flush", seed=43)
 
         def miss(dataset):
             return np.mean([c.cache_status == "miss" for c in dataset.cdn_chunks])
 
-        assert miss(outcome.incident) > miss(outcome.baseline) + 0.1
+        assert miss(incident) > miss(baseline) + 0.1
 
     def test_backend_brownout_hurts_miss_latency(self):
-        outcome = run_scenario("backend-brownout", seed=47)
+        baseline, incident = _run_scenario("backend-brownout", seed=47)
 
         def miss_latency(dataset):
             values = [
@@ -192,13 +200,13 @@ class TestScenarios:
             ]
             return np.median(values) if values else 0.0
 
-        assert miss_latency(outcome.incident) > 2.0 * miss_latency(outcome.baseline)
+        assert miss_latency(incident) > 2.0 * miss_latency(baseline)
 
     def test_flash_crowd_is_cache_friendly_but_loads_servers(self):
-        outcome = run_scenario("flash-crowd", seed=53)
+        baseline, incident = _run_scenario("flash-crowd", seed=53)
 
         def miss(dataset):
             return np.mean([c.cache_status == "miss" for c in dataset.cdn_chunks])
 
         # a 10-title hot set is trivially cacheable
-        assert miss(outcome.incident) < miss(outcome.baseline)
+        assert miss(incident) < miss(baseline)

@@ -19,7 +19,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.api import RunResult, run
+from repro.api import run
 from repro.cli import main as cli_main
 from repro.core.faultscore import (
     EXPECTED_BOTTLENECK,
@@ -29,6 +29,7 @@ from repro.core.faultscore import (
 from repro.core.localization import Bottleneck
 from repro.faults import FaultEvent, FaultInjector, FaultSpec, merge_labels
 from repro.simulation.config import SimulationConfig
+from repro.simulation.driver import SimulationResult
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 CDN_SPEC = REPO_ROOT / "examples" / "fault_cdn_degradation.json"
@@ -246,7 +247,7 @@ class TestRunFacade:
 
     def test_default_config(self):
         result = run(SimulationConfig(n_sessions=20, warmup_sessions=10, seed=3))
-        assert isinstance(result, RunResult)
+        assert isinstance(result, SimulationResult)
         assert result.dataset.n_sessions == 20
         assert result.simulator is not None
         assert result.config.n_sessions == 20
@@ -262,11 +263,7 @@ class TestRunFacade:
         result = run(
             periods=[
                 PeriodSpec(config=_config(n_sessions=20), label="a"),
-                PeriodSpec(
-                    config=_config(n_sessions=20, seed=12),
-                    label="b",
-                    carry_fleet=True,
-                ),
+                PeriodSpec(config=_config(n_sessions=20, seed=12), label="b"),
             ]
         )
         with pytest.raises(ValueError, match="period"):

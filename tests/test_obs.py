@@ -15,6 +15,7 @@ import time
 
 import pytest
 
+from repro.api import run
 from repro.cli import main as cli_main
 from repro.obs import (
     EXECUTION_FIELDS,
@@ -35,7 +36,6 @@ from repro.obs import (
     write_metrics_document,
 )
 from repro.simulation.config import SimulationConfig
-from repro.simulation.driver import simulate
 
 
 def _config(**overrides) -> SimulationConfig:
@@ -55,12 +55,12 @@ def _config(**overrides) -> SimulationConfig:
 
 @pytest.fixture(scope="module")
 def serial_result():
-    return simulate(_config())
+    return run(_config())
 
 
 @pytest.fixture(scope="module")
 def sharded_result():
-    return simulate(_config(workers=4))
+    return run(_config(workers=4))
 
 
 # ---------------------------------------------------------------------------
@@ -287,7 +287,7 @@ class TestManifest:
 
 class TestMetricsDeterminism:
     def test_serial_runs_are_reproducible(self, serial_result):
-        rerun = simulate(_config())
+        rerun = run(_config())
         assert dump_json(metrics_document(rerun)) == dump_json(
             metrics_document(serial_result)
         )
@@ -298,7 +298,7 @@ class TestMetricsDeterminism:
         )
 
     def test_two_shard_run_matches_too(self, serial_result):
-        two_shards = simulate(_config(workers=2))
+        two_shards = run(_config(workers=2))
         assert dump_json(metrics_document(two_shards)) == dump_json(
             metrics_document(serial_result)
         )
@@ -337,7 +337,7 @@ class TestMetricsDeterminism:
             assert totals["parallel.worker"] > 0.0
 
     def test_last_run_capture_published(self, serial_result):
-        simulate(_config())
+        run(_config())
         capture = last_run()
         assert capture is not None
         assert set(capture) == {"metrics", "spans"}

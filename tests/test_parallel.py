@@ -1,7 +1,7 @@
 """Sharded parallel runner: determinism, merge canonicalization, fault tolerance.
 
 The contract under test (docs/PARALLEL.md): for a fixed seed, the merged
-dataset of ``ParallelSimulator(workers=K)`` equals the serial
+dataset of ``run(config)`` with ``workers=K`` equals the serial
 ``Simulator`` dataset record-for-record (canonical order), for any K, and
 a crashed worker is retried once on a fresh process without changing the
 result.
@@ -15,10 +15,11 @@ import pytest
 
 from repro.api import run
 from repro.cli import main as cli_main
+from repro.faults import FaultEvent, FaultSpec
 from repro.obs.manifest import dump_json, metrics_document
 from repro.obs.trace import event_json_line
 from repro.simulation.config import SimulationConfig
-from repro.simulation.driver import Simulator, simulate
+from repro.simulation.driver import Simulator
 from repro.simulation.parallel import (
     ParallelSimulator,
     PeriodSpec,
@@ -53,7 +54,13 @@ def serial_result():
 
 @pytest.fixture(scope="module")
 def parallel_result():
-    return ParallelSimulator(_config(), workers=4).run()
+    return run(_config(workers=4))
+
+
+def _run_with_crashes(config, fail_shard_attempts):
+    """A sharded single-period run whose workers crash on purpose."""
+    runner = ParallelSimulator(config, fail_shard_attempts=fail_shard_attempts)
+    return runner.run_periods([PeriodSpec(config=config)])
 
 
 class TestShardSpec:
@@ -96,7 +103,7 @@ class TestSerialParallelEquality:
         assert serial.ground_truth == parallel.ground_truth
 
     def test_shard_count_invariance(self, parallel_result):
-        two = ParallelSimulator(_config(), workers=2).run()
+        two = run(_config(workers=2))
         assert two.dataset == parallel_result.dataset
 
     def test_server_fleet_union_matches_serial(self, serial_result, parallel_result):
@@ -106,12 +113,12 @@ class TestSerialParallelEquality:
     def test_shard_reports_cover_all_sessions(self, parallel_result):
         reports = parallel_result.shard_reports
         assert [r.shard_index for r in reports] == [0, 1, 2, 3]
-        assert all(r.succeeded and r.retries == 0 for r in reports)
+        assert all(r.retries == 0 for r in reports)
         assert sum(r.sessions for r in reports) == parallel_result.dataset.n_sessions
         assert sum(r.n_servers for r in reports) == len(parallel_result.servers)
 
     def test_simulate_dispatches_on_config_workers(self, parallel_result):
-        result = simulate(_config(workers=2))
+        result = run(_config(workers=2))
         assert result.dataset == parallel_result.dataset
         assert len(result.shard_reports) == 2
 
@@ -141,7 +148,7 @@ class TestFaultTraceSpillIdentity:
             spill_dir=str(spill_dir),
             **overrides,
         )
-        simulation = run(config, faults=FAULT_SPEC).simulation
+        simulation = run(config, faults=FAULT_SPEC)
         dataset = simulation.dataset.sorted()
         kinds = {
             kind: [str(record) for record in getattr(dataset, kind)]
@@ -168,38 +175,15 @@ class TestFaultTraceSpillIdentity:
 
 class TestFaultTolerance:
     def test_crashed_shard_is_retried_once(self, parallel_result):
-        runner = ParallelSimulator(
-            _config(), workers=4, fail_shard_attempts={0: 1}
-        )
-        result = runner.run()
+        result = _run_with_crashes(_config(workers=4), {0: 1})
         report = result.shard_reports[0]
         assert report.retries == 1
-        assert report.succeeded
         # the retry re-ran the same deterministic shard: output unchanged
         assert result.dataset == parallel_result.dataset
 
     def test_shard_failing_both_attempts_raises(self):
-        runner = ParallelSimulator(
-            _config(), workers=2, fail_shard_attempts={1: 2}
-        )
         with pytest.raises(ShardFailedError, match="shard 1"):
-            runner.run()
-
-    def test_allow_partial_preserves_surviving_shards(self, parallel_result):
-        runner = ParallelSimulator(
-            _config(), workers=4, fail_shard_attempts={2: 2}, allow_partial=True
-        )
-        result = runner.run()
-        failed = result.shard_reports[2]
-        assert not failed.succeeded and failed.retries == 1 and failed.error
-        survivors = [r for r in result.shard_reports if r.shard_index != 2]
-        assert all(r.succeeded for r in survivors)
-        # surviving shards still cover exactly their slice of the sessions
-        # (timestamps may shift: the barrier max now spans survivors only)
-        full_ids = {r.session_id for r in parallel_result.dataset.player_sessions}
-        partial_ids = {r.session_id for r in result.dataset.player_sessions}
-        assert partial_ids < full_ids
-        assert result.dataset.n_sessions == sum(r.sessions for r in survivors)
+            _run_with_crashes(_config(workers=2), {1: 2})
 
 
 class TestMultiPeriod:
@@ -214,13 +198,64 @@ class TestMultiPeriod:
             ),
         ]
         serial_datasets, _ = execute_periods(periods)
-        datasets, servers, reports = ParallelSimulator(
-            base, workers=3
-        ).run_periods(periods)
+        result = ParallelSimulator(base.with_overrides(workers=3)).run_periods(periods)
+        datasets = result.datasets
         assert len(datasets) == 2
         assert datasets[0] == serial_datasets[0].sorted()
         assert datasets[1] == serial_datasets[1].sorted()
-        assert set(servers) and len(reports) == 3
+        assert set(result.servers) and len(result.shard_reports) == 3
+
+    # -- a period whose config changes continues the run's fleet and clock --
+
+    #: a cache brownout over [0, 10 s): over before the first measured
+    #: session, which starts when the 60-session warmup has drained
+    EARLY_BROWNOUT = FaultSpec(
+        name="early-brownout",
+        events=(FaultEvent("early", "cache-brownout", 0.0, 10_000.0),),
+    )
+
+    @classmethod
+    def _config_change_periods(cls):
+        base = _config(n_sessions=60, warmup_sessions=60, seed=5).with_overrides(
+            faults=cls.EARLY_BROWNOUT
+        )
+        surge = base.with_overrides(
+            arrival_rate_per_s=3.0 * base.arrival_rate_per_s,
+            seed=6,
+            warmup_sessions=0,
+        )
+        return [
+            PeriodSpec(config=base, label="baseline"),
+            PeriodSpec(config=surge, label="surge"),
+        ]
+
+    @pytest.fixture(scope="class")
+    def config_change_serial(self):
+        datasets, _ = execute_periods(self._config_change_periods())
+        return datasets
+
+    def test_config_change_period_continues_the_clock(self, config_change_serial):
+        baseline, surge = config_change_serial
+        assert min(s.start_ms for s in surge.player_sessions) > max(
+            s.start_ms for s in baseline.player_sessions
+        )
+
+    def test_config_change_periods_sharded_equal_serial(self, config_change_serial):
+        periods = self._config_change_periods()
+        runner = ParallelSimulator(periods[0].config.with_overrides(workers=2))
+        result = runner.run_periods(periods)
+        assert len(result.datasets) == 2
+        for sharded, serial in zip(result.datasets, config_change_serial):
+            assert sharded == serial.sorted()
+
+    def test_config_change_period_after_an_ended_epoch_is_unlabelled(
+        self, config_change_serial
+    ):
+        baseline, surge = config_change_serial
+        end_ms = self.EARLY_BROWNOUT.events[0].end_ms
+        assert min(s.start_ms for s in baseline.player_sessions) > end_ms
+        assert surge.n_chunks > 0
+        assert not [t for t in surge.ground_truth if t.fault_labels]
 
 
 class TestMultiPeriodSpill:
@@ -250,9 +285,10 @@ class TestMultiPeriodSpill:
         base = _config(n_sessions=60, warmup_sessions=40, seed=5)
         serial_datasets, _ = execute_periods(self._periods(base))
         spilled = base.with_overrides(spill_dir=str(tmp_path))
-        datasets, _, reports = ParallelSimulator(spilled, workers=2).run_periods(
+        result = ParallelSimulator(spilled.with_overrides(workers=2)).run_periods(
             self._periods(spilled)
         )
+        datasets, reports = result.datasets, result.shard_reports
         layout = sorted(
             str(p.relative_to(tmp_path)) for p in tmp_path.rglob("spill.json")
         )

@@ -3,10 +3,11 @@
 import numpy as np
 import pytest
 
+from repro.api import run
 from repro.cdn.cache import CacheStatus
 from repro.simulation.config import SimulationConfig
 from repro.simulation.controlled import run_controlled_rendering_experiment
-from repro.simulation.driver import Simulator, simulate
+from repro.simulation.driver import Simulator
 
 
 class TestPeriodRunner:
@@ -44,7 +45,7 @@ class TestConfig:
 class TestDriver:
     @pytest.fixture(scope="class")
     def tiny_result(self):
-        return simulate(SimulationConfig(n_sessions=150, warmup_sessions=150, seed=21))
+        return run(SimulationConfig(n_sessions=150, warmup_sessions=150, seed=21))
 
     def test_all_sessions_recorded(self, tiny_result):
         assert tiny_result.dataset.n_sessions == 150
@@ -83,21 +84,21 @@ class TestDriver:
 
     def test_reproducible(self):
         config = SimulationConfig(n_sessions=40, seed=33)
-        a = simulate(config).dataset
-        b = simulate(config).dataset
+        a = run(config).dataset
+        b = run(config).dataset
         assert [c.dfb_ms for c in a.player_chunks] == [c.dfb_ms for c in b.player_chunks]
         assert [c.cache_status for c in a.cdn_chunks] == [
             c.cache_status for c in b.cdn_chunks
         ]
 
     def test_seed_changes_output(self):
-        a = simulate(SimulationConfig(n_sessions=40, seed=1)).dataset
-        b = simulate(SimulationConfig(n_sessions=40, seed=2)).dataset
+        a = run(SimulationConfig(n_sessions=40, seed=1)).dataset
+        b = run(SimulationConfig(n_sessions=40, seed=2)).dataset
         assert [c.dfb_ms for c in a.player_chunks] != [c.dfb_ms for c in b.player_chunks]
 
     def test_warmup_improves_hit_ratio(self):
-        cold = simulate(SimulationConfig(n_sessions=200, warmup_sessions=0, seed=5))
-        warm = simulate(SimulationConfig(n_sessions=200, warmup_sessions=1000, seed=5))
+        cold = run(SimulationConfig(n_sessions=200, warmup_sessions=0, seed=5))
+        warm = run(SimulationConfig(n_sessions=200, warmup_sessions=1000, seed=5))
 
         def miss_fraction(result):
             chunks = result.dataset.cdn_chunks
@@ -107,8 +108,8 @@ class TestDriver:
 
     def test_warm_first_chunks_reduces_first_chunk_misses(self):
         base = SimulationConfig(n_sessions=200, warmup_sessions=0, seed=6)
-        plain = simulate(base)
-        warmed = simulate(base.with_overrides(warm_first_chunks=True))
+        plain = run(base)
+        warmed = run(base.with_overrides(warm_first_chunks=True))
 
         def first_chunk_miss(result):
             return np.mean(
@@ -123,8 +124,8 @@ class TestDriver:
 
     def test_prefetch_reduces_followup_misses(self):
         base = SimulationConfig(n_sessions=300, warmup_sessions=0, seed=7)
-        plain = simulate(base)
-        prefetching = simulate(
+        plain = run(base)
+        prefetching = run(
             base.with_overrides(prefetch_after_miss=True, prefetch_depth=4)
         )
 
@@ -143,7 +144,7 @@ class TestDriver:
         config = SimulationConfig(
             n_sessions=100, seed=8, mapping_strategy="popularity-partitioned"
         )
-        result = simulate(config)
+        result = run(config)
         assert result.dataset.n_sessions == 100
 
     def test_fleet_miss_ratio_in_range(self, tiny_result):
@@ -166,7 +167,7 @@ class TestDriver:
 class TestSessionActorBehaviour:
     @pytest.fixture(scope="class")
     def result(self):
-        return simulate(SimulationConfig(n_sessions=400, warmup_sessions=400, seed=13))
+        return run(SimulationConfig(n_sessions=400, warmup_sessions=400, seed=13))
 
     def test_abr_adapts_upwards(self, result):
         """Sessions should not stay at the startup rung when bandwidth allows."""

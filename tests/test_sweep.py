@@ -222,13 +222,25 @@ class TestWorkloadShapes:
 
 class TestCannedScenarios:
     def test_registry_matches_scenarios_module(self):
-        from repro.simulation.scenarios import SCENARIOS
+        from repro.simulation import scenarios
 
-        assert set(SCENARIOS) == set(CANNED_SCENARIOS) == {
+        assert set(CANNED_SCENARIOS) == {
             "flash-crowd",
             "cache-flush",
             "backend-brownout",
         }
+        # every incident mutation names a callable of the scenarios module
+        mutations = [
+            period.mutation
+            for spec in CANNED_SCENARIOS.values()
+            for period in spec.resolve()
+            if period.mutation is not None
+        ]
+        assert len(mutations) == 2
+        for mutation in mutations:
+            module, _, name = mutation.partition(":")
+            assert module == scenarios.__name__
+            assert callable(getattr(scenarios, name))
 
     def test_flash_crowd_resolution(self):
         baseline, incident = CANNED_SCENARIOS["flash-crowd"].resolve(seed=41)
