@@ -4,8 +4,9 @@ Not a paper artifact — the CI `memory-smoke` job runs exactly this bench
 on every push.  It generates a mid-size synthetic spill
 (`repro.telemetry.synth`, schema-valid columnar sessions straight to
 sorted on-disk runs), then runs the QoE and localization analyses in one
-`analyze_dataset` pass — the blockwise columnar pass that `repro analyze`
-and `repro serve` run — with `tracemalloc` tracing, and fails if peak
+`analyze_dataset` pass — the blockwise cascade pass that `repro analyze`
+and `repro serve` run, which also grades the ground truth — with
+`tracemalloc` tracing, and fails if peak
 traced heap blows through the budget implied by docs/TELEMETRY.md's RSS
 model: one session-aligned block of rows at a time + the session-id
 universe + the analyses' per-session scalars — nothing that scales with

@@ -40,7 +40,7 @@ from typing import Optional, Sequence, Union
 
 from .faults import FaultSpec
 from .simulation.config import SimulationConfig
-from .simulation.driver import SimulationResult
+from .simulation.driver import SimulationResult, build_world
 from .simulation.parallel import ParallelSimulator, PeriodSpec, execute_periods
 
 __all__ = ["run"]
@@ -91,13 +91,15 @@ def run(
     config = periods[0].config
     if config.workers > 1:
         return ParallelSimulator(config).run_periods(periods)
-    datasets, simulator = execute_periods(periods)
+    # the result reports the first period's world, as the sharded path does
+    world = build_world(config)
+    datasets, simulator = execute_periods(periods, world=world)
     return SimulationResult(
         datasets=datasets,
         labels=tuple(period.label for period in periods),
-        catalog=simulator.catalog,
-        population=simulator.population,
-        deployment=simulator.deployment,
+        catalog=world.catalog,
+        population=world.population,
+        deployment=world.deployment,
         servers=simulator.servers,
         config=config,
         metrics=simulator.metrics,

@@ -16,8 +16,11 @@ rows on the change points of keys that are already sorted.
 analyses fold them into per-analysis states, and ``repro serve`` folds
 each round's blocks into its rolling windows and into the
 :class:`LocalizationState` and :class:`FaultScoreState` it carries across
-rounds.  The per-session spelling of the same analyses — ``session_qoe``
-and ``diagnose_session`` folded by the accumulators of
+rounds.  :func:`analyze_dataset`, behind the three public calls, runs one
+of two pass shapes (QoE only, or the cascade that folds all three
+analyses) and memoizes each shape's results on the dataset.  The
+per-session spelling of the same analyses — ``session_qoe`` and
+``diagnose_session`` folded by the accumulators of
 ``tests/streaming_oracle.py`` — is the readable specification and the
 test oracle.
 
@@ -47,13 +50,17 @@ columnar layout it consumes.
 
 from __future__ import annotations
 
+import copy
 import math
+import weakref
 from collections import Counter
-from typing import Any, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from itertools import chain
+from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from ..telemetry.columnar import COLUMN_SCHEMAS, ITER_BLOCK_ROWS
+from ..telemetry.spill import SpilledDataset
 from .downstack import RTO_FLOOR_MS
 from .faultscore import EXPECTED_BOTTLENECK, ClassScore, FaultScoreReport, parse_fault_labels
 from .localization import BAD_RENDER_FRACTION, BAD_SCORE, TAIL_RTT_MS, Bottleneck
@@ -118,8 +125,8 @@ def _grouped_seq_sum(values: np.ndarray, starts: np.ndarray, counts: np.ndarray)
 # run access + block planning
 
 
-def _dataset_runs(dataset: Any, kinds: Sequence[str]) -> Dict[str, List[np.ndarray]]:
-    """Sorted per-kind run arrays for *dataset* (spilled or in-memory).
+def _kind_runs(dataset: Any, kind: str) -> List[np.ndarray]:
+    """The sorted, non-empty run arrays of *kind* in *dataset*.
 
     Spilled datasets expose their memory-mapped runs; in-memory datasets
     one cached, encoded array per kind
@@ -127,7 +134,7 @@ def _dataset_runs(dataset: Any, kinds: Sequence[str]) -> Dict[str, List[np.ndarr
     matters: the blockwise assembly relies on stable re-sorts of
     run-enumeration-ordered concatenations reproducing the k-way merge.
     """
-    return {kind: [a for a in dataset.run_arrays(kind) if len(a)] for kind in kinds}
+    return [a for a in dataset.run_arrays(kind) if len(a)]
 
 
 def _change_points(values: np.ndarray) -> np.ndarray:
@@ -573,7 +580,7 @@ class JoinedBlock:
     of rows.  ``verdict`` holds the cascade's
     :class:`~repro.core.localization.Bottleneck` codes (enum order) and
     ``fault_labels`` the last-wins ground-truth labels where
-    ``has_truth``; both are zero when the pass loaded no TCP or
+    ``has_truth``; both are zero in a QoE pass, which loads no TCP or
     ground-truth columns.  Arrays may be read-only views of the
     dataset's runs (rows that needed no copy are handed back as they
     are): treat a block as read-only.
@@ -652,12 +659,7 @@ def _tcp_by_key(tm: np.ndarray, tkey: np.ndarray, jkey: np.ndarray) -> Tuple[np.
     )
 
 
-def _compute_block(
-    plan: _BlockPlan,
-    index: int,
-    want_cascade: bool,
-    want_truth: bool,
-) -> Optional[JoinedBlock]:
+def _compute_block(plan: _BlockPlan, index: int, cascade: bool) -> Optional[JoinedBlock]:
     ps, ps_code = plan.block("player_sessions", index)
     cs, cs_code = plan.block("cdn_sessions", index)
     # every session of the block's universe slice has a player row, so
@@ -670,10 +672,8 @@ def _compute_block(
     if n_kept == 0:
         return None
     kinds = ["player_chunks", "cdn_chunks"]
-    if want_cascade:
-        kinds.append("tcp_snapshots")
-    if want_truth:
-        kinds.append("ground_truth")
+    if cascade:
+        kinds += ["tcp_snapshots", "ground_truth"]
     loaded = [plan.block(kind, index) for kind in kinds]
     if n_kept < len(kept):
         # drop the rows of sessions without a CDN record, renumbering codes
@@ -723,7 +723,7 @@ def _compute_block(
     dfb = np.ascontiguousarray(joined["dfb_ms"])
     dlb = np.ascontiguousarray(joined["dlb_ms"])
     block.download_ms = dfb + dlb
-    if not want_cascade:
+    if not cascade:
         block.verdict = np.zeros(n, dtype=np.int64)
         block.has_truth = np.zeros(n, dtype=bool)
         block.fault_labels = np.zeros(n, dtype=COLUMN_SCHEMAS["ground_truth"].dtype["fault_labels"])
@@ -847,23 +847,17 @@ def _compute_block(
     ).astype(np.int64)
 
     # -- ground truth (last-wins, like the oracle's dict rebuild) -----------
-    if want_truth:
-        gt = loaded[3][0]
-        match = _last_wins_match(keys[3], jkey)
-        if match is None:
-            block.has_truth = np.ones(n, dtype=bool)
-            block.fault_labels = gt["fault_labels"]
-        else:
-            has_truth, jt = match
-            labels = np.zeros(n, dtype=COLUMN_SCHEMAS["ground_truth"].dtype["fault_labels"])
-            labels[has_truth] = gt["fault_labels"][jt[has_truth]]
-            block.has_truth = has_truth
-            block.fault_labels = labels
+    gt = loaded[3][0]
+    match = _last_wins_match(keys[3], jkey)
+    if match is None:
+        block.has_truth = np.ones(n, dtype=bool)
+        block.fault_labels = gt["fault_labels"]
     else:
-        block.has_truth = np.zeros(n, dtype=bool)
-        block.fault_labels = np.zeros(
-            n, dtype=COLUMN_SCHEMAS["ground_truth"].dtype["fault_labels"]
-        )
+        has_truth, jt = match
+        labels = np.zeros(n, dtype=COLUMN_SCHEMAS["ground_truth"].dtype["fault_labels"])
+        labels[has_truth] = gt["fault_labels"][jt[has_truth]]
+        block.has_truth = has_truth
+        block.fault_labels = labels
     return block
 
 
@@ -877,39 +871,47 @@ _STATE_FACTORIES = {
     "faultscore": FaultScoreState,
 }
 
+#: the record kinds a QoE-only pass reads; the cascade pass also reads
+#: TCP snapshots and ground truth
+_QOE_KINDS = ("player_sessions", "cdn_sessions", "player_chunks", "cdn_chunks")
 
-def iter_joined_blocks(
-    dataset: Any,
-    analyses: Iterable[str] = ANALYSIS_KINDS,
-    metrics: Optional[Any] = None,
+#: the two pass shapes of :func:`analyze_dataset`: the analyses each
+#: folds, and the record kinds it reads
+_PASSES = {
+    "qoe": (("qoe",), _QOE_KINDS),
+    "cascade": (ANALYSIS_KINDS, _QOE_KINDS + ("tcp_snapshots", "ground_truth")),
+}
+
+
+def _checked(analyses: Iterable[str]) -> Tuple[str, ...]:
+    """*analyses* as a tuple; an unknown name raises ``ValueError``."""
+    requested = tuple(analyses)
+    for name in requested:
+        if name not in ANALYSIS_KINDS:
+            raise ValueError(
+                f"unknown analysis {name!r}; choose from {ANALYSIS_KINDS}"
+            )
+    return requested
+
+
+def _shape(analyses: Iterable[str]) -> str:
+    """The pass shape that computes *analyses*: ``"qoe"`` or ``"cascade"``."""
+    return "cascade" if set(analyses) - {"qoe"} else "qoe"
+
+
+def _planned_blocks(
+    runs: Dict[str, List[np.ndarray]], shape: str, registry: Any
 ) -> Iterator[JoinedBlock]:
-    """The joined blocks of *dataset*, in session order.
-
-    Loads only what *analyses* need: TCP snapshots for the localization
-    cascade, ground truth for fault scoring; a QoE-only pass leaves
-    ``verdict`` and ``fault_labels`` zero.  Blocks with no kept session
-    are skipped.  Each block runs — the consumer's work on it included —
-    inside an ``analysis.block`` span of *metrics* and is counted in its
-    ``analysis.*_total`` counters.
-    """
-    from .. import obs
-
-    registry = metrics if metrics is not None else obs.MetricsRegistry()
+    """The joined blocks of the *shape* pass over *runs*, each in an
+    ``analysis.block`` span of *registry* and counted in its
+    ``analysis.*_total`` counters."""
     blocks_total = registry.counter("analysis.blocks_total")
     sessions_total = registry.counter("analysis.sessions_total")
     chunks_total = registry.counter("analysis.chunks_total")
-    requested = tuple(analyses)
-    want_truth = "faultscore" in requested
-    want_cascade = want_truth or "localization" in requested
-    kinds = ["player_sessions", "cdn_sessions", "player_chunks", "cdn_chunks"]
-    if want_cascade:
-        kinds.append("tcp_snapshots")
-    if want_truth:
-        kinds.append("ground_truth")
-    plan = _BlockPlan(_dataset_runs(dataset, kinds), kinds)
+    plan = _BlockPlan(runs, _PASSES[shape][1])
     for i in range(plan.n_blocks):
         with registry.span("analysis.block"):
-            block = _compute_block(plan, i, want_cascade, want_truth)
+            block = _compute_block(plan, i, shape == "cascade")
             blocks_total.inc()
             if block is None:
                 continue
@@ -919,18 +921,126 @@ def iter_joined_blocks(
             del block  # build the next block without holding this one
 
 
+def iter_joined_blocks(
+    dataset: Any,
+    analyses: Iterable[str] = ANALYSIS_KINDS,
+    metrics: Optional[Any] = None,
+) -> Iterator[JoinedBlock]:
+    """The joined blocks of *dataset*, in session order.
+
+    A QoE-only request reads sessions and chunks and leaves ``verdict``
+    and ``fault_labels`` zero; any other request runs the cascade pass,
+    which also reads TCP snapshots and ground truth.  Blocks with no
+    kept session are skipped.  Each block runs — the consumer's work on
+    it included — inside an ``analysis.block`` span of *metrics* and is
+    counted in its ``analysis.*_total`` counters.  Nothing is memoized:
+    every call joins.
+    """
+    from .. import obs
+
+    shape = _shape(analyses)
+    registry = metrics if metrics is not None else obs.MetricsRegistry()
+    runs = {kind: _kind_runs(dataset, kind) for kind in _PASSES[shape][1]}
+    yield from _planned_blocks(runs, shape, registry)
+
+
+def _fold(names: Sequence[str], blocks: Iterator[JoinedBlock]) -> Dict[str, Any]:
+    """One state per analysis in *names*, fed every block; their results."""
+    states = {name: _STATE_FACTORIES[name]() for name in names}
+    for block in blocks:
+        for state in states.values():
+            state.update(block)
+        del block  # not held while the next block is built
+    return {name: state.result() for name, state in states.items()}
+
+
+class _PassMemo:
+    """One pass's results on a dataset, and the runs it read.
+
+    The runs are held as weak references, so the memo holds results
+    only: the QoE summary dict, the localization shares and the
+    fault-score report, all O(fault classes).  ``runs`` is None for a
+    :class:`~repro.telemetry.spill.SpilledDataset`, a snapshot of a
+    finalized spill, whose memo holds as long as the object.
+    """
+
+    __slots__ = ("results", "runs")
+
+    def __init__(
+        self, results: Dict[str, Any], runs: Optional[Dict[str, List[np.ndarray]]]
+    ) -> None:
+        self.results = results
+        self.runs = None if runs is None else {
+            kind: [weakref.ref(array) for array in arrays] for kind, arrays in runs.items()
+        }
+
+    def holds(self, runs_of: Callable[[str], List[np.ndarray]]) -> bool:
+        """Whether every kind the pass read still has the same run arrays."""
+        if self.runs is None:
+            return True
+        for kind, refs in self.runs.items():
+            arrays = runs_of(kind)
+            if len(arrays) != len(refs) or any(
+                ref() is not array for ref, array in zip(refs, arrays)
+            ):
+                return False
+        return True
+
+
 def analyze_dataset(
     dataset: Any,
     analyses: Iterable[str] = ANALYSIS_KINDS,
     metrics: Optional[Any] = None,
 ) -> Dict[str, Any]:
-    """One vectorized blockwise pass computing *analyses* over *dataset*.
+    """*analyses* over *dataset*, from one of two memoized pass shapes.
 
     Returns ``{name: result}`` with each result bit-identical to its
-    per-session oracle (``tests/streaming_oracle.py``).  QoE-only passes
-    skip loading TCP and ground-truth columns entirely.
+    per-session oracle (``tests/streaming_oracle.py``).  A QoE-only
+    request runs the QoE pass, which reads sessions and chunks only; any
+    other request runs the cascade pass, which also reads TCP snapshots
+    and ground truth and folds QoE, localization and the fault score
+    together.  Each pass's results are memoized on *dataset*, so
+    ``summarize``, ``diagnose_dataset`` and ``score_fault_localization``
+    on one dataset join it at most twice, and a QoE request is also
+    answered by a cascade pass.  An in-memory
+    :class:`~repro.telemetry.dataset.Dataset`'s memo holds while
+    ``run_arrays`` returns the same cached arrays for every kind its pass
+    read; a :class:`~repro.telemetry.spill.SpilledDataset` is a snapshot,
+    and its memo lasts as long as the object (reopen the spill to read it
+    again).  A memo hit runs no block, opens no span and counts nothing;
+    with *metrics* None it publishes an empty registry.  Every call
+    returns its own copies, and a pass that raises memoizes nothing.
     """
-    return analyze_datasets((dataset,), analyses, metrics)
+    from .. import obs
+
+    requested = _checked(analyses)
+    shape = _shape(requested)
+    memo: Dict[str, _PassMemo] = vars(dataset).setdefault("_analysis", {})
+    runs: Dict[str, List[np.ndarray]] = {}
+
+    def runs_of(kind: str) -> List[np.ndarray]:
+        if kind not in runs:
+            runs[kind] = _kind_runs(dataset, kind)
+        return runs[kind]
+
+    answered_by = ("qoe", "cascade") if shape == "qoe" else ("cascade",)
+    for name in answered_by:
+        entry = memo.get(name)
+        if entry is not None and entry.holds(runs_of):
+            if metrics is None:
+                obs.publish_last_run(obs.MetricsRegistry())
+            return {key: copy.deepcopy(entry.results[key]) for key in requested}
+
+    folded, kinds = _PASSES[shape]
+    registry = metrics if metrics is not None else obs.MetricsRegistry()
+    with registry.span("analysis.read"):
+        pass_runs = {kind: runs_of(kind) for kind in kinds}
+        results = _fold(folded, _planned_blocks(pass_runs, shape, registry))
+    snapshot = isinstance(dataset, SpilledDataset)
+    memo[shape] = _PassMemo(results, None if snapshot else pass_runs)
+    if metrics is None:
+        obs.publish_last_run(registry)
+    return {key: copy.deepcopy(results[key]) for key in requested}
 
 
 def analyze_datasets(
@@ -938,29 +1048,26 @@ def analyze_datasets(
     analyses: Iterable[str] = ANALYSIS_KINDS,
     metrics: Optional[Any] = None,
 ) -> Dict[str, Any]:
-    """:func:`analyze_dataset` folding every dataset's blocks, in order,
-    into one state per analysis.
+    """*analyses* folding every dataset's blocks, in order, into one state
+    per analysis.
 
     Each dataset is joined on its own, so no session is joined across
     datasets: this is how a multi-period run, whose periods may reuse
-    session ids, is analyzed as a whole.
+    session ids, is analyzed as a whole.  Nothing is memoized: every call
+    joins every dataset.
     """
     from .. import obs
 
-    requested = tuple(analyses)
-    for name in requested:
-        if name not in ANALYSIS_KINDS:
-            raise ValueError(
-                f"unknown analysis {name!r}; choose from {ANALYSIS_KINDS}"
-            )
+    requested = _checked(analyses)
     registry = metrics if metrics is not None else obs.MetricsRegistry()
-    states = {name: _STATE_FACTORIES[name]() for name in requested}
     with registry.span("analysis.read"):
-        for dataset in datasets:
-            for block in iter_joined_blocks(dataset, requested, metrics=registry):
-                for state in states.values():
-                    state.update(block)
-                del block  # not held while the next block is built
+        results = _fold(
+            requested,
+            chain.from_iterable(
+                iter_joined_blocks(dataset, requested, metrics=registry)
+                for dataset in datasets
+            ),
+        )
     if metrics is None:
         obs.publish_last_run(registry)
-    return {name: states[name].result() for name in requested}
+    return results

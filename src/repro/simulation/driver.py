@@ -84,7 +84,9 @@ class SimulationResult:
 
     A single-config run is one period, labelled ``""``.  Periods are never
     merged: they may reuse session ids, so the run's counts are sums over
-    ``datasets``.  ``config`` is the first period's.  ``simulator`` is the
+    ``datasets``.  ``config`` and the world (``catalog``, ``population``,
+    ``deployment``) are the first period's, serial and sharded alike;
+    ``servers`` is the end-of-run fleet.  ``simulator`` is the
     live serial simulator (its caches can keep running); a sharded run,
     whose fleet was merged back from its workers, leaves it None.
     """
@@ -211,8 +213,36 @@ class Simulator:
         clock (the max across shards), so that a shard's next period starts
         exactly when the serial run's would.  Serial runs leave it None.
         """
-        self.config = config or SimulationConfig()
-        config = self.config
+        self._setup(config or SimulationConfig(), shard, world, clock_sync, metrics, trace)
+        self.servers: Dict[str, CdnServer] = {}
+        for pop in self.deployment.pops:
+            for server_id in pop.server_ids:
+                if shard is not None and not shard.owns_server(server_id):
+                    continue
+                self.servers[server_id] = CdnServer(
+                    server_id=server_id,
+                    backend_rtt_ms=pop.backend_rtt_ms,
+                    config=self.config.server,
+                    seed=self.config.seed,
+                    metrics=self.metrics,
+                    faults=self.faults,
+                )
+        self._warmed = False
+        self._clock_ms = 0.0
+        if self.config.warm_first_chunks:
+            self._warm_first_chunks()
+
+    def _setup(
+        self,
+        config: SimulationConfig,
+        shard: Optional[ShardSpec],
+        world: Optional[World],
+        clock_sync: Optional[Callable[[float], float]],
+        metrics: Optional[MetricsRegistry],
+        trace: Optional[TraceRecorder],
+    ) -> None:
+        """Everything but the server fleet: the world, mapping and faults."""
+        self.config = config
         self.shard = shard
         self._clock_sync = clock_sync
         #: observability registry: one per run (or one per shard worker,
@@ -239,23 +269,6 @@ class Simulator:
             deployment=self.deployment, strategy=config.mapping_strategy
         )
         self.mapping.configure_catalog(config.n_videos)
-        self.servers: Dict[str, CdnServer] = {}
-        for pop in self.deployment.pops:
-            for server_id in pop.server_ids:
-                if shard is not None and not shard.owns_server(server_id):
-                    continue
-                self.servers[server_id] = CdnServer(
-                    server_id=server_id,
-                    backend_rtt_ms=pop.backend_rtt_ms,
-                    config=config.server,
-                    seed=config.seed,
-                    metrics=self.metrics,
-                    faults=self.faults,
-                )
-        self._warmed = False
-        self._clock_ms = 0.0
-        if config.warm_first_chunks:
-            self._warm_first_chunks()
 
     def successor(self, config: SimulationConfig) -> "Simulator":
         """A simulator for *config* that continues this one's fleet.
@@ -264,18 +277,20 @@ class Simulator:
         flash-crowd pattern).  It builds its world from *config* but
         inherits the servers, the deployment, the clock and the warm
         state, so its periods continue this run's timeline on the same
-        caches.  It shares the shard, the clock barrier, the metrics
-        registry and the trace recorder.
+        caches; it builds no fleet of its own.  The inherited servers
+        apply *config*'s fault schedule from here on, the one its
+        sessions stamp as ground truth.  It shares the shard, the clock
+        barrier, the metrics registry and the trace recorder.
         """
-        successor = Simulator(
-            config,
-            shard=self.shard,
-            clock_sync=self._clock_sync,
-            metrics=self.metrics,
-            trace=self.trace,
+        world = build_world(config)
+        world.deployment = self.deployment
+        successor = Simulator.__new__(Simulator)
+        successor._setup(
+            config, self.shard, world, self._clock_sync, self.metrics, self.trace
         )
         successor.servers = self.servers
-        successor.deployment = self.deployment
+        for server in successor.servers.values():
+            server.faults = successor.faults
         successor._clock_ms = self._clock_ms
         successor._warmed = self._warmed
         return successor

@@ -14,7 +14,7 @@ them); the headline analyses run the columnar join of
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from operator import is_
 from typing import Dict, Iterable, Iterator, List, Optional, Set, Tuple
 
@@ -164,12 +164,12 @@ class Dataset:
     ground_truth: List[ChunkGroundTruth] = field(default_factory=list)
 
     def __getstate__(self) -> dict:
-        # the column cache of run_arrays is derived data: it stays out of
-        # pickles (shard workers ship datasets through pipes) and is
-        # rebuilt on first use on the receiving side
-        state = self.__dict__.copy()
-        state.pop("_columns", None)
-        return state
+        # the record lists are the state; everything else on the object
+        # is derived data (the column cache of run_arrays, the memo of
+        # the columnar analyses) that stays out of pickles (shard workers
+        # ship datasets through pipes) and is rebuilt on first use on the
+        # receiving side
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
     # -- basic shape ---------------------------------------------------------
 

@@ -15,7 +15,13 @@ carries across rounds must not grow with the blocks it folds.
 Also pins the in-memory encode-once rule of ``Dataset.run_arrays``: one
 filter + three-analysis pass encodes each record kind once, mutations
 between calls re-encode, cached arrays are read-only, and the cache never
-shows in ``==``, ``repr`` or pickles.
+shows in ``==``, ``repr`` or pickles.  And the analyse-once rule of
+``analyze_dataset``: the three public calls on one dataset object run at
+most a QoE pass and a cascade pass, whose memoized results hold only
+while the arrays they read do, are handed out as copies, stay out of
+pickles, and cost a hit no block, span or count.  Identity checks run
+each pass shape on a fresh object, so no memoized result stands in for
+the pass under test.
 """
 
 from __future__ import annotations
@@ -24,6 +30,7 @@ import dataclasses
 import json
 import pickle
 import tempfile
+import weakref
 from collections import Counter
 from pathlib import Path
 from unittest import mock
@@ -33,6 +40,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
+from repro import obs
 from repro.api import run
 from repro.core import columnar_analysis as ca
 from repro.core.faultscore import score_fault_localization
@@ -115,19 +123,34 @@ def _oracle(dataset):
     )
 
 
+def _fresh(dataset):
+    """A new object over *dataset*'s telemetry, with nothing encoded or
+    memoized: a reopened spill, or a new Dataset over new lists of the
+    same record objects."""
+    if isinstance(dataset, SpilledDataset):
+        return SpilledDataset(dataset.directories)
+    return Dataset.collect(dataset)
+
+
 def _assert_paths_identical(dataset) -> None:
-    """Per-session oracle vs one columnar pass and vs the public calls."""
+    """Per-session oracle vs the columnar passes, each on a fresh object:
+    the cascade pass through ``analyze_dataset``; each public call alone
+    (``summarize`` runs the QoE pass, the other two the cascade pass); and
+    the three public calls after a cascade pass, all memo hits."""
     oracle = _oracle(dataset)
-    out = ca.analyze_dataset(dataset)
+    out = ca.analyze_dataset(_fresh(dataset))
     _assert_results_identical(
         (out["qoe"], out["localization"], out["faultscore"]), oracle
     )
-    _assert_results_identical(_public_results(dataset), oracle)
-
-
-def _fresh_copy(dataset: Dataset) -> Dataset:
-    """A new Dataset over new lists of the same record objects."""
-    return Dataset.collect(dataset)
+    alone = (
+        summarize(_fresh(dataset)),
+        diagnose_dataset(_fresh(dataset)),
+        score_fault_localization(_fresh(dataset)),
+    )
+    _assert_results_identical(alone, oracle)
+    analysed = _fresh(dataset)
+    ca.analyze_dataset(analysed)
+    _assert_results_identical(_public_results(analysed), oracle)
 
 
 class TestByteIdentity:
@@ -207,11 +230,14 @@ class TestByteIdentity:
 
     def test_forced_small_blocks_with_fault_labels(self, faulted_dataset, monkeypatch):
         # the fault-score state counts false positives block by block, so
-        # identity must not depend on where block cuts fall in labelled data
+        # identity must not depend on where block cuts fall in labelled data;
+        # a fresh copy, so no pass memoized under the default block size
+        # answers for the small one
+        dataset = _fresh(faulted_dataset)
         monkeypatch.setattr(ca, "ITER_BLOCK_ROWS", 97)
-        blocks = list(ca.iter_joined_blocks(faulted_dataset))
+        blocks = list(ca.iter_joined_blocks(dataset))
         assert len(blocks) > 5
-        _assert_paths_identical(faulted_dataset)
+        _assert_paths_identical(dataset)
 
 
 @pytest.fixture(scope="module")
@@ -251,8 +277,10 @@ class TestOverlappingRuns:
         if block_rows is not None:
             monkeypatch.setattr(ca, "ITER_BLOCK_ROWS", block_rows)
         _assert_paths_identical(finely_spilled)
-        spilled = ca.analyze_dataset(finely_spilled)
-        memory = ca.analyze_dataset(faulted_dataset)
+        # fresh objects: the module-scoped ones may hold passes memoized
+        # under another block size
+        spilled = ca.analyze_dataset(_fresh(finely_spilled))
+        memory = ca.analyze_dataset(_fresh(faulted_dataset))
         _assert_results_identical(
             (spilled["qoe"], spilled["localization"], spilled["faultscore"]),
             (memory["qoe"], memory["localization"], memory["faultscore"]),
@@ -341,6 +369,15 @@ class TestChunkIdRange:
             ca.analyze_dataset(shifted)
         with pytest.raises(ValueError, match="non-negative chunk ids"):
             ca.analyze_dataset(self._emission_spill(shifted, tmp_path))
+
+    def test_overflow_raises_again_and_memoizes_nothing(self, thirty_sessions, tmp_path):
+        shifted = _shift_chunk_ids(thirty_sessions, 2**60)
+        for dataset in (shifted, self._emission_spill(shifted, tmp_path)):
+            for _ in range(2):
+                for call in (summarize, diagnose_dataset, score_fault_localization):
+                    with pytest.raises(ValueError, match="fit int64"):
+                        call(dataset)
+            assert not _memo(dataset)
 
 
 def _record(kind: str, **values):
@@ -546,6 +583,132 @@ class TestFaultScoreState:
         assert reverse.result().format_report() == whole.result().format_report()
 
 
+def _memo(dataset):
+    """The passes memoized on *dataset*, by shape."""
+    return vars(dataset).get("_analysis", {})
+
+
+class TestPassMemo:
+    """``analyze_dataset`` runs at most two pass shapes per dataset object
+    and memoizes their results on it (docs/PERFORMANCE.md, "Analyse once")."""
+
+    @pytest.fixture()
+    def joins(self, monkeypatch):
+        """The number of record kinds each pass read, one entry per pass."""
+        passes = []
+        plan = ca._BlockPlan
+
+        class CountingPlan(plan):
+            def __init__(self, runs, kinds):
+                passes.append(len(kinds))
+                super().__init__(runs, kinds)
+
+        monkeypatch.setattr(ca, "_BlockPlan", CountingPlan)
+        return passes
+
+    @pytest.fixture(params=["memory", "spill"])
+    def source(self, request, faulted_dataset, finely_spilled):
+        return faulted_dataset if request.param == "memory" else finely_spilled
+
+    def test_three_calls_join_twice_or_once_cascade_first(self, source, joins):
+        dataset = _fresh(source)
+        results = _public_results(dataset)
+        # the QoE pass reads four kinds, the cascade pass all six
+        assert joins == [4, 6]
+        _public_results(dataset)
+        assert joins == [4, 6]
+        cascade_first = _fresh(source)
+        localization = diagnose_dataset(cascade_first)
+        qoe = summarize(cascade_first)
+        faultscore = score_fault_localization(cascade_first)
+        assert joins == [4, 6, 6]
+        _assert_results_identical((qoe, localization, faultscore), results)
+        _assert_results_identical(results, _oracle(source))
+
+    def test_a_changed_kind_reruns_only_the_passes_that_read_it(
+        self, faulted_dataset, joins
+    ):
+        dataset = _fresh(faulted_dataset)
+        _public_results(dataset)
+        dataset.tcp_snapshots = dataset.tcp_snapshots[:-40]
+        _public_results(dataset)
+        # summarize still hits the QoE pass; the cascade pass runs again
+        assert joins == [4, 6, 6]
+        dataset.player_chunks = dataset.player_chunks[:-40]
+        results = _public_results(dataset)
+        assert joins == [4, 6, 6, 4, 6]
+        _assert_results_identical(results, _oracle(dataset))
+
+    def test_mutating_a_result_leaves_the_next_unchanged(self, faulted_dataset):
+        dataset = _fresh(faulted_dataset)
+        qoe, localization, report = _public_results(dataset)
+        expected = _public_results(_fresh(faulted_dataset))
+        qoe["n_sessions"] = -1
+        localization.clear()
+        report.n_chunks = -1
+        for score in report.classes.values():
+            score.true_positives = -1
+        for row in report.confusion.values():
+            row["none"] += 1_000
+        _assert_results_identical(_public_results(dataset), expected)
+        out = ca.analyze_dataset(dataset)
+        out["qoe"]["n_sessions"] = -1
+        out["faultscore"].classes.clear()
+        _assert_results_identical(_public_results(dataset), expected)
+
+    def test_memo_holds_results_only(self, faulted_dataset, finely_spilled):
+        dataset, spilled = _fresh(faulted_dataset), _fresh(finely_spilled)
+        for analysed in (dataset, spilled):
+            _public_results(analysed)
+            memo = _memo(analysed)
+            assert set(memo) == {"qoe", "cascade"}
+            for entry in memo.values():
+                # the QoE summary dict, not the per-session arrays behind it
+                assert all(
+                    isinstance(value, (int, float))
+                    for value in entry.results["qoe"].values()
+                )
+                assert len(pickle.dumps(entry.results)) < 4096
+        # an in-memory memo refers to the arrays it was computed from weakly;
+        # a spill is a snapshot and needs no reference at all
+        assert all(
+            isinstance(ref, weakref.ref)
+            for entry in _memo(dataset).values()
+            for refs in entry.runs.values()
+            for ref in refs
+        )
+        assert all(entry.runs is None for entry in _memo(spilled).values())
+
+    def test_memo_stays_out_of_pickles(self, faulted_dataset, finely_spilled):
+        dataset, spilled = _fresh(faulted_dataset), _fresh(finely_spilled)
+        before = pickle.dumps(dataset), pickle.dumps(spilled)
+        _public_results(dataset)
+        _public_results(spilled)
+        assert (pickle.dumps(dataset), pickle.dumps(spilled)) == before
+        assert not _memo(pickle.loads(before[0]))
+        assert not _memo(pickle.loads(before[1]))
+
+    def test_a_hit_runs_no_block_and_counts_nothing(self, faulted_dataset, monkeypatch):
+        dataset = _fresh(faulted_dataset)
+        ca.analyze_dataset(dataset)
+        assert obs.last_run()["spans"]
+
+        def no_block(*args):
+            raise AssertionError("a memo hit computed a block")
+
+        monkeypatch.setattr(ca, "_compute_block", no_block)
+        registry = MetricsRegistry()
+        ca.analyze_dataset(dataset, metrics=registry)
+        ca.analyze_dataset(dataset, ("qoe",), metrics=registry)
+        empty = MetricsRegistry()
+        assert registry.execution_snapshot() == empty.execution_snapshot()
+        assert registry.spans_snapshot() == []
+        # with no registry given, a hit publishes an empty one, so readers
+        # of the last run never count a pass twice
+        _public_results(dataset)
+        assert obs.last_run() == {"metrics": empty.snapshot(), "spans": []}
+
+
 class TestResolveAnalysis:
     """The analysis names ``analyze_dataset`` accepts."""
 
@@ -582,7 +745,7 @@ class TestSharedEncode:
     def test_mutation_between_calls_matches_a_fresh_dataset(
         self, faulted_dataset, mutation
     ):
-        dataset = _fresh_copy(faulted_dataset)
+        dataset = _fresh(faulted_dataset)
         before = _public_results(dataset)
         first = dataset.player_chunks[0]
         stalled = dataclasses.replace(first, rebuffer_ms=first.rebuffer_ms + 5_000.0)
@@ -594,11 +757,11 @@ class TestSharedEncode:
             dataset.player_chunks[0] = stalled
         after = _public_results(dataset)
         assert json.dumps(after[0]) != json.dumps(before[0])
-        _assert_results_identical(after, _public_results(_fresh_copy(dataset)))
+        _assert_results_identical(after, _public_results(_fresh(dataset)))
         _assert_results_identical(after, _oracle(dataset))
 
     def test_cached_arrays_are_reused_and_reject_writes(self, faulted_dataset):
-        dataset = _fresh_copy(faulted_dataset)
+        dataset = _fresh(faulted_dataset)
         for kind in SPILL_KINDS:
             (array,) = dataset.run_arrays(kind)
             assert dataset.run_arrays(kind)[0] is array
@@ -610,7 +773,7 @@ class TestSharedEncode:
         assert Dataset().run_arrays("player_chunks") == []
 
     def test_analysis_leaves_eq_repr_and_pickle_unchanged(self, faulted_dataset):
-        dataset = _fresh_copy(faulted_dataset)
+        dataset = _fresh(faulted_dataset)
         before = (repr(dataset), pickle.dumps(dataset))
         _public_results(dataset)
         assert dataset == faulted_dataset

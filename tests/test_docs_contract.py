@@ -457,7 +457,15 @@ def _bench_records(scenario: str) -> List[dict]:
 class TestPerformanceNumbersSync:
     """Walls and ratios PERFORMANCE.md quotes match BENCH_perf.json records."""
 
-    @pytest.mark.parametrize("scenario", ["read-path", "read-path-memory"])
+    #: the record field each read-path tier's quote compares against:
+    #: the oracle's wall, or the public calls' on separate opens
+    BEFORE_FIELD = {
+        "read-path": "records_wall_s",
+        "read-path-memory": "records_wall_s",
+        "read-path-public": "separate_wall_s",
+    }
+
+    @pytest.mark.parametrize("scenario", sorted(BEFORE_FIELD))
     def test_read_path_quote_matches_a_record(self, scenario):
         before, unit, after, ratio = _performance_quote(
             rf"`{re.escape(scenario)}` — [^:]*: "
@@ -466,7 +474,7 @@ class TestPerformanceNumbersSync:
         matching = [
             record
             for record in _bench_records(scenario)
-            if _same_number(before, record["records_wall_s"] * scale)
+            if _same_number(before, record[self.BEFORE_FIELD[scenario]] * scale)
             and _same_number(after, record["wall_s"] * scale)
             and _same_number(ratio, record["speedup"])
         ]

@@ -9,6 +9,7 @@ result.
 
 from __future__ import annotations
 
+import statistics
 from pathlib import Path
 
 import pytest
@@ -256,6 +257,62 @@ class TestMultiPeriod:
         assert min(s.start_ms for s in baseline.player_sessions) > end_ms
         assert surge.n_chunks > 0
         assert not [t for t in surge.ground_truth if t.fault_labels]
+
+
+    # -- a config change may change the fault schedule and the world --------
+
+    @staticmethod
+    def _degraded(start_ms):
+        return FaultSpec(
+            name="degraded",
+            events=(FaultEvent("deg", "server-degraded", start_ms, 1e12, 8.0),),
+        )
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_config_change_period_applies_its_own_fault_schedule(self, workers):
+        base = _config(n_sessions=40, warmup_sessions=100, seed=3, workers=workers)
+
+        def incident(start_ms):
+            periods = [
+                PeriodSpec(config=base, label="baseline"),
+                PeriodSpec(
+                    config=base.with_overrides(faults=self._degraded(start_ms)),
+                    label="incident",
+                ),
+            ]
+            result = run(periods=periods)
+            return result.period("incident"), result.metrics.snapshot()["counters"]
+
+        degraded, counters = incident(0.0)
+        # the same periods with an epoch that never starts: the control
+        healthy, _ = incident(1e11)
+        labelled = [t for t in degraded.ground_truth if t.fault_labels]
+        assert degraded.n_chunks > 0 and len(labelled) == degraded.n_chunks
+        # the inherited servers apply the schedule the labels come from
+        assert counters["faults.server_requests_total"] == len(labelled)
+        assert statistics.median(c.total_server_ms for c in degraded.cdn_chunks) > (
+            4.0 * statistics.median(c.total_server_ms for c in healthy.cdn_chunks)
+        )
+
+    def test_config_change_periods_report_the_first_period_world(self):
+        base = _config(n_sessions=30, warmup_sessions=30, seed=5)
+        narrow = base.with_overrides(n_videos=10, seed=6)
+        results = [
+            run(
+                periods=[
+                    PeriodSpec(config=base.with_overrides(workers=workers), label="baseline"),
+                    PeriodSpec(config=narrow.with_overrides(workers=workers), label="narrow"),
+                ]
+            )
+            for workers in (1, 2)
+        ]
+        serial, sharded = results
+        assert len(serial.catalog.videos) == base.n_videos
+        assert serial.catalog.videos == sharded.catalog.videos
+        assert serial.population.config == sharded.population.config
+        assert serial.population.config.seed == base.seed
+        assert serial.deployment.pops == sharded.deployment.pops
+        assert serial.config == base and sharded.config == base.with_overrides(workers=2)
 
 
 class TestMultiPeriodSpill:
