@@ -24,7 +24,9 @@ columnar core is built for — is stubbed here behind
 it manually before touching the spill reader or the columnar pass.
 
 The serve tier steps the live service, which folds each round through
-the same pass, and requires its peak heap to stay flat in run duration.
+the same pass, and requires the heap it retains once warm to stay flat in
+run duration (the simulated CDN caches, which fill for as long as the
+service runs, are left out).
 """
 
 from __future__ import annotations
@@ -123,19 +125,45 @@ def test_memory_large_tier(tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# live service tier: peak heap flat in run duration
+# live service tier: retained service heap flat in run duration
 
 
+#: rounds stepped before the first measurement: the warmup fills the
+#: fleet's caches, and the service's bounded state (the sealed-window
+#: deque, the trace ring) reaches its size
+SERVE_WARM_ROUNDS = 4
 SERVE_ROUNDS_SHORT = 4
 SERVE_ROUNDS_LONG = 12
-#: long/short peak ratio bound.  The service drops per-round telemetry
-#: after folding, bounds the sealed-window deque, and keeps O(1)
-#: accumulator state, so 3x the rounds must not grow the peak materially;
+#: long/short retained-heap ratio bound.  The service drops per-round
+#: telemetry after folding, bounds the sealed-window deque, and keeps O(1)
+#: accumulator state, so 3x the rounds must not grow its heap materially;
 #: 1.5x absorbs allocator noise while still tripping on O(rounds) state.
-SERVE_PEAK_RATIO_BOUND = 1.5
+SERVE_HEAP_RATIO_BOUND = 1.5
+#: where the simulated world allocates: the CDN fleet, and the simulation
+#: and workload layers that make the chunk keys and sizes its caches keep.
+#: The caches admit every new key for as long as the service runs (the
+#: 16 GiB disk level never fills), which is the world filling, not
+#: service state.  What remains is the service's own: the telemetry it
+#: collects and folds, its windows, detectors and metrics.
+WORLD_FILES = ("*/repro/cdn/*", "*/repro/simulation/*", "*/repro/workload/*")
 
 
-def _serve_run(rounds):
+def _service_heap() -> int:
+    """Bytes traced since the service was built and still allocated,
+    outside the simulated world."""
+    snapshot = tracemalloc.take_snapshot().filter_traces(
+        [tracemalloc.Filter(False, pattern) for pattern in WORLD_FILES]
+    )
+    return sum(stat.size for stat in snapshot.statistics("filename"))
+
+
+def test_memory_serve_peak_flat_in_run_duration():
+    # the run-forever requirement: once warm, a service stepped 3x as long
+    # must retain the same heap — sealed windows are deque-bounded,
+    # per-round telemetry is dropped after folding (docs/OBSERVABILITY.md,
+    # "Service mode").  Tracing starts once the world is built, so every
+    # allocation of the service and of its rounds is counted; the
+    # simulated world's growth is left out (WORLD_FILES).
     from repro.serve import LiveService
     from repro.simulation.config import SimulationConfig
 
@@ -145,21 +173,14 @@ def _serve_run(rounds):
     )
     tracemalloc.start()
     start = time.perf_counter()
-    service.run_rounds(rounds)
+    service.run_rounds(SERVE_WARM_ROUNDS + SERVE_ROUNDS_SHORT)
+    heap_short = _service_heap()
+    service.run_rounds(SERVE_ROUNDS_LONG - SERVE_ROUNDS_SHORT)
+    heap_long = _service_heap()
     wall_s = time.perf_counter() - start
     _, peak = tracemalloc.get_traced_memory()
     tracemalloc.stop()
-    return service, peak, wall_s
-
-
-def test_memory_serve_peak_flat_in_run_duration():
-    # the run-forever requirement: a service stepped 3x as long must hold
-    # the same peak heap — sealed windows are deque-bounded, per-round
-    # telemetry is dropped after folding (docs/OBSERVABILITY.md,
-    # "Service mode")
-    _, peak_short, _ = _serve_run(SERVE_ROUNDS_SHORT)
-    service, peak_long, wall_s = _serve_run(SERVE_ROUNDS_LONG)
-    ratio = peak_long / peak_short
+    ratio = heap_long / heap_short
     health = service.health_document()
     record = write_perf_record(
         "memory_serve",
@@ -167,20 +188,21 @@ def test_memory_serve_peak_flat_in_run_duration():
         n_sessions=health["sessions"],
         n_chunks=health["chunks"],
         extra={
-            "peak_short_mb": round(peak_short / 1e6, 1),
-            "peak_long_mb": round(peak_long / 1e6, 1),
-            "rounds": SERVE_ROUNDS_LONG,
+            "heap_short_mb": round(heap_short / 1e6, 2),
+            "heap_long_mb": round(heap_long / 1e6, 2),
+            "peak_mb": round(peak / 1e6, 1),
+            "rounds": SERVE_WARM_ROUNDS + SERVE_ROUNDS_LONG,
         },
         instrumented=True,
     )
     print(
-        f"\n  memory-serve: {record['wall_s']}s wall, "
-        f"{peak_short / 1e6:.1f} MB @ {SERVE_ROUNDS_SHORT} rounds vs "
-        f"{peak_long / 1e6:.1f} MB @ {SERVE_ROUNDS_LONG} rounds "
-        f"(ratio {ratio:.2f})"
+        f"\n  memory-serve: {record['wall_s']}s wall, service heap "
+        f"{heap_short / 1e6:.2f} MB after {SERVE_ROUNDS_SHORT} warm rounds vs "
+        f"{heap_long / 1e6:.2f} MB after {SERVE_ROUNDS_LONG} (ratio {ratio:.2f}), "
+        f"{peak / 1e6:.1f} MB traced peak"
     )
-    assert ratio < SERVE_PEAK_RATIO_BOUND, (
-        f"live-service peak heap grew {ratio:.2f}x when the run got "
+    assert ratio < SERVE_HEAP_RATIO_BOUND, (
+        f"live-service retained heap grew {ratio:.2f}x when the run got "
         f"{SERVE_ROUNDS_LONG // SERVE_ROUNDS_SHORT}x longer — service "
         "state is scaling with run duration"
     )

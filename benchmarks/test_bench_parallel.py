@@ -48,7 +48,7 @@ def test_bench_parallel_vs_serial(benchmark):
     )
     parallel_s = benchmark.stats.stats.mean
 
-    assert parallel.dataset == serial.dataset.sorted()
+    assert parallel.dataset == serial.dataset
     assert sum(r.sessions for r in parallel.shard_reports) == N_SESSIONS
 
     cores = os.cpu_count() or 1

@@ -27,8 +27,9 @@ are identical, requires the shared object to be at least
 
 The in-memory tier times what ``repro analyze``-style callers pay on a
 freshly simulated 1,000-session dataset: ``filter_proxies`` plus the
-three public analyses, each pass on a new filtered dataset so every pass
-encodes its columns once and memoizes nothing for the next.  It records
+three public analyses, each pass on a new filtered dataset (a session-id
+mask over the columns the collector encoded) so no pass memoizes
+anything for the next.  It records
 the best of ``MEMORY_REPEATS`` passes as ``read-path-memory``, next to
 the same pass spelled with one oracle ``consume`` per analysis.
 

@@ -50,20 +50,29 @@ def standard_config(scale: str = "medium", seed: int = 7) -> SimulationConfig:
     )
 
 
-@lru_cache(maxsize=4)
 def standard_result(scale: str = "medium", seed: int = 7, workers: int = 1) -> SimulationResult:
     """Run (once per process) and cache the standard simulation.
 
     ``workers > 1`` shards the simulation across worker processes, which
-    produces the same records as the serial run (canonically ordered), so
-    every experiment sees identical data.
+    produces the same dataset as the serial run, so every experiment sees
+    identical data.  The cache keys on the values, however spelled.
     """
+    return _standard_result(scale, seed, workers)
+
+
+def filtered_dataset(scale: str = "medium", seed: int = 7, workers: int = 1) -> Dataset:
+    """The standard dataset after §3 proxy filtering (cached like
+    :func:`standard_result`)."""
+    return _filtered_dataset(scale, seed, workers)
+
+
+@lru_cache(maxsize=4)
+def _standard_result(scale: str, seed: int, workers: int) -> SimulationResult:
     return run(standard_config(scale, seed).with_overrides(workers=workers))
 
 
 @lru_cache(maxsize=4)
-def filtered_dataset(scale: str = "medium", seed: int = 7, workers: int = 1) -> Dataset:
-    """The standard dataset after §3 proxy filtering."""
+def _filtered_dataset(scale: str, seed: int, workers: int) -> Dataset:
     dataset, _ = filter_proxies(standard_result(scale, seed, workers).dataset)
     return dataset
 

@@ -62,7 +62,7 @@ def build_parser() -> argparse.ArgumentParser:
     sim.add_argument(
         "--spill-dir", default=None, metavar="DIR",
         help="bounded-memory mode: spill telemetry to sorted columnar runs "
-             "under DIR instead of holding records in RAM; the persisted "
+             "under DIR instead of keeping them in RAM; the persisted "
              "dataset is byte-identical either way (see docs/TELEMETRY.md)",
     )
     sim.add_argument(

@@ -52,15 +52,18 @@ from __future__ import annotations
 
 import copy
 import math
-import weakref
 from collections import Counter
-from itertools import chain
-from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Any, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..telemetry.columnar import COLUMN_SCHEMAS, ITER_BLOCK_ROWS
-from ..telemetry.spill import SpilledDataset
+from ..telemetry.columnar import (
+    COLUMN_SCHEMAS,
+    ITER_BLOCK_ROWS,
+    concat_rows,
+    session_runs,
+    take_rows,
+)
 from .downstack import RTO_FLOOR_MS
 from .faultscore import EXPECTED_BOTTLENECK, ClassScore, FaultScoreReport, parse_fault_labels
 from .localization import BAD_RENDER_FRACTION, BAD_SCORE, TAIL_RTT_MS, Bottleneck
@@ -123,18 +126,6 @@ def _grouped_seq_sum(values: np.ndarray, starts: np.ndarray, counts: np.ndarray)
 
 # ---------------------------------------------------------------------------
 # run access + block planning
-
-
-def _kind_runs(dataset: Any, kind: str) -> List[np.ndarray]:
-    """The sorted, non-empty run arrays of *kind* in *dataset*.
-
-    Spilled datasets expose their memory-mapped runs; in-memory datasets
-    one cached, encoded array per kind
-    (:meth:`~repro.telemetry.dataset.Dataset.run_arrays`).  Run order
-    matters: the blockwise assembly relies on stable re-sorts of
-    run-enumeration-ordered concatenations reproducing the k-way merge.
-    """
-    return [a for a in dataset.run_arrays(kind) if len(a)]
 
 
 def _change_points(values: np.ndarray) -> np.ndarray:
@@ -205,43 +196,19 @@ def _fuse_factor(n_codes: int, chunk_ids: Iterable[np.ndarray]) -> int:
     return fuse
 
 
-def _take(rows: np.ndarray, index: np.ndarray) -> np.ndarray:
-    """``rows[index]`` for a structured array, copied row by row.
-
-    numpy copies structured rows field by field.  Viewed as fixed-width
-    void records, a gather copies each row in one piece, several times
-    faster, and the view back restores the fields.
-    """
-    opaque = np.dtype((np.void, rows.dtype.itemsize))
-    return rows.view(opaque)[index].view(rows.dtype)
-
-
-def _concat(arrays: Sequence[np.ndarray]) -> np.ndarray:
-    """``np.concatenate`` of same-dtype structured arrays, row by row (see :func:`_take`)."""
-    dtype = arrays[0].dtype
-    opaque = np.dtype((np.void, dtype.itemsize))
-    return np.concatenate([array.view(opaque) for array in arrays]).view(dtype)
-
-
 def _coded(rows: np.ndarray, sids: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     """Session-sorted *rows* restricted to the sessions in sorted *sids*.
 
     Returns ``(rows, codes)`` where ``codes[i]`` is the index into *sids*
-    of row i's session.  The ids are compared once per row, to find where
-    the session changes, and searched once per distinct session.  When
-    every row's session is in *sids*, *rows* is returned as given.
+    of row i's session (:func:`~repro.telemetry.columnar.session_runs`).
+    When every row's session is in *sids*, *rows* is returned as given.
     """
-    new = _change_points(rows["session_id"])
-    starts = np.flatnonzero(new)
-    distinct = rows["session_id"][starts]
-    found = np.searchsorted(sids, distinct)
-    member = sids[np.minimum(found, len(sids) - 1)] == distinct
-    lengths = np.diff(np.append(starts, len(rows)))
+    lengths, found, member = session_runs(rows["session_id"], sids)
     codes = np.repeat(found, lengths)
     if member.all():
         return rows, codes
     keep = np.repeat(member, lengths)
-    return _take(rows, keep), codes[keep]
+    return take_rows(rows, keep), codes[keep]
 
 
 def _merge_parts(
@@ -260,7 +227,7 @@ def _merge_parts(
     """
     if len(parts) == 1:
         return parts[0]
-    rows = _concat([rows for rows, _ in parts])
+    rows = concat_rows([rows for rows, _ in parts])
     codes = np.concatenate([codes for _, codes in parts])
     if COLUMN_SCHEMAS[kind].sort_keys == ("session_id",):
         key = codes
@@ -268,11 +235,14 @@ def _merge_parts(
         chunk_id = rows["chunk_id"]
         key = codes * _fuse_factor(n_codes, [chunk_id]) + chunk_id
     order = np.argsort(key, kind="stable")
-    return _take(rows, order), codes[order]
+    return take_rows(rows, order), codes[order]
 
 
 class _BlockPlan:
     """Session-aligned blocks over the universe of player sessions.
+
+    *runs* maps each kind to its sorted runs (``run_arrays``) in run
+    order, the tie-break order :func:`_merge_parts` relies on.
 
     Block ``i`` owns a contiguous slice of the sorted universe.  For
     every run of every kind the session-id column is extracted *once*,
@@ -680,7 +650,7 @@ def _compute_block(plan: _BlockPlan, index: int, cascade: bool) -> Optional[Join
         renumber = np.cumsum(kept) - 1
         for k, (rows, codes) in enumerate(loaded):
             mask = kept[codes]
-            loaded[k] = (_take(rows, mask), renumber[codes[mask]])
+            loaded[k] = (take_rows(rows, mask), renumber[codes[mask]])
         ps_last = ps_last[kept]
     chunk_ids = [np.ascontiguousarray(rows["chunk_id"]) for rows, _ in loaded]
     fuse = _fuse_factor(n_kept, chunk_ids)
@@ -694,8 +664,8 @@ def _compute_block(plan: _BlockPlan, index: int, cascade: bool) -> Optional[Join
         joined, cdn, jcode, jkey, chunk_id = pc, cc, pc_code, keys[0], chunk_ids[0]
     else:
         matched, j = match
-        joined = _take(pc, matched)
-        cdn = _take(cc, j[matched])
+        joined = take_rows(pc, matched)
+        cdn = take_rows(cc, j[matched])
         jcode = pc_code[matched]
         jkey = keys[0][matched]
         chunk_id = chunk_ids[0][matched]
@@ -704,8 +674,8 @@ def _compute_block(plan: _BlockPlan, index: int, cascade: bool) -> Optional[Join
     block = JoinedBlock()
     block.n_kept = n_kept
     # session rows that are all kept and distinct need no copy
-    block.player_sessions = ps if len(ps) == n_kept else _take(ps, ps_last)
-    block.cdn_sessions = cs if len(cs) == n_kept else _take(cs, cs_last)
+    block.player_sessions = ps if len(ps) == n_kept else take_rows(ps, ps_last)
+    block.cdn_sessions = cs if len(cs) == n_kept else take_rows(cs, cs_last)
     block.player_rows = joined
     block.cdn_rows = cdn
     block.jcode = jcode
@@ -940,7 +910,7 @@ def iter_joined_blocks(
 
     shape = _shape(analyses)
     registry = metrics if metrics is not None else obs.MetricsRegistry()
-    runs = {kind: _kind_runs(dataset, kind) for kind in _PASSES[shape][1]}
+    runs = {kind: dataset.run_arrays(kind) for kind in _PASSES[shape][1]}
     yield from _planned_blocks(runs, shape, registry)
 
 
@@ -952,39 +922,6 @@ def _fold(names: Sequence[str], blocks: Iterator[JoinedBlock]) -> Dict[str, Any]
             state.update(block)
         del block  # not held while the next block is built
     return {name: state.result() for name, state in states.items()}
-
-
-class _PassMemo:
-    """One pass's results on a dataset, and the runs it read.
-
-    The runs are held as weak references, so the memo holds results
-    only: the QoE summary dict, the localization shares and the
-    fault-score report, all O(fault classes).  ``runs`` is None for a
-    :class:`~repro.telemetry.spill.SpilledDataset`, a snapshot of a
-    finalized spill, whose memo holds as long as the object.
-    """
-
-    __slots__ = ("results", "runs")
-
-    def __init__(
-        self, results: Dict[str, Any], runs: Optional[Dict[str, List[np.ndarray]]]
-    ) -> None:
-        self.results = results
-        self.runs = None if runs is None else {
-            kind: [weakref.ref(array) for array in arrays] for kind, arrays in runs.items()
-        }
-
-    def holds(self, runs_of: Callable[[str], List[np.ndarray]]) -> bool:
-        """Whether every kind the pass read still has the same run arrays."""
-        if self.runs is None:
-            return True
-        for kind, refs in self.runs.items():
-            arrays = runs_of(kind)
-            if len(arrays) != len(refs) or any(
-                ref() is not array for ref, array in zip(refs, arrays)
-            ):
-                return False
-        return True
 
 
 def analyze_dataset(
@@ -1002,12 +939,11 @@ def analyze_dataset(
     together.  Each pass's results are memoized on *dataset*, so
     ``summarize``, ``diagnose_dataset`` and ``score_fault_localization``
     on one dataset join it at most twice, and a QoE request is also
-    answered by a cascade pass.  An in-memory
-    :class:`~repro.telemetry.dataset.Dataset`'s memo holds while
-    ``run_arrays`` returns the same cached arrays for every kind its pass
-    read; a :class:`~repro.telemetry.spill.SpilledDataset` is a snapshot,
-    and its memo lasts as long as the object (reopen the spill to read it
-    again).  A memo hit runs no block, opens no span and counts nothing;
+    answered by a cascade pass.  Every dataset is a snapshot — a
+    :class:`~repro.telemetry.dataset.Dataset` never changes, and a
+    :class:`~repro.telemetry.spill.SpilledDataset` reads a sealed spill
+    (reopen the spill to read it again) — so a memo lasts as long as the
+    object.  A memo hit runs no block, opens no span and counts nothing;
     with *metrics* None it publishes an empty registry.  Every call
     returns its own copies, and a pass that raises memoizes nothing.
     """
@@ -1015,29 +951,21 @@ def analyze_dataset(
 
     requested = _checked(analyses)
     shape = _shape(requested)
-    memo: Dict[str, _PassMemo] = vars(dataset).setdefault("_analysis", {})
-    runs: Dict[str, List[np.ndarray]] = {}
-
-    def runs_of(kind: str) -> List[np.ndarray]:
-        if kind not in runs:
-            runs[kind] = _kind_runs(dataset, kind)
-        return runs[kind]
-
+    memo: Dict[str, Dict[str, Any]] = vars(dataset).setdefault("_analysis", {})
     answered_by = ("qoe", "cascade") if shape == "qoe" else ("cascade",)
     for name in answered_by:
-        entry = memo.get(name)
-        if entry is not None and entry.holds(runs_of):
+        results = memo.get(name)
+        if results is not None:
             if metrics is None:
                 obs.publish_last_run(obs.MetricsRegistry())
-            return {key: copy.deepcopy(entry.results[key]) for key in requested}
+            return {key: copy.deepcopy(results[key]) for key in requested}
 
     folded, kinds = _PASSES[shape]
     registry = metrics if metrics is not None else obs.MetricsRegistry()
     with registry.span("analysis.read"):
-        pass_runs = {kind: runs_of(kind) for kind in kinds}
-        results = _fold(folded, _planned_blocks(pass_runs, shape, registry))
-    snapshot = isinstance(dataset, SpilledDataset)
-    memo[shape] = _PassMemo(results, None if snapshot else pass_runs)
+        runs = {kind: dataset.run_arrays(kind) for kind in kinds}
+        results = _fold(folded, _planned_blocks(runs, shape, registry))
+    memo[shape] = results
     if metrics is None:
         obs.publish_last_run(registry)
     return {key: copy.deepcopy(results[key]) for key in requested}
@@ -1047,27 +975,31 @@ def analyze_datasets(
     datasets: Iterable[Any],
     analyses: Iterable[str] = ANALYSIS_KINDS,
     metrics: Optional[Any] = None,
-) -> Dict[str, Any]:
+) -> Tuple[Dict[str, Any], List[Dict[str, float]]]:
     """*analyses* folding every dataset's blocks, in order, into one state
-    per analysis.
+    per analysis; returns ``({name: result}, [QoE summary per dataset])``.
 
     Each dataset is joined on its own, so no session is joined across
     datasets: this is how a multi-period run, whose periods may reuse
-    session ids, is analyzed as a whole.  Nothing is memoized: every call
-    joins every dataset.
+    session ids, is analyzed as a whole.  The same blocks feed each
+    dataset's own QoE state, which equals ``qoe.summarize`` of it.
+    Nothing is memoized: every call joins every dataset.
     """
     from .. import obs
 
     requested = _checked(analyses)
     registry = metrics if metrics is not None else obs.MetricsRegistry()
+    states = {name: _STATE_FACTORIES[name]() for name in requested}
+    own_qoe: List[Dict[str, float]] = []
     with registry.span("analysis.read"):
-        results = _fold(
-            requested,
-            chain.from_iterable(
-                iter_joined_blocks(dataset, requested, metrics=registry)
-                for dataset in datasets
-            ),
-        )
+        for dataset in datasets:
+            own = _QoeState()
+            for block in iter_joined_blocks(dataset, requested, metrics=registry):
+                own.update(block)
+                for state in states.values():
+                    state.update(block)
+                del block  # not held while the next block is built
+            own_qoe.append(own.result())
     if metrics is None:
         obs.publish_last_run(registry)
-    return results
+    return {name: state.result() for name, state in states.items()}, own_qoe

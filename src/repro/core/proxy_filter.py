@@ -82,7 +82,7 @@ def filter_proxies(
 
     player_sessions = {s.session_id: s for s in dataset.player_sessions}
     report = ProxyFilterReport(
-        n_input_sessions=len(dataset.player_sessions), n_kept_sessions=0
+        n_input_sessions=dataset.n_sessions, n_kept_sessions=0
     )
 
     # Rule (i): IP / user-agent mismatch between CDN logs and beacons.

@@ -76,7 +76,6 @@ def evaluate_key_findings(
     check degrades to the latency-tail-exists test.
     """
     chunks = dataset.join_chunks()
-    sessions = dataset.sessions()
     checks: List[FindingCheck] = []
 
     # ---- CDN-1: asynchronous disk reads increase server-side delay -------

@@ -155,19 +155,17 @@ class SimulationResult:
         """Persist the datasets plus ``manifest.json`` into *directory*.
 
         A multi-period run persists each period into a ``<label>/``
-        subdirectory, with the manifest at the top level.  Datasets are
-        written in canonical record order (``sorted()``), so the JSONL
-        bytes are identical for any ``workers`` count and either memory
-        mode (docs/TELEMETRY.md).  Returns the directory.
+        subdirectory, with the manifest at the top level.  Every dataset
+        is in canonical record order, so the JSONL bytes are identical for
+        any ``workers`` count and either memory mode (docs/TELEMETRY.md).
+        Returns the directory.
         """
         directory = Path(directory)
         if len(self.datasets) == 1:
-            save_dataset(self.datasets[0].sorted(), directory)
+            save_dataset(self.datasets[0], directory)
         else:
             for index, (dataset, label) in enumerate(zip(self.datasets, self.labels)):
-                save_dataset(
-                    dataset.sorted(), directory / (label or f"period-{index}")
-                )
+                save_dataset(dataset, directory / (label or f"period-{index}"))
         save_run_manifest(self, directory, wall_time_s)
         return directory
 

@@ -9,9 +9,10 @@ fleet, and merges the per-shard telemetry into one canonical
 
 Determinism contract: sessions interact only through their assigned CDN
 server, and a server's entire request stream stays inside one shard, so
-the merged dataset's records **equal the serial run's records** for the
-same seed — the only difference is emission order, which
-:meth:`Dataset.merge_all` canonicalizes away (docs/PARALLEL.md).
+the merged dataset **equals the serial run's dataset** for the same seed.
+Every dataset is canonical: a shard ships its arrays, and
+:meth:`Dataset.merge_all` concatenates them in shard order and runs one
+stable sort (docs/PARALLEL.md).
 
 Clock barriers: the serial run starts a measured period when the *fleet's*
 previous phase ends (the event loop's final timestamp), a quantity no shard
@@ -57,7 +58,6 @@ from ..obs import publish_last_run
 from ..obs.registry import MetricsRegistry
 from ..obs.trace import TraceRecorder
 from ..telemetry.dataset import Dataset
-from ..telemetry.spill import SpilledDataset
 from .config import SimulationConfig
 from .driver import SimulationResult, Simulator, World, build_world
 from .shard import ShardSpec
@@ -272,10 +272,8 @@ def _shard_worker_main(task: _ShardTask, conn) -> None:
             )
         conn.send(
             {
-                # Ship each period's dataset canonically pre-sorted: sorting
-                # happens in the workers (in parallel), and the parent's
-                # stable re-sort before its k-way merge is then linear.
-                "datasets": [dataset.sorted() for dataset in datasets],
+                # each period's dataset pickles as its canonical arrays
+                "datasets": datasets,
                 "servers": simulator.servers,
                 "sessions": sum(d.n_sessions for d in datasets),
                 "wall_time_s": time.perf_counter() - started,
@@ -287,7 +285,7 @@ def _shard_worker_main(task: _ShardTask, conn) -> None:
                 # leak into the byte-stable workload snapshot
                 "execution_metrics": registry.execution_snapshot(),
                 "span_totals": tuple(registry.tracer.totals()),
-                # pre-sorted like the datasets: the parent k-way merges
+                # canonically pre-sorted: the parent k-way merges
                 "trace": (
                     simulator.trace.events() if simulator.trace is not None else None
                 ),
@@ -372,19 +370,22 @@ class ParallelSimulator:
         registry = MetricsRegistry()
         trace: Optional[TraceRecorder] = None
         with registry.span("parallel.merge"):
-            datasets = [
-                self._merge_period_datasets(
-                    [outputs[index]["datasets"][p] for index in sorted(outputs)]
-                )
-                for p in range(len(periods))
-            ]
+            # One period's shards merge in sorted shard order, honouring
+            # the memory mode: in-memory shards' arrays are concatenated
+            # and stable-sorted once (`Dataset.merge_all`); spilled shards
+            # merge lazily, the facade iterating every shard's runs, with
+            # no row read in the parent (docs/TELEMETRY.md).
+            datasets = []
+            for p in range(len(periods)):
+                shards = [outputs[index]["datasets"][p] for index in sorted(outputs)]
+                datasets.append(type(shards[0]).merge_all(shards))
             for index in sorted(outputs):
                 registry.merge_snapshot(outputs[index]["metrics"])
                 registry.merge_snapshot(outputs[index].get("execution_metrics", {}))
-            # Trace merge: like the datasets, each shard ships canonically
-            # pre-sorted events; a k-way merge in sorted shard order IS the
-            # canonical (session, chunk, seq) order, so the export equals
-            # the serial run's byte for byte.
+            # Trace merge: each shard ships canonically pre-sorted events;
+            # a k-way merge in sorted shard order IS the canonical
+            # (session, chunk, seq) order, so the export equals the serial
+            # run's byte for byte.
             if self.config.trace_sample > 0:
                 trace = TraceRecorder(self.config.trace_sample)
                 trace.adopt_sorted(
@@ -432,22 +433,6 @@ class ParallelSimulator:
             for state in running.values():
                 self._kill(state)
         return outputs, [reports[index] for index in sorted(reports)]
-
-    @staticmethod
-    def _merge_period_datasets(shards: List[Any]):
-        """Merge one period's shard datasets, honouring the memory mode.
-
-        This is the one place telemetry is merged, and only the shards of
-        one period.  In-memory shards k-way merge record lists (workers
-        pre-sorted them); spilled shards merge *lazily* — the combined
-        facade simply iterates every shard's runs in sorted shard order,
-        which (disjoint session-id ranges per shard) is the same canonical
-        order ``Dataset.merge_all`` would produce, without reading a
-        single row in the parent (docs/TELEMETRY.md).
-        """
-        if shards and isinstance(shards[0], SpilledDataset):
-            return SpilledDataset.merge_all(shards)
-        return Dataset.merge_all(shards)
 
     def _launch(
         self, index: int, attempt: int, periods: Tuple[PeriodSpec, ...], world: World

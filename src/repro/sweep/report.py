@@ -27,7 +27,6 @@ from pathlib import Path
 from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
 from ..analysis import plotting
-from ..core import qoe
 from ..core.faultscore import FaultScoreReport
 from ..telemetry.dataset import Dataset
 
@@ -117,21 +116,22 @@ def outcome_document(
         raise ValueError("labels and datasets must align")
     if not datasets:
         raise ValueError("outcome needs at least one period")
-    periods = []
-    for label, dataset in zip(labels, datasets):
-        periods.append(
-            {
-                "label": label or "measure",
-                "n_sessions": dataset.n_sessions,
-                "n_chunks": dataset.n_chunks,
-                "qoe": qoe.summarize(dataset),
-            }
-        )
     # imported here, like the core analyses do, so `import repro` does not
     # load the columnar pass
     from ..core.columnar_analysis import analyze_datasets
 
-    overall = analyze_datasets(datasets, ("qoe", "faultscore"))
+    # one join per period feeds both the overall states and the period's
+    # own QoE summary (equal to qoe.summarize of the period)
+    overall, period_qoe = analyze_datasets(datasets, ("qoe", "faultscore"))
+    periods = [
+        {
+            "label": label or "measure",
+            "n_sessions": dataset.n_sessions,
+            "n_chunks": dataset.n_chunks,
+            "qoe": summary,
+        }
+        for label, dataset, summary in zip(labels, datasets, period_qoe)
+    ]
     document: Dict[str, Any] = {
         "schema": OUTCOME_SCHEMA,
         "name": name,

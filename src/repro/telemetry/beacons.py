@@ -124,7 +124,7 @@ def export_beacons_csv(dataset: Dataset, directory: Union[str, Path]) -> Path:
 def import_beacons_csv(directory: Union[str, Path]) -> Dataset:
     """Load a CSV beacon directory into a :class:`Dataset`.
 
-    Missing files yield empty record lists; malformed files raise
+    Missing files yield empty record kinds; malformed files raise
     :class:`ValueError` with file/line context.
     """
     directory = Path(directory)

@@ -7,17 +7,14 @@ sampling discipline for ``tcp_info``: snapshots arrive on a 500 ms grid
 during transfers, and the collector guarantees at least one snapshot per
 chunk by accepting a forced end-of-chunk sample.
 
-Memory modes (docs/TELEMETRY.md):
-
-* **in-memory** (default) — records accumulate as Python objects and
-  :meth:`dataset` freezes them into a :class:`Dataset`, exactly the
-  historical behavior;
-* **spill** (``spill_dir`` set) — records stream into a
-  :class:`~repro.telemetry.spill.SpillWriter`, which flushes sorted
-  columnar runs to disk every ``spill_threshold_rows`` rows, and
-  :meth:`dataset` returns the bounded-memory
-  :class:`~repro.telemetry.spill.SpilledDataset` facade instead.  The
-  records are identical either way; only their residence differs.
+Every record takes one buffered path: per kind, every
+``spill_threshold_rows`` records are encoded into a sorted columnar run
+(:class:`~repro.telemetry.spill.SpillWriter`).  The memory mode
+(docs/TELEMETRY.md) is where runs live: in RAM by default, merged into
+one canonical :class:`Dataset` by :meth:`dataset`; on disk with
+``spill_dir`` set, read through the
+:class:`~repro.telemetry.spill.SpilledDataset` facade.  The records are
+identical either way, and canonical: emission order is visible only here.
 
 ``discard=True`` drops every record on arrival — the warmup period's
 collector, whose telemetry was always thrown away after the fact, now
@@ -26,9 +23,9 @@ never holds it at all.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, List, Optional, Sequence, Union
+from typing import Any, Optional, Sequence, Union
 
 from .dataset import Dataset
 from .records import (
@@ -48,17 +45,11 @@ __all__ = ["TelemetryCollector"]
 class TelemetryCollector:
     """Accumulates records during a simulation run."""
 
-    _player_chunks: List[PlayerChunkRecord] = field(default_factory=list)
-    _cdn_chunks: List[CdnChunkRecord] = field(default_factory=list)
-    _tcp: List[TcpInfoRecord] = field(default_factory=list)
-    _player_sessions: List[PlayerSessionRecord] = field(default_factory=list)
-    _cdn_sessions: List[CdnSessionRecord] = field(default_factory=list)
-    _truth: List[ChunkGroundTruth] = field(default_factory=list)
     #: when False, ground truth is not recorded (blind dataset)
     record_ground_truth: bool = True
     #: spill mode: directory for sorted columnar runs (None = in-memory)
     spill_dir: Optional[Union[str, Path]] = None
-    #: rows buffered per record kind before a sorted run is flushed
+    #: rows buffered per record kind before a sorted run is made
     spill_threshold_rows: int = DEFAULT_SPILL_THRESHOLD_ROWS
     #: drop every record on arrival (warmup periods: telemetry is never read)
     discard: bool = False
@@ -66,90 +57,52 @@ class TelemetryCollector:
     metrics: Optional[Any] = None
 
     def __post_init__(self) -> None:
-        self._writer: Optional[SpillWriter] = None
-        if self.spill_dir is not None and not self.discard:
-            self._writer = SpillWriter(
-                self.spill_dir,
-                threshold_rows=self.spill_threshold_rows,
-                metrics=self.metrics,
-            )
+        self._writer = SpillWriter(
+            None if self.discard else self.spill_dir,
+            threshold_rows=self.spill_threshold_rows,
+            metrics=self.metrics,
+        )
 
     def add_player_chunk(self, record: PlayerChunkRecord) -> None:
-        if self.discard:
-            return
-        if self._writer is not None:
+        if not self.discard:
             self._writer.add("player_chunks", record)
-        else:
-            self._player_chunks.append(record)
 
     def add_cdn_chunk(self, record: CdnChunkRecord) -> None:
-        if self.discard:
-            return
-        if self._writer is not None:
+        if not self.discard:
             self._writer.add("cdn_chunks", record)
-        else:
-            self._cdn_chunks.append(record)
 
     def add_tcp_snapshot(self, record: TcpInfoRecord) -> None:
-        if self.discard:
-            return
-        if self._writer is not None:
+        if not self.discard:
             self._writer.add("tcp_snapshots", record)
-        else:
-            self._tcp.append(record)
 
     def add_tcp_snapshots(self, records: Sequence[TcpInfoRecord]) -> None:
         """Append one chunk's snapshot block in a single call.
 
         The 500 ms tcp_info grid makes snapshots the highest-volume kind
-        by far; the block append costs one ``extend`` (or one spill-buffer
-        extend + threshold check) instead of a Python call per record.
+        by far; the block append costs one buffer extend and one threshold
+        check instead of a Python call per record.
         """
-        if self.discard or not records:
-            return
-        if self._writer is not None:
+        if not self.discard:
             self._writer.add_many("tcp_snapshots", records)
-        else:
-            self._tcp.extend(records)
 
     def add_player_session(self, record: PlayerSessionRecord) -> None:
-        if self.discard:
-            return
-        if self._writer is not None:
+        if not self.discard:
             self._writer.add("player_sessions", record)
-        else:
-            self._player_sessions.append(record)
 
     def add_cdn_session(self, record: CdnSessionRecord) -> None:
-        if self.discard:
-            return
-        if self._writer is not None:
+        if not self.discard:
             self._writer.add("cdn_sessions", record)
-        else:
-            self._cdn_sessions.append(record)
 
     def add_ground_truth(self, record: ChunkGroundTruth) -> None:
-        if self.discard or not self.record_ground_truth:
-            return
-        if self._writer is not None:
+        if not self.discard and self.record_ground_truth:
             self._writer.add("ground_truth", record)
-        else:
-            self._truth.append(record)
 
     def dataset(self) -> Union[Dataset, SpilledDataset]:
-        """Freeze the collected records into a dataset.
+        """Seal the collected records into the period's dataset.
 
-        In-memory mode returns a :class:`Dataset`; spill mode finalizes
-        the writer (flushing tails + the versioned manifest) and returns
-        the :class:`SpilledDataset` facade over the same records.
+        In-memory mode returns the canonical :class:`Dataset` of the kept
+        runs; spill mode flushes the tails and the versioned manifest and
+        returns the :class:`SpilledDataset` facade over the same records.
+        Records added after this call belong to no dataset.
         """
-        if self._writer is not None:
-            return self._writer.finalize()
-        return Dataset(
-            player_chunks=list(self._player_chunks),
-            cdn_chunks=list(self._cdn_chunks),
-            tcp_snapshots=list(self._tcp),
-            player_sessions=list(self._player_sessions),
-            cdn_sessions=list(self._cdn_sessions),
-            ground_truth=list(self._truth),
-        )
+        return self._writer.finalize()

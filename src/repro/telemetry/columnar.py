@@ -1,13 +1,15 @@
 """Columnar backing store: structured-array layout for every record kind.
 
-The record dataclasses in :mod:`repro.telemetry.records` are the facade the
-analysis layer consumes; at scale (the paper's 65 M sessions / 523 M
-chunks) a Python object per record is ~10x the memory of the data it
-carries.  This module declares one numpy structured dtype per record kind
-and exact, loss-free conversion in both directions:
+The record dataclasses in :mod:`repro.telemetry.records` are what the
+simulator emits and what the record-level analyses read; at scale (the
+paper's 65 M sessions / 523 M chunks) a Python object per record is ~10x
+the memory of the data it carries.  This module declares one numpy
+structured dtype per record kind — the one form telemetry is held in,
+in memory (:class:`~repro.telemetry.dataset.Dataset`) and in spill
+files — and exact, loss-free conversion in both directions:
 
 * ``records_to_array`` — record objects → one structured array (the
-  columnar form the spill files and the synthetic generator use);
+  collector's encode, and the loaders');
 * ``iter_records`` / ``array_to_records`` — structured array → record
   objects, block-wise, producing plain Python scalars (``tolist()``), so a
   round-tripped record compares ``==`` to the original and JSON-serializes
@@ -17,15 +19,15 @@ String columns are fixed-width UTF-8 bytes (``S`` dtype — 1 byte/char for
 the ASCII identifiers the simulator emits, vs 4 for ``U``).  Widths are
 part of the documented contract (docs/TELEMETRY.md); a value that does not
 fit raises :class:`ColumnOverflowError` instead of being truncated
-silently.  Canonical ordering (the :meth:`Dataset.sorted` keys) is a
-stable ``np.lexsort`` over the same key columns.
+silently.  Canonical ordering is a stable ``np.lexsort`` over each kind's
+key columns.
 """
 
 from __future__ import annotations
 
 import dataclasses
 from operator import attrgetter
-from typing import Dict, Iterable, Iterator, List, Tuple
+from typing import Dict, Iterable, Iterator, List, Sequence, Tuple
 
 import numpy as np
 
@@ -47,6 +49,9 @@ __all__ = [
     "records_to_array",
     "array_to_records",
     "iter_records",
+    "take_rows",
+    "concat_rows",
+    "session_runs",
     "sort_array",
     "sort_key",
 ]
@@ -66,7 +71,7 @@ class ColumnSchema:
     ``kind`` is the :class:`~repro.telemetry.dataset.Dataset` attribute
     name; ``fields`` maps every dataclass field, in declaration order, to
     a numpy dtype string; ``sort_keys`` are the canonical-order key
-    columns (exactly :meth:`Dataset.sorted`'s keys for this kind).
+    columns.
     """
 
     def __init__(
@@ -301,20 +306,55 @@ def array_to_records(kind: str, array: np.ndarray) -> List[object]:
     return list(iter_records(kind, array))
 
 
+def take_rows(rows: np.ndarray, index: np.ndarray) -> np.ndarray:
+    """``rows[index]`` for a structured array, copied row by row.
+
+    numpy copies structured rows field by field.  Viewed as fixed-width
+    void records, a gather copies each row in one piece, several times
+    faster, and the view back restores the fields.
+    """
+    opaque = np.dtype((np.void, rows.dtype.itemsize))
+    return rows.view(opaque)[index].view(rows.dtype)
+
+
+def concat_rows(arrays: Sequence[np.ndarray]) -> np.ndarray:
+    """``np.concatenate`` of same-dtype structured arrays, row by row (see :func:`take_rows`)."""
+    dtype = arrays[0].dtype
+    opaque = np.dtype((np.void, dtype.itemsize))
+    return np.concatenate([array.view(opaque) for array in arrays]).view(dtype)
+
+
+def session_runs(ids: np.ndarray, sids: np.ndarray) -> Tuple[np.ndarray, ...]:
+    """``(lengths, found, member)`` of each run of equal ids in sorted *ids*:
+    its row count, its ``searchsorted`` position in sorted *sids*, and
+    whether its id is there.  Ids are compared once per row and searched
+    once per run."""
+    new = np.ones(len(ids), dtype=bool)
+    new[1:] = ids[1:] != ids[:-1]
+    starts = np.flatnonzero(new)
+    distinct = ids[starts]
+    found = np.searchsorted(sids, distinct)
+    if len(sids):
+        member = sids[np.minimum(found, len(sids) - 1)] == distinct
+    else:
+        member = np.zeros(len(distinct), dtype=bool)
+    return np.diff(np.append(starts, len(ids))), found, member
+
+
 def sort_array(kind: str, array: np.ndarray) -> np.ndarray:
-    """Stable canonical-order sort (the :meth:`Dataset.sorted` keys).
+    """Stable canonical-order sort on the kind's ``sort_keys``.
 
     Key columns are ASCII-ordered bytes and numbers, so a lexicographic
-    sort over them orders rows exactly as the tuple keys ``Dataset.sorted``
-    uses.  ``np.lexsort`` is stable and sorts by its *last* key first, so
-    the keys go in reversed; stability preserves emission order between
-    equal keys, which is what makes spilled runs merge to the in-memory
-    canonical order.
+    sort over them orders rows exactly as :func:`sort_key`'s tuples order
+    record objects.  ``np.lexsort`` is stable and sorts by its *last* key
+    first, so the keys go in reversed.  Stability keeps emission order
+    between equal keys, so sorted runs concatenated in emission order and
+    sorted again come out as one sort of the whole emission stream would.
     """
     if len(array) <= 1:
         return array
     keys = COLUMN_SCHEMAS[kind].sort_keys
-    return array[np.lexsort([array[name] for name in reversed(keys)])]
+    return take_rows(array, np.lexsort([array[name] for name in reversed(keys)]))
 
 
 def sort_key(kind: str):

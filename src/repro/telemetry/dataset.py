@@ -3,24 +3,35 @@
 "A key to end-to-end analysis is to trace session performance from the
 player through the CDN (at the granularity of chunks).  We implement
 tracing by using a globally unique session ID and per-session chunk IDs."
-(§2.2).  :meth:`Dataset.join_chunks` performs exactly that join, and
-:meth:`Dataset.sessions` groups it by session.  They are the one join
-that builds record views, in memory and for spills alike
-(:class:`~repro.telemetry.spill.SpilledDataset` materializes, then calls
-them); the headline analyses run the columnar join of
-:mod:`repro.core.columnar_analysis` instead.
+(§2.2).  A :class:`Dataset` holds one collection period's telemetry as
+one canonical structured array per record kind
+(:mod:`repro.telemetry.columnar`), the form spills hold it in too.
+:meth:`Dataset.join_chunks` performs the join on record objects decoded
+from those arrays, and :meth:`Dataset.sessions` groups it by session.
+They are the one join that builds record views, in memory and for
+spills alike (:class:`~repro.telemetry.spill.SpilledDataset`
+materializes, then calls them); the headline analyses run the columnar
+join of :mod:`repro.core.columnar_analysis` on the arrays instead.
 """
 
 from __future__ import annotations
 
-import heapq
-from dataclasses import dataclass, field, fields
-from operator import is_
-from typing import Dict, Iterable, Iterator, List, Optional, Set, Tuple
+from collections import abc
+from dataclasses import dataclass, field
+from typing import Any, Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .columnar import SPILL_KINDS, records_to_array, sort_array, sort_key
+from .columnar import (
+    COLUMN_SCHEMAS,
+    SPILL_KINDS,
+    concat_rows,
+    iter_records,
+    records_to_array,
+    session_runs,
+    sort_array,
+    take_rows,
+)
 from .records import (
     CdnChunkRecord,
     CdnSessionRecord,
@@ -30,7 +41,7 @@ from .records import (
     TcpInfoRecord,
 )
 
-__all__ = ["JoinedChunk", "SessionView", "Dataset"]
+__all__ = ["JoinedChunk", "SessionView", "RecordView", "Dataset"]
 
 
 @dataclass(frozen=True)
@@ -152,34 +163,123 @@ class SessionView:
         return result
 
 
-@dataclass
+class RecordView(abc.Sequence):
+    """One record kind of a :class:`Dataset` as a read-only sequence, decoded
+    from the kind's array on first access (``len`` decodes nothing)."""
+
+    __slots__ = ("_kind", "_array", "_records")
+
+    def __init__(self, kind: str, array: np.ndarray) -> None:
+        self._kind, self._array, self._records = kind, array, None
+
+    def _decoded(self) -> Tuple[Any, ...]:
+        if self._records is None:
+            self._records = tuple(iter_records(self._kind, self._array))
+        return self._records
+
+    def __len__(self) -> int:
+        return len(self._array)
+
+    def __getitem__(self, index):
+        return self._decoded()[index]
+
+    def __iter__(self) -> Iterator[Any]:
+        return iter(self._decoded())
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, abc.Sequence):
+            return NotImplemented
+        return self._decoded() == tuple(other)
+
+    def __repr__(self) -> str:
+        return f"RecordView({self._kind!r}, {len(self)} records)"
+
+
+def _record_view(kind: str) -> property:
+    return property(lambda self: self._views[kind], doc=f"The {kind} records (read-only).")
+
+
 class Dataset:
-    """All telemetry from one simulated collection period."""
+    """All telemetry from one collection period, in canonical order.
 
-    player_chunks: List[PlayerChunkRecord] = field(default_factory=list)
-    cdn_chunks: List[CdnChunkRecord] = field(default_factory=list)
-    tcp_snapshots: List[TcpInfoRecord] = field(default_factory=list)
-    player_sessions: List[PlayerSessionRecord] = field(default_factory=list)
-    cdn_sessions: List[CdnSessionRecord] = field(default_factory=list)
-    ground_truth: List[ChunkGroundTruth] = field(default_factory=list)
+    One read-only structured array per record kind, sorted on the kind's
+    keys (chunk kinds by session and chunk, TCP snapshots also by time,
+    session kinds by session), rows sharing a key in emission order.  It
+    is built once and never changes: ``Dataset(**records)`` encodes and
+    sorts record objects, raising
+    :class:`~repro.telemetry.columnar.ColumnOverflowError` for a string
+    wider than its column; :meth:`from_runs` takes sorted runs (the
+    collector's, shards', a spill's); :meth:`filter_sessions` masks rows.
+    The vectorized analyses read the arrays (:meth:`run_arrays`); each
+    kind is also a :class:`RecordView` for the record join and the
+    figure analyses.  ``==`` compares the arrays' bytes, and pickles
+    carry the arrays only.
+    """
 
-    def __getstate__(self) -> dict:
-        # the record lists are the state; everything else on the object
-        # is derived data (the column cache of run_arrays, the memo of
-        # the columnar analyses) that stays out of pickles (shard workers
-        # ship datasets through pipes) and is rebuilt on first use on the
-        # receiving side
-        return {f.name: getattr(self, f.name) for f in fields(self)}
+    player_chunks = _record_view("player_chunks")
+    cdn_chunks = _record_view("cdn_chunks")
+    tcp_snapshots = _record_view("tcp_snapshots")
+    player_sessions = _record_view("player_sessions")
+    cdn_sessions = _record_view("cdn_sessions")
+    ground_truth = _record_view("ground_truth")
+
+    def __init__(self, **records: Iterable[Any]) -> None:
+        unknown = set(records) - set(SPILL_KINDS)
+        if unknown:
+            raise TypeError(f"unknown record kinds {sorted(unknown)}")
+        self.__setstate__(
+            {k: sort_array(k, records_to_array(k, records.get(k, ()))) for k in SPILL_KINDS}
+        )
+
+    @classmethod
+    def from_runs(cls, runs: Mapping[str, Sequence[np.ndarray]]) -> "Dataset":
+        """A dataset over each kind's sorted runs, listed in emission order.
+
+        Several runs are concatenated and stable-sorted, so rows sharing a
+        key keep run order, as one stable sort of the emission stream
+        would; a single run is taken as it is, and made read-only.
+        """
+        arrays = {}
+        for kind in SPILL_KINDS:
+            parts = [run for run in runs.get(kind, ()) if len(run)]
+            if len(parts) > 1:
+                arrays[kind] = sort_array(kind, concat_rows(parts))
+            else:
+                arrays[kind] = parts[0] if parts else np.empty(0, COLUMN_SCHEMAS[kind].dtype)
+        dataset = cls.__new__(cls)
+        dataset.__setstate__(arrays)
+        return dataset
+
+    def __getstate__(self) -> Dict[str, np.ndarray]:
+        # the arrays are the state; the decoded record views and the
+        # memo of the columnar analyses stay out of pickles (shard
+        # workers ship datasets through pipes) and out of ==
+        return self._arrays
+
+    def __setstate__(self, arrays: Dict[str, np.ndarray]) -> None:
+        for array in arrays.values():
+            array.flags.writeable = False
+        self._arrays = arrays
+        self._views = {kind: RecordView(kind, array) for kind, array in arrays.items()}
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Dataset):
+            return NotImplemented
+        return all(self._arrays[k].tobytes() == other._arrays[k].tobytes() for k in SPILL_KINDS)
+
+    def __repr__(self) -> str:
+        rows = ", ".join(f"{kind}={len(array)}" for kind, array in self._arrays.items())
+        return f"Dataset({rows})"
 
     # -- basic shape ---------------------------------------------------------
 
     @property
     def n_sessions(self) -> int:
-        return len(self.player_sessions)
+        return len(self._arrays["player_sessions"])
 
     @property
     def n_chunks(self) -> int:
-        return len(self.player_chunks)
+        return len(self._arrays["player_chunks"])
 
     # -- joining -------------------------------------------------------------
 
@@ -248,92 +348,51 @@ class Dataset:
         return iter(self.sessions())
 
     def run_arrays(self, kind: str) -> List[np.ndarray]:
-        """The kind's rows as sorted columnar runs (``[]`` when it has none).
+        """The kind's canonical array as one run (``[]`` when it has none).
 
         The in-memory side of
         :meth:`~repro.telemetry.spill.SpilledDataset.run_arrays`, the read
-        surface of the vectorized analyses: one read-only structured array
-        in canonical order.  It is encoded on first use and reused while
-        the kind's record list is the same list holding the same record
-        objects in the same order — records are frozen, so the same
-        objects give the same bytes.  An append, an element replacement or
-        a reassignment of the list makes the next call encode again.  The
-        cache stays out of ``==``, ``repr`` and pickling.
+        surface of the vectorized analyses.  The array is read-only.
         """
-        records = getattr(self, kind)
-        if not records:
-            return []
-        cache = self.__dict__.setdefault("_columns", {})
-        cached = cache.get(kind)
-        if cached is not None:
-            source, snapshot, array = cached
-            if (
-                source is records
-                and len(snapshot) == len(records)
-                and all(map(is_, snapshot, records))
-            ):
-                return [array]
-        array = sort_array(kind, records_to_array(kind, records))
-        array.flags.writeable = False
-        cache[kind] = (records, tuple(records), array)
-        return [array]
+        array = self._arrays[kind]
+        return [array] if len(array) else []
 
     # -- filtering / combining -------------------------------------------------
 
-    @classmethod
-    def collect(cls, source, keep_ids: Optional[Iterable[str]] = None) -> "Dataset":
-        """A new dataset holding *source*'s records of every kind, in order.
-
-        *source* is anything exposing the record kinds as attributes (a
-        ``Dataset`` or a spilled one); with *keep_ids*, only those
-        sessions' records are kept.
-        """
-        keep: Optional[Set[str]] = None if keep_ids is None else set(keep_ids)
-        return cls(
-            **{
-                kind: [r for r in getattr(source, kind) if keep is None or r.session_id in keep]
-                for kind in SPILL_KINDS
-            }
-        )
-
     def filter_sessions(self, keep_ids: Iterable[str]) -> "Dataset":
         """A new dataset containing only the given session ids."""
-        return Dataset.collect(self, keep_ids)
+        return filter_runs(self, keep_ids)
 
     @classmethod
     def merge_all(cls, datasets: Iterable["Dataset"]) -> "Dataset":
         """Merge the shard datasets of one period into canonical order.
 
-        This is the merge the sharded runner uses: shard outputs arrive in
-        nondeterministic completion order, and canonical order makes the
-        result independent of both that order and the shard count.  Each
-        input is stable-sorted (linear for the pre-sorted lists shard
-        workers ship), then a k-way :func:`heapq.merge` combines them with
-        ties broken by input position — the same result as concatenating
-        and stable-sorting.  Telemetry of different periods is never
-        merged: periods may reuse session ids.
+        This is the merge the sharded runner uses.  The shards' arrays are
+        concatenated in the order given (sorted shard order) and
+        stable-sorted (:meth:`from_runs`), so the result does not depend
+        on the shards' completion order, and rows sharing a key keep
+        shard order.  Telemetry of different periods is never merged:
+        periods may reuse session ids.
         """
-        inputs = [dataset.sorted() for dataset in datasets]
-        return cls(
-            **{
-                kind: list(
-                    heapq.merge(*(getattr(d, kind) for d in inputs), key=sort_key(kind))
-                )
-                for kind in SPILL_KINDS
-            }
+        datasets = list(datasets)
+        return cls.from_runs(
+            {kind: [run for d in datasets for run in d.run_arrays(kind)] for kind in SPILL_KINDS}
         )
 
     def sorted(self) -> "Dataset":
-        """A copy with every record list in canonical order.
+        """Already canonical: the dataset itself."""
+        return self
 
-        Per-chunk records sort by (session, chunk), TCP snapshots by
-        (session, chunk, time), per-session records by session.  Sorting is
-        stable, so records sharing a key keep their emission order.  Two
-        runs of the same seeded workload that differ only in how sessions
-        were interleaved (serial event loop vs. merged shards) become
-        ``==``-comparable after canonicalization.  The keys are the
-        columnar schema's (:func:`~repro.telemetry.columnar.sort_key`).
-        """
-        return Dataset(
-            **{kind: sorted(getattr(self, kind), key=sort_key(kind)) for kind in SPILL_KINDS}
-        )
+
+def filter_runs(source: Any, keep_ids: Iterable[str]) -> Dataset:
+    """A :class:`Dataset` of the rows of *source* (a ``Dataset`` or a spill)
+    whose session is in *keep_ids*: each sorted run masked by session id."""
+    keep = np.unique(np.array([sid.encode("utf-8") for sid in keep_ids], dtype=bytes))
+
+    def kept(run: np.ndarray) -> np.ndarray:
+        lengths, _, member = session_runs(run["session_id"], keep)
+        return take_rows(run, np.repeat(member, lengths))
+
+    return Dataset.from_runs(
+        {kind: [kept(run) for run in source.run_arrays(kind)] for kind in SPILL_KINDS}
+    )

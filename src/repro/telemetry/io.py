@@ -75,10 +75,8 @@ def save_dataset(
     """Write *dataset* under *directory* (created if needed); returns the path.
 
     Accepts either memory mode: an in-memory :class:`Dataset` or a
-    :class:`~repro.telemetry.spill.SpilledDataset`, whose per-kind record
-    streams serialize to the identical JSON-lines bytes (the facade
-    yields records in canonical order; callers wanting byte-stable output
-    across memory modes should pass ``dataset.sorted()`` as before).
+    :class:`~repro.telemetry.spill.SpilledDataset`.  Both yield records
+    in canonical order, so their JSON-lines bytes are identical.
     """
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)

@@ -1,20 +1,21 @@
-"""Spill-to-disk telemetry: sorted columnar runs + a lazily merged facade.
+"""Sorted columnar runs, kept in RAM or spilled to disk, and the spill facade.
 
-At million-session scale a run's telemetry cannot live in RAM.  The
-collector therefore spills: records buffer into columnar blocks
-(:mod:`repro.telemetry.columnar`) and every ``threshold_rows`` rows a
-**sorted run** is flushed to disk as one ``.npy`` file.  A versioned
-``spill.json`` manifest describes the directory: format version, per-kind
-dtype, and the ordered run list (docs/TELEMETRY.md, "Spill-file format").
+Records buffer per kind, and every ``threshold_rows`` rows become a
+**sorted run** (:mod:`repro.telemetry.columnar`).  In memory the runs
+merge into a :class:`~repro.telemetry.dataset.Dataset` at period end; at
+million-session scale each run is flushed to disk as one ``.npy`` file,
+described by a versioned ``spill.json`` manifest: format version,
+per-kind dtype, and the ordered run list (docs/TELEMETRY.md, "Spill-file
+format").
 
 :class:`SpilledDataset` is the read side — a bounded-memory stand-in for
 :class:`~repro.telemetry.dataset.Dataset`:
 
 * each record kind iterates as a k-way :func:`heapq.merge` of its runs,
-  memory-mapped and materialized block-wise, yielding the exact canonical
-  order of :meth:`Dataset.sorted` (runs are stable-sorted at flush time
-  and flushed in emission order, so merge ties resolve to emission order —
-  the same tie-break as one big stable sort);
+  memory-mapped and materialized block-wise, yielding a ``Dataset``'s
+  canonical order (runs are stable-sorted at flush time and flushed in
+  emission order, so merge ties resolve to emission order — the same
+  tie-break as one big stable sort);
 * record views (:meth:`sessions`, :meth:`iter_sessions`,
   :meth:`join_chunks`) materialize the spill and run the one join of
   :mod:`repro.telemetry.dataset` — they are for tests and small spills;
@@ -22,7 +23,9 @@ dtype, and the ordered run list (docs/TELEMETRY.md, "Spill-file format").
 * :meth:`merge_all` combines one period's shard spill directories
   *lazily* — no row is read at merge time; the parent's iteration order
   (shard-index order, then run order) reproduces ``Dataset.merge_all``'s
-  canonical output.
+  canonical output;
+* :meth:`to_dataset` and :meth:`filter_sessions` merge the runs (all
+  rows, or the kept sessions' rows) into an in-memory ``Dataset``.
 
 The facade is pickle-cheap (directory paths only), which is how shard
 workers ship a million-session result through a multiprocessing pipe.
@@ -41,12 +44,13 @@ from .columnar import (
     COLUMN_SCHEMAS,
     ITER_BLOCK_ROWS,
     SPILL_KINDS,
+    concat_rows,
     iter_records,
     records_to_array,
     sort_array,
     sort_key,
 )
-from .dataset import Dataset, JoinedChunk, SessionView
+from .dataset import Dataset, JoinedChunk, SessionView, filter_runs
 
 __all__ = [
     "SPILL_FORMAT",
@@ -80,41 +84,47 @@ def _schema_dtype_descr(kind: str) -> List[List[str]]:
 
 
 class SpillWriter:
-    """Accumulates records and flushes sorted columnar runs to *directory*.
+    """Accumulates records and flushes sorted columnar runs.
 
     One writer per collection period per process.  ``add`` buffers record
     objects; ``add_array`` takes an already-columnar block (the synthetic
-    generator's path) without materializing objects.  ``finalize`` flushes
-    the tails, writes the manifest, and returns the read facade.  The
-    directory must not already contain a spill — a writer never silently
-    overwrites telemetry.
+    generator's path) without materializing objects.  Every
+    ``threshold_rows`` rows of a kind become one sorted run.  With a
+    *directory*, runs go to disk and ``finalize`` flushes the tails,
+    writes the manifest, and returns the :class:`SpilledDataset` facade;
+    the directory must not already contain a spill — a writer never
+    silently overwrites telemetry.  With ``directory=None``, runs stay in
+    RAM and ``finalize`` returns the :class:`Dataset` they merge into.
     """
 
     def __init__(
         self,
-        directory: Union[str, Path],
+        directory: Optional[Union[str, Path]],
         threshold_rows: int = DEFAULT_SPILL_THRESHOLD_ROWS,
         metrics: Optional[Any] = None,
     ) -> None:
         if threshold_rows <= 0:
             raise ValueError("threshold_rows must be positive")
-        self.directory = Path(directory)
-        self.directory.mkdir(parents=True, exist_ok=True)
-        if (self.directory / SPILL_MANIFEST_FILENAME).exists():
-            raise SpillError(
-                f"spill directory {self.directory} already holds a spill; "
-                "choose a fresh directory"
-            )
+        self.directory = None if directory is None else Path(directory)
+        if self.directory is not None:
+            self.directory.mkdir(parents=True, exist_ok=True)
+            if (self.directory / SPILL_MANIFEST_FILENAME).exists():
+                raise SpillError(
+                    f"spill directory {self.directory} already holds a spill; "
+                    "choose a fresh directory"
+                )
         self.threshold_rows = threshold_rows
         self._buffers: Dict[str, list] = {kind: [] for kind in SPILL_KINDS}
         self._pending: Dict[str, List[np.ndarray]] = {kind: [] for kind in SPILL_KINDS}
         self._pending_rows: Dict[str, int] = {kind: 0 for kind in SPILL_KINDS}
+        #: memory mode: each kind's sorted runs, in flush order
+        self._kept: Dict[str, List[np.ndarray]] = {kind: [] for kind in SPILL_KINDS}
         self._runs: Dict[str, List[Dict[str, int]]] = {kind: [] for kind in SPILL_KINDS}
         self._rows: Dict[str, int] = {kind: 0 for kind in SPILL_KINDS}
-        self._finalized: Optional[SpilledDataset] = None
+        self._finalized: Optional[Union[Dataset, SpilledDataset]] = None
         # execution-scope observability (docs/TELEMETRY.md): counter
         # handles are bound once, here, and never read on the hot path
-        if metrics is not None:
+        if metrics is not None and self.directory is not None:
             self._runs_counter = metrics.counter("telemetry.spill.runs_total")
             self._rows_counter = metrics.counter("telemetry.spill.rows_total")
             self._bytes_counter = metrics.counter("telemetry.spill.bytes_total")
@@ -152,7 +162,8 @@ class SpillWriter:
             self._flush(kind)
 
     def _flush(self, kind: str) -> None:
-        """Write one sorted run holding everything buffered for *kind*."""
+        """Make one sorted run of everything buffered for *kind*: keep it
+        in RAM, or write it to disk."""
         blocks = list(self._pending[kind])
         if self._buffers[kind]:
             blocks.append(records_to_array(kind, self._buffers[kind]))
@@ -161,7 +172,10 @@ class SpillWriter:
         self._pending_rows[kind] = 0
         if not blocks:
             return
-        run = sort_array(kind, np.concatenate(blocks) if len(blocks) > 1 else blocks[0])
+        run = sort_array(kind, concat_rows(blocks) if len(blocks) > 1 else blocks[0])
+        if self.directory is None:
+            self._kept[kind].append(run)
+            return
         sequence = len(self._runs[kind])
         filename = f"{kind}-{sequence:05d}.npy"
         np.save(self.directory / filename, run)
@@ -172,12 +186,21 @@ class SpillWriter:
             self._rows_counter.inc(len(run))
             self._bytes_counter.inc((self.directory / filename).stat().st_size)
 
-    def finalize(self) -> "SpilledDataset":
-        """Flush tails, write ``spill.json``, return the read facade (idempotent)."""
+    def finalize(self) -> Union[Dataset, "SpilledDataset"]:
+        """Flush the tails and return the period's dataset (idempotent).
+
+        Memory mode merges the kept runs into a :class:`Dataset`; spill
+        mode writes ``spill.json`` and returns the read facade.
+        """
         if self._finalized is not None:
             return self._finalized
         for kind in SPILL_KINDS:
             self._flush(kind)
+        if self.directory is None:
+            self._finalized = Dataset.from_runs(self._kept)
+            for runs in self._kept.values():
+                runs.clear()
+            return self._finalized
         manifest = {
             "format": SPILL_FORMAT,
             "version": SPILL_FORMAT_VERSION,
@@ -245,6 +268,10 @@ def _open_run(directory: Path, kind: str, run: Dict[str, Any]) -> np.ndarray:
             "— file truncated or manifest stale"
         )
     return array
+
+
+def _kind_stream(kind: str) -> property:
+    return property(lambda self: self.iter_kind(kind), doc=f"A fresh {kind} iterator.")
 
 
 class SpilledDataset:
@@ -329,29 +356,12 @@ class SpilledDataset:
         streams = [iter_records(kind, array, block_rows) for array in arrays]
         return heapq.merge(*streams, key=sort_key(kind))
 
-    @property
-    def player_chunks(self) -> Iterator[object]:
-        return self.iter_kind("player_chunks")
-
-    @property
-    def cdn_chunks(self) -> Iterator[object]:
-        return self.iter_kind("cdn_chunks")
-
-    @property
-    def tcp_snapshots(self) -> Iterator[object]:
-        return self.iter_kind("tcp_snapshots")
-
-    @property
-    def player_sessions(self) -> Iterator[object]:
-        return self.iter_kind("player_sessions")
-
-    @property
-    def cdn_sessions(self) -> Iterator[object]:
-        return self.iter_kind("cdn_sessions")
-
-    @property
-    def ground_truth(self) -> Iterator[object]:
-        return self.iter_kind("ground_truth")
+    player_chunks = _kind_stream("player_chunks")
+    cdn_chunks = _kind_stream("cdn_chunks")
+    tcp_snapshots = _kind_stream("tcp_snapshots")
+    player_sessions = _kind_stream("player_sessions")
+    cdn_sessions = _kind_stream("cdn_sessions")
+    ground_truth = _kind_stream("ground_truth")
 
     # -- joining -------------------------------------------------------------
 
@@ -393,8 +403,11 @@ class SpilledDataset:
 
     def filter_sessions(self, keep_ids) -> Dataset:
         """Materialize only the kept sessions into an in-memory Dataset."""
-        return Dataset.collect(self, keep_ids)
+        return filter_runs(self, keep_ids)
 
     def to_dataset(self) -> Dataset:
-        """Fully materialize (tests / small spills only)."""
-        return Dataset.collect(self)
+        """Fully materialize (tests / small spills only): the runs merged
+        into one in-memory Dataset."""
+        return Dataset.from_runs(
+            {kind: [np.array(run) for run in self.run_arrays(kind)] for kind in SPILL_KINDS}
+        )

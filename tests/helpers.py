@@ -1,5 +1,13 @@
-"""Builders for synthetic telemetry records used across test modules."""
+"""Builders for synthetic telemetry records used across test modules.
 
+A :class:`Dataset` never changes once built, so tests that need a
+variation build its records first (:func:`make_records`,
+:func:`records_of`), edit the lists, and build a dataset from them.
+"""
+
+from typing import Dict
+
+from repro.telemetry.columnar import SPILL_KINDS
 from repro.telemetry.dataset import Dataset
 from repro.telemetry.records import (
     CdnChunkRecord,
@@ -97,8 +105,10 @@ def cdn_session(session="s1", **kwargs):
     return CdnSessionRecord(**defaults)
 
 
-def make_dataset(n_chunks=3) -> Dataset:
-    return Dataset(
+def make_records(n_chunks=3) -> Dict[str, list]:
+    """One session of *n_chunks* chunks as editable record lists, keyed by
+    kind: edit them, then build the dataset with ``Dataset(**records)``."""
+    return dict(
         player_chunks=[player_chunk(chunk=i) for i in range(n_chunks)],
         cdn_chunks=[cdn_chunk(chunk=i) for i in range(n_chunks)],
         tcp_snapshots=[tcp_snap(chunk=i, t=500.0 * (i + 1)) for i in range(n_chunks)],
@@ -106,3 +116,17 @@ def make_dataset(n_chunks=3) -> Dataset:
         cdn_sessions=[cdn_session()],
         ground_truth=[],
     )
+
+
+def empty_records() -> Dict[str, list]:
+    """An empty editable record list per kind."""
+    return {kind: [] for kind in SPILL_KINDS}
+
+
+def make_dataset(n_chunks=3) -> Dataset:
+    return Dataset(**make_records(n_chunks))
+
+
+def records_of(dataset) -> Dict[str, list]:
+    """*dataset*'s records as editable lists keyed by kind, in canonical order."""
+    return {kind: list(getattr(dataset, kind)) for kind in SPILL_KINDS}

@@ -1,9 +1,10 @@
 """Columnar telemetry core: round-trips, spills, and the memory-mode contract.
 
 The contract under test (docs/TELEMETRY.md): telemetry records are
-byte-identical whichever memory mode produced them — in-memory lists,
-serial spill, or sharded spill — and a corrupt or incompatible spill fails
-loudly at open time, never silently mid-analysis.
+byte-identical whichever memory mode produced them — in-memory dataset,
+serial spill, or sharded spill — a dataset is canonical and never
+changes once built, and a corrupt or incompatible spill fails loudly at
+open time, never silently mid-analysis.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from operator import attrgetter
 import numpy as np
 import pytest
 
-from helpers import cdn_chunk, make_dataset, player_chunk
+from helpers import cdn_chunk, make_records, player_chunk, player_session, records_of
 from repro.api import run
 from repro.faults import FaultEvent, FaultSpec
 from repro.obs.manifest import dump_json
@@ -32,6 +33,7 @@ from repro.telemetry.columnar import (
     iter_records,
     records_to_array,
     sort_array,
+    sort_key,
 )
 from repro.telemetry.dataset import Dataset
 from repro.telemetry.io import save_dataset
@@ -53,13 +55,14 @@ def _config(**overrides) -> SimulationConfig:
 
 @pytest.fixture(scope="module")
 def reference_dataset():
-    """One small simulated dataset, in-memory, canonically sorted."""
-    return run(_config()).dataset.sorted()
+    """One small simulated dataset, in memory (canonical order)."""
+    return run(_config()).dataset
 
 
 @pytest.fixture(scope="module")
 def faulted_dataset():
-    """A small simulated dataset with fault labels, in emission order."""
+    """A small simulated dataset with fault labels (canonical order; tests
+    that need another order shuffle its records)."""
     spec = FaultSpec(
         name="encode",
         events=(
@@ -96,6 +99,14 @@ def _argsort_sort_array(kind, array):
     """
     keys = list(COLUMN_SCHEMAS[kind].sort_keys)
     return array[np.argsort(array[keys], kind="stable")]
+
+
+def _assert_runs_interleave(spilled, kind):
+    """The kind's runs cover overlapping session ranges, so reading them
+    merges rows across runs rather than concatenating them."""
+    runs = spilled.run_arrays(kind)
+    ranges = sorted((r["session_id"][0], r["session_id"][-1]) for r in runs)
+    assert sum(hi > lo for (_, hi), (lo, _) in zip(ranges, ranges[1:])) > len(runs) // 2
 
 
 def _shuffled_with_duplicate_keys(kind, records, seed=0):
@@ -136,13 +147,16 @@ class TestColumnarRoundTrip:
             assert json.dumps(dataclasses.asdict(a)) == json.dumps(dataclasses.asdict(b))
 
     def test_sort_array_matches_dataset_sorted(self, reference_dataset):
+        # the oracle is Python's stable sort on the record key tuples; a
+        # Dataset built from the same records holds the same order
         for kind in SPILL_KINDS:
             shuffled = _shuffled_with_duplicate_keys(
                 kind, _kind_records(reference_dataset, kind)
             )
-            expected = getattr(Dataset(**{kind: shuffled}).sorted(), kind)
+            expected = sorted(shuffled, key=sort_key(kind))
             resorted = array_to_records(kind, sort_array(kind, records_to_array(kind, shuffled)))
             assert resorted == expected, kind
+            assert list(getattr(Dataset(**{kind: shuffled}), kind)) == expected, kind
 
     @pytest.mark.parametrize("kind", SPILL_KINDS)
     def test_encoder_and_sort_bytes_match_rowwise_oracle(self, faulted_dataset, kind):
@@ -205,15 +219,19 @@ class TestColumnarRoundTrip:
 class TestSpillWriterReader:
     def test_multi_run_spill_equals_canonical_order(self, reference_dataset, tmp_path):
         writer = SpillWriter(tmp_path / "s", threshold_rows=64)
-        # feed records in emission order (the unsorted collector stream)
-        raw = run(_config()).dataset
-        for kind in SPILL_KINDS:
-            for record in _kind_records(raw, kind):
+        # feed each kind's records in a seeded shuffle (an unsorted stream)
+        fed = {}
+        for index, kind in enumerate(SPILL_KINDS):
+            fed[kind] = _kind_records(reference_dataset, kind)
+            random.Random(index).shuffle(fed[kind])
+            for record in fed[kind]:
                 writer.add(kind, record)
         spilled = writer.finalize()
         manifest = json.loads((tmp_path / "s" / SPILL_MANIFEST_FILENAME).read_text())
         assert manifest["kinds"]["player_chunks"]["rows"] > 64  # several runs
+        _assert_runs_interleave(spilled, "player_chunks")
         for kind in SPILL_KINDS:
+            assert list(spilled.iter_kind(kind)) == sorted(fed[kind], key=sort_key(kind))
             assert list(spilled.iter_kind(kind)) == _kind_records(reference_dataset, kind)
 
     def test_writer_refuses_existing_spill(self, tmp_path):
@@ -340,18 +358,19 @@ class TestMemoryModeByteIdentity:
     def test_record_views_agree_across_residence(self, tmp_path):
         # a chunk pair whose session beacons were lost joins as a chunk
         # but belongs to no session view, in memory and spilled alike
-        dataset = make_dataset(3)
-        dataset.player_chunks.append(player_chunk(session="s0", chunk=4))
-        dataset.cdn_chunks.append(cdn_chunk(session="s0", chunk=4))
+        records = make_records(3)
+        records["player_chunks"].append(player_chunk(session="s0", chunk=4))
+        records["cdn_chunks"].append(cdn_chunk(session="s0", chunk=4))
         writer = SpillWriter(tmp_path / "s", threshold_rows=2)
         for kind in SPILL_KINDS:
-            for record in getattr(dataset, kind):
+            for record in records[kind]:
                 writer.add(kind, record)
         spilled = writer.finalize()
         assert len(spilled.run_arrays("player_chunks")) == 2
+        dataset = Dataset(**records)
         joined = spilled.join_chunks()
         assert len(joined) == 4
-        assert joined == dataset.sorted().join_chunks()
+        assert joined == dataset.join_chunks()
         assert spilled.sessions() == dataset.sessions()
 
     def test_streaming_sessions_equal_materialized(self, reference_dataset, tmp_path):
@@ -387,6 +406,77 @@ class TestCollectorModes:
         spilled = synthesize_spill(tmp_path / "s", 50, seed=4)
         with pytest.raises(SpillError, match="in-memory"):
             SpilledDataset.merge_all([spilled, Dataset()])
+
+
+class TestOneRepresentation:
+    """A Dataset holds canonical arrays and never changes once built."""
+
+    def test_record_kinds_are_read_only(self, reference_dataset):
+        dataset = Dataset(**records_of(reference_dataset))
+        before = records_of(dataset)
+        record = dataset.player_chunks[0]
+        with pytest.raises(AttributeError):
+            dataset.player_chunks = [record]
+        with pytest.raises(AttributeError):
+            dataset.player_chunks.append(record)
+        with pytest.raises(TypeError):
+            dataset.player_chunks[0] = record
+        for kind in SPILL_KINDS:
+            (array,) = dataset.run_arrays(kind)
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = array[-1]
+        assert records_of(dataset) == before
+        assert dataset == reference_dataset
+
+    def test_views_decode_once_and_len_decodes_nothing(self, reference_dataset, monkeypatch):
+        from repro.telemetry import dataset as dataset_module
+
+        dataset = Dataset.from_runs(
+            {kind: reference_dataset.run_arrays(kind) for kind in SPILL_KINDS}
+        )
+        decodes = []
+        decode = dataset_module.iter_records
+
+        def counting(kind, array):
+            decodes.append(kind)
+            return decode(kind, array)
+
+        monkeypatch.setattr(dataset_module, "iter_records", counting)
+        assert [len(getattr(dataset, kind)) for kind in SPILL_KINDS] == [
+            len(getattr(reference_dataset, kind)) for kind in SPILL_KINDS
+        ]
+        assert dataset.tcp_snapshots and not decodes
+        assert dataset.tcp_snapshots[0] == reference_dataset.tcp_snapshots[0]
+        assert list(dataset.tcp_snapshots) == list(reference_dataset.tcp_snapshots)
+        assert decodes == ["tcp_snapshots"]
+
+    def test_overflow_raises_when_the_dataset_is_built(self):
+        wide = player_session(session="x" * 25)  # column is S24
+        with pytest.raises(ColumnOverflowError, match="session_id"):
+            Dataset(player_sessions=[player_session(), wide])
+
+    def test_any_record_order_builds_the_same_dataset(self, reference_dataset):
+        shuffled = records_of(reference_dataset)
+        for index, records in enumerate(shuffled.values()):
+            random.Random(index).shuffle(records)
+        assert Dataset(**shuffled) == reference_dataset
+        assert Dataset(**records_of(reference_dataset)) == reference_dataset
+
+    def test_filter_sessions_masks_memory_and_spill_alike(self, reference_dataset, tmp_path):
+        spilled = run(
+            _config(spill_dir=str(tmp_path / "s"), spill_threshold_rows=64)
+        ).dataset
+        keep = {r.session_id for r in reference_dataset.player_sessions[::3]}
+        kept = {
+            kind: [r for r in getattr(reference_dataset, kind) if r.session_id in keep]
+            for kind in SPILL_KINDS
+        }
+        expected = Dataset(**kept)
+        assert expected.n_sessions == len(keep)
+        assert reference_dataset.filter_sessions(sorted(keep)) == expected
+        assert spilled.filter_sessions(keep) == expected
+        assert reference_dataset.filter_sessions([]) == Dataset()
+        assert spilled.to_dataset() == reference_dataset
 
 
 class TestSyntheticGenerator:

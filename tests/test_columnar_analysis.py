@@ -12,16 +12,16 @@ same insertion order (asserted via JSON serialization), the same
 formatted report text.  The fault-score state that ``repro serve``
 carries across rounds must not grow with the blocks it folds.
 
-Also pins the in-memory encode-once rule of ``Dataset.run_arrays``: one
-filter + three-analysis pass encodes each record kind once, mutations
-between calls re-encode, cached arrays are read-only, and the cache never
-shows in ``==``, ``repr`` or pickles.  And the analyse-once rule of
-``analyze_dataset``: the three public calls on one dataset object run at
-most a QoE pass and a cascade pass, whose memoized results hold only
-while the arrays they read do, are handed out as copies, stay out of
-pickles, and cost a hit no block, span or count.  Identity checks run
-each pass shape on a fresh object, so no memoized result stands in for
-the pass under test.
+Also pins that an in-memory dataset is encoded once, when it is
+collected: a proxy filter and the three analyses after it encode
+nothing, the arrays are read-only, and analysing never shows in ``==``,
+``repr`` or pickles.  And the analyse-once rule of ``analyze_dataset``:
+the three public calls on one dataset object run at most a QoE pass and
+a cascade pass, whose memoized results last as long as the object (every
+dataset is a snapshot), are handed out as copies, stay out of pickles,
+and cost a hit no block, span or count.  Identity checks run each pass
+shape on a fresh object, so no memoized result stands in for the pass
+under test.
 """
 
 from __future__ import annotations
@@ -29,8 +29,8 @@ from __future__ import annotations
 import dataclasses
 import json
 import pickle
+import random
 import tempfile
-import weakref
 from collections import Counter
 from pathlib import Path
 from unittest import mock
@@ -51,10 +51,12 @@ from repro.faults import FaultEvent, FaultSpec
 from repro.obs.registry import MetricsRegistry
 from repro.simulation.config import SimulationConfig
 from repro.telemetry import dataset as dataset_module
+from repro.telemetry import spill as spill_module
 from repro.telemetry.columnar import COLUMN_SCHEMAS, SPILL_KINDS, array_to_records
 from repro.telemetry.dataset import Dataset
 from repro.telemetry.spill import SpilledDataset, SpillWriter
 from repro.telemetry.synth import synthesize_sharded, synthesize_spill
+from helpers import records_of
 from streaming_oracle import (
     FaultScoreAccumulator,
     LocalizationAccumulator,
@@ -75,17 +77,12 @@ def _mixed_spec() -> FaultSpec:
 
 
 @pytest.fixture(scope="module")
-def emitted_dataset():
-    """A simulated in-memory dataset with ground-truth labels of all layers,
-    records in emission order."""
+def faulted_dataset():
+    """A simulated in-memory dataset with ground-truth labels of all layers.
+    Like every dataset it is canonical; ``finely_spilled`` is the same run
+    read from interleaving runs in emission order."""
     config = SimulationConfig(n_sessions=150, warmup_sessions=50, seed=11)
     return run(config, faults=_mixed_spec()).dataset
-
-
-@pytest.fixture(scope="module")
-def faulted_dataset(emitted_dataset):
-    """The same dataset in canonical order."""
-    return emitted_dataset.sorted()
 
 
 def _assert_reports_identical(columnar, records) -> None:
@@ -124,12 +121,12 @@ def _oracle(dataset):
 
 
 def _fresh(dataset):
-    """A new object over *dataset*'s telemetry, with nothing encoded or
-    memoized: a reopened spill, or a new Dataset over new lists of the
-    same record objects."""
+    """A new object over *dataset*'s telemetry, with nothing decoded or
+    memoized: a reopened spill, or a new Dataset over copies of the same
+    arrays."""
     if isinstance(dataset, SpilledDataset):
         return SpilledDataset(dataset.directories)
-    return Dataset.collect(dataset)
+    return Dataset.from_runs({kind: dataset.run_arrays(kind) for kind in SPILL_KINDS})
 
 
 def _assert_paths_identical(dataset) -> None:
@@ -292,14 +289,12 @@ _CHUNK_KINDS = ("player_chunks", "cdn_chunks", "tcp_snapshots", "ground_truth")
 
 def _shift_chunk_ids(dataset: Dataset, offset: int) -> Dataset:
     """A copy of *dataset* with *offset* added to every chunk id."""
-    shifted = Dataset.collect(dataset)
+    records = records_of(dataset)
     for kind in _CHUNK_KINDS:
-        setattr(
-            shifted,
-            kind,
-            [dataclasses.replace(r, chunk_id=r.chunk_id + offset) for r in getattr(shifted, kind)],
-        )
-    return shifted
+        records[kind] = [
+            dataclasses.replace(r, chunk_id=r.chunk_id + offset) for r in records[kind]
+        ]
+    return Dataset(**records)
 
 
 def _spill(records_by_kind, directory: Path, threshold_rows: int) -> SpilledDataset:
@@ -314,20 +309,26 @@ class TestChunkIdRange:
     """Fused ``(session, chunk)`` keys are int64: ids that cannot fit raise."""
 
     @pytest.fixture(scope="class")
-    def thirty_sessions(self, emitted_dataset):
-        keep = [r.session_id for r in emitted_dataset.player_sessions[:30]]
-        return emitted_dataset.filter_sessions(keep)
+    def thirty_sessions(self, faulted_dataset):
+        keep = [r.session_id for r in faulted_dataset.player_sessions[:30]]
+        return faulted_dataset.filter_sessions(keep)
 
-    def _emission_spill(self, dataset, tmp_path):
-        # records in emission order, so the 16-row runs overlap
-        return _spill(
-            [(kind, getattr(dataset, kind)) for kind in SPILL_KINDS], tmp_path / "s", 16
-        )
+    def _shuffled_spill(self, dataset, tmp_path):
+        # each kind's records in a seeded shuffle, so the 16-row runs
+        # interleave, as emission-order runs do
+        records = records_of(dataset)
+        for index, kind in enumerate(SPILL_KINDS):
+            random.Random(index).shuffle(records[kind])
+        spilled = _spill(records.items(), tmp_path / "s", 16)
+        runs = spilled.run_arrays("player_chunks")
+        ranges = sorted((r["session_id"][0], r["session_id"][-1]) for r in runs)
+        assert sum(hi > lo for (_, hi), (lo, _) in zip(ranges, ranges[1:])) > len(runs) // 2
+        return spilled
 
     def test_large_ids_that_fit_match_the_oracle(self, thirty_sessions, tmp_path):
         shifted = _shift_chunk_ids(thirty_sessions, 2**40)
         _assert_paths_identical(shifted)
-        _assert_paths_identical(self._emission_spill(shifted, tmp_path))
+        _assert_paths_identical(self._shuffled_spill(shifted, tmp_path))
 
     def test_in_memory_join_key_overflow_raises(self, thirty_sessions):
         shifted = _shift_chunk_ids(thirty_sessions, 2**60)
@@ -335,7 +336,7 @@ class TestChunkIdRange:
             ca.analyze_dataset(shifted)
 
     def test_multi_run_spill_key_overflow_raises(self, thirty_sessions, tmp_path):
-        spilled = self._emission_spill(_shift_chunk_ids(thirty_sessions, 2**60), tmp_path)
+        spilled = self._shuffled_spill(_shift_chunk_ids(thirty_sessions, 2**60), tmp_path)
         assert len(spilled.run_arrays("player_chunks")) > 5
         with pytest.raises(ValueError, match="fit int64"):
             ca.analyze_dataset(spilled, ("qoe",))
@@ -368,11 +369,11 @@ class TestChunkIdRange:
         with pytest.raises(ValueError, match="non-negative chunk ids"):
             ca.analyze_dataset(shifted)
         with pytest.raises(ValueError, match="non-negative chunk ids"):
-            ca.analyze_dataset(self._emission_spill(shifted, tmp_path))
+            ca.analyze_dataset(self._shuffled_spill(shifted, tmp_path))
 
     def test_overflow_raises_again_and_memoizes_nothing(self, thirty_sessions, tmp_path):
         shifted = _shift_chunk_ids(thirty_sessions, 2**60)
-        for dataset in (shifted, self._emission_spill(shifted, tmp_path)):
+        for dataset in (shifted, self._shuffled_spill(shifted, tmp_path)):
             for _ in range(2):
                 for call in (summarize, diagnose_dataset, score_fault_localization):
                     with pytest.raises(ValueError, match="fit int64"):
@@ -625,20 +626,6 @@ class TestPassMemo:
         _assert_results_identical((qoe, localization, faultscore), results)
         _assert_results_identical(results, _oracle(source))
 
-    def test_a_changed_kind_reruns_only_the_passes_that_read_it(
-        self, faulted_dataset, joins
-    ):
-        dataset = _fresh(faulted_dataset)
-        _public_results(dataset)
-        dataset.tcp_snapshots = dataset.tcp_snapshots[:-40]
-        _public_results(dataset)
-        # summarize still hits the QoE pass; the cascade pass runs again
-        assert joins == [4, 6, 6]
-        dataset.player_chunks = dataset.player_chunks[:-40]
-        results = _public_results(dataset)
-        assert joins == [4, 6, 6, 4, 6]
-        _assert_results_identical(results, _oracle(dataset))
-
     def test_mutating_a_result_leaves_the_next_unchanged(self, faulted_dataset):
         dataset = _fresh(faulted_dataset)
         qoe, localization, report = _public_results(dataset)
@@ -662,22 +649,13 @@ class TestPassMemo:
             _public_results(analysed)
             memo = _memo(analysed)
             assert set(memo) == {"qoe", "cascade"}
-            for entry in memo.values():
+            for results in memo.values():
                 # the QoE summary dict, not the per-session arrays behind it
                 assert all(
                     isinstance(value, (int, float))
-                    for value in entry.results["qoe"].values()
+                    for value in results["qoe"].values()
                 )
-                assert len(pickle.dumps(entry.results)) < 4096
-        # an in-memory memo refers to the arrays it was computed from weakly;
-        # a spill is a snapshot and needs no reference at all
-        assert all(
-            isinstance(ref, weakref.ref)
-            for entry in _memo(dataset).values()
-            for refs in entry.runs.values()
-            for ref in refs
-        )
-        assert all(entry.runs is None for entry in _memo(spilled).values())
+                assert len(pickle.dumps(results)) < 4096
 
     def test_memo_stays_out_of_pickles(self, faulted_dataset, finely_spilled):
         dataset, spilled = _fresh(faulted_dataset), _fresh(finely_spilled)
@@ -719,46 +697,28 @@ class TestResolveAnalysis:
 
 
 class TestSharedEncode:
-    """In-memory datasets encode each record kind once for every analysis."""
+    """In-memory datasets are encoded once, when they are collected."""
 
     @pytest.fixture()
     def encodes(self, monkeypatch):
         counts: Counter = Counter()
-        encode = dataset_module.records_to_array
+        for module in (dataset_module, spill_module):
+            encode = module.records_to_array
 
-        def counting(kind, records):
-            counts[kind] += 1
-            return encode(kind, records)
+            def counting(kind, records, encode=encode):
+                counts[kind] += 1
+                return encode(kind, records)
 
-        monkeypatch.setattr(dataset_module, "records_to_array", counting)
+            monkeypatch.setattr(module, "records_to_array", counting)
         return counts
 
-    def test_filter_and_three_analyses_encode_each_kind_once(
-        self, emitted_dataset, encodes
-    ):
-        filtered, _ = filter_proxies(emitted_dataset)
-        results = _public_results(filtered)
-        assert encodes == Counter(dict.fromkeys(SPILL_KINDS, 1))
-        _assert_results_identical(results, _oracle(filtered))
-
-    @pytest.mark.parametrize("mutation", ["append", "reassign", "replace"])
-    def test_mutation_between_calls_matches_a_fresh_dataset(
-        self, faulted_dataset, mutation
-    ):
+    def test_filter_and_three_analyses_encode_nothing(self, faulted_dataset, encodes):
         dataset = _fresh(faulted_dataset)
-        before = _public_results(dataset)
-        first = dataset.player_chunks[0]
-        stalled = dataclasses.replace(first, rebuffer_ms=first.rebuffer_ms + 5_000.0)
-        if mutation == "append":
-            dataset.player_chunks.append(stalled)
-        elif mutation == "reassign":
-            dataset.player_chunks = [stalled] + dataset.player_chunks[1:]
-        else:
-            dataset.player_chunks[0] = stalled
-        after = _public_results(dataset)
-        assert json.dumps(after[0]) != json.dumps(before[0])
-        _assert_results_identical(after, _public_results(_fresh(dataset)))
-        _assert_results_identical(after, _oracle(dataset))
+        filtered, report = filter_proxies(dataset)
+        assert report.n_kept_sessions < dataset.n_sessions  # the filter masked rows
+        results = _public_results(filtered)
+        assert encodes == Counter()
+        _assert_results_identical(results, _oracle(filtered))
 
     def test_cached_arrays_are_reused_and_reject_writes(self, faulted_dataset):
         dataset = _fresh(faulted_dataset)

@@ -20,7 +20,9 @@ from repro.telemetry.dataset import Dataset
 from helpers import (
     cdn_chunk,
     cdn_session,
+    empty_records,
     make_dataset,
+    make_records,
     player_chunk,
     player_session,
     tcp_snap,
@@ -35,33 +37,35 @@ class TestProxyFilter:
         assert report.kept_fraction == 1.0
 
     def test_removes_ip_mismatch(self):
-        dataset = make_dataset(1)
-        dataset.cdn_sessions[0] = cdn_session(client_ip="198.51.100.7")
+        records = make_records(1)
+        records["cdn_sessions"][0] = cdn_session(client_ip="198.51.100.7")
+        dataset = Dataset(**records)
         filtered, report = filter_proxies(dataset)
         assert filtered.n_sessions == 0
         assert "s1" in report.ip_mismatch_sessions
 
     def test_removes_ua_mismatch(self):
-        dataset = make_dataset(1)
-        dataset.cdn_sessions[0] = cdn_session(user_agent="ProxyBot/1.0")
+        records = make_records(1)
+        records["cdn_sessions"][0] = cdn_session(user_agent="ProxyBot/1.0")
+        dataset = Dataset(**records)
         filtered, report = filter_proxies(dataset)
         assert filtered.n_sessions == 0
         assert "s1" in report.ua_mismatch_sessions
 
     def test_removes_mega_ip(self):
-        dataset = Dataset()
+        records = empty_records()
         # 40 sessions from one IP, each watching 1 h inside a ~2 min window
         for i in range(40):
             sid = f"s{i}"
-            dataset.player_sessions.append(
+            records["player_sessions"].append(
                 player_session(session=sid, client_ip="203.0.113.5")
             )
-            dataset.cdn_sessions.append(cdn_session(session=sid, client_ip="203.0.113.5"))
-            dataset.player_chunks.append(
+            records["cdn_sessions"].append(cdn_session(session=sid, client_ip="203.0.113.5"))
+            records["player_chunks"].append(
                 player_chunk(session=sid, chunk=0, chunk_duration_ms=3_600_000.0)
             )
-            dataset.cdn_chunks.append(cdn_chunk(session=sid, chunk=0))
-        filtered, report = filter_proxies(dataset)
+            records["cdn_chunks"].append(cdn_chunk(session=sid, chunk=0))
+        filtered, report = filter_proxies(Dataset(**records))
         assert "203.0.113.5" in report.mega_ips
         assert filtered.n_sessions == 0
 
@@ -92,14 +96,16 @@ class TestDecomposition:
         assert decomposition.rtt0_upper_bound(chunk) == pytest.approx(98.6)
 
     def test_rtt0_floor_on_clock_skew(self):
-        dataset = make_dataset(1)
-        dataset.player_chunks[0] = player_chunk(dfb_ms=0.5)
+        records = make_records(1)
+        records["player_chunks"][0] = player_chunk(dfb_ms=0.5)
+        dataset = Dataset(**records)
         chunk = dataset.join_chunks()[0]
         assert decomposition.rtt0_upper_bound(chunk) == 0.1
 
     def test_chunk_baseline_uses_min(self):
-        dataset = make_dataset(1)
-        dataset.tcp_snapshots = [tcp_snap(srtt_ms=40.0)]
+        records = make_records(1)
+        records["tcp_snapshots"] = [tcp_snap(srtt_ms=40.0)]
+        dataset = Dataset(**records)
         chunk = dataset.join_chunks()[0]
         assert decomposition.chunk_baseline_rtt(chunk) == 40.0
 
@@ -149,11 +155,12 @@ class TestPerfScore:
         ) == pytest.approx(1.0)
 
     def test_split_by_score(self):
-        dataset = make_dataset(1)
-        dataset.player_chunks.append(
+        records = make_records(1)
+        records["player_chunks"].append(
             player_chunk(chunk=1, dfb_ms=4000.0, dlb_ms=4000.0)
         )
-        dataset.cdn_chunks.append(cdn_chunk(chunk=1))
+        records["cdn_chunks"].append(cdn_chunk(chunk=1))
+        dataset = Dataset(**records)
         good, bad = perfscore.split_by_score(dataset.join_chunks())
         assert len(good) == 1 and len(bad) == 1
         assert bad[0].chunk_id == 1
@@ -175,25 +182,28 @@ class TestDownstackDetection:
         assert downstack.persistent_ds_bound_ms(chunk) == 0.0
 
     def test_eq5_bound_positive_for_stack_latency(self):
-        dataset = make_dataset(1)
-        dataset.player_chunks[0] = player_chunk(dfb_ms=900.0)
+        records = make_records(1)
+        records["player_chunks"][0] = player_chunk(dfb_ms=900.0)
+        dataset = Dataset(**records)
         chunk = dataset.join_chunks()[0]
         bound = downstack.persistent_ds_bound_ms(chunk)
         # 900 - 1.4 - (200 + 60 + 20) = ~618
         assert bound == pytest.approx(618.6, abs=1.0)
 
     def test_eq5_none_without_tcp(self):
-        dataset = make_dataset(1)
-        dataset.tcp_snapshots = []
+        records = make_records(1)
+        records["tcp_snapshots"] = []
+        dataset = Dataset(**records)
         chunk = dataset.join_chunks()[0]
         assert downstack.persistent_ds_bound_ms(chunk) is None
 
     def test_rto_uses_max_snapshot(self):
-        dataset = make_dataset(1)
-        dataset.tcp_snapshots = [
+        records = make_records(1)
+        records["tcp_snapshots"] = [
             tcp_snap(t=100.0, srtt_ms=500.0, rttvar_ms=100.0),
             tcp_snap(t=600.0, srtt_ms=50.0, rttvar_ms=5.0),
         ]
+        dataset = Dataset(**records)
         chunk = dataset.join_chunks()[0]
         assert downstack.chunk_rto_ms(chunk) == pytest.approx(200 + 500 + 400)
 
@@ -237,8 +247,9 @@ class TestDownstackDetection:
 
 class TestNetdiag:
     def test_session_cv_none_without_samples(self):
-        dataset = make_dataset(1)
-        dataset.tcp_snapshots = []
+        records = make_records(1)
+        records["tcp_snapshots"] = []
+        dataset = Dataset(**records)
         assert netdiag.session_srtt_cv(dataset.sessions()[0]) is None
 
     def test_org_cv_table_threshold(self, medium_dataset):

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from helpers import cdn_chunk, make_dataset, player_chunk, tcp_snap
+from helpers import cdn_chunk, empty_records, make_dataset, make_records, player_chunk, tcp_snap
 from repro.analysis.stats import empirical_ccdf, empirical_cdf
 from repro.api import run
 from repro.cdn.cache import CacheStatus, TwoLevelCache
@@ -112,12 +112,13 @@ class TestDownloadStackEffect:
 
 class TestNetdiagEdges:
     def test_org_cv_custom_threshold(self):
-        dataset = make_dataset(3)
-        dataset.tcp_snapshots = [
+        records = make_records(3)
+        records["tcp_snapshots"] = [
             tcp_snap(chunk=0, t=500.0, srtt_ms=10.0),
             tcp_snap(chunk=1, t=1000.0, srtt_ms=14.0),
             tcp_snap(chunk=2, t=1500.0, srtt_ms=10.0),
         ]
+        dataset = Dataset(**records)
         strict = netdiag.org_cv_table(dataset, min_sessions=1, cv_threshold=0.05)
         lax = netdiag.org_cv_table(dataset, min_sessions=1, cv_threshold=5.0)
         assert strict[0].n_high_cv == 1
@@ -126,13 +127,14 @@ class TestNetdiagEdges:
     def test_path_cv_requires_min_sessions(self):
         from helpers import cdn_session, player_session
 
-        dataset = make_dataset(2)
+        records = make_records(2)
         # a second session from the same /24 and PoP
-        dataset.player_sessions.append(player_session(session="s2", client_ip="10.0.0.9"))
-        dataset.cdn_sessions.append(cdn_session(session="s2", client_ip="10.0.0.9"))
-        dataset.player_chunks.append(player_chunk(session="s2", chunk=0))
-        dataset.cdn_chunks.append(cdn_chunk(session="s2", chunk=0))
-        dataset.tcp_snapshots.append(tcp_snap(session="s2", chunk=0, srtt_ms=90.0))
+        records["player_sessions"].append(player_session(session="s2", client_ip="10.0.0.9"))
+        records["cdn_sessions"].append(cdn_session(session="s2", client_ip="10.0.0.9"))
+        records["player_chunks"].append(player_chunk(session="s2", chunk=0))
+        records["cdn_chunks"].append(cdn_chunk(session="s2", chunk=0))
+        records["tcp_snapshots"].append(tcp_snap(session="s2", chunk=0, srtt_ms=90.0))
+        dataset = Dataset(**records)
         assert netdiag.path_cv_values(dataset, min_sessions=3) == []
         assert len(netdiag.path_cv_values(dataset, min_sessions=2)) == 1
 
@@ -162,20 +164,20 @@ class TestPopularityEdges:
 class TestProxyFilterEdges:
     def test_mega_ip_needs_both_volume_and_impossibility(self):
         # many sessions from one IP, but each watches little: kept
-        dataset = Dataset()
+        records = empty_records()
         from helpers import cdn_session, player_session
 
         for i in range(30):
             sid = f"s{i}"
-            dataset.player_sessions.append(
+            records["player_sessions"].append(
                 player_session(session=sid, client_ip="203.0.113.9", start_ms=i * 1000.0)
             )
-            dataset.cdn_sessions.append(
+            records["cdn_sessions"].append(
                 cdn_session(session=sid, client_ip="203.0.113.9")
             )
-            dataset.player_chunks.append(player_chunk(session=sid, chunk=0))
-            dataset.cdn_chunks.append(cdn_chunk(session=sid, chunk=0))
-        filtered, report = filter_proxies(dataset)
+            records["player_chunks"].append(player_chunk(session=sid, chunk=0))
+            records["cdn_chunks"].append(cdn_chunk(session=sid, chunk=0))
+        filtered, report = filter_proxies(Dataset(**records))
         assert not report.mega_ips
         assert filtered.n_sessions == 30
 

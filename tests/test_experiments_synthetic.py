@@ -12,6 +12,7 @@ import pytest
 from helpers import (
     cdn_chunk,
     cdn_session,
+    empty_records,
     make_dataset,
     player_chunk,
     player_session,
@@ -26,21 +27,26 @@ def build_sessions(specs):
 
     *specs* is {session_id: [(player_kwargs, cdn_kwargs, tcp_kwargs), ...]}.
     """
-    dataset = Dataset()
+    return Dataset(**build_records(specs))
+
+
+def build_records(specs):
+    """The editable record lists of :func:`build_sessions`."""
+    records = empty_records()
     for session_id, chunks in specs.items():
-        dataset.player_sessions.append(player_session(session=session_id))
-        dataset.cdn_sessions.append(cdn_session(session=session_id))
+        records["player_sessions"].append(player_session(session=session_id))
+        records["cdn_sessions"].append(cdn_session(session=session_id))
         for index, (p_kw, c_kw, t_kw) in enumerate(chunks):
-            dataset.player_chunks.append(
+            records["player_chunks"].append(
                 player_chunk(session=session_id, chunk=index, **p_kw)
             )
-            dataset.cdn_chunks.append(
+            records["cdn_chunks"].append(
                 cdn_chunk(session=session_id, chunk=index, **c_kw)
             )
-            dataset.tcp_snapshots.append(
+            records["tcp_snapshots"].append(
                 tcp_snap(session=session_id, chunk=index, t=500.0 * (index + 1), **t_kw)
             )
-    return dataset
+    return records
 
 
 class TestCommonScales:
@@ -54,6 +60,13 @@ class TestCommonScales:
 
     def test_results_cached_per_scale(self):
         assert common.standard_result("tiny") is common.standard_result("tiny")
+
+    def test_results_cached_on_values_not_spelling(self):
+        # one simulation, however the arguments are spelled
+        assert common.standard_result("tiny") is common.standard_result("tiny", 7, 1)
+        assert common.filtered_dataset("tiny") is common.filtered_dataset(
+            "tiny", seed=7, workers=1
+        )
 
 
 class TestFig05Synthetic:
@@ -119,29 +132,30 @@ class TestTable04Synthetic:
         def calm(chunks=4):
             return [(dict(), dict(), dict(srtt_ms=50.0)) for i in range(chunks)]
 
-        dataset = Dataset()
+        records = empty_records()
         for i in range(40):
             sid = f"e{i}"
-            dataset.player_sessions.append(player_session(session=sid))
-            dataset.cdn_sessions.append(
+            records["player_sessions"].append(player_session(session=sid))
+            records["cdn_sessions"].append(
                 cdn_session(session=sid, org="Enterprise#1")
             )
             for index, (p, c, t) in enumerate(jittery()):
-                dataset.player_chunks.append(player_chunk(session=sid, chunk=index))
-                dataset.cdn_chunks.append(cdn_chunk(session=sid, chunk=index))
-                dataset.tcp_snapshots.append(
+                records["player_chunks"].append(player_chunk(session=sid, chunk=index))
+                records["cdn_chunks"].append(cdn_chunk(session=sid, chunk=index))
+                records["tcp_snapshots"].append(
                     tcp_snap(session=sid, chunk=index, t=500.0 * (index + 1), **t)
                 )
         for i in range(40):
             sid = f"r{i}"
-            dataset.player_sessions.append(player_session(session=sid))
-            dataset.cdn_sessions.append(cdn_session(session=sid, org="Comcast"))
+            records["player_sessions"].append(player_session(session=sid))
+            records["cdn_sessions"].append(cdn_session(session=sid, org="Comcast"))
             for index, (p, c, t) in enumerate(calm()):
-                dataset.player_chunks.append(player_chunk(session=sid, chunk=index))
-                dataset.cdn_chunks.append(cdn_chunk(session=sid, chunk=index))
-                dataset.tcp_snapshots.append(
+                records["player_chunks"].append(player_chunk(session=sid, chunk=index))
+                records["cdn_chunks"].append(cdn_chunk(session=sid, chunk=index))
+                records["tcp_snapshots"].append(
                     tcp_snap(session=sid, chunk=index, t=500.0 * (index + 1), **t)
                 )
+        dataset = Dataset(**records)
         result = run_experiment("table04", dataset, min_sessions=30)
         rows = {org: pct for org, _, _, pct in result.series["org_rows"]}
         assert rows["Enterprise#1"] == pytest.approx(100.0)
@@ -168,18 +182,18 @@ class TestFig19Synthetic:
                     dict(),
                 )
             )
-        dataset = build_sessions(specs)
+        records = build_records(specs)
         # add hardware-rendered chunks in a second session
-        dataset.player_sessions.append(player_session(session="hw"))
-        dataset.cdn_sessions.append(cdn_session(session="hw"))
+        records["player_sessions"].append(player_session(session="hw"))
+        records["cdn_sessions"].append(cdn_session(session="hw"))
         for i in range(10):
-            dataset.player_chunks.append(
+            records["player_chunks"].append(
                 player_chunk(
                     session="hw", chunk=i, hw_rendered=True, dropped_frames=0
                 )
             )
-            dataset.cdn_chunks.append(cdn_chunk(session="hw", chunk=i))
-        result = run_experiment("fig19", dataset)
+            records["cdn_chunks"].append(cdn_chunk(session="hw", chunk=i))
+        result = run_experiment("fig19", Dataset(**records))
         assert result.series["hw_rendering_drop_pct"] == pytest.approx(0.0)
         rows = result.series["rows_center_mean_median_q25_q75_n"]
         by_center = {center: mean for center, mean, *_ in rows}

@@ -5,12 +5,13 @@ import dataclasses
 import numpy as np
 import pytest
 
-from helpers import make_dataset, player_chunk
+from helpers import make_dataset, make_records, player_chunk
 from repro.api import run
 from repro.cli import main as cli_main
 from repro.core.comparison import bootstrap_ci, compare_datasets
 from repro.sweep import CANNED_SCENARIOS
 from repro.telemetry.beacons import export_beacons_csv, import_beacons_csv
+from repro.telemetry.dataset import Dataset
 
 
 class TestBeaconsCsv:
@@ -30,7 +31,7 @@ class TestBeaconsCsv:
         assert loaded.n_sessions == small_result.dataset.n_sessions
         assert loaded.n_chunks == small_result.dataset.n_chunks
         # ground truth never leaves the simulator
-        assert loaded.ground_truth == []
+        assert loaded.ground_truth == ()
         # booleans survive the text round trip
         originals = {
             (c.session_id, c.chunk_id): c.visible
@@ -43,7 +44,7 @@ class TestBeaconsCsv:
         directory = export_beacons_csv(make_dataset(1), tmp_path / "b")
         (directory / "tcp_snapshots.csv").unlink()
         loaded = import_beacons_csv(directory)
-        assert loaded.tcp_snapshots == []
+        assert loaded.tcp_snapshots == ()
         assert loaded.n_chunks == 1
 
     def test_unknown_columns_rejected(self, tmp_path):
@@ -116,17 +117,17 @@ class TestCompareDatasets:
             assert delta.delta == 0.0
 
     def test_detects_injected_regression(self):
-        baseline = make_dataset(3)
+        baseline = make_records(3)
         # candidate: every session rebuffers heavily
-        degraded = make_dataset(3)
-        degraded.player_chunks = [
+        degraded = make_records(3)
+        degraded["player_chunks"] = [
             player_chunk(chunk=i, rebuffer_count=1, rebuffer_ms=3000.0)
             for i in range(3)
         ]
         # replicate sessions so the bootstrap has something to resample
         for k in range(1, 30):
             for source, sid in ((baseline, f"b{k}"), (degraded, f"d{k}")):
-                base = make_dataset(3)
+                base = make_records(3)
                 for record_list_name in (
                     "player_chunks",
                     "cdn_chunks",
@@ -134,17 +135,19 @@ class TestCompareDatasets:
                     "player_sessions",
                     "cdn_sessions",
                 ):
-                    for record in getattr(base, record_list_name):
+                    for record in base[record_list_name]:
                         # dataclasses.replace works for slotted records,
                         # which have no per-instance __dict__
                         setattr_record = dataclasses.replace(record, session_id=sid)
-                        getattr(source, record_list_name).append(setattr_record)
-        for chunk_index, record in enumerate(list(degraded.player_chunks)):
+                        source[record_list_name].append(setattr_record)
+        for chunk_index, record in enumerate(list(degraded["player_chunks"])):
             if record.session_id.startswith("d"):
-                degraded.player_chunks[chunk_index] = dataclasses.replace(
+                degraded["player_chunks"][chunk_index] = dataclasses.replace(
                     record, rebuffer_count=1, rebuffer_ms=3000.0
                 )
-        report = compare_datasets(baseline, degraded, n_resamples=200)
+        report = compare_datasets(
+            Dataset(**baseline), Dataset(**degraded), n_resamples=200
+        )
         rebuffer = report.by_metric("rebuffer_rate_pct")
         assert rebuffer.delta > 0
         assert rebuffer.significant

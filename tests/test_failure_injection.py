@@ -5,7 +5,7 @@ and truncated sessions are everyday events in a production pipeline."""
 import numpy as np
 import pytest
 
-from helpers import make_dataset, player_chunk
+from helpers import make_dataset, make_records, player_chunk
 from repro.core import downstack, netdiag, perfscore, qoe
 from repro.core.proxy_filter import filter_proxies
 from repro.telemetry.dataset import Dataset
@@ -79,9 +79,9 @@ class TestClockSkew:
         rtt0 bound must floor, not go negative."""
         from repro.core.decomposition import rtt0_upper_bound
 
-        dataset = make_dataset(1)
-        dataset.player_chunks[0] = player_chunk(dfb_ms=0.2)  # skewed low
-        chunk = dataset.join_chunks()[0]
+        records = make_records(1)
+        records["player_chunks"][0] = player_chunk(dfb_ms=0.2)  # skewed low
+        chunk = Dataset(**records).join_chunks()[0]
         assert rtt0_upper_bound(chunk) == 0.1
 
     def test_perf_score_with_degenerate_timing(self):

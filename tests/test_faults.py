@@ -168,7 +168,7 @@ class TestFaultDeterminism:
         return run(_config(workers=4), faults=_mixed_spec())
 
     def test_sharded_records_equal_serial(self, serial, sharded):
-        assert sharded.dataset.sorted() == serial.dataset.sorted()
+        assert sharded.dataset == serial.dataset
 
     def test_metrics_document_byte_identical(self, serial, sharded):
         doc_a = json.dumps(serial.metrics_document(), sort_keys=True)
@@ -197,7 +197,7 @@ class TestFaultDeterminism:
     def test_empty_spec_reproduces_unfaulted_run(self):
         plain = run(_config())
         empty = run(_config(), faults=FaultSpec(events=()))
-        assert empty.dataset.sorted() == plain.dataset.sorted()
+        assert empty.dataset == plain.dataset
 
 
 class TestFaultScore:
@@ -255,7 +255,7 @@ class TestRunFacade:
     def test_faults_accepts_path_and_spec(self):
         by_path = run(_config(n_sessions=40), faults=str(CDN_SPEC))
         by_spec = run(_config(n_sessions=40), faults=FaultSpec.load(CDN_SPEC))
-        assert by_path.dataset.sorted() == by_spec.dataset.sorted()
+        assert by_path.dataset == by_spec.dataset
 
     def test_multi_period_dataset_property_raises(self):
         from repro.simulation.parallel import PeriodSpec

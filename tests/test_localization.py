@@ -3,24 +3,26 @@
 import numpy as np
 import pytest
 
-from helpers import cdn_chunk, make_dataset, player_chunk, tcp_snap
+from helpers import cdn_chunk, make_dataset, make_records, player_chunk, tcp_snap
 from repro.core.localization import (
     Bottleneck,
     attribute_chunk,
     diagnose_dataset,
     diagnose_session,
 )
+from repro.telemetry.dataset import Dataset
 
 
 def chunk_with(player_kwargs=None, cdn_kwargs=None, tcp_kwargs=None):
     """One joined chunk with overridden fields."""
-    dataset = make_dataset(1)
+    records = make_records(1)
     if player_kwargs:
-        dataset.player_chunks[0] = player_chunk(**player_kwargs)
+        records["player_chunks"][0] = player_chunk(**player_kwargs)
     if cdn_kwargs:
-        dataset.cdn_chunks[0] = cdn_chunk(**cdn_kwargs)
+        records["cdn_chunks"][0] = cdn_chunk(**cdn_kwargs)
     if tcp_kwargs:
-        dataset.tcp_snapshots[0] = tcp_snap(**tcp_kwargs)
+        records["tcp_snapshots"][0] = tcp_snap(**tcp_kwargs)
+    dataset = Dataset(**records)
     return dataset.join_chunks()[0]
 
 
@@ -135,11 +137,12 @@ class TestSessionDiagnosis:
         assert diagnosis.problem_fraction == 0.0
 
     def test_dominant_reflects_majority_problem(self):
-        dataset = make_dataset(4)
+        records = make_records(4)
         for i in (1, 2):
-            dataset.player_chunks[i] = player_chunk(
+            records["player_chunks"][i] = player_chunk(
                 chunk=i, dfb_ms=200.0, dlb_ms=9000.0
             )
+        dataset = Dataset(**records)
         diagnosis = diagnose_session(dataset.sessions()[0])
         assert diagnosis.dominant is Bottleneck.NETWORK_THROUGHPUT
         assert diagnosis.problem_fraction == pytest.approx(0.5)

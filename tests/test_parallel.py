@@ -91,8 +91,10 @@ class TestShardSpec:
 
 class TestSerialParallelEquality:
     def test_four_shards_equal_serial(self, serial_result, parallel_result):
-        serial = serial_result.dataset.sorted()
+        serial = serial_result.dataset
         parallel = parallel_result.dataset
+        # both datasets are canonical: equal as they come, no sorting
+        assert serial == parallel
         assert serial.n_sessions == parallel.n_sessions
         assert serial.n_chunks == parallel.n_chunks
         # record-level equality, table by table (frozen dataclass ==)
@@ -106,6 +108,15 @@ class TestSerialParallelEquality:
     def test_shard_count_invariance(self, parallel_result):
         two = run(_config(workers=2))
         assert two.dataset == parallel_result.dataset
+
+    def test_serial_and_sharded_equal_the_materialized_spill(
+        self, serial_result, parallel_result, tmp_path
+    ):
+        spilled = run(_config(spill_dir=str(tmp_path), spill_threshold_rows=64)).dataset
+        assert len(spilled.run_arrays("player_chunks")) > 1
+        materialized = spilled.to_dataset()
+        assert serial_result.dataset == materialized
+        assert parallel_result.dataset == materialized
 
     def test_server_fleet_union_matches_serial(self, serial_result, parallel_result):
         assert set(parallel_result.servers) == set(serial_result.servers)
@@ -150,7 +161,7 @@ class TestFaultTraceSpillIdentity:
             **overrides,
         )
         simulation = run(config, faults=FAULT_SPEC)
-        dataset = simulation.dataset.sorted()
+        dataset = simulation.dataset
         kinds = {
             kind: [str(record) for record in getattr(dataset, kind)]
             for kind in cls.KINDS
@@ -202,8 +213,8 @@ class TestMultiPeriod:
         result = ParallelSimulator(base.with_overrides(workers=3)).run_periods(periods)
         datasets = result.datasets
         assert len(datasets) == 2
-        assert datasets[0] == serial_datasets[0].sorted()
-        assert datasets[1] == serial_datasets[1].sorted()
+        assert datasets[0] == serial_datasets[0]
+        assert datasets[1] == serial_datasets[1]
         assert set(result.servers) and len(result.shard_reports) == 3
 
     # -- a period whose config changes continues the run's fleet and clock --
@@ -247,7 +258,7 @@ class TestMultiPeriod:
         result = runner.run_periods(periods)
         assert len(result.datasets) == 2
         for sharded, serial in zip(result.datasets, config_change_serial):
-            assert sharded == serial.sorted()
+            assert sharded == serial
 
     def test_config_change_period_after_an_ended_epoch_is_unlabelled(
         self, config_change_serial
@@ -335,7 +346,7 @@ class TestMultiPeriodSpill:
         )
         assert layout == ["period-baseline/spill.json", "period-surge/spill.json"]
         for memory, spill in zip(memory_datasets, spill_datasets):
-            assert list(spill.player_chunks) == memory.sorted().player_chunks
+            assert tuple(spill.player_chunks) == memory.player_chunks
             assert spill.n_sessions == memory.n_sessions
 
     def test_sharded_layout_and_identity(self, tmp_path):
@@ -357,8 +368,8 @@ class TestMultiPeriodSpill:
         ]
         assert len(reports) == 2
         for serial, spill in zip(serial_datasets, datasets):
-            assert list(spill.player_chunks) == serial.sorted().player_chunks
-            assert list(spill.player_sessions) == serial.sorted().player_sessions
+            assert tuple(spill.player_chunks) == serial.player_chunks
+            assert tuple(spill.player_sessions) == serial.player_sessions
 
     def test_duplicate_labels_rejected(self, tmp_path):
         base = _config(spill_dir=str(tmp_path))
@@ -389,4 +400,4 @@ class TestCli:
         serial = Simulator(
             SimulationConfig(n_sessions=40, warmup_sessions=30, seed=11)
         ).run()
-        assert dataset == serial.dataset.sorted()
+        assert dataset == serial.dataset

@@ -8,8 +8,8 @@ Three families of guarantees:
 * on a zero-loss path the calm-window TCP planner is value- and
   RNG-stream-identical to the per-round loop it short-circuits (its law
   on lossy paths is checked in ``test_planner_law.py``);
-* ``Dataset.merge_all``'s k-way merge equals the old
-  concatenate-then-stable-sort, including tie-breaking by input position.
+* ``Dataset.merge_all`` equals one stable sort of the shards' emitted
+  records, including tie-breaking by input position.
 """
 
 from __future__ import annotations
@@ -17,10 +17,10 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from helpers import make_dataset, player_chunk, tcp_snap
+from helpers import make_records, player_chunk, tcp_snap
 from repro.net.path import NetworkPath
 from repro.net.tcp import TcpConnection
-from repro.telemetry.columnar import SPILL_KINDS
+from repro.telemetry.columnar import SPILL_KINDS, sort_key
 from repro.telemetry.dataset import Dataset
 
 
@@ -189,34 +189,34 @@ class TestCalmWindowPlanner:
 
 
 class TestKWayMerge:
-    def shard_datasets(self):
+    """The shard merge: the heapq k-way merge of records it replaced kept
+    these same orders."""
+
+    def shard_records(self):
+        """Each shard's records, in emission order."""
         shards = []
         for index, session in enumerate(["s3", "s1", "s2"]):
-            shard = make_dataset(3)
+            records = make_records(3)
             for name in ("player_chunks", "cdn_chunks", "tcp_snapshots",
                          "player_sessions", "cdn_sessions"):
-                for record in getattr(shard, name):
+                for record in records[name]:
                     assert record.session_id == "s1"
-            shard.player_chunks = [
+            records["player_chunks"] = [
                 player_chunk(session=session, chunk=c, dfb_ms=100.0 + index)
                 for c in (2, 0, 1)
             ]
-            shard.tcp_snapshots = [
+            records["tcp_snapshots"] = [
                 tcp_snap(session=session, chunk=0, t=float(t)) for t in (1500, 500)
             ]
-            shards.append(shard)
+            shards.append(records)
         return shards
 
     def test_merge_all_equals_concat_then_stable_sort(self):
-        shards = self.shard_datasets()
-        merged = Dataset.merge_all(shards)
-        reference = Dataset(
-            **{
-                kind: [record for shard in shards for record in getattr(shard, kind)]
-                for kind in SPILL_KINDS
-            }
-        )
-        assert merged == reference.sorted()
+        shards = self.shard_records()
+        merged = Dataset.merge_all(Dataset(**records) for records in shards)
+        for kind in SPILL_KINDS:
+            emitted = [record for records in shards for record in records[kind]]
+            assert getattr(merged, kind) == tuple(sorted(emitted, key=sort_key(kind)))
 
     def test_ties_prefer_earlier_inputs(self):
         # Identical sort keys across shards: the k-way merge must keep

@@ -1,7 +1,12 @@
 """Tests for the Table-1 key-findings report harness."""
 
+import json
+
 import pytest
 
+from repro.analysis.experiments import common
+from repro.api import run
+from repro.core.proxy_filter import filter_proxies
 from repro.core.report import FindingCheck, KeyFindingsReport, evaluate_key_findings
 
 
@@ -55,3 +60,32 @@ class TestEvaluateOnSimulation:
             "CDN-4",
         ]
         assert len([i for i in ids if i.startswith("CLI")]) == 5
+
+
+def _findings(dataset):
+    """Each Table-1 check's id, pass bit and evidence, exactly."""
+    return [
+        (check.finding_id, check.passed, json.dumps(check.evidence, sort_keys=True))
+        for check in evaluate_key_findings(dataset).checks
+    ]
+
+
+class TestOneRecordOrder:
+    """Record-based analyses read canonical records however a run was
+    executed, so serial, sharded and spilled runs report identically."""
+
+    def test_serial_sharded_and_spilled_findings_are_equal(self, tmp_path):
+        serial = common.filtered_dataset("tiny")
+        sharded = common.filtered_dataset("tiny", workers=2)
+        findings = _findings(serial)
+        assert _findings(sharded) == findings
+        spilled = run(
+            common.standard_config("tiny").with_overrides(
+                spill_dir=str(tmp_path / "spill"), spill_threshold_rows=1024
+            )
+        ).dataset
+        assert len(spilled.run_arrays("tcp_snapshots")) > 1
+        filtered_spill, _ = filter_proxies(spilled)
+        assert _findings(filtered_spill) == findings
+        assert sharded == serial
+        assert filtered_spill == serial

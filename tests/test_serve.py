@@ -30,6 +30,7 @@ from pathlib import Path
 
 import pytest
 
+from helpers import records_of
 from repro.cli import main as cli_main
 from repro.core.columnar_analysis import iter_joined_blocks
 from repro.faults.spec import FaultSpec
@@ -420,18 +421,20 @@ class TestOracleReplay:
         service, rounds = brownout_run
         dataset, clock_ms = rounds[0]
         sids = sorted(r.session_id for r in dataset.player_sessions)
-        damaged = Dataset.collect(dataset)
+        records = records_of(dataset)
         # first-chunk beacons lost (no join time), one CDN chunk lost, one
         # session without its CDN record, one CDN record re-sent (last wins)
-        damaged.player_chunks = [
-            r for r in damaged.player_chunks if not (r.session_id in sids[:5] and r.chunk_id == 0)
+        records["player_chunks"] = [
+            r for r in records["player_chunks"]
+            if not (r.session_id in sids[:5] and r.chunk_id == 0)
         ]
-        damaged.cdn_chunks = [
-            r for r in damaged.cdn_chunks if not (r.session_id == sids[5] and r.chunk_id == 1)
+        records["cdn_chunks"] = [
+            r for r in records["cdn_chunks"] if not (r.session_id == sids[5] and r.chunk_id == 1)
         ]
-        resent = next(r for r in damaged.cdn_sessions if r.session_id == sids[7])
-        damaged.cdn_sessions = [r for r in damaged.cdn_sessions if r.session_id != sids[6]]
-        damaged.cdn_sessions.append(dataclasses.replace(resent, org="resent-org"))
+        resent = next(r for r in records["cdn_sessions"] if r.session_id == sids[7])
+        records["cdn_sessions"] = [r for r in records["cdn_sessions"] if r.session_id != sids[6]]
+        records["cdn_sessions"].append(dataclasses.replace(resent, org="resent-org"))
+        damaged = Dataset(**records)
         folded, oracle = RollingWindows(service.window_ms), RollingWindows(service.window_ms)
         for block in iter_joined_blocks(damaged):
             folded.fold(block)

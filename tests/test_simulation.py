@@ -8,15 +8,27 @@ from repro.cdn.cache import CacheStatus
 from repro.simulation.config import SimulationConfig
 from repro.simulation.controlled import run_controlled_rendering_experiment
 from repro.simulation.driver import Simulator
+from repro.telemetry.collector import TelemetryCollector
 
 
 class TestPeriodRunner:
-    def test_sessions_emitted_in_server_order(self):
+    def test_sessions_emitted_in_server_order(self, monkeypatch):
         # Each period drains one server group at a time, in sorted
         # server-id order, so only one group's actors are alive at once.
         # A global heap would emit sessions in start-time order instead.
-        result = Simulator(SimulationConfig(n_sessions=40, n_servers=12, seed=11)).run()
-        server_ids = [record.server_id for record in result.dataset.cdn_sessions]
+        # The dataset is canonical, so the order is observed where the
+        # records arrive: at the measured period's collector.
+        server_ids = []
+        add = TelemetryCollector.add_cdn_session
+
+        def recording(collector, record):
+            if not collector.discard:
+                server_ids.append(record.server_id)
+            add(collector, record)
+
+        monkeypatch.setattr(TelemetryCollector, "add_cdn_session", recording)
+        Simulator(SimulationConfig(n_sessions=40, n_servers=12, seed=11)).run()
+        assert len(server_ids) == 40
         assert len(set(server_ids)) > 1
         assert server_ids == sorted(server_ids)
 

@@ -27,6 +27,8 @@ import pytest
 
 from repro.api import run
 from repro.cli import main
+from repro.core import columnar_analysis as ca
+from repro.core.qoe import summarize
 from repro.faults.spec import FaultSpec
 from repro.simulation.config import SimulationConfig
 from repro.sweep import (
@@ -414,6 +416,33 @@ class TestOutcomeDocument:
             for view in dataset.iter_sessions():
                 fold.update(view)
         assert overall["qoe"] == _round_floats(fold.result())
+
+    def test_each_period_is_joined_once(self, monkeypatch):
+        spec = _tiny_scenario(
+            base={"n_sessions": 30},
+            periods=(
+                PeriodDef(label="baseline"),
+                PeriodDef(
+                    label="incident",
+                    mutation="repro.simulation.scenarios:_flush_caches",
+                ),
+            ),
+        )
+        result = run(periods=spec.resolve())
+        plans = []
+
+        class CountingPlan(ca._BlockPlan):
+            def __init__(self, runs, kinds):
+                plans.append(len(kinds))
+                super().__init__(runs, kinds)
+
+        monkeypatch.setattr(ca, "_BlockPlan", CountingPlan)
+        document = outcome_document("flush", list(result.labels), result.datasets)
+        # one cascade plan per period feeds its QoE, the overall QoE and
+        # the fault score
+        assert plans == [6, 6]
+        for period, dataset in zip(document["periods"], result.datasets):
+            assert period["qoe"] == _round_floats(summarize(dataset))
 
     def test_aggregate_ranking_orders_and_failures(self):
         def doc(name, rebuf, recall):

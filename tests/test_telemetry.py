@@ -6,6 +6,7 @@ from helpers import (
     cdn_chunk,
     cdn_session,
     make_dataset,
+    make_records,
     player_chunk,
     player_session,
     tcp_snap,
@@ -53,22 +54,22 @@ class TestDatasetJoin:
         assert all(j.player.chunk_id == j.cdn.chunk_id for j in joined)
 
     def test_join_drops_unmatched(self):
-        dataset = make_dataset(2)
-        dataset.player_chunks.append(player_chunk(chunk=99))
-        assert len(dataset.join_chunks()) == 2
+        records = make_records(2)
+        records["player_chunks"].append(player_chunk(chunk=99))
+        assert len(Dataset(**records).join_chunks()) == 2
 
     def test_tcp_snapshots_attached_sorted(self):
-        dataset = make_dataset(1)
-        dataset.tcp_snapshots.append(tcp_snap(chunk=0, t=100.0))
-        joined = dataset.join_chunks()[0]
+        records = make_records(1)
+        records["tcp_snapshots"].append(tcp_snap(chunk=0, t=100.0))
+        joined = Dataset(**records).join_chunks()[0]
         times = [s.t_ms for s in joined.tcp]
         assert times == sorted(times)
         assert joined.first_tcp.t_ms == 100.0
 
     def test_srtt_samples_skip_zero(self):
-        dataset = make_dataset(1)
-        dataset.tcp_snapshots.append(tcp_snap(chunk=0, t=10.0, srtt_ms=0.0))
-        joined = dataset.join_chunks()[0]
+        records = make_records(1)
+        records["tcp_snapshots"].append(tcp_snap(chunk=0, t=10.0, srtt_ms=0.0))
+        joined = Dataset(**records).join_chunks()[0]
         assert all(s > 0 for s in joined.srtt_samples)
 
     def test_sessions_grouping(self):
@@ -79,9 +80,9 @@ class TestDatasetJoin:
         assert [c.chunk_id for c in sessions[0].chunks] == [0, 1, 2]
 
     def test_sessions_missing_cdn_side_dropped(self):
-        dataset = make_dataset(1)
-        dataset.player_sessions.append(player_session(session="orphan"))
-        assert len(dataset.sessions()) == 1
+        records = make_records(1)
+        records["player_sessions"].append(player_session(session="orphan"))
+        assert len(Dataset(**records).sessions()) == 1
 
     def test_session_view_metrics(self):
         dataset = make_dataset(2)
@@ -92,31 +93,31 @@ class TestDatasetJoin:
         assert view.startup_delay_ms == pytest.approx(1000.0)
 
     def test_session_retx_rate_from_counters(self):
-        dataset = make_dataset(2)
-        dataset.tcp_snapshots = [
+        records = make_records(2)
+        records["tcp_snapshots"] = [
             tcp_snap(chunk=0, t=500.0, retx_total=0),
             tcp_snap(chunk=1, t=1000.0, retx_total=54),
         ]
-        view = dataset.sessions()[0]
+        view = Dataset(**records).sessions()[0]
         # 54 retx over 2 * 787500 / 1460 ~ 1078 segments -> ~5%
         assert view.session_retx_rate == pytest.approx(0.05, abs=0.01)
         assert view.had_loss
 
     def test_chunk_retx_deltas(self):
-        dataset = make_dataset(3)
-        dataset.tcp_snapshots = [
+        records = make_records(3)
+        records["tcp_snapshots"] = [
             tcp_snap(chunk=0, t=500.0, retx_total=10),
             tcp_snap(chunk=1, t=1000.0, retx_total=10),
             tcp_snap(chunk=2, t=1500.0, retx_total=15),
         ]
-        view = dataset.sessions()[0]
+        view = Dataset(**records).sessions()[0]
         assert view.chunk_retx_counts() == [(0, 10), (1, 0), (2, 5)]
 
     def test_startup_none_when_first_chunk_missing(self):
-        dataset = make_dataset(2)
-        dataset.player_chunks = dataset.player_chunks[1:]
-        dataset.cdn_chunks = dataset.cdn_chunks[1:]
-        assert dataset.sessions()[0].startup_delay_ms is None
+        records = make_records(2)
+        records["player_chunks"] = records["player_chunks"][1:]
+        records["cdn_chunks"] = records["cdn_chunks"][1:]
+        assert Dataset(**records).sessions()[0].startup_delay_ms is None
 
     def test_filter_sessions(self):
         dataset = make_dataset(2)
@@ -159,7 +160,7 @@ class TestCollector:
         collector.add_ground_truth(
             ChunkGroundTruth("s1", 0, 5.0, 60.0, False, 100, 0, 0.0, 900.0)
         )
-        assert collector.dataset().ground_truth == []
+        assert collector.dataset().ground_truth == ()
 
     def test_dataset_snapshot_is_copy(self):
         collector = TelemetryCollector()
@@ -171,10 +172,11 @@ class TestCollector:
 
 class TestIo:
     def test_round_trip(self, tmp_path):
-        dataset = make_dataset(3)
-        dataset.ground_truth.append(
+        records = make_records(3)
+        records["ground_truth"].append(
             ChunkGroundTruth("s1", 0, 5.0, 60.0, False, 100, 2, 0.1, 900.0)
         )
+        dataset = Dataset(**records)
         save_dataset(dataset, tmp_path / "ds")
         loaded = load_dataset(tmp_path / "ds")
         assert loaded.player_chunks == dataset.player_chunks

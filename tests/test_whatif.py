@@ -2,7 +2,16 @@
 
 import pytest
 
-from helpers import cdn_chunk, cdn_session, make_dataset, player_chunk, player_session, tcp_snap
+from helpers import (
+    cdn_chunk,
+    cdn_session,
+    empty_records,
+    make_dataset,
+    make_records,
+    player_chunk,
+    player_session,
+    tcp_snap,
+)
 from repro.core.whatif import (
     all_headrooms,
     no_downloadstack_headroom,
@@ -13,14 +22,14 @@ from repro.telemetry.dataset import Dataset
 
 def dataset_with_miss_startup():
     """Two sessions: a RAM-hit start and a miss start 90 ms slower."""
-    dataset = Dataset()
+    records = empty_records()
     for sid, status, extra in (("hit", "hit_ram", 0.0), ("miss", "miss", 90.0)):
-        dataset.player_sessions.append(player_session(session=sid))
-        dataset.cdn_sessions.append(cdn_session(session=sid))
-        dataset.player_chunks.append(
+        records["player_sessions"].append(player_session(session=sid))
+        records["cdn_sessions"].append(cdn_session(session=sid))
+        records["player_chunks"].append(
             player_chunk(session=sid, chunk=0, dfb_ms=100.0 + extra)
         )
-        dataset.cdn_chunks.append(
+        records["cdn_chunks"].append(
             cdn_chunk(
                 session=sid,
                 chunk=0,
@@ -28,8 +37,8 @@ def dataset_with_miss_startup():
                 d_be_ms=extra,
             )
         )
-        dataset.tcp_snapshots.append(tcp_snap(session=sid, chunk=0))
-    return dataset
+        records["tcp_snapshots"].append(tcp_snap(session=sid, chunk=0))
+    return Dataset(**records)
 
 
 class TestPerfectCaching:
@@ -41,8 +50,9 @@ class TestPerfectCaching:
         assert report.median_improvement_ms == pytest.approx(45.0, abs=1.0)
 
     def test_no_ram_hits_returns_none(self):
-        dataset = make_dataset(1)
-        dataset.cdn_chunks[0] = cdn_chunk(cache_status="miss", d_be_ms=80.0)
+        records = make_records(1)
+        records["cdn_chunks"][0] = cdn_chunk(cache_status="miss", d_be_ms=80.0)
+        dataset = Dataset(**records)
         assert perfect_caching_headroom(dataset) is None
 
     def test_all_hits_no_headroom(self):
@@ -54,10 +64,10 @@ class TestPerfectCaching:
 
 class TestNoDownloadStack:
     def test_headroom_from_eq5_bound(self):
-        dataset = make_dataset(2)
+        records = make_records(2)
         # chunk 1 has 900 ms of stack latency above the RTO bound
-        dataset.player_chunks[1] = player_chunk(chunk=1, dfb_ms=1400.0)
-        report = no_downloadstack_headroom(dataset)
+        records["player_chunks"][1] = player_chunk(chunk=1, dfb_ms=1400.0)
+        report = no_downloadstack_headroom(Dataset(**records))
         assert report is not None
         assert report.affected_session_fraction == 1.0
         assert report.median_improvement_ms > 100.0
