@@ -17,7 +17,7 @@ from typing import List
 import numpy as np
 
 from ...core.downstack import detect_transient_outliers, instantaneous_throughput_kbps
-from ...telemetry.collector import TelemetryCollector
+from ...telemetry.dataset import Dataset
 from ...telemetry.records import (
     CdnChunkRecord,
     CdnSessionRecord,
@@ -42,34 +42,32 @@ def build_case_dataset(
 ):
     """Synthesize the case-study session: stable except one buffered chunk."""
     rng = np.random.default_rng(seed)
-    collector = TelemetryCollector()
-    collector.add_player_session(
-        PlayerSessionRecord(
-            session_id=SESSION_ID,
-            client_ip="10.1.2.3",
-            user_agent="Mozilla/5.0 (Windows NT 10.0) Firefox/Flash",
-            video_id=1,
-            video_duration_ms=n_chunks * CHUNK_DURATION_MS,
-            start_ms=0.0,
-            os="Windows",
-            browser="Firefox",
-        )
+    player_session = PlayerSessionRecord(
+        session_id=SESSION_ID,
+        client_ip="10.1.2.3",
+        user_agent="Mozilla/5.0 (Windows NT 10.0) Firefox/Flash",
+        video_id=1,
+        video_duration_ms=n_chunks * CHUNK_DURATION_MS,
+        start_ms=0.0,
+        os="Windows",
+        browser="Firefox",
     )
-    collector.add_cdn_session(
-        CdnSessionRecord(
-            session_id=SESSION_ID,
-            client_ip="10.1.2.3",
-            user_agent="Mozilla/5.0 (Windows NT 10.0) Firefox/Flash",
-            pop_id="pop-chicago",
-            server_id="srv-chicago-00",
-            org="Comcast",
-            conn_type="cable",
-            country="US",
-            city="Chicago",
-            lat=41.88,
-            lon=-87.63,
-        )
+    cdn_session = CdnSessionRecord(
+        session_id=SESSION_ID,
+        client_ip="10.1.2.3",
+        user_agent="Mozilla/5.0 (Windows NT 10.0) Firefox/Flash",
+        pop_id="pop-chicago",
+        server_id="srv-chicago-00",
+        org="Comcast",
+        conn_type="cable",
+        country="US",
+        city="Chicago",
+        lat=41.88,
+        lon=-87.63,
     )
+    player_chunks: List[PlayerChunkRecord] = []
+    cdn_chunks: List[CdnChunkRecord] = []
+    tcp_snapshots: List[TcpInfoRecord] = []
     chunk_bytes = 1_300_000
     t = 0.0
     for index in range(n_chunks):
@@ -82,7 +80,7 @@ def build_case_dataset(
         else:
             dfb = srtt + server + float(rng.normal(15.0, 3.0))
             dlb = network_dlb
-        collector.add_player_chunk(
+        player_chunks.append(
             PlayerChunkRecord(
                 session_id=SESSION_ID,
                 chunk_id=index,
@@ -99,7 +97,7 @@ def build_case_dataset(
                 request_sent_ms=t,
             )
         )
-        collector.add_cdn_chunk(
+        cdn_chunks.append(
             CdnChunkRecord(
                 session_id=SESSION_ID,
                 chunk_id=index,
@@ -114,7 +112,7 @@ def build_case_dataset(
                 served_at_ms=t + srtt / 2,
             )
         )
-        collector.add_tcp_snapshot(
+        tcp_snapshots.append(
             TcpInfoRecord(
                 session_id=SESSION_ID,
                 chunk_id=index,
@@ -127,7 +125,13 @@ def build_case_dataset(
             )
         )
         t += dfb + dlb + 500.0
-    return collector.dataset()
+    return Dataset(
+        player_sessions=[player_session],
+        cdn_sessions=[cdn_session],
+        player_chunks=player_chunks,
+        cdn_chunks=cdn_chunks,
+        tcp_snapshots=tcp_snapshots,
+    )
 
 
 @register(EXPERIMENT_ID)

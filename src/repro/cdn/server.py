@@ -146,6 +146,9 @@ class CdnServer:
             self._m_serve_latency = metrics.histogram("cdn.serve_latency_ms")
             self._m_backend_latency = metrics.histogram("cdn.backend_latency_ms")
             self._m_fault_requests = metrics.counter("faults.server_requests_total")
+            # one span handle per server: handles are sequentially
+            # reusable, and serve() is never re-entered
+            self._span_serve = metrics.span("cdn.serve")
 
     # -- load tracking -------------------------------------------------------
 
@@ -198,7 +201,7 @@ class CdnServer:
             raise ValueError("size_bytes must be positive")
         if self._metrics is None:
             return self._serve(key, size_bytes, now_ms, trace)
-        with self._metrics.span("cdn.serve"):
+        with self._span_serve:
             result = self._serve(key, size_bytes, now_ms, trace)
         self._m_requests.inc()
         self._m_bytes.inc(size_bytes)

@@ -26,6 +26,9 @@ from .browsers import PlatformProfile
 
 __all__ = ["DownloadStackEffect", "DownloadStackModel"]
 
+#: lognormal location of the ever-present copy/poll overhead (3 ms median)
+_LOG_POLL_MS = np.log(3.0)
+
 
 @dataclass(frozen=True)
 class DownloadStackEffect:
@@ -59,14 +62,19 @@ class DownloadStackModel:
         self.platform = platform
         self.rng = rng
         self.metrics = metrics
+        # lognormal locations of the platform's delays, computed once
+        self._ds_mu = np.log(platform.ds_mean_ms) - 0.5 * platform.ds_sigma**2
+        self._first_chunk_mu = np.log(platform.first_chunk_extra_ms) - 0.5 * 0.25**2
+        # metric handles, bound once: sample() runs on every chunk
+        if metrics is not None:
+            self._m_delay = metrics.histogram("client.ds_delay_ms")
+            self._m_transients = metrics.counter("client.ds_transients_total")
 
     def _record(self, effect: "DownloadStackEffect") -> "DownloadStackEffect":
         if self.metrics is not None:
-            self.metrics.histogram("client.ds_delay_ms").observe(
-                effect.first_byte_delay_ms
-            )
+            self._m_delay.observe(effect.first_byte_delay_ms)
             if effect.transient:
-                self.metrics.counter("client.ds_transients_total").inc()
+                self._m_transients.inc()
         return effect
 
     def sample(self, chunk_index: int, network_dlb_ms: float) -> DownloadStackEffect:
@@ -99,14 +107,12 @@ class DownloadStackModel:
         delay = 0.0
         # Persistent platform latency, per-chunk Bernoulli.
         if rng.random() < platform.ds_chunk_prob:
-            mu = np.log(platform.ds_mean_ms) - 0.5 * platform.ds_sigma**2
-            delay += float(rng.lognormal(mu, platform.ds_sigma))
+            delay += float(rng.lognormal(self._ds_mu, platform.ds_sigma))
         # Small ever-present copy/poll overhead through the layers.
-        delay += float(rng.lognormal(np.log(3.0), 0.8))
+        delay += float(rng.lognormal(_LOG_POLL_MS, 0.8))
         # First-chunk event-registration and data-path setup cost.
         if chunk_index == 0:
-            mu = np.log(platform.first_chunk_extra_ms) - 0.5 * 0.25**2
-            delay += float(rng.lognormal(mu, 0.5))
+            delay += float(rng.lognormal(self._first_chunk_mu, 0.5))
         return self._record(
             DownloadStackEffect(
                 first_byte_delay_ms=delay, last_byte_shift_ms=0.0, transient=False

@@ -113,7 +113,7 @@ class RenderingModel:
         decode_term = 0.004 * bitrate_kbps / 1000.0
         raw = self.platform.render_inefficiency * (rate_term + cpu_term + decode_term)
         noise = float(self.rng.lognormal(0.0, 0.35))
-        return float(np.clip(raw * noise + extra_drop_fraction, 0.0, 0.95))
+        return min(max(raw * noise + extra_drop_fraction, 0.0), 0.95)
 
     def render_chunk(
         self,

@@ -16,8 +16,11 @@ watch more media time than the collection window contains.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, Set, Tuple
 
+import numpy as np
+
+from ..telemetry.columnar import merge_runs, session_runs
 from ..telemetry.dataset import Dataset
 
 __all__ = ["ProxyFilterReport", "filter_proxies"]
@@ -53,16 +56,9 @@ class ProxyFilterReport:
         }
 
 
-def _collection_window_ms(dataset: Dataset) -> float:
-    """Length of the collection window, from session-start spread.
-
-    Adds one hour of slack so the last sessions' own watch time does not
-    make legitimate tail clients look impossible.
-    """
-    starts = [s.start_ms for s in dataset.player_sessions]
-    if not starts:
-        return 0.0
-    return (max(starts) - min(starts)) + 3_600_000.0
+def _strings(values: np.ndarray) -> Set[str]:
+    """The distinct UTF-8 strings of a bytes column."""
+    return {value.decode("utf-8") for value in values.tolist()}
 
 
 def filter_proxies(
@@ -76,53 +72,72 @@ def filter_proxies(
     (1.0 = exactly the collection window, the paper's "more minutes of
     video per day than there are minutes in a day" generalized).
     *min_sessions_for_mega_ip* guards the volume rule against tiny datasets.
+
+    The rules run on the columns of *dataset* (a :class:`Dataset` or a
+    spill), not on record objects.  Where a session id repeats, the last
+    player row is its beacon, and every CDN row counts; float sums add in
+    canonical row order.
     """
     if media_budget_factor <= 0:
         raise ValueError("media_budget_factor must be positive")
-
-    player_sessions = {s.session_id: s for s in dataset.player_sessions}
-    report = ProxyFilterReport(
-        n_input_sessions=dataset.n_sessions, n_kept_sessions=0
-    )
+    report = ProxyFilterReport(n_input_sessions=dataset.n_sessions, n_kept_sessions=0)
+    # each kind's rows in canonical order, the order its records iterate in
+    ps = merge_runs("player_sessions", dataset.run_arrays("player_sessions"))
+    cs = merge_runs("cdn_sessions", dataset.run_arrays("cdn_sessions"))
+    cdn_ids = cs["session_id"]
 
     # Rule (i): IP / user-agent mismatch between CDN logs and beacons.
-    for cdn_session in dataset.cdn_sessions:
-        beacon = player_sessions.get(cdn_session.session_id)
-        if beacon is None:
-            continue
-        if beacon.client_ip != cdn_session.client_ip:
-            report.ip_mismatch_sessions.add(cdn_session.session_id)
-        if beacon.user_agent != cdn_session.user_agent:
-            report.ua_mismatch_sessions.add(cdn_session.session_id)
+    # A session's beacon is its last player row.
+    ids = ps["session_id"]
+    last = np.ones(len(ids), dtype=bool)
+    last[:-1] = ids[1:] != ids[:-1]
+    beacon_ids = ids[last]
+    if len(beacon_ids):
+        beacon = np.minimum(np.searchsorted(beacon_ids, cdn_ids), len(beacon_ids) - 1)
+        has_beacon = beacon_ids[beacon] == cdn_ids
+        ip_mismatch = has_beacon & (ps["client_ip"][last][beacon] != cs["client_ip"])
+        ua_mismatch = has_beacon & (ps["user_agent"][last][beacon] != cs["user_agent"])
+    else:
+        ip_mismatch = ua_mismatch = np.zeros(len(cdn_ids), dtype=bool)
+    report.ip_mismatch_sessions = _strings(cdn_ids[ip_mismatch])
+    report.ua_mismatch_sessions = _strings(cdn_ids[ua_mismatch])
+    removed = ip_mismatch | ua_mismatch
 
     # Rule (ii): one CDN-visible IP watching more media than time allows.
-    window_ms = _collection_window_ms(dataset)
-    media_by_session: Dict[str, float] = {}
-    for chunk in dataset.player_chunks:
-        media_by_session[chunk.session_id] = (
-            media_by_session.get(chunk.session_id, 0.0) + chunk.chunk_duration_ms
-        )
-    sessions_by_ip: Dict[str, List[str]] = {}
-    media_by_ip: Dict[str, float] = {}
-    for cdn_session in dataset.cdn_sessions:
-        sessions_by_ip.setdefault(cdn_session.client_ip, []).append(cdn_session.session_id)
-        media_by_ip[cdn_session.client_ip] = media_by_ip.get(
-            cdn_session.client_ip, 0.0
-        ) + media_by_session.get(cdn_session.session_id, 0.0)
+    # The collection window is the session-start spread, plus one hour of
+    # slack so the last sessions' own watch time does not make legitimate
+    # tail clients look impossible.
+    starts = ps["start_ms"]
+    window_ms = float(starts.max() - starts.min()) + 3_600_000.0 if len(starts) else 0.0
     if window_ms > 0:
-        for ip, media_ms in media_by_ip.items():
-            too_many = len(sessions_by_ip[ip]) >= min_sessions_for_mega_ip
-            impossible = media_ms > media_budget_factor * window_ms
-            if too_many and impossible:
-                report.mega_ips.add(ip)
-                report.mega_ip_sessions.update(sessions_by_ip[ip])
+        # media watched per CDN session: its player chunks' durations,
+        # added in canonical order (bincount adds each bin's weights in
+        # array order)
+        sids = np.unique(cdn_ids)
+        chunks = merge_runs("player_chunks", dataset.run_arrays("player_chunks"))
+        lengths, found, member = session_runs(chunks["session_id"], sids)
+        code = np.repeat(found, lengths)
+        watched = np.repeat(member, lengths)
+        media_by_session = np.bincount(
+            code[watched],
+            weights=chunks["chunk_duration_ms"][watched],
+            minlength=len(sids),
+        )
+        media = media_by_session[np.searchsorted(sids, cdn_ids)]
+        # per IP, every CDN row's session counts and adds its media, in
+        # canonical row order
+        ips, ip_code = np.unique(cs["client_ip"], return_inverse=True)
+        too_many = np.bincount(ip_code, minlength=len(ips)) >= min_sessions_for_mega_ip
+        media_by_ip = np.bincount(ip_code, weights=media, minlength=len(ips))
+        mega = too_many & (media_by_ip > media_budget_factor * window_ms)
+        mega_rows = mega[ip_code]
+        report.mega_ips = _strings(ips[mega])
+        report.mega_ip_sessions = _strings(cdn_ids[mega_rows])
+        removed |= mega_rows
 
-    removed = (
-        report.ip_mismatch_sessions
-        | report.ua_mismatch_sessions
-        | report.mega_ip_sessions
-    )
-    kept_ids = [s.session_id for s in dataset.player_sessions if s.session_id not in removed]
-    filtered = dataset.filter_sessions(kept_ids)
-    report.n_kept_sessions = len(kept_ids)
+    # Every player row whose session is removed goes.
+    lengths, _, member = session_runs(ids, np.unique(cdn_ids[removed]))
+    kept = ids[~np.repeat(member, lengths)]
+    report.n_kept_sessions = len(kept)
+    filtered = dataset.filter_sessions(_strings(kept))
     return filtered, report

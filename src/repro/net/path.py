@@ -230,9 +230,7 @@ def build_session_path(
     if rng.random() < 0.60:
         loss = 0.0
     else:
-        loss = float(
-            np.clip(rng.exponential(max(prefix.loss_rate_mean, 1e-5)), 0.0, 0.15)
-        )
+        loss = min(max(rng.exponential(max(prefix.loss_rate_mean, 1e-5)), 0.0), 0.15)
     bottleneck = max(500.0, min(bandwidth_kbps, backbone_kbps))
     # Enterprise episodes are more frequent as well as larger.
     gap_mean = 25_000.0 if prefix.is_enterprise else 150_000.0

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import List, Optional, Tuple
+from typing import List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -53,9 +53,12 @@ _POW_VAR = tuple(0.75**n for n in range(_OBSERVE_CAP + 1))
 _NOISE_BOUND = math.exp(0.08 * 12.0)
 
 
-@dataclass(frozen=True)
-class TcpStateSample:
-    """One snapshot of the sender's ``tcp_info``-visible state."""
+class TcpStateSample(NamedTuple):
+    """One snapshot of the sender's ``tcp_info``-visible state.
+
+    A named tuple: the transfer loop builds one every 500 ms of every
+    transfer, and a tuple costs a fraction of a frozen dataclass.
+    """
 
     t_ms: float
     cwnd_segments: int
@@ -177,13 +180,13 @@ class TcpConnection:
     def state_sample(self, t_ms: float) -> TcpStateSample:
         """Materialize the current kernel-visible state at time *t_ms*."""
         return TcpStateSample(
-            t_ms=t_ms,
-            cwnd_segments=int(self.cwnd),
-            srtt_ms=self.srtt_ms if self.srtt_ms is not None else 0.0,
-            rttvar_ms=self.rttvar_ms,
-            retx_total=self.retx_total,
-            mss=self.mss,
-            rto_ms=self.rto_ms,
+            t_ms,
+            int(self.cwnd),
+            self.srtt_ms if self.srtt_ms is not None else 0.0,
+            self.rttvar_ms,
+            self.retx_total,
+            self.mss,
+            self.rto_ms,
         )
 
     def _maybe_snapshot(self, t_ms: float, out: List[TcpStateSample]) -> None:
@@ -501,17 +504,18 @@ class TcpConnection:
             delivered += inflight
             t += round_time
             while next_snap is not None and t >= next_snap:
+                # positional fields (t, cwnd, srtt, rttvar, retx, mss,
+                # rto); srtt is set above before any snapshot can fire,
+                # so the rto matches state_sample()'s exactly
                 samples.append(
                     TcpStateSample(
-                        t_ms=next_snap,
-                        cwnd_segments=int(cwnd),
-                        srtt_ms=srtt,
-                        rttvar_ms=rttvar,
-                        retx_total=retx_total,
-                        mss=mss,
-                        # srtt is set above before any snapshot can fire,
-                        # so this matches state_sample()'s rto exactly
-                        rto_ms=RTO_FLOOR_MS + srtt + 4.0 * rttvar,
+                        next_snap,
+                        int(cwnd),
+                        srtt,
+                        rttvar,
+                        retx_total,
+                        mss,
+                        RTO_FLOOR_MS + srtt + 4.0 * rttvar,
                     )
                 )
                 next_snap += interval

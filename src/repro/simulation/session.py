@@ -11,13 +11,15 @@ paper's Fig. 2 time diagram end to end:
         ──► playback buffer append (startup / rebuffering accounting)
         ──► rendering (frame drops)
 
-and emits both sides' telemetry plus ground truth.
+and emits both sides' telemetry plus ground truth, as rows: one tuple per
+record, in its kind's column order
+(:data:`~repro.telemetry.columnar.COLUMN_SCHEMAS`).  No record object is
+built; a discarding collector (the warmup's) gets no rows at all.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -33,23 +35,27 @@ from ..net.tcp import TcpConnection
 from ..obs.registry import MetricsRegistry
 from ..obs.trace import TraceRecorder
 from ..telemetry.collector import TelemetryCollector
-from ..telemetry.records import (
-    CdnChunkRecord,
-    CdnSessionRecord,
-    ChunkGroundTruth,
-    PlayerChunkRecord,
-    PlayerSessionRecord,
-    TcpInfoRecord,
-)
 from ..workload.randomness import spawn
 from ..workload.sessions import SessionPlan
 from .config import SimulationConfig
 
 __all__ = ["SessionActor"]
 
+#: lognormal locations of the receiver window (160 segments) and of the
+#: manifest request's server time (1.5 ms), computed once
+_LOG_RWND_SEGMENTS = np.log(160.0)
+_LOG_MANIFEST_SERVER_MS = np.log(1.5)
+
 
 class SessionActor:
-    """Simulates one session chunk by chunk."""
+    """Simulates one session chunk by chunk.
+
+    Telemetry goes to the collector as rows (see the module docstring).
+    When the collector discards (the warmup), the actor builds no session
+    rows, no chunk rows and no snapshot list; everything else — the RNG
+    draws, the fault-state queries and the ``client.*``/``faults.*``
+    metrics — runs as in a measured period.
+    """
 
     def __init__(
         self,
@@ -110,7 +116,7 @@ class SessionActor:
         # Receiver windows vary by OS/tuning: many clients advertise modest
         # windows that keep TCP below the path's overflow point (these are
         # the paper's ~40% loss-free sessions).
-        rwnd_segments = int(np.clip(self.rng.lognormal(np.log(160.0), 0.8), 32, 4096))
+        rwnd_segments = int(min(max(self.rng.lognormal(_LOG_RWND_SEGMENTS, 0.8), 32), 4096))
         self.tcp = TcpConnection(
             path=self.path,
             rng=self.rng,
@@ -129,38 +135,44 @@ class SessionActor:
         )
         self.next_chunk = 0
         self.session_had_miss = False
-        self._emit_session_records()
+        #: False for a discarding collector: no rows are built for it
+        self._emit = not collector.discard
+        if self._emit:
+            self._emit_session_rows()
 
     # -- session-level telemetry ------------------------------------------------
 
-    def _emit_session_records(self) -> None:
+    def _emit_session_rows(self) -> None:
         plan = self.plan
         client = plan.client
+        prefix = client.prefix
+        # rows in COLUMN_SCHEMAS field order (PlayerSessionRecord,
+        # CdnSessionRecord)
         self.collector.add_player_session(
-            PlayerSessionRecord(
-                session_id=plan.session_id,
-                client_ip=client.beacon_ip,
-                user_agent=client.user_agent,
-                video_id=plan.video.video_id,
-                video_duration_ms=plan.video.duration_ms,
-                start_ms=plan.start_ms,
-                os=client.platform.os,
-                browser=client.platform.browser,
+            (
+                plan.session_id,
+                client.beacon_ip,
+                client.user_agent,
+                plan.video.video_id,
+                plan.video.duration_ms,
+                plan.start_ms,
+                client.platform.os,
+                client.platform.browser,
             )
         )
         self.collector.add_cdn_session(
-            CdnSessionRecord(
-                session_id=plan.session_id,
-                client_ip=client.cdn_visible_ip,
-                user_agent=client.user_agent,
-                pop_id=self.mapping.pop.pop_id,
-                server_id=self.mapping.server_id,
-                org=client.prefix.org,
-                conn_type=client.prefix.conn_type,
-                country=client.prefix.country,
-                city=client.prefix.geo.city,
-                lat=client.prefix.geo.lat,
-                lon=client.prefix.geo.lon,
+            (
+                plan.session_id,
+                client.cdn_visible_ip,
+                client.user_agent,
+                self.mapping.pop.pop_id,
+                self.mapping.server_id,
+                prefix.org,
+                prefix.conn_type,
+                prefix.country,
+                prefix.geo.city,
+                prefix.geo.lat,
+                prefix.geo.lon,
             )
         )
 
@@ -169,7 +181,7 @@ class SessionActor:
     def manifest_time_ms(self, now_ms: float) -> float:
         """Duration of the initial manifest request (small HTTP exchange)."""
         rtt = self.path.sample_rtt(now_ms)
-        server_time = float(self.rng.lognormal(np.log(1.5), 0.5))
+        server_time = float(self.rng.lognormal(_LOG_MANIFEST_SERVER_MS, 0.5))
         return rtt + server_time
 
     # -- per-chunk processing -------------------------------------------------------
@@ -319,75 +331,10 @@ class SessionActor:
                 total_frames=render.total_frames,
             )
 
-        # --- telemetry, both sides ---
-        self.collector.add_player_chunk(
-            PlayerChunkRecord(
-                session_id=plan.session_id,
-                chunk_id=index,
-                dfb_ms=dfb,
-                dlb_ms=dlb,
-                bitrate_kbps=float(bitrate),
-                chunk_duration_ms=duration_ms,
-                rebuffer_count=rebuffer_count,
-                rebuffer_ms=rebuffer_ms,
-                visible=plan.visibility[index],
-                avg_fps=render.avg_fps,
-                dropped_frames=render.dropped_frames,
-                total_frames=render.total_frames,
-                request_sent_ms=now_ms,
-                hw_rendered=plan.client.gpu,
-            )
-        )
-        self.collector.add_cdn_chunk(
-            CdnChunkRecord(
-                session_id=plan.session_id,
-                chunk_id=index,
-                d_wait_ms=serve.d_wait_ms,
-                d_open_ms=serve.d_open_ms,
-                d_read_ms=serve.d_read_ms,
-                d_be_ms=serve.d_be_ms,
-                cache_status=serve.status.value,
-                chunk_bytes=size_bytes,
-                server_id=self.server.server_id,
-                pop_id=self.mapping.pop.pop_id,
-                served_at_ms=now_ms + rtt0 / 2.0,
-            )
-        )
-        # Snapshots stamp the connection's *current* (post-transfer) state at
-        # the sampled times; the state fields are invariant across the loop,
-        # so build them once instead of one state_sample() call per record.
-        tcp = self.tcp
-        snap_cwnd = int(tcp.cwnd)
-        snap_srtt = tcp.srtt_ms if tcp.srtt_ms is not None else 0.0
-        snap_rttvar = tcp.rttvar_ms
-        snap_retx = tcp.retx_total
-        snap_mss = tcp.mss
-        snap_rto = tcp.rto_ms
-        # §2.1: at least one snapshot per chunk — the forced end-of-transfer
-        # sample rides at the block's tail.  The whole chunk's grid lands in
-        # one block append (the snapshots are the highest-volume kind).
-        snapshot_times = [sample.t_ms for sample in transfer.samples]
-        snapshot_times.append(transfer_start + network_dlb)
-        self.collector.add_tcp_snapshots(
-            [
-                TcpInfoRecord(
-                    session_id=plan.session_id,
-                    chunk_id=index,
-                    t_ms=t_ms,
-                    cwnd_segments=snap_cwnd,
-                    srtt_ms=snap_srtt,
-                    rttvar_ms=snap_rttvar,
-                    retx_total=snap_retx,
-                    mss=snap_mss,
-                    rto_ms=snap_rto,
-                )
-                for t_ms in snapshot_times
-            ]
-        )
-
         # Ground-truth fault labels: re-query the same pure functions that
         # produced the effects (server at request arrival, path at request
         # time, renderer at completion) and stamp what actually struck.
+        # The queries and counters run in the warmup too.
         fault_labels = ""
         if self.faults is not None:
             server_fault = self.faults.server_state(
@@ -405,20 +352,79 @@ class SessionActor:
                     self._m_fault_render.inc()
                 if fault_labels:
                     self._m_fault_labeled.inc()
-        self.collector.add_ground_truth(
-            ChunkGroundTruth(
-                session_id=plan.session_id,
-                chunk_id=index,
-                true_dds_ms=ds.first_byte_delay_ms,
-                true_rtt0_ms=rtt0,
-                transient_ds=ds.transient,
-                segments_sent=transfer.segments_sent,
-                segments_retx=transfer.segments_retx,
-                true_drop_fraction=render.dropped_fraction,
-                network_dlb_ms=network_dlb,
-                fault_labels=fault_labels,
+
+        # --- telemetry, both sides: rows in COLUMN_SCHEMAS field order ---
+        if self._emit:
+            collector = self.collector
+            session_id = plan.session_id
+            collector.add_player_chunk(
+                (
+                    session_id,
+                    index,
+                    dfb,
+                    dlb,
+                    float(bitrate),
+                    duration_ms,
+                    rebuffer_count,
+                    rebuffer_ms,
+                    plan.visibility[index],
+                    render.avg_fps,
+                    render.dropped_frames,
+                    render.total_frames,
+                    now_ms,
+                    plan.client.gpu,
+                )
             )
-        )
+            collector.add_cdn_chunk(
+                (
+                    session_id,
+                    index,
+                    serve.d_wait_ms,
+                    serve.d_open_ms,
+                    serve.d_read_ms,
+                    serve.d_be_ms,
+                    serve.status.value,
+                    size_bytes,
+                    self.server.server_id,
+                    self.mapping.pop.pop_id,
+                    now_ms + rtt0 / 2.0,
+                )
+            )
+            # Snapshots stamp the connection's *current* (post-transfer)
+            # state at the sampled times: only the times vary across the
+            # block.  §2.1: at least one snapshot per chunk — the forced
+            # end-of-transfer sample rides at the block's tail, and the
+            # whole chunk's grid lands in one block append (the snapshots
+            # are the highest-volume kind).
+            tcp = self.tcp
+            cwnd = int(tcp.cwnd)
+            srtt = tcp.srtt_ms if tcp.srtt_ms is not None else 0.0
+            rttvar = tcp.rttvar_ms
+            retx_total = tcp.retx_total
+            mss = tcp.mss
+            rto = tcp.rto_ms
+            snapshot_times = [sample.t_ms for sample in transfer.samples]
+            snapshot_times.append(transfer_start + network_dlb)
+            collector.add_tcp_snapshots(
+                [
+                    (session_id, index, t_ms, cwnd, srtt, rttvar, retx_total, mss, rto)
+                    for t_ms in snapshot_times
+                ]
+            )
+            collector.add_ground_truth(
+                (
+                    session_id,
+                    index,
+                    ds.first_byte_delay_ms,
+                    rtt0,
+                    ds.transient,
+                    transfer.segments_sent,
+                    transfer.segments_retx,
+                    render.dropped_fraction,
+                    network_dlb,
+                    fault_labels,
+                )
+            )
 
         # --- ABR update and next-request pacing ---
         self.abr.observe(

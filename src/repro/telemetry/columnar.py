@@ -1,15 +1,18 @@
 """Columnar backing store: structured-array layout for every record kind.
 
 The record dataclasses in :mod:`repro.telemetry.records` are what the
-simulator emits and what the record-level analyses read; at scale (the
-paper's 65 M sessions / 523 M chunks) a Python object per record is ~10x
-the memory of the data it carries.  This module declares one numpy
-structured dtype per record kind — the one form telemetry is held in,
-in memory (:class:`~repro.telemetry.dataset.Dataset`) and in spill
-files — and exact, loss-free conversion in both directions:
+record-level analyses read; at scale (the paper's 65 M sessions / 523 M
+chunks) a Python object per record is ~10x the memory of the data it
+carries.  This module declares one numpy structured dtype per record
+kind — the one form telemetry is held in, in memory
+(:class:`~repro.telemetry.dataset.Dataset`) and in spill files — and
+exact, loss-free conversion in both directions:
 
-* ``records_to_array`` — record objects → one structured array (the
-  collector's encode, and the loaders');
+* ``rows_to_array`` — rows (tuples in the kind's field order) → one
+  structured array: the one column encoder.  The simulator emits rows,
+  and the collector encodes them a sorted run at a time;
+* ``records_to_array`` — record objects → the same encoder, one row per
+  record (the loaders and ``Dataset(**records)``);
 * ``iter_records`` / ``array_to_records`` — structured array → record
   objects, block-wise, producing plain Python scalars (``tolist()``), so a
   round-tripped record compares ``==`` to the original and JSON-serializes
@@ -46,11 +49,13 @@ __all__ = [
     "ColumnOverflowError",
     "ColumnSchema",
     "dtype_token",
+    "rows_to_array",
     "records_to_array",
     "array_to_records",
     "iter_records",
     "take_rows",
     "concat_rows",
+    "merge_runs",
     "session_runs",
     "sort_array",
     "sort_key",
@@ -70,8 +75,8 @@ class ColumnSchema:
 
     ``kind`` is the :class:`~repro.telemetry.dataset.Dataset` attribute
     name; ``fields`` maps every dataclass field, in declaration order, to
-    a numpy dtype string; ``sort_keys`` are the canonical-order key
-    columns.
+    a numpy dtype string — the order of a row's values; ``sort_keys`` are
+    the canonical-order key columns.
     """
 
     def __init__(
@@ -98,6 +103,8 @@ class ColumnSchema:
             if self.dtype[name].kind == "S"
         )
         self._key_getter = attrgetter(*sort_keys)
+        #: a record object's row: its field values in column order
+        self.row_of = attrgetter(*(name for name, _ in fields))
 
     @property
     def field_names(self) -> Tuple[str, ...]:
@@ -238,32 +245,47 @@ def dtype_token(kind: str, field: str) -> str:
     return f"{dt.kind}{dt.itemsize}"
 
 
-def records_to_array(kind: str, records: Iterable[object]) -> np.ndarray:
-    """Pack record objects into one structured array (exact, validated).
+def rows_to_array(kind: str, rows: Sequence[tuple]) -> np.ndarray:
+    """Pack rows into one structured array (exact, validated).
 
-    The array is filled one column at a time: one attribute sweep over
-    the records per field, converted by numpy in one call.  String fields
-    are UTF-8 encoded once per distinct value; a value wider than its
-    declared column raises :class:`ColumnOverflowError` (numpy would
-    truncate silently, which must never happen to telemetry).
+    Each row holds one value per column, in the kind's field order.  The
+    rows are transposed once, and each column is converted by numpy in
+    one call.  String fields are UTF-8 encoded once per distinct value; a
+    value wider than its declared column raises
+    :class:`ColumnOverflowError` (numpy would truncate silently, which
+    must never happen to telemetry).  A row of the wrong width raises
+    ``ValueError``: the transpose would drop the surplus values, or
+    leave whole columns unset.
     """
     schema = COLUMN_SCHEMAS[kind]
-    if not isinstance(records, list):
-        records = list(records)
-    n = len(records)
+    names = schema.field_names
+    n = len(rows)
     array = np.empty(n, dtype=schema.dtype)
+    if n == 0:
+        return array
+    lengths = set(map(len, rows))
+    if lengths != {len(names)}:
+        raise ValueError(
+            f"{kind}: rows hold {len(names)} values ({', '.join(names)}); "
+            f"got rows of width {sorted(lengths)}"
+        )
     widths = {name: width for _, name, width in schema.string_fields}
-    for name in schema.field_names:
-        column = map(attrgetter(name), records)
+    for name, column in zip(names, zip(*rows)):
         if name in widths:
-            encoded = _encode_strings(kind, name, widths[name], list(column))
+            encoded = _encode_strings(kind, name, widths[name], column)
             array[name] = np.array(encoded, dtype=schema.dtype[name])
         else:
             array[name] = np.fromiter(column, schema.dtype[name], n)
     return array
 
 
-def _encode_strings(kind: str, name: str, width: int, values: List[str]) -> List[bytes]:
+def records_to_array(kind: str, records: Iterable[object]) -> np.ndarray:
+    """Pack record objects into one structured array: :func:`rows_to_array`
+    of each record's field values."""
+    return rows_to_array(kind, list(map(COLUMN_SCHEMAS[kind].row_of, records)))
+
+
+def _encode_strings(kind: str, name: str, width: int, values: Sequence[str]) -> List[bytes]:
     """UTF-8 bytes of *values*, each distinct string encoded and checked once."""
     encoded = {value: value.encode("utf-8") for value in dict.fromkeys(values)}
     for value, raw in encoded.items():
@@ -355,6 +377,19 @@ def sort_array(kind: str, array: np.ndarray) -> np.ndarray:
         return array
     keys = COLUMN_SCHEMAS[kind].sort_keys
     return take_rows(array, np.lexsort([array[name] for name in reversed(keys)]))
+
+
+def merge_runs(kind: str, runs: Sequence[np.ndarray]) -> np.ndarray:
+    """One canonical array of *kind*'s sorted *runs*, listed in emission order.
+
+    Several runs are concatenated and stable-sorted, so rows sharing a
+    key keep run order, as one stable sort of the emission stream would;
+    a single run is returned as it is.
+    """
+    parts = [run for run in runs if len(run)]
+    if len(parts) > 1:
+        return sort_array(kind, concat_rows(parts))
+    return parts[0] if parts else np.empty(0, COLUMN_SCHEMAS[kind].dtype)
 
 
 def sort_key(kind: str):

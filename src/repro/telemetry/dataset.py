@@ -23,10 +23,9 @@ from typing import Any, Dict, Iterable, Iterator, List, Mapping, Optional, Seque
 import numpy as np
 
 from .columnar import (
-    COLUMN_SCHEMAS,
     SPILL_KINDS,
-    concat_rows,
     iter_records,
+    merge_runs,
     records_to_array,
     session_runs,
     sort_array,
@@ -233,19 +232,10 @@ class Dataset:
 
     @classmethod
     def from_runs(cls, runs: Mapping[str, Sequence[np.ndarray]]) -> "Dataset":
-        """A dataset over each kind's sorted runs, listed in emission order.
-
-        Several runs are concatenated and stable-sorted, so rows sharing a
-        key keep run order, as one stable sort of the emission stream
-        would; a single run is taken as it is, and made read-only.
-        """
-        arrays = {}
-        for kind in SPILL_KINDS:
-            parts = [run for run in runs.get(kind, ()) if len(run)]
-            if len(parts) > 1:
-                arrays[kind] = sort_array(kind, concat_rows(parts))
-            else:
-                arrays[kind] = parts[0] if parts else np.empty(0, COLUMN_SCHEMAS[kind].dtype)
+        """A dataset over each kind's sorted runs, listed in emission order
+        (:func:`~repro.telemetry.columnar.merge_runs`); a single run is
+        taken as it is, and made read-only."""
+        arrays = {kind: merge_runs(kind, runs.get(kind, ())) for kind in SPILL_KINDS}
         dataset = cls.__new__(cls)
         dataset.__setstate__(arrays)
         return dataset

@@ -1,6 +1,6 @@
 """Sorted columnar runs, kept in RAM or spilled to disk, and the spill facade.
 
-Records buffer per kind, and every ``threshold_rows`` rows become a
+Rows buffer per kind, and every ``threshold_rows`` rows become a
 **sorted run** (:mod:`repro.telemetry.columnar`).  In memory the runs
 merge into a :class:`~repro.telemetry.dataset.Dataset` at period end; at
 million-session scale each run is flushed to disk as one ``.npy`` file,
@@ -46,7 +46,7 @@ from .columnar import (
     SPILL_KINDS,
     concat_rows,
     iter_records,
-    records_to_array,
+    rows_to_array,
     sort_array,
     sort_key,
 )
@@ -84,12 +84,18 @@ def _schema_dtype_descr(kind: str) -> List[List[str]]:
 
 
 class SpillWriter:
-    """Accumulates records and flushes sorted columnar runs.
+    """Accumulates rows and flushes sorted columnar runs.
 
-    One writer per collection period per process.  ``add`` buffers record
-    objects; ``add_array`` takes an already-columnar block (the synthetic
-    generator's path) without materializing objects.  Every
-    ``threshold_rows`` rows of a kind become one sorted run.  With a
+    One writer per collection period per process.  ``add`` and
+    ``add_many`` buffer rows — tuples of one record's values in the
+    kind's column order (:data:`~repro.telemetry.columnar.COLUMN_SCHEMAS`),
+    as the simulator emits them; ``add_array`` takes an already-columnar
+    block (the synthetic generator's path).  Every ``threshold_rows``
+    rows of a kind become one sorted run, encoded by
+    :func:`~repro.telemetry.columnar.rows_to_array`: a row of the wrong
+    width raises ``ValueError`` and a string wider than its column
+    :class:`~repro.telemetry.columnar.ColumnOverflowError` there, when
+    the run is made, not when the row is added.  With a
     *directory*, runs go to disk and ``finalize`` flushes the tails,
     writes the manifest, and returns the :class:`SpilledDataset` facade;
     the directory must not already contain a spill — a writer never
@@ -131,19 +137,20 @@ class SpillWriter:
         else:
             self._runs_counter = self._rows_counter = self._bytes_counter = None
 
-    def add(self, kind: str, record: object) -> None:
+    def add(self, kind: str, row: tuple) -> None:
+        """Buffer one row of *kind*."""
         buffer = self._buffers[kind]
-        buffer.append(record)
+        buffer.append(row)
         if len(buffer) + self._pending_rows[kind] >= self.threshold_rows:
             self._flush(kind)
 
-    def add_many(self, kind: str, records: Sequence[object]) -> None:
-        """Buffer a block of record objects in one call (one append, one
-        threshold check) — the per-chunk emission path's batch entry."""
-        if not records:
+    def add_many(self, kind: str, rows: Sequence[tuple]) -> None:
+        """Buffer a block of rows in one call (one extend, one threshold
+        check) — the per-chunk emission path's batch entry."""
+        if not rows:
             return
         buffer = self._buffers[kind]
-        buffer.extend(records)
+        buffer.extend(rows)
         if len(buffer) + self._pending_rows[kind] >= self.threshold_rows:
             self._flush(kind)
 
@@ -166,7 +173,7 @@ class SpillWriter:
         in RAM, or write it to disk."""
         blocks = list(self._pending[kind])
         if self._buffers[kind]:
-            blocks.append(records_to_array(kind, self._buffers[kind]))
+            blocks.append(rows_to_array(kind, self._buffers[kind]))
         self._buffers[kind].clear()
         self._pending[kind].clear()
         self._pending_rows[kind] = 0

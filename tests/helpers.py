@@ -5,6 +5,7 @@ variation build its records first (:func:`make_records`,
 :func:`records_of`), edit the lists, and build a dataset from them.
 """
 
+import dataclasses
 from typing import Dict
 
 from repro.telemetry.columnar import SPILL_KINDS
@@ -16,6 +17,12 @@ from repro.telemetry.records import (
     PlayerSessionRecord,
     TcpInfoRecord,
 )
+
+
+def row(record) -> tuple:
+    """*record*'s values in its kind's column order: the row the simulator
+    emits for it (a kind's columns are its record's fields, in order)."""
+    return dataclasses.astuple(record)
 
 
 def player_chunk(session="s1", chunk=0, **kwargs):

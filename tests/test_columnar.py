@@ -18,7 +18,7 @@ from operator import attrgetter
 import numpy as np
 import pytest
 
-from helpers import cdn_chunk, make_records, player_chunk, player_session, records_of
+from helpers import cdn_chunk, make_records, player_chunk, player_session, records_of, row
 from repro.api import run
 from repro.faults import FaultEvent, FaultSpec
 from repro.obs.manifest import dump_json
@@ -32,6 +32,7 @@ from repro.telemetry.columnar import (
     array_to_records,
     iter_records,
     records_to_array,
+    rows_to_array,
     sort_array,
     sort_key,
 )
@@ -216,6 +217,40 @@ class TestColumnarRoundTrip:
         assert first.session_id == "s0000"
 
 
+class TestRowEncoder:
+    """``rows_to_array`` is the one column encoder: the collector's runs
+    and ``records_to_array`` both go through it."""
+
+    @pytest.mark.parametrize("kind", SPILL_KINDS)
+    def test_rows_encode_like_records(self, faulted_dataset, kind):
+        records = _shuffled_with_duplicate_keys(
+            kind, _kind_records(faulted_dataset, kind), seed=5
+        )
+        array = rows_to_array(kind, [row(record) for record in records])
+        assert array.tobytes() == records_to_array(kind, records).tobytes()
+        assert array.tobytes() == _rowwise_records_to_array(kind, records).tobytes()
+
+    @pytest.mark.parametrize("widths", [(7,), (9,), (8, 7), (7, 8), (8, 9, 8)])
+    def test_row_of_the_wrong_width_raises(self, widths):
+        values = row(player_session())
+        rows = [values[:width] if width <= 8 else values + ("extra",) for width in widths]
+        with pytest.raises(ValueError, match="rows hold 8 values") as raised:
+            rows_to_array("player_sessions", rows)
+        assert not isinstance(raised.value, ColumnOverflowError)
+
+    def test_short_row_raises_when_the_run_is_made(self):
+        collector = TelemetryCollector()
+        collector.add_player_session(row(player_session())[:-1])  # buffered as is
+        with pytest.raises(ValueError, match="rows hold 8 values"):
+            collector.dataset()
+
+    def test_wide_string_row_raises_when_the_run_is_made(self, tmp_path):
+        writer = SpillWriter(tmp_path / "s", threshold_rows=2)
+        writer.add("player_sessions", row(player_session(session="s1")))
+        with pytest.raises(ColumnOverflowError, match="session_id"):
+            writer.add("player_sessions", row(player_session(session="x" * 25)))
+
+
 class TestSpillWriterReader:
     def test_multi_run_spill_equals_canonical_order(self, reference_dataset, tmp_path):
         writer = SpillWriter(tmp_path / "s", threshold_rows=64)
@@ -225,7 +260,7 @@ class TestSpillWriterReader:
             fed[kind] = _kind_records(reference_dataset, kind)
             random.Random(index).shuffle(fed[kind])
             for record in fed[kind]:
-                writer.add(kind, record)
+                writer.add(kind, row(record))
         spilled = writer.finalize()
         manifest = json.loads((tmp_path / "s" / SPILL_MANIFEST_FILENAME).read_text())
         assert manifest["kinds"]["player_chunks"]["rows"] > 64  # several runs
@@ -364,7 +399,7 @@ class TestMemoryModeByteIdentity:
         writer = SpillWriter(tmp_path / "s", threshold_rows=2)
         for kind in SPILL_KINDS:
             for record in records[kind]:
-                writer.add(kind, record)
+                writer.add(kind, row(record))
         spilled = writer.finalize()
         assert len(spilled.run_arrays("player_chunks")) == 2
         dataset = Dataset(**records)
@@ -387,9 +422,7 @@ class TestMemoryModeByteIdentity:
 class TestCollectorModes:
     def test_discard_mode_holds_nothing(self):
         collector = TelemetryCollector(discard=True)
-        collector.add_player_session(
-            PlayerSessionRecord("s", "ip", "ua", 1, 1.0, 0.0, "os", "b")
-        )
+        collector.add_player_session(("s", "ip", "ua", 1, 1.0, 0.0, "os", "b"))
         dataset = collector.dataset()
         assert dataset.n_sessions == 0
 

@@ -56,7 +56,7 @@ from repro.telemetry.columnar import COLUMN_SCHEMAS, SPILL_KINDS, array_to_recor
 from repro.telemetry.dataset import Dataset
 from repro.telemetry.spill import SpilledDataset, SpillWriter
 from repro.telemetry.synth import synthesize_sharded, synthesize_spill
-from helpers import records_of
+from helpers import records_of, row
 from streaming_oracle import (
     FaultScoreAccumulator,
     LocalizationAccumulator,
@@ -301,7 +301,7 @@ def _spill(records_by_kind, directory: Path, threshold_rows: int) -> SpilledData
     writer = SpillWriter(directory, threshold_rows=threshold_rows)
     for kind, records in records_by_kind:
         for record in records:
-            writer.add(kind, record)
+            writer.add(kind, row(record))
     return writer.finalize()
 
 
@@ -701,15 +701,17 @@ class TestSharedEncode:
 
     @pytest.fixture()
     def encodes(self, monkeypatch):
+        # every encoder the dataset and spill modules call: records in
+        # the dataset module, rows in the spill writer
         counts: Counter = Counter()
-        for module in (dataset_module, spill_module):
-            encode = module.records_to_array
+        for module, name in ((dataset_module, "records_to_array"), (spill_module, "rows_to_array")):
+            encode = getattr(module, name)
 
             def counting(kind, records, encode=encode):
                 counts[kind] += 1
                 return encode(kind, records)
 
-            monkeypatch.setattr(module, "records_to_array", counting)
+            monkeypatch.setattr(module, name, counting)
         return counts
 
     def test_filter_and_three_analyses_encode_nothing(self, faulted_dataset, encodes):

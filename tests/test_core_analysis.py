@@ -4,6 +4,7 @@ synthetic records plus ground-truth validation on simulated traces."""
 import numpy as np
 import pytest
 
+from repro.analysis.experiments import common
 from repro.core import (
     decomposition,
     downstack,
@@ -15,7 +16,9 @@ from repro.core import (
     rendering_diag,
 )
 from repro.core.proxy_filter import filter_proxies
+from repro.telemetry.columnar import SPILL_KINDS
 from repro.telemetry.dataset import Dataset
+from repro.telemetry.spill import SpillWriter
 
 from helpers import (
     cdn_chunk,
@@ -27,6 +30,7 @@ from helpers import (
     player_session,
     tcp_snap,
 )
+from proxy_oracle import filter_proxies_records
 
 
 class TestProxyFilter:
@@ -86,6 +90,178 @@ class TestProxyFilter:
         assert report.n_removed > 0
         assert 0.7 < report.kept_fraction < 1.0
         assert len(report.ip_mismatch_sessions) > 0
+
+
+def _shuffled_spill(dataset, directory, threshold_rows=64, seed=0):
+    """*dataset* spilled from a seeded shuffle of each kind's rows, so
+    its sorted runs interleave and a session's rows span runs."""
+    writer = SpillWriter(directory, threshold_rows=threshold_rows)
+    rng = np.random.default_rng(seed)
+    for kind in SPILL_KINDS:
+        for array in dataset.run_arrays(kind):
+            shuffled = array[rng.permutation(len(array))]
+            for start in range(0, len(shuffled), 16):
+                writer.add_array(kind, shuffled[start : start + 16])
+    return writer.finalize()
+
+
+def _assert_filter_matches_oracle(dataset, **kwargs):
+    """The columnar filter and the record oracle agree on *dataset*: equal
+    reports (whose sets hold ``str``) and equal filtered datasets."""
+    filtered, report = filter_proxies(dataset, **kwargs)
+    expected_filtered, expected_report = filter_proxies_records(dataset, **kwargs)
+    assert report == expected_report
+    for ids in (
+        report.ip_mismatch_sessions,
+        report.ua_mismatch_sessions,
+        report.mega_ip_sessions,
+        report.mega_ips,
+    ):
+        assert all(type(value) is str for value in ids)
+    assert filtered == expected_filtered
+    return report
+
+
+def _mismatches():
+    records = make_records(2)
+    for i in (2, 3, 4):
+        sid = f"s{i}"
+        records["player_sessions"].append(player_session(session=sid))
+        records["cdn_sessions"].append(cdn_session(session=sid))
+        records["player_chunks"].append(player_chunk(session=sid))
+    records["cdn_sessions"][1] = cdn_session(session="s2", client_ip="198.51.100.7")
+    records["cdn_sessions"][2] = cdn_session(session="s3", user_agent="ProxyBot/1.0")
+    records["cdn_sessions"][3] = cdn_session(
+        session="s4", client_ip="198.51.100.8", user_agent="ProxyBot/2.0"
+    )
+    return records
+
+
+def _mega_ip():
+    # 25 sessions behind one IP, an hour of media each inside a one-minute
+    # start spread, next to a clean session on another IP
+    records = make_records(2)
+    for i in range(25):
+        sid = f"m{i:02d}"
+        records["player_sessions"].append(
+            player_session(session=sid, client_ip="203.0.113.5", start_ms=i * 2_000.0)
+        )
+        records["cdn_sessions"].append(cdn_session(session=sid, client_ip="203.0.113.5"))
+        for chunk in range(3):
+            records["player_chunks"].append(
+                player_chunk(session=sid, chunk=chunk, chunk_duration_ms=1_200_000.0 + 0.1 * i)
+            )
+    return records
+
+
+def _duplicate_rows():
+    # the last player row of an id is its beacon; every CDN row counts,
+    # toward its IP's session count and media (s2's two rows make three
+    # on one IP)
+    records = make_records(3)
+    records["player_chunks"] = [
+        player_chunk(chunk=i, chunk_duration_ms=1_500_000.0) for i in range(3)
+    ]
+    records["player_sessions"].append(player_session(client_ip="192.0.2.1"))
+    records["player_sessions"].append(player_session(session="s2", client_ip="192.0.2.9"))
+    records["player_sessions"].append(player_session(session="s2"))
+    records["cdn_sessions"].append(cdn_session(session="s2"))
+    records["cdn_sessions"].append(cdn_session(session="s2", user_agent="ProxyBot/1.0"))
+    records["player_chunks"] += [player_chunk(session="s2", chunk=0)] * 2
+    return records
+
+
+def _cdn_row_without_beacon():
+    # CDN sessions whose beacons were lost still count toward their IP:
+    # three of them carry all the media of 203.0.113.77
+    records = _mega_ip()
+    records["player_sessions"].append(player_session(session="b0", client_ip="203.0.113.77"))
+    records["cdn_sessions"].append(cdn_session(session="b0", client_ip="203.0.113.77"))
+    records["player_chunks"].append(player_chunk(session="b0"))
+    for i in range(3):
+        sid = f"ghost{i}"
+        records["cdn_sessions"].append(cdn_session(session=sid, client_ip="203.0.113.77"))
+        records["player_chunks"].append(
+            player_chunk(session=sid, chunk_duration_ms=3_600_000.0)
+        )
+    return records
+
+
+class TestProxyFilterOracle:
+    """``filter_proxies`` reads columns; the record oracle
+    (``tests/proxy_oracle.py``) is its specification."""
+
+    @pytest.mark.parametrize(
+        "build",
+        [_mismatches, _mega_ip, _duplicate_rows, _cdn_row_without_beacon, empty_records],
+    )
+    @pytest.mark.parametrize(
+        "kwargs", [{}, {"media_budget_factor": 50.0}, {"min_sessions_for_mega_ip": 3}]
+    )
+    def test_crafted_datasets_in_memory_and_spilled(self, build, kwargs, tmp_path):
+        dataset = Dataset(**build())
+        report = _assert_filter_matches_oracle(dataset, **kwargs)
+        spilled = _shuffled_spill(dataset, tmp_path / "s", threshold_rows=4)
+        assert _assert_filter_matches_oracle(spilled, **kwargs) == report
+
+    def test_crafted_datasets_exercise_every_rule(self):
+        mismatches = filter_proxies(Dataset(**_mismatches()))[1]
+        assert mismatches.ip_mismatch_sessions == {"s2", "s4"}
+        assert mismatches.ua_mismatch_sessions == {"s3", "s4"}
+        mega = filter_proxies(Dataset(**_mega_ip()))[1]
+        assert mega.mega_ips == {"203.0.113.5"} and len(mega.mega_ip_sessions) == 25
+        duplicates = filter_proxies(Dataset(**_duplicate_rows()))[1]
+        assert duplicates.ip_mismatch_sessions == {"s1"}
+        assert duplicates.ua_mismatch_sessions == {"s2"}
+        assert duplicates.n_kept_sessions == 0 and duplicates.n_input_sessions == 4
+        assert not duplicates.mega_ips
+        rows_count = filter_proxies(Dataset(**_duplicate_rows()), min_sessions_for_mega_ip=3)[1]
+        assert rows_count.mega_ips == {"10.0.0.1"}
+        ghosts = filter_proxies(Dataset(**_cdn_row_without_beacon()), min_sessions_for_mega_ip=3)[1]
+        assert ghosts.mega_ips == {"203.0.113.5", "203.0.113.77"}
+        assert {"b0", "ghost0", "ghost1", "ghost2"} <= ghosts.mega_ip_sessions
+
+    def test_media_sums_add_in_canonical_order(self):
+        # One IP, 20 sessions: s00 watches 1e16 ms and then sixteen 1 ms
+        # chunks, the rest one 1 ms chunk each.  Adding in row order, as
+        # the oracle does, every +1.0 rounds away and the IP's sum stays
+        # 1e16; any order that adds the small chunks together first (a
+        # reversed or pairwise sum, per session or per IP) reaches
+        # 1e16 + 16 or more.  A budget of 1e16 + 10 lies between.
+        records = empty_records()
+        for i in range(20):
+            sid = f"s{i:02d}"
+            records["player_sessions"].append(player_session(session=sid))
+            records["cdn_sessions"].append(cdn_session(session=sid))
+            durations = [1e16] + [1.0] * 16 if i == 0 else [1.0]
+            for chunk, duration in enumerate(durations):
+                records["player_chunks"].append(
+                    player_chunk(session=sid, chunk=chunk, chunk_duration_ms=duration)
+                )
+        factor = (1e16 + 10.0) / 3_600_000.0
+        assert 1e16 < factor * 3_600_000.0 < 1e16 + 16.0
+        dataset = Dataset(**records)
+        report = _assert_filter_matches_oracle(dataset, media_budget_factor=factor)
+        assert not report.mega_ips
+
+    @pytest.mark.parametrize("seed", [7, 8])
+    def test_tiny_simulations_in_memory_and_spilled(self, seed, tmp_path):
+        dataset = common.standard_result("tiny", seed).dataset
+        report = _assert_filter_matches_oracle(dataset)
+        assert report.n_removed > 0
+        spilled = _shuffled_spill(dataset, tmp_path / "s", threshold_rows=512, seed=seed)
+        assert len(spilled.run_arrays("player_chunks")) > 1
+        assert _assert_filter_matches_oracle(spilled) == report
+
+    def test_small_simulation_in_memory_and_spilled(self, small_result, tmp_path):
+        # with a tighter budget the volume rule fires on simulated IPs too
+        tight = {"media_budget_factor": 0.02, "min_sessions_for_mega_ip": 3}
+        spilled = _shuffled_spill(small_result.dataset, tmp_path / "s", threshold_rows=4096)
+        for kwargs in ({}, tight):
+            report = _assert_filter_matches_oracle(small_result.dataset, **kwargs)
+            assert report.ip_mismatch_sessions
+            assert bool(report.mega_ips) == bool(kwargs)
+            assert _assert_filter_matches_oracle(spilled, **kwargs) == report
 
 
 class TestDecomposition:

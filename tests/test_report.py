@@ -33,6 +33,13 @@ class TestReportContainer:
         assert "[PASS] A" in text
 
 
+@pytest.fixture(scope="module")
+def medium_report(medium_dataset):
+    """Table 1 of the medium simulation without geography, evaluated once
+    for the tests that read it."""
+    return evaluate_key_findings(medium_dataset)
+
+
 class TestEvaluateOnSimulation:
     def test_thirteen_findings_with_geography(self, medium_result, medium_dataset):
         pop_locations = {p.pop_id: p.location for p in medium_result.deployment.pops}
@@ -40,18 +47,18 @@ class TestEvaluateOnSimulation:
         assert len(report.checks) == 13
         assert report.all_passed, str(report)
 
-    def test_twelve_findings_without_geography(self, medium_dataset):
-        report = evaluate_key_findings(medium_dataset)
+    def test_twelve_findings_without_geography(self, medium_report):
+        report = medium_report
         ids = {c.finding_id for c in report.checks}
         assert "NET-1" not in ids
         assert len(report.checks) == 12
 
-    def test_every_check_carries_evidence(self, medium_dataset):
-        report = evaluate_key_findings(medium_dataset)
+    def test_every_check_carries_evidence(self, medium_report):
+        report = medium_report
         assert all(check.evidence for check in report.checks)
 
-    def test_finding_ids_match_table1_layout(self, medium_dataset):
-        report = evaluate_key_findings(medium_dataset)
+    def test_finding_ids_match_table1_layout(self, medium_report):
+        report = medium_report
         ids = [c.finding_id for c in report.checks]
         assert [i for i in ids if i.startswith("CDN")] == [
             "CDN-1",

@@ -1,14 +1,35 @@
 """Unit and integration tests for the simulation layer."""
 
+from collections import Counter
+
 import numpy as np
 import pytest
 
 from repro.api import run
 from repro.cdn.cache import CacheStatus
+from repro.faults import FaultEvent, FaultSpec
+from repro.simulation import session as session_module
 from repro.simulation.config import SimulationConfig
 from repro.simulation.controlled import run_controlled_rendering_experiment
 from repro.simulation.driver import Simulator
 from repro.telemetry.collector import TelemetryCollector
+from repro.telemetry.columnar import COLUMN_SCHEMAS, SPILL_KINDS, ColumnOverflowError
+
+#: every collector method the session actor emits through
+_EMIT_METHODS = (
+    "add_player_chunk",
+    "add_cdn_chunk",
+    "add_tcp_snapshot",
+    "add_tcp_snapshots",
+    "add_player_session",
+    "add_cdn_session",
+    "add_ground_truth",
+)
+
+_DEGRADED = FaultSpec(
+    name="degraded",
+    events=(FaultEvent("deg", "server-degraded", 0.0, 1e12, 6.0, server_fraction=0.5),),
+)
 
 
 class TestPeriodRunner:
@@ -20,17 +41,60 @@ class TestPeriodRunner:
         # records arrive: at the measured period's collector.
         server_ids = []
         add = TelemetryCollector.add_cdn_session
+        server_id = COLUMN_SCHEMAS["cdn_sessions"].field_names.index("server_id")
 
-        def recording(collector, record):
+        def recording(collector, row):
             if not collector.discard:
-                server_ids.append(record.server_id)
-            add(collector, record)
+                server_ids.append(row[server_id])
+            add(collector, row)
 
         monkeypatch.setattr(TelemetryCollector, "add_cdn_session", recording)
         Simulator(SimulationConfig(n_sessions=40, n_servers=12, seed=11)).run()
         assert len(server_ids) == 40
         assert len(set(server_ids)) > 1
         assert server_ids == sorted(server_ids)
+
+
+class TestRowPath:
+    """The actor emits rows, never record objects, and emits nothing to
+    the warmup's discarding collector."""
+
+    def test_simulation_builds_no_record_objects(self, monkeypatch):
+        def refuse(record, *args, **kwargs):
+            raise AssertionError(f"{type(record).__name__} built while simulating")
+
+        for schema in COLUMN_SCHEMAS.values():
+            monkeypatch.setattr(schema.record_type, "__init__", refuse)
+        config = SimulationConfig(n_sessions=30, warmup_sessions=20, seed=5)
+        dataset = run(config, faults=_DEGRADED).dataset
+        for kind in SPILL_KINDS:
+            (array,) = dataset.run_arrays(kind)
+            assert len(array) > 0, kind
+        assert any(array["fault_labels"])
+
+    def test_warmup_calls_no_collector_method(self, monkeypatch):
+        calls = Counter()
+        for name in _EMIT_METHODS:
+            method = getattr(TelemetryCollector, name)
+
+            def spy(collector, rows, method=method, name=name):
+                calls[collector.discard, name] += 1
+                return method(collector, rows)
+
+            monkeypatch.setattr(TelemetryCollector, name, spy)
+        config = SimulationConfig(n_sessions=20, warmup_sessions=40, seed=5)
+        dataset = Simulator(config).run().dataset
+        assert not [key for key in calls if key[0]], calls
+        assert calls[False, "add_player_session"] == calls[False, "add_cdn_session"] == 20
+        for name in ("add_player_chunk", "add_cdn_chunk", "add_tcp_snapshots", "add_ground_truth"):
+            assert calls[False, name] == dataset.n_chunks, name
+
+    def test_wide_fault_label_raises_when_the_run_is_encoded(self, monkeypatch):
+        # ground truth carries the actor's merged labels into an S160 column
+        monkeypatch.setattr(session_module, "merge_labels", lambda *labels: "x" * 161)
+        config = SimulationConfig(n_sessions=10, warmup_sessions=0, seed=5)
+        with pytest.raises(ColumnOverflowError, match="fault_labels.* 161 bytes"):
+            run(config, faults=_DEGRADED)
 
 
 class TestConfig:

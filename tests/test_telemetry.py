@@ -9,6 +9,7 @@ from helpers import (
     make_records,
     player_chunk,
     player_session,
+    row,
     tcp_snap,
 )
 from repro.telemetry.collector import TelemetryCollector
@@ -142,13 +143,13 @@ class TestDatasetJoin:
 class TestCollector:
     def test_collects_all_record_types(self):
         collector = TelemetryCollector()
-        collector.add_player_session(player_session())
-        collector.add_cdn_session(cdn_session())
-        collector.add_player_chunk(player_chunk())
-        collector.add_cdn_chunk(cdn_chunk())
-        collector.add_tcp_snapshot(tcp_snap())
+        collector.add_player_session(row(player_session()))
+        collector.add_cdn_session(row(cdn_session()))
+        collector.add_player_chunk(row(player_chunk()))
+        collector.add_cdn_chunk(row(cdn_chunk()))
+        collector.add_tcp_snapshot(row(tcp_snap()))
         collector.add_ground_truth(
-            ChunkGroundTruth("s1", 0, 5.0, 60.0, False, 100, 0, 0.0, 900.0)
+            row(ChunkGroundTruth("s1", 0, 5.0, 60.0, False, 100, 0, 0.0, 900.0))
         )
         dataset = collector.dataset()
         assert dataset.n_sessions == 1
@@ -158,15 +159,15 @@ class TestCollector:
     def test_ground_truth_opt_out(self):
         collector = TelemetryCollector(record_ground_truth=False)
         collector.add_ground_truth(
-            ChunkGroundTruth("s1", 0, 5.0, 60.0, False, 100, 0, 0.0, 900.0)
+            row(ChunkGroundTruth("s1", 0, 5.0, 60.0, False, 100, 0, 0.0, 900.0))
         )
         assert collector.dataset().ground_truth == ()
 
     def test_dataset_snapshot_is_copy(self):
         collector = TelemetryCollector()
-        collector.add_player_chunk(player_chunk())
+        collector.add_player_chunk(row(player_chunk()))
         dataset = collector.dataset()
-        collector.add_player_chunk(player_chunk(chunk=1))
+        collector.add_player_chunk(row(player_chunk(chunk=1)))
         assert dataset.n_chunks == 1
 
 
