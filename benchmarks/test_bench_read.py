@@ -18,10 +18,10 @@ drift.  Wall times land in the ``read-path`` trajectory of
 
 The public tier times the three public analyses on one freshly opened
 spill of the same 50k sessions, against the same three calls each on
-its own fresh open.  One object answers ``score_fault_localization``
-from the cascade pass ``diagnose_dataset`` memoized on it, so it joins
-twice where separate objects join three times.  It asserts the results
-are identical, requires the shared object to be at least
+its own fresh open.  On one object the first call, ``summarize``, runs
+the one cascade pass and memoizes all three results, so the object
+joins once where separate objects join three times.  It asserts the
+results are identical, requires the shared object to be at least
 ``MIN_PUBLIC_SPEEDUP`` times faster, and records the best of
 ``PUBLIC_REPEATS`` as ``read-path-public``.
 
@@ -82,10 +82,11 @@ MEMORY_WARMUP = 500
 MEMORY_REPEATS = 5
 #: the public tier: timed passes, and the floor on the time three calls
 #: on separate opens take over the same calls on one open.  Separately
-#: they run the QoE pass and the cascade pass twice, together the QoE
-#: pass and the cascade pass once: ~1.7x on the development host.
+#: they run the cascade pass three times, together once: 2.9-3.9x in
+#: five runs on the development host, where a second join on the shared
+#: object (a QoE pass before the cascade) read 1.8x.
 PUBLIC_REPEATS = 5
-MIN_PUBLIC_SPEEDUP = 1.25
+MIN_PUBLIC_SPEEDUP = 2.0
 
 
 @pytest.fixture(scope="module")

@@ -16,9 +16,9 @@ rows on the change points of keys that are already sorted.
 analyses fold them into per-analysis states, and ``repro serve`` folds
 each round's blocks into its rolling windows and into the
 :class:`LocalizationState` and :class:`FaultScoreState` it carries across
-rounds.  :func:`analyze_dataset`, behind the three public calls, runs one
-of two pass shapes (QoE only, or the cascade that folds all three
-analyses) and memoizes each shape's results on the dataset.  The
+rounds.  :func:`analyze_dataset`, behind the three public calls, runs
+that one pass — the cascade, which folds all three analyses — at most
+once per dataset object and memoizes its results on it.  The
 per-session spelling of the same analyses — ``session_qoe`` and
 ``diagnose_session`` folded by the accumulators of
 ``tests/streaming_oracle.py`` — is the readable specification and the
@@ -51,7 +51,6 @@ columnar layout it consumes.
 from __future__ import annotations
 
 import copy
-import math
 from collections import Counter
 from typing import Any, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
@@ -60,6 +59,8 @@ import numpy as np
 from ..telemetry.columnar import (
     COLUMN_SCHEMAS,
     ITER_BLOCK_ROWS,
+    SPILL_KINDS,
+    byte_change_points,
     concat_rows,
     session_runs,
     take_rows,
@@ -110,18 +111,25 @@ def _grouped_seq_sum(values: np.ndarray, starts: np.ndarray, counts: np.ndarray)
     ``np.add.reduceat`` would sum each slice pairwise — a different float
     regrouping than ``sum(list)`` / ``matrix.mean(axis=0)`` — so instead
     the k-th element of every group is added in step k, vectorized across
-    groups.  Cost is O(max group size) numpy calls, which the blockwise
-    driver keeps small relative to the rows processed.
+    groups.  The groups are visited largest first, so the groups still
+    adding at step k are a prefix: each step is one slice, one gather and
+    one add.  Cost is O(max group size) numpy calls and O(rows) element
+    work, and the extra memory is O(groups).
     """
-    out_shape = (len(starts),) + values.shape[1:]
-    acc = np.zeros(out_shape, dtype=np.float64)
+    acc = np.zeros((len(starts),) + values.shape[1:], dtype=np.float64)
     if len(starts) == 0 or len(values) == 0:
         return acc
-    max_count = int(counts.max())
-    for k in range(max_count):
-        live = counts > k
-        acc[live] += values[starts[live] + k]
-    return acc
+    order = np.argsort(-counts)
+    # live[k]: how many groups have more than k rows, a prefix of *order*
+    live = len(counts) - np.cumsum(np.bincount(counts))
+    rows = starts[order]
+    for k in range(int(counts.max())):
+        n = live[k]
+        acc[:n] += values[rows[:n]]
+        rows[:n] += 1
+    out = np.empty_like(acc)
+    out[order] = acc
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -132,19 +140,6 @@ def _change_points(values: np.ndarray) -> np.ndarray:
     """True at the first row of every run of equal values in sorted *values*."""
     new = np.ones(len(values), dtype=bool)
     new[1:] = values[1:] != values[:-1]
-    return new
-
-
-def _byte_change_points(values: np.ndarray) -> np.ndarray:
-    """:func:`_change_points` of a contiguous fixed-width bytes column.
-
-    numpy compares ``S`` values byte by byte; viewing each row as
-    unsigned words compares several bytes at a time.
-    """
-    word = np.dtype(f"u{math.gcd(values.dtype.itemsize, 8)}")
-    words = values.view(word).reshape(len(values), -1)
-    new = np.ones(len(values), dtype=bool)
-    new[1:] = (words[1:] != words[:-1]).any(axis=1)
     return new
 
 
@@ -219,11 +214,11 @@ def _merge_parts(
     Runs were stable-sorted at flush, and ``heapq.merge`` resolves ties
     to the earlier stream — which is exactly run order — so a stable
     sort of the run-ordered concatenation on ``(code, chunk_id)``
-    reproduces the global merge order bit-for-bit.  The stable sort
-    finds the parts' sorted stretches, so parts whose session ranges do
-    not overlap cost about one pass.  Snapshots of one ``(session,
-    chunk)`` key keep run order rather than ``t_ms`` order;
-    :func:`_tcp_by_key` reads them without relying on it.
+    reproduces the global merge order bit-for-bit.  Parts whose session
+    ranges do not overlap are already in that order and are not sorted
+    or copied again.  Snapshots of one ``(session, chunk)`` key keep run
+    order rather than ``t_ms`` order; :func:`_tcp_by_key` reads them
+    without relying on it.
     """
     if len(parts) == 1:
         return parts[0]
@@ -234,6 +229,8 @@ def _merge_parts(
     else:
         chunk_id = rows["chunk_id"]
         key = codes * _fuse_factor(n_codes, [chunk_id]) + chunk_id
+    if np.all(key[1:] >= key[:-1]):
+        return rows, codes
     order = np.argsort(key, kind="stable")
     return take_rows(rows, order), codes[order]
 
@@ -241,8 +238,8 @@ def _merge_parts(
 class _BlockPlan:
     """Session-aligned blocks over the universe of player sessions.
 
-    *runs* maps each kind to its sorted runs (``run_arrays``) in run
-    order, the tie-break order :func:`_merge_parts` relies on.
+    *runs* maps every record kind to its sorted runs (``run_arrays``) in
+    run order, the tie-break order :func:`_merge_parts` relies on.
 
     Block ``i`` owns a contiguous slice of the sorted universe.  For
     every run of every kind the session-id column is extracted *once*,
@@ -252,23 +249,23 @@ class _BlockPlan:
     codes each run's slice of a block by session and merges the slices.
     """
 
-    def __init__(self, runs: Dict[str, List[np.ndarray]], kinds: Sequence[str]):
-        self.universe = _session_universe(runs.get("player_sessions", ()))
+    def __init__(self, runs: Dict[str, List[np.ndarray]]):
+        self.universe = _session_universe(runs["player_sessions"])
         n_sids = len(self.universe)
         self.slices: Dict[str, List[Tuple[np.ndarray, np.ndarray, np.ndarray]]] = {}
         if n_sids == 0:
             self.n_blocks = 0
             return
-        total_rows = max(sum(len(r) for r in runs.get(kind, ())) for kind in kinds)
+        total_rows = max(sum(len(r) for r in kind_runs) for kind_runs in runs.values())
         rows_per_session = max(1.0, total_rows / n_sids)
         block_sessions = max(1, int(ITER_BLOCK_ROWS / rows_per_session))
         self.bounds = np.append(np.arange(0, n_sids, block_sessions), n_sids)
         self.n_blocks = len(self.bounds) - 1
         los = self.universe[self.bounds[:-1]]
         his = self.universe[self.bounds[1:] - 1]
-        for kind in kinds:
+        for kind, kind_runs in runs.items():
             entries = []
-            for run in runs.get(kind, ()):
+            for run in kind_runs:
                 col = np.ascontiguousarray(run["session_id"])
                 a = np.searchsorted(col, los, side="left")
                 b = np.searchsorted(col, his, side="right")
@@ -477,7 +474,7 @@ class FaultScoreState:
         labels = block.fault_labels[has_truth]
         # a label holds for long stretches of rows: sort only the first
         # row of each stretch
-        new = _byte_change_points(labels)
+        new = byte_change_points(labels)
         unique_labels, head_inverse = np.unique(
             labels[np.flatnonzero(new)], return_inverse=True
         )
@@ -550,8 +547,7 @@ class JoinedBlock:
     of rows.  ``verdict`` holds the cascade's
     :class:`~repro.core.localization.Bottleneck` codes (enum order) and
     ``fault_labels`` the last-wins ground-truth labels where
-    ``has_truth``; both are zero in a QoE pass, which loads no TCP or
-    ground-truth columns.  Arrays may be read-only views of the
+    ``has_truth``.  Arrays may be read-only views of the
     dataset's runs (rows that needed no copy are handed back as they
     are): treat a block as read-only.
     """
@@ -629,7 +625,7 @@ def _tcp_by_key(tm: np.ndarray, tkey: np.ndarray, jkey: np.ndarray) -> Tuple[np.
     )
 
 
-def _compute_block(plan: _BlockPlan, index: int, cascade: bool) -> Optional[JoinedBlock]:
+def _compute_block(plan: _BlockPlan, index: int) -> Optional[JoinedBlock]:
     ps, ps_code = plan.block("player_sessions", index)
     cs, cs_code = plan.block("cdn_sessions", index)
     # every session of the block's universe slice has a player row, so
@@ -641,9 +637,7 @@ def _compute_block(plan: _BlockPlan, index: int, cascade: bool) -> Optional[Join
     n_kept = int(np.count_nonzero(kept))
     if n_kept == 0:
         return None
-    kinds = ["player_chunks", "cdn_chunks"]
-    if cascade:
-        kinds += ["tcp_snapshots", "ground_truth"]
+    kinds = ("player_chunks", "cdn_chunks", "tcp_snapshots", "ground_truth")
     loaded = [plan.block(kind, index) for kind in kinds]
     if n_kept < len(kept):
         # drop the rows of sessions without a CDN record, renumbering codes
@@ -693,11 +687,6 @@ def _compute_block(plan: _BlockPlan, index: int, cascade: bool) -> Optional[Join
     dfb = np.ascontiguousarray(joined["dfb_ms"])
     dlb = np.ascontiguousarray(joined["dlb_ms"])
     block.download_ms = dfb + dlb
-    if not cascade:
-        block.verdict = np.zeros(n, dtype=np.int64)
-        block.has_truth = np.zeros(n, dtype=bool)
-        block.fault_labels = np.zeros(n, dtype=COLUMN_SCHEMAS["ground_truth"].dtype["fault_labels"])
-        return block
 
     # -- per-chunk TCP aggregates -------------------------------------------
     has_tcp, last_srtt, last_cwnd, last_mss, srtt_min, rto, has_pos = _tcp_by_key(
@@ -740,7 +729,8 @@ def _compute_block(plan: _BlockPlan, index: int, cascade: bool) -> Optional[Join
     )
 
     # -- Eq. 4 per-session outlier statistics -------------------------------
-    qualified = has_tcp & (last_srtt > 0)
+    # a chunk without a positive last-byte delay has no rate: not an Eq. 4 row
+    qualified = has_tcp & (last_srtt > 0) & (dlb > 0)
     idx_q = np.flatnonzero(qualified)
     transient_flag = np.zeros(n, dtype=bool)
     if len(idx_q):
@@ -758,24 +748,19 @@ def _compute_block(plan: _BlockPlan, index: int, cascade: bool) -> Optional[Join
             ],
             axis=1,
         )
-        # inf TP_inst rows propagate nan through mean/std exactly like the
-        # oracle; nan comparisons are False either way
-        with np.errstate(invalid="ignore"):
-            mu = _grouped_seq_sum(features, q_starts, q_counts) / q_counts[:, None]
-            diff = features - mu[q_inv]
-            sigma = np.sqrt(
-                _grouped_seq_sum(diff * diff, q_starts, q_counts) / q_counts[:, None]
-            )
-            mu_r = mu[q_inv]
-            sg_r = sigma[q_inv]
-            eligible = q_counts[q_inv] >= _MIN_EQ4_CHUNKS
-            high_dfb = (features[:, 0] > mu_r[:, 0] + 2.0 * sg_r[:, 0]) & (sg_r[:, 0] > 0)
-            high_tp = (features[:, 1] > mu_r[:, 1] + 2.0 * sg_r[:, 1]) & (sg_r[:, 1] > 0)
-            normal_net = (
-                (features[:, 2] < mu_r[:, 2] + sg_r[:, 2])
-                & (features[:, 3] < mu_r[:, 3] + sg_r[:, 3])
-                & (features[:, 4] < mu_r[:, 4] + sg_r[:, 4])
-            )
+        mu = _grouped_seq_sum(features, q_starts, q_counts) / q_counts[:, None]
+        diff = features - mu[q_inv]
+        sigma = np.sqrt(_grouped_seq_sum(diff * diff, q_starts, q_counts) / q_counts[:, None])
+        mu_r = mu[q_inv]
+        sg_r = sigma[q_inv]
+        eligible = q_counts[q_inv] >= _MIN_EQ4_CHUNKS
+        high_dfb = (features[:, 0] > mu_r[:, 0] + 2.0 * sg_r[:, 0]) & (sg_r[:, 0] > 0)
+        high_tp = (features[:, 1] > mu_r[:, 1] + 2.0 * sg_r[:, 1]) & (sg_r[:, 1] > 0)
+        normal_net = (
+            (features[:, 2] < mu_r[:, 2] + sg_r[:, 2])
+            & (features[:, 3] < mu_r[:, 3] + sg_r[:, 3])
+            & (features[:, 4] < mu_r[:, 4] + sg_r[:, 4])
+        )
         flagged_rows = idx_q[eligible & high_dfb & high_tp & normal_net]
         if len(flagged_rows):
             # the Eq. 4 flag set holds chunk *ids*, so every joined row
@@ -841,18 +826,6 @@ _STATE_FACTORIES = {
     "faultscore": FaultScoreState,
 }
 
-#: the record kinds a QoE-only pass reads; the cascade pass also reads
-#: TCP snapshots and ground truth
-_QOE_KINDS = ("player_sessions", "cdn_sessions", "player_chunks", "cdn_chunks")
-
-#: the two pass shapes of :func:`analyze_dataset`: the analyses each
-#: folds, and the record kinds it reads
-_PASSES = {
-    "qoe": (("qoe",), _QOE_KINDS),
-    "cascade": (ANALYSIS_KINDS, _QOE_KINDS + ("tcp_snapshots", "ground_truth")),
-}
-
-
 def _checked(analyses: Iterable[str]) -> Tuple[str, ...]:
     """*analyses* as a tuple; an unknown name raises ``ValueError``."""
     requested = tuple(analyses)
@@ -864,24 +837,28 @@ def _checked(analyses: Iterable[str]) -> Tuple[str, ...]:
     return requested
 
 
-def _shape(analyses: Iterable[str]) -> str:
-    """The pass shape that computes *analyses*: ``"qoe"`` or ``"cascade"``."""
-    return "cascade" if set(analyses) - {"qoe"} else "qoe"
+def iter_joined_blocks(dataset: Any, metrics: Optional[Any] = None) -> Iterator[JoinedBlock]:
+    """The joined, diagnosed blocks of *dataset*, in session order.
 
+    The one pass shape: it reads every record kind, joins player and CDN
+    rows, and runs the localization cascade on TCP snapshots and ground
+    truth, so each block feeds QoE, localization and the fault score
+    alike.  Blocks with no kept session are skipped.  Each block runs —
+    the consumer's work on it included — inside an ``analysis.block``
+    span of *metrics* and is counted in its ``analysis.*_total``
+    counters.  Nothing is memoized: every call joins.
+    """
+    from .. import obs
 
-def _planned_blocks(
-    runs: Dict[str, List[np.ndarray]], shape: str, registry: Any
-) -> Iterator[JoinedBlock]:
-    """The joined blocks of the *shape* pass over *runs*, each in an
-    ``analysis.block`` span of *registry* and counted in its
-    ``analysis.*_total`` counters."""
+    registry = metrics if metrics is not None else obs.MetricsRegistry()
     blocks_total = registry.counter("analysis.blocks_total")
     sessions_total = registry.counter("analysis.sessions_total")
     chunks_total = registry.counter("analysis.chunks_total")
-    plan = _BlockPlan(runs, _PASSES[shape][1])
+    # the cascade reads every record kind
+    plan = _BlockPlan({kind: dataset.run_arrays(kind) for kind in SPILL_KINDS})
     for i in range(plan.n_blocks):
         with registry.span("analysis.block"):
-            block = _compute_block(plan, i, shape == "cascade")
+            block = _compute_block(plan, i)
             blocks_total.inc()
             if block is None:
                 continue
@@ -891,84 +868,45 @@ def _planned_blocks(
             del block  # build the next block without holding this one
 
 
-def iter_joined_blocks(
-    dataset: Any,
-    analyses: Iterable[str] = ANALYSIS_KINDS,
-    metrics: Optional[Any] = None,
-) -> Iterator[JoinedBlock]:
-    """The joined blocks of *dataset*, in session order.
-
-    A QoE-only request reads sessions and chunks and leaves ``verdict``
-    and ``fault_labels`` zero; any other request runs the cascade pass,
-    which also reads TCP snapshots and ground truth.  Blocks with no
-    kept session are skipped.  Each block runs — the consumer's work on
-    it included — inside an ``analysis.block`` span of *metrics* and is
-    counted in its ``analysis.*_total`` counters.  Nothing is memoized:
-    every call joins.
-    """
-    from .. import obs
-
-    shape = _shape(analyses)
-    registry = metrics if metrics is not None else obs.MetricsRegistry()
-    runs = {kind: dataset.run_arrays(kind) for kind in _PASSES[shape][1]}
-    yield from _planned_blocks(runs, shape, registry)
-
-
-def _fold(names: Sequence[str], blocks: Iterator[JoinedBlock]) -> Dict[str, Any]:
-    """One state per analysis in *names*, fed every block; their results."""
-    states = {name: _STATE_FACTORIES[name]() for name in names}
-    for block in blocks:
-        for state in states.values():
-            state.update(block)
-        del block  # not held while the next block is built
-    return {name: state.result() for name, state in states.items()}
-
-
 def analyze_dataset(
     dataset: Any,
     analyses: Iterable[str] = ANALYSIS_KINDS,
     metrics: Optional[Any] = None,
 ) -> Dict[str, Any]:
-    """*analyses* over *dataset*, from one of two memoized pass shapes.
+    """*analyses* over *dataset*, from its one memoized pass.
 
     Returns ``{name: result}`` with each result bit-identical to its
-    per-session oracle (``tests/streaming_oracle.py``).  A QoE-only
-    request runs the QoE pass, which reads sessions and chunks only; any
-    other request runs the cascade pass, which also reads TCP snapshots
-    and ground truth and folds QoE, localization and the fault score
-    together.  Each pass's results are memoized on *dataset*, so
-    ``summarize``, ``diagnose_dataset`` and ``score_fault_localization``
-    on one dataset join it at most twice, and a QoE request is also
-    answered by a cascade pass.  Every dataset is a snapshot — a
+    per-session oracle (``tests/streaming_oracle.py``).  Whatever is
+    requested, the first call on *dataset* runs the cascade pass, which
+    folds QoE, localization and the fault score together, and memoizes
+    all three results on *dataset*; so ``summarize``,
+    ``diagnose_dataset`` and ``score_fault_localization`` on one dataset
+    join it once, in any order.  Every dataset is a snapshot — a
     :class:`~repro.telemetry.dataset.Dataset` never changes, and a
     :class:`~repro.telemetry.spill.SpilledDataset` reads a sealed spill
-    (reopen the spill to read it again) — so a memo lasts as long as the
-    object.  A memo hit runs no block, opens no span and counts nothing;
-    with *metrics* None it publishes an empty registry.  Every call
-    returns its own copies, and a pass that raises memoizes nothing.
+    (reopen the spill to read it again) — so the memo lasts as long as
+    the object.  A memo hit runs no block, opens no span and counts
+    nothing; with *metrics* None it publishes an empty registry.  Every
+    call returns its own copies, and a pass that raises memoizes
+    nothing.
     """
     from .. import obs
 
     requested = _checked(analyses)
-    shape = _shape(requested)
-    memo: Dict[str, Dict[str, Any]] = vars(dataset).setdefault("_analysis", {})
-    answered_by = ("qoe", "cascade") if shape == "qoe" else ("cascade",)
-    for name in answered_by:
-        results = memo.get(name)
-        if results is not None:
-            if metrics is None:
-                obs.publish_last_run(obs.MetricsRegistry())
-            return {key: copy.deepcopy(results[key]) for key in requested}
-
-    folded, kinds = _PASSES[shape]
     registry = metrics if metrics is not None else obs.MetricsRegistry()
-    with registry.span("analysis.read"):
-        runs = {kind: dataset.run_arrays(kind) for kind in kinds}
-        results = _fold(folded, _planned_blocks(runs, shape, registry))
-    memo[shape] = results
+    results = vars(dataset).get("_analysis")
+    if results is None:
+        with registry.span("analysis.read"):
+            states = {name: _STATE_FACTORIES[name]() for name in ANALYSIS_KINDS}
+            for block in iter_joined_blocks(dataset, metrics=registry):
+                for state in states.values():
+                    state.update(block)
+                del block  # not held while the next block is built
+            results = {name: state.result() for name, state in states.items()}
+        vars(dataset)["_analysis"] = results
     if metrics is None:
         obs.publish_last_run(registry)
-    return {key: copy.deepcopy(results[key]) for key in requested}
+    return {name: copy.deepcopy(results[name]) for name in requested}
 
 
 def analyze_datasets(
@@ -994,7 +932,7 @@ def analyze_datasets(
     with registry.span("analysis.read"):
         for dataset in datasets:
             own = _QoeState()
-            for block in iter_joined_blocks(dataset, requested, metrics=registry):
+            for block in iter_joined_blocks(dataset, metrics=registry):
                 own.update(block)
                 for state in states.values():
                     state.update(block)

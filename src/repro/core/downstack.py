@@ -53,9 +53,10 @@ def instantaneous_throughput_kbps(chunk: JoinedChunk) -> float:
 
 
 def _chunk_features(chunk: JoinedChunk) -> Optional[Tuple[float, float, float, float, float]]:
-    """(D_FB, TP_inst, SRTT, D_server, CWND) or None without TCP data."""
+    """(D_FB, TP_inst, SRTT, D_server, CWND), or None without TCP data or
+    without a positive last-byte delay (no rate to compare)."""
     last = chunk.last_tcp
-    if last is None or last.srtt_ms <= 0:
+    if last is None or last.srtt_ms <= 0 or chunk.player.dlb_ms <= 0:
         return None
     return (
         chunk.player.dfb_ms,
@@ -71,8 +72,10 @@ def detect_transient_outliers(
 ) -> List[JoinedChunk]:
     """Eq. 4 within one session: chunks buffered by the download stack.
 
-    Requires at least *min_chunks* chunks with TCP data — the statistics
-    are within-session, so short sessions carry no signal.
+    Requires at least *min_chunks* chunks with TCP data and a positive
+    D_LB — the statistics are within-session, so short sessions carry no
+    signal.  A chunk with D_LB <= 0 has no instantaneous throughput, so it
+    is no Eq. 4 row; :func:`transient_signature` still sees it.
     """
     rows: List[Tuple[JoinedChunk, Tuple[float, float, float, float, float]]] = []
     for chunk in session.chunks:

@@ -155,10 +155,10 @@ def score_fault_localization(dataset: Dataset) -> FaultScoreReport:
     path"), bit-identical to the per-session ``FaultScoreAccumulator`` of
     ``tests/streaming_oracle.py``; its state is O(fault classes), so
     spilled datasets score under a flat ceiling and ``repro serve``
-    carries it across rounds.  It runs the cascade pass, memoized on
+    carries it across rounds.  It runs the one cascade pass, memoized on
     *dataset* with the localization and QoE results it also folds, so
-    after ``diagnose_dataset`` on the same object it joins nothing
-    (docs/PERFORMANCE.md "Analyse once").
+    after ``summarize`` or ``diagnose_dataset`` on the same object it
+    joins nothing (docs/PERFORMANCE.md "Analyse once").
     """
     from .columnar_analysis import analyze_dataset
 

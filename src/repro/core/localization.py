@@ -194,10 +194,10 @@ def diagnose_dataset(dataset: Dataset) -> Dict[str, float]:
     every round, bit-identical to folding :func:`diagnose_session` over
     every session (the ``LocalizationAccumulator`` of
     ``tests/streaming_oracle.py``); spilled datasets diagnose under a
-    flat memory ceiling.  It runs the cascade pass, which also folds QoE
-    and the fault score and memoizes all three on *dataset*, so a later
-    ``summarize`` or ``score_fault_localization`` on the same object
-    joins nothing (docs/PERFORMANCE.md "Analyse once").
+    flat memory ceiling.  It runs the one cascade pass, which also folds
+    QoE and the fault score and memoizes all three on *dataset*, so this
+    call, ``summarize`` and ``score_fault_localization`` on one object
+    join it once, in any order (docs/PERFORMANCE.md "Analyse once").
     """
     from .columnar_analysis import analyze_dataset
 

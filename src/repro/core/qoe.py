@@ -109,10 +109,10 @@ def summarize(dataset: Dataset) -> Dict[str, float]:
     (:mod:`~repro.core.columnar_analysis`, docs/PERFORMANCE.md "The read
     path"), for in-memory and spilled datasets alike; folding
     :func:`session_qoe` per session (the ``QoeAccumulator`` of
-    ``tests/streaming_oracle.py``) is its reference spelling.  The result
-    is memoized on *dataset*: a QoE pass, which reads sessions and chunks
-    only, or a cascade pass that ``diagnose_dataset`` or
-    ``score_fault_localization`` already ran on the same object
+    ``tests/streaming_oracle.py``) is its reference spelling.  It runs
+    the one cascade pass, which also folds localization and the fault
+    score and memoizes all three on *dataset*, so whichever of the three
+    calls comes first joins the dataset and the others join nothing
     (docs/PERFORMANCE.md "Analyse once").
     """
     from .columnar_analysis import analyze_dataset

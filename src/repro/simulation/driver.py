@@ -60,6 +60,10 @@ class World:
     deployment: Deployment
 
 
+#: the config fields :func:`build_world` reads for the catalog and population
+_WORLD_FIELDS = ("seed", "n_videos", "zipf_alpha", "bitrate_ladder_kbps", "population")
+
+
 def build_world(config: SimulationConfig) -> World:
     """Construct the catalog, client population and CDN deployment."""
     catalog = generate_catalog(
@@ -272,16 +276,21 @@ class Simulator:
         """A simulator for *config* that continues this one's fleet.
 
         The multi-period runner starts one at every config change (the
-        flash-crowd pattern).  It builds its world from *config* but
-        inherits the servers, the deployment, the clock and the warm
-        state, so its periods continue this run's timeline on the same
-        caches; it builds no fleet of its own.  The inherited servers
-        apply *config*'s fault schedule from here on, the one its
-        sessions stamp as ground truth.  It shares the shard, the clock
-        barrier, the metrics registry and the trace recorder.
+        flash-crowd pattern).  It inherits the servers, the deployment,
+        the clock and the warm state, so its periods continue this run's
+        timeline on the same caches; it builds no fleet of its own.  It
+        keeps this run's catalog and population while the config fields
+        they are built from are unchanged, and builds them from *config*
+        otherwise.  The inherited servers apply *config*'s fault schedule
+        from here on, the one its sessions stamp as ground truth.  It
+        shares the shard, the clock barrier, the metrics registry and the
+        trace recorder.
         """
-        world = build_world(config)
-        world.deployment = self.deployment
+        if all(getattr(config, f) == getattr(self.config, f) for f in _WORLD_FIELDS):
+            world = World(self.catalog, self.population, self.deployment)
+        else:
+            world = build_world(config)
+            world.deployment = self.deployment
         successor = Simulator.__new__(Simulator)
         successor._setup(
             config, self.shard, world, self._clock_sync, self.metrics, self.trace

@@ -4,12 +4,16 @@ The contract under test (docs/TELEMETRY.md): telemetry records are
 byte-identical whichever memory mode produced them — in-memory dataset,
 serial spill, or sharded spill — a dataset is canonical and never
 changes once built, and a corrupt or incompatible spill fails loudly at
-open time, never silently mid-analysis.
+open time, never silently mid-analysis.  The session coder that codes
+and masks rows by session id equals a Python ``groupby``/``bisect``
+spelling.
 """
 
 from __future__ import annotations
 
+import bisect
 import dataclasses
+import itertools
 import json
 import pickle
 import random
@@ -24,15 +28,18 @@ from repro.faults import FaultEvent, FaultSpec
 from repro.obs.manifest import dump_json
 from repro.simulation.config import SimulationConfig
 from repro.simulation.parallel import PeriodSpec, execute_periods
+from repro.telemetry import columnar
 from repro.telemetry.collector import TelemetryCollector
 from repro.telemetry.columnar import (
     COLUMN_SCHEMAS,
     SPILL_KINDS,
     ColumnOverflowError,
     array_to_records,
+    byte_change_points,
     iter_records,
     records_to_array,
     rows_to_array,
+    session_runs,
     sort_array,
     sort_key,
 )
@@ -538,3 +545,103 @@ class TestSyntheticGenerator:
         q, loc = consume(spilled, QoeAccumulator(), LocalizationAccumulator())
         assert q == qoe.summarize(spilled)
         assert loc == diagnose_dataset(spilled)
+
+
+def _session_runs_oracle(ids, sids):
+    """:func:`session_runs` spelled with Python lists: per run of equal
+    ids, its length, its ``bisect_left`` position in *sids*, and whether
+    it is there."""
+    ids, sids = ids.tolist(), sids.tolist()
+    lengths, found, member = [], [], []
+    for sid, run_ in itertools.groupby(ids):
+        position = bisect.bisect_left(sids, sid)
+        lengths.append(len(list(run_)))
+        found.append(position)
+        member.append(position < len(sids) and sids[position] == sid)
+    return lengths, found, member
+
+
+def _id_column(names, width="S24"):
+    """*names* as the ``session_id`` column of a player-chunk array: a
+    strided field view, as the planner hands the coder its run slices."""
+    rows = np.zeros(len(names), dtype=COLUMN_SCHEMAS["player_chunks"].dtype)
+    rows["session_id"] = names
+    column = rows["session_id"]
+    return column if width == "S24" else column.astype(width)
+
+
+class TestSessionCoder:
+    """``session_runs`` equals a Python spelling on both of its paths."""
+
+    UNIVERSE = np.array([b"s-00", b"s-01", b"s-02", b"s-03-with-a-long-id-xx"], dtype="S24")
+
+    @pytest.fixture()
+    def searches(self, monkeypatch):
+        """How often the coder searched *sids*."""
+        calls = []
+        search = np.searchsorted
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return search(*args, **kwargs)
+
+        monkeypatch.setattr(columnar.np, "searchsorted", counting)
+        return calls
+
+    def _assert_oracle(self, ids, sids):
+        lengths, found, member = session_runs(ids, sids)
+        assert (lengths.tolist(), found.tolist(), member.tolist()) == _session_runs_oracle(
+            ids, sids
+        )
+        return found
+
+    @pytest.mark.parametrize("width", ["S24", "contiguous"])
+    def test_every_session_present_codes_without_a_search(self, searches, width):
+        names = [b"s-00", b"s-00", b"s-01", b"s-02", b"s-02", b"s-02", b"s-03-with-a-long-id-xx"]
+        ids = _id_column(names)
+        if width == "contiguous":
+            ids = np.ascontiguousarray(ids)
+        found = self._assert_oracle(ids, self.UNIVERSE)
+        assert found.tolist() == [0, 1, 2, 3]
+        assert searches == []
+
+    @pytest.mark.parametrize(
+        "names",
+        [
+            # a session outside the universe
+            [b"s-00", b"s-01", b"s-01x", b"s-02", b"s-03-with-a-long-id-xx"],
+            # a session of the universe missing
+            [b"s-00", b"s-00", b"s-02", b"s-03-with-a-long-id-xx"],
+            # as many sessions as the universe, one of them outside it
+            [b"s-00", b"s-01", b"s-02", b"s-03-with-a-long-id-xy"],
+            # ids before and after every session of the universe
+            [b"a", b"s-00", b"s-01", b"s-02", b"s-03-with-a-long-id-xx", b"zz"],
+        ],
+    )
+    def test_other_slices_search_each_run_once(self, searches, names):
+        self._assert_oracle(_id_column(names), self.UNIVERSE)
+        assert len(searches) == 1
+
+    def test_other_widths_and_empty_columns(self, searches):
+        names = [b"s-00", b"s-01", b"s-02", b"s-03-with-a-long-id-xx"]
+        # the same ids in a wider column: equal strings, searched
+        self._assert_oracle(_id_column(names, "S32"), self.UNIVERSE)
+        self._assert_oracle(_id_column(names), self.UNIVERSE.astype("S32"))
+        self._assert_oracle(_id_column([]), self.UNIVERSE)
+        self._assert_oracle(_id_column(names), self.UNIVERSE[:0])
+        self._assert_oracle(_id_column([]), self.UNIVERSE[:0])
+
+    @pytest.mark.parametrize("width", [24, 12, 160])
+    def test_byte_change_points_match_value_compares(self, width):
+        rng = random.Random(width)
+        # values differing in their first, middle or last byte only
+        values = sorted(
+            bytes([97] * position + [98 + rng.randrange(2)] + [97] * (width - position - 1))
+            for position in (0, width // 2, width - 1)
+            for _ in range(4)
+        )
+        column = np.array(values, dtype=f"S{width}")
+        expected = [True] + [a != b for a, b in zip(values, values[1:])]
+        assert byte_change_points(column).tolist() == expected
+        assert byte_change_points(column[:1]).tolist() == [True]
+        assert byte_change_points(column[:0]).tolist() == []

@@ -16,12 +16,13 @@ Also pins that an in-memory dataset is encoded once, when it is
 collected: a proxy filter and the three analyses after it encode
 nothing, the arrays are read-only, and analysing never shows in ``==``,
 ``repr`` or pickles.  And the analyse-once rule of ``analyze_dataset``:
-the three public calls on one dataset object run at most a QoE pass and
-a cascade pass, whose memoized results last as long as the object (every
+the three public calls on one dataset object, in any order, run one
+cascade pass, whose memoized results last as long as the object (every
 dataset is a snapshot), are handed out as copies, stay out of pickles,
-and cost a hit no block, span or count.  Identity checks run each pass
-shape on a fresh object, so no memoized result stands in for the pass
-under test.
+and cost a hit no block, span or count.  Identity checks run each call
+on a fresh object, so no memoized result stands in for the pass under
+test.  The sequential grouped sums the pass relies on are checked
+against a Python ``sum`` loop.
 """
 
 from __future__ import annotations
@@ -31,6 +32,7 @@ import json
 import pickle
 import random
 import tempfile
+import warnings
 from collections import Counter
 from pathlib import Path
 from unittest import mock
@@ -43,6 +45,7 @@ from hypothesis import strategies as st
 from repro import obs
 from repro.api import run
 from repro.core import columnar_analysis as ca
+from repro.core import downstack
 from repro.core.faultscore import score_fault_localization
 from repro.core.localization import Bottleneck, diagnose_dataset, diagnose_session
 from repro.core.proxy_filter import filter_proxies
@@ -56,7 +59,7 @@ from repro.telemetry.columnar import COLUMN_SCHEMAS, SPILL_KINDS, array_to_recor
 from repro.telemetry.dataset import Dataset
 from repro.telemetry.spill import SpilledDataset, SpillWriter
 from repro.telemetry.synth import synthesize_sharded, synthesize_spill
-from helpers import records_of, row
+from helpers import cdn_chunk, make_records, player_chunk, records_of, row, tcp_snap
 from streaming_oracle import (
     FaultScoreAccumulator,
     LocalizationAccumulator,
@@ -130,10 +133,10 @@ def _fresh(dataset):
 
 
 def _assert_paths_identical(dataset) -> None:
-    """Per-session oracle vs the columnar passes, each on a fresh object:
-    the cascade pass through ``analyze_dataset``; each public call alone
-    (``summarize`` runs the QoE pass, the other two the cascade pass); and
-    the three public calls after a cascade pass, all memo hits."""
+    """Per-session oracle vs the columnar pass, each on a fresh object:
+    through ``analyze_dataset``; each public call alone (each runs the
+    cascade pass); and the three public calls after a pass, all memo
+    hits."""
     oracle = _oracle(dataset)
     out = ca.analyze_dataset(_fresh(dataset))
     _assert_results_identical(
@@ -235,6 +238,44 @@ class TestByteIdentity:
         blocks = list(ca.iter_joined_blocks(dataset))
         assert len(blocks) > 5
         _assert_paths_identical(dataset)
+
+    def test_chunk_without_last_byte_delay_is_no_eq4_row(self):
+        # chunk 5 is buffered: first-byte delay and rate far above the
+        # session's, connection and server below its mean.  Chunk 2 has
+        # dlb_ms = 0.0 and so no rate: an infinite TP_inst in the Eq. 4
+        # statistics would make every std NaN and hide chunk 5.
+        srtt = [60.0, 62.0, 64.0, 66.0, 68.0, 10.0, 70.0, 72.0]
+        cwnd = [100, 104, 108, 112, 116, 50, 120, 124]
+        records = make_records(8)
+        records["player_chunks"] = [
+            player_chunk(
+                chunk=i,
+                dfb_ms=2000.0 if i == 5 else 100.0,
+                dlb_ms={5: 50.0, 2: 0.0}.get(i, 900.0),
+            )
+            for i in range(8)
+        ]
+        records["cdn_chunks"] = [
+            cdn_chunk(chunk=i, d_read_ms=0.5 if i == 5 else 1.0 + 0.25 * i) for i in range(8)
+        ]
+        records["tcp_snapshots"] = [
+            tcp_snap(chunk=i, srtt_ms=srtt[i], cwnd_segments=cwnd[i]) for i in range(8)
+        ]
+        dataset = Dataset(**records)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            (session,) = dataset.sessions()
+            assert [c.chunk_id for c in downstack.detect_transient_outliers(session)] == [5]
+            # chunk 5's rate stays within 2.5x of its connection's, so only
+            # Eq. 4 names it; chunk 2's infinite rate is the signature
+            assert [downstack.transient_signature(c) for c in session.chunks] == [
+                i == 2 for i in range(8)
+            ]
+            _assert_paths_identical(dataset)
+            _assert_blocks_hold_the_oracle_views(dataset)
+            (block,) = ca.iter_joined_blocks(dataset)
+        stack = list(Bottleneck).index(Bottleneck.CLIENT_DOWNLOAD_STACK)
+        assert np.flatnonzero(block.verdict == stack).tolist() == [2, 5]
 
 
 @pytest.fixture(scope="module")
@@ -542,6 +583,43 @@ class TestMergeShapes:
                 _assert_blocks_hold_the_oracle_views(spilled)
 
 
+def _python_grouped_sums(values, starts, counts):
+    """Per-group column sums, each a Python ``sum`` over the group's rows
+    in row order."""
+    rows = values.reshape(len(values), -1).tolist()
+    width = len(rows[0]) if rows else 1
+    sums = []
+    for start, count in zip(starts.tolist(), counts.tolist()):
+        group = rows[start : start + count]
+        sums.append([sum(column) for column in zip(*group)] if group else [0.0] * width)
+    return np.array(sums, dtype=np.float64).reshape((len(starts),) + values.shape[1:])
+
+
+class TestGroupedSeqSum:
+    """``_grouped_seq_sum`` adds each group's rows in row order, bit for bit."""
+
+    @pytest.mark.parametrize("columns", [(), (3,), (5,)])
+    def test_matches_python_sum(self, columns):
+        rng = np.random.default_rng(len(columns))
+        # empty, single-row and short groups, and a long tail, in mixed order
+        counts = np.array([0, 1, 3, 0, 500, 2, 1, 40, 7, 0], dtype=np.int64)
+        starts = np.concatenate([[0], np.cumsum(counts)[:-1]])
+        # magnitudes spread wide, so any regrouping of the additions shows
+        values = rng.standard_normal((int(counts.sum()),) + columns) * 10.0 ** rng.integers(
+            -8, 9, (int(counts.sum()),) + columns
+        )
+        out = ca._grouped_seq_sum(values, starts, counts)
+        expected = _python_grouped_sums(values, starts, counts)
+        assert out.shape == expected.shape
+        assert out.tobytes() == expected.tobytes()
+
+    def test_no_groups_or_no_rows(self):
+        empty = np.empty(0, dtype=np.int64)
+        assert ca._grouped_seq_sum(np.empty((0, 2)), empty, empty).shape == (0, 2)
+        zeros = ca._grouped_seq_sum(np.empty(0), np.zeros(3, np.int64), np.zeros(3, np.int64))
+        assert zeros.tolist() == [0.0, 0.0, 0.0]
+
+
 class TestFaultScoreState:
     """The fault-score state ``repro serve`` carries across rounds."""
 
@@ -585,13 +663,13 @@ class TestFaultScoreState:
 
 
 def _memo(dataset):
-    """The passes memoized on *dataset*, by shape."""
+    """The results memoized on *dataset*, by analysis."""
     return vars(dataset).get("_analysis", {})
 
 
 class TestPassMemo:
-    """``analyze_dataset`` runs at most two pass shapes per dataset object
-    and memoizes their results on it (docs/PERFORMANCE.md, "Analyse once")."""
+    """``analyze_dataset`` runs one pass per dataset object, the cascade,
+    and memoizes its results on it (docs/PERFORMANCE.md, "Analyse once")."""
 
     @pytest.fixture()
     def joins(self, monkeypatch):
@@ -600,9 +678,9 @@ class TestPassMemo:
         plan = ca._BlockPlan
 
         class CountingPlan(plan):
-            def __init__(self, runs, kinds):
-                passes.append(len(kinds))
-                super().__init__(runs, kinds)
+            def __init__(self, runs, *args):
+                passes.append(len(runs))
+                super().__init__(runs, *args)
 
         monkeypatch.setattr(ca, "_BlockPlan", CountingPlan)
         return passes
@@ -611,18 +689,18 @@ class TestPassMemo:
     def source(self, request, faulted_dataset, finely_spilled):
         return faulted_dataset if request.param == "memory" else finely_spilled
 
-    def test_three_calls_join_twice_or_once_cascade_first(self, source, joins):
+    def test_three_calls_join_once_in_either_order(self, source, joins):
         dataset = _fresh(source)
         results = _public_results(dataset)
-        # the QoE pass reads four kinds, the cascade pass all six
-        assert joins == [4, 6]
+        # one pass, which reads all six kinds
+        assert joins == [6]
         _public_results(dataset)
-        assert joins == [4, 6]
-        cascade_first = _fresh(source)
-        localization = diagnose_dataset(cascade_first)
-        qoe = summarize(cascade_first)
-        faultscore = score_fault_localization(cascade_first)
-        assert joins == [4, 6, 6]
+        assert joins == [6]
+        reversed_order = _fresh(source)
+        faultscore = score_fault_localization(reversed_order)
+        localization = diagnose_dataset(reversed_order)
+        qoe = summarize(reversed_order)
+        assert joins == [6, 6]
         _assert_results_identical((qoe, localization, faultscore), results)
         _assert_results_identical(results, _oracle(source))
 
@@ -646,16 +724,13 @@ class TestPassMemo:
     def test_memo_holds_results_only(self, faulted_dataset, finely_spilled):
         dataset, spilled = _fresh(faulted_dataset), _fresh(finely_spilled)
         for analysed in (dataset, spilled):
-            _public_results(analysed)
+            summarize(analysed)
             memo = _memo(analysed)
-            assert set(memo) == {"qoe", "cascade"}
-            for results in memo.values():
-                # the QoE summary dict, not the per-session arrays behind it
-                assert all(
-                    isinstance(value, (int, float))
-                    for value in results["qoe"].values()
-                )
-                assert len(pickle.dumps(results)) < 4096
+            # one result set: every analysis of the one pass
+            assert set(memo) == set(ca.ANALYSIS_KINDS)
+            # the QoE summary dict, not the per-session arrays behind it
+            assert all(isinstance(value, (int, float)) for value in memo["qoe"].values())
+            assert len(pickle.dumps(memo)) < 4096
 
     def test_memo_stays_out_of_pickles(self, faulted_dataset, finely_spilled):
         dataset, spilled = _fresh(faulted_dataset), _fresh(finely_spilled)

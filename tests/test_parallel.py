@@ -20,6 +20,7 @@ from repro.faults import FaultEvent, FaultSpec
 from repro.obs.manifest import dump_json, metrics_document
 from repro.obs.trace import event_json_line
 from repro.simulation.config import SimulationConfig
+from repro.simulation import driver
 from repro.simulation.driver import Simulator
 from repro.simulation.parallel import (
     ParallelSimulator,
@@ -324,6 +325,35 @@ class TestMultiPeriod:
         assert serial.population.config.seed == base.seed
         assert serial.deployment.pops == sharded.deployment.pops
         assert serial.config == base and sharded.config == base.with_overrides(workers=2)
+
+    @pytest.mark.parametrize(
+        "change, builds",
+        [
+            ({"arrival_rate_per_s": 3.0}, False),
+            ({"faults": EARLY_BROWNOUT}, False),
+            ({"seed": 6}, True),
+            ({"n_videos": 10}, True),
+        ],
+        ids=["arrival-rate", "faults", "seed", "n-videos"],
+    )
+    def test_a_successor_builds_a_world_only_for_a_world_change(
+        self, monkeypatch, change, builds
+    ):
+        base = _config(n_sessions=20, warmup_sessions=20, seed=5)
+        simulator = Simulator(base)
+        built = []
+        build_world = driver.build_world
+        monkeypatch.setattr(
+            driver, "build_world", lambda config: built.append(config) or build_world(config)
+        )
+        successor = simulator.successor(base.with_overrides(**change))
+        if builds:
+            assert built == [successor.config]
+        else:
+            assert built == []
+            assert successor.catalog is simulator.catalog
+            assert successor.population is simulator.population
+        assert successor.deployment is simulator.deployment
 
 
 class TestMultiPeriodSpill:

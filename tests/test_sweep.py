@@ -432,9 +432,9 @@ class TestOutcomeDocument:
         plans = []
 
         class CountingPlan(ca._BlockPlan):
-            def __init__(self, runs, kinds):
-                plans.append(len(kinds))
-                super().__init__(runs, kinds)
+            def __init__(self, runs, *args):
+                plans.append(len(runs))
+                super().__init__(runs, *args)
 
         monkeypatch.setattr(ca, "_BlockPlan", CountingPlan)
         document = outcome_document("flush", list(result.labels), result.datasets)
