@@ -40,8 +40,8 @@ Two invariants drive every line here:
   counters, so a service can carry them across rounds indefinitely; the
   QoE state keeps per-session scalars for its quantiles.
   Works for in-memory :class:`~repro.telemetry.dataset.Dataset` objects,
-  single-directory spills and sharded spills alike: all of them expose
-  ``run_arrays``.  A multi-period run's periods stay separate datasets,
+  single-directory spills and sharded spills alike: all of them are
+  datasets, read through ``run_arrays``.  A multi-period run's periods stay separate datasets,
   and :func:`analyze_datasets` folds them into one set of states.
 
 See docs/PERFORMANCE.md ("The read path") and docs/TELEMETRY.md for the
@@ -211,10 +211,11 @@ def _merge_parts(
 ) -> Tuple[np.ndarray, np.ndarray]:
     """One block's coded parts, listed in run order, merged in key order.
 
-    Runs were stable-sorted at flush, and ``heapq.merge`` resolves ties
-    to the earlier stream — which is exactly run order — so a stable
-    sort of the run-ordered concatenation on ``(code, chunk_id)``
-    reproduces the global merge order bit-for-bit.  Parts whose session
+    Runs were stable-sorted at flush, and the canonical order
+    (:func:`~repro.telemetry.columnar.merge_runs`) is one stable sort of
+    the runs concatenated in run order, so a stable sort of the
+    run-ordered concatenation on ``(code, chunk_id)`` reproduces it
+    bit-for-bit.  Parts whose session
     ranges do not overlap are already in that order and are not sorted
     or copied again.  Snapshots of one ``(session, chunk)`` key keep run
     order rather than ``t_ms`` order; :func:`_tcp_by_key` reads them
@@ -242,11 +243,11 @@ class _BlockPlan:
     run order, the tie-break order :func:`_merge_parts` relies on.
 
     Block ``i`` owns a contiguous slice of the sorted universe.  For
-    every run of every kind the session-id column is extracted *once*,
-    both block boundary vectors are computed with two ``searchsorted``
-    calls, and the column is dropped — peak transient memory is one
-    run's session-id column, not the whole kind's.  :meth:`block` then
-    codes each run's slice of a block by session and merges the slices.
+    every run of every kind both block boundary vectors come from two
+    ``searchsorted`` calls on the run's session-id field view, which
+    copies nothing: planning costs O(blocks) memory per run.
+    :meth:`block` then codes each run's slice of a block by session and
+    merges the slices.
     """
 
     def __init__(self, runs: Dict[str, List[np.ndarray]]):
@@ -266,10 +267,9 @@ class _BlockPlan:
         for kind, kind_runs in runs.items():
             entries = []
             for run in kind_runs:
-                col = np.ascontiguousarray(run["session_id"])
-                a = np.searchsorted(col, los, side="left")
-                b = np.searchsorted(col, his, side="right")
-                del col
+                ids = run["session_id"]
+                a = np.searchsorted(ids, los, side="left")
+                b = np.searchsorted(ids, his, side="right")
                 entries.append((run, a, b))
             self.slices[kind] = entries
 
@@ -883,9 +883,9 @@ def analyze_dataset(
     ``diagnose_dataset`` and ``score_fault_localization`` on one dataset
     join it once, in any order.  Every dataset is a snapshot — a
     :class:`~repro.telemetry.dataset.Dataset` never changes, and a
-    :class:`~repro.telemetry.spill.SpilledDataset` reads a sealed spill
-    (reopen the spill to read it again) — so the memo lasts as long as
-    the object.  A memo hit runs no block, opens no span and counts
+    :class:`~repro.telemetry.spill.SpilledDataset` maps a sealed spill's
+    run files once, at open (reopen the spill to read it again) — so the
+    memo lasts as long as the object.  A memo hit runs no block, opens no span and counts
     nothing; with *metrics* None it publishes an empty registry.  Every
     call returns its own copies, and a pass that raises memoizes
     nothing.

@@ -103,10 +103,10 @@ class SimulationConfig:
     #: None`` check per chunk.  Observational, like the knobs above: the
     #: simulated workload and its telemetry are unchanged.
     trace_sample: float = 0.0
-    #: telemetry memory mode (docs/TELEMETRY.md): None keeps records as
-    #: in-memory Python objects (the classic Dataset); a directory path
-    #: spills sorted columnar runs there and the run yields a
-    #: bounded-memory SpilledDataset over identical records.  Sharded
+    #: telemetry memory mode (docs/TELEMETRY.md): None keeps the sorted
+    #: columnar runs in RAM and merges them into one in-memory Dataset; a
+    #: directory path spills the runs there and the run yields a
+    #: SpilledDataset, memory-mapped, over identical records.  Sharded
     #: runs spill each worker into ``<spill_dir>/shard-<k>``.  Execution
     #: knob: the telemetry records themselves are byte-identical either
     #: way.

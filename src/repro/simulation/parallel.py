@@ -373,8 +373,8 @@ class ParallelSimulator:
             # One period's shards merge in sorted shard order, honouring
             # the memory mode: in-memory shards' arrays are concatenated
             # and stable-sorted once (`Dataset.merge_all`); spilled shards
-            # merge lazily, the facade iterating every shard's runs, with
-            # no row read in the parent (docs/TELEMETRY.md).
+            # merge lazily, one SpilledDataset over every shard's run
+            # files, with no row read in the parent (docs/TELEMETRY.md).
             datasets = []
             for p in range(len(periods)):
                 shards = [outputs[index]["datasets"][p] for index in sorted(outputs)]

@@ -1,9 +1,10 @@
 """Instrumentation records, dataset container, and persistence.
 
-Two storage regimes behind one record facade (docs/TELEMETRY.md):
-in-memory lists of record objects (:class:`Dataset`) and bounded-memory
-columnar spills (:class:`SpilledDataset`).  Record views of both come
-from one join, :meth:`Dataset.sessions`; a spill materializes first.
+One dataset class over sorted columnar runs (docs/TELEMETRY.md): a
+:class:`Dataset` keeps one canonical array per record kind in RAM, and
+its subclass :class:`SpilledDataset` memory-maps the run files of a
+spill.  Record views of both come from one join,
+:meth:`Dataset.sessions`.
 """
 
 from .beacons import export_beacons_csv, import_beacons_csv

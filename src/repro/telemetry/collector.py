@@ -16,9 +16,10 @@ path.  Every row takes one buffered path: per kind, every
 (:class:`~repro.telemetry.spill.SpillWriter`).  The memory mode
 (docs/TELEMETRY.md) is where runs live: in RAM by default, merged into
 one canonical :class:`Dataset` by :meth:`dataset`; on disk with
-``spill_dir`` set, read through the
-:class:`~repro.telemetry.spill.SpilledDataset` facade.  The records are
-identical either way, and canonical: emission order is visible only here.
+``spill_dir`` set, opened as a
+:class:`~repro.telemetry.spill.SpilledDataset`, the dataset over the
+run files.  The records are identical either way, and canonical:
+emission order is visible only here.
 Record objects enter a dataset through ``Dataset(**records)`` instead.
 
 ``discard=True`` drops every row on arrival.  It is the warmup period's
@@ -99,7 +100,7 @@ class TelemetryCollector:
 
         In-memory mode returns the canonical :class:`Dataset` of the kept
         runs; spill mode flushes the tails and the versioned manifest and
-        returns the :class:`SpilledDataset` facade over the same records.
+        returns the :class:`SpilledDataset` over the same records.
         Rows added after this call belong to no dataset.
         """
         return self._writer.finalize()

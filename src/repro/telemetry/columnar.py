@@ -13,10 +13,12 @@ exact, loss-free conversion in both directions:
   and the collector encodes them a sorted run at a time;
 * ``records_to_array`` — record objects → the same encoder, one row per
   record (the loaders and ``Dataset(**records)``);
-* ``iter_records`` / ``array_to_records`` — structured array → record
-  objects, block-wise, producing plain Python scalars (``tolist()``), so a
-  round-tripped record compares ``==`` to the original and JSON-serializes
-  identically.
+* ``iter_rows`` — structured array → rows of plain Python values
+  (``tolist()``, strings decoded), block-wise: what the JSON-lines
+  writer serializes;
+* ``iter_records`` / ``array_to_records`` — the same rows as record
+  objects, so a round-tripped record compares ``==`` to the original
+  and JSON-serializes identically.
 
 String columns are fixed-width UTF-8 bytes (``S`` dtype — 1 byte/char for
 the ASCII identifiers the simulator emits, vs 4 for ``U``).  Widths are
@@ -29,6 +31,7 @@ key columns.
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import math
 from operator import attrgetter
 from typing import Dict, Iterable, Iterator, List, Sequence, Tuple
@@ -54,6 +57,7 @@ __all__ = [
     "records_to_array",
     "array_to_records",
     "iter_records",
+    "iter_rows",
     "take_rows",
     "concat_rows",
     "merge_runs",
@@ -299,30 +303,30 @@ def _encode_strings(kind: str, name: str, width: int, values: Sequence[str]) -> 
     return list(map(encoded.__getitem__, values))
 
 
-def iter_records(
-    kind: str, array: np.ndarray, block_rows: int = ITER_BLOCK_ROWS
-) -> Iterator[object]:
-    """Materialize an array's rows back into record objects, block-wise.
+def iter_rows(kind: str, array: np.ndarray, block_rows: int = ITER_BLOCK_ROWS) -> Iterator[list]:
+    """An array's rows as lists of plain Python values, block-wise.
 
-    ``tolist()`` yields plain Python scalars (int/float/bool/bytes), so
-    the rebuilt records are exactly what the facade emitted — ``==`` to
-    the originals and byte-identical under JSON serialization.  Blocks of
-    *block_rows* (default :data:`ITER_BLOCK_ROWS`) bound the number of
-    live Python objects no matter how large the (possibly memory-mapped)
-    array is; callers merging many arrays at once divide the budget
-    across them (:meth:`~repro.telemetry.spill.SpilledDataset.iter_kind`)
-    so the bound holds per *kind*, not per run.
+    ``tolist()`` yields plain Python scalars (int/float/bool/bytes), and
+    string columns are decoded from UTF-8, so a row holds exactly the
+    values its record carries.  Blocks of *block_rows* bound the number
+    of live Python objects no matter how large the (possibly
+    memory-mapped) array is.
     """
-    schema = COLUMN_SCHEMAS[kind]
-    record_type = schema.record_type
-    decode_indices = [index for index, _, _ in schema.string_fields]
-    block_rows = max(1, block_rows)
+    decode_indices = [index for index, _, _ in COLUMN_SCHEMAS[kind].string_fields]
     for start in range(0, len(array), block_rows):
         for row in array[start : start + block_rows].tolist():
             values = list(row)
             for index in decode_indices:
                 values[index] = values[index].decode("utf-8")
-            yield record_type(*values)
+            yield values
+
+
+def iter_records(kind: str, array: np.ndarray) -> Iterator[object]:
+    """Materialize an array's rows back into record objects, block-wise
+    (:func:`iter_rows`), so the rebuilt records are exactly what the
+    simulator emitted: ``==`` to the originals and byte-identical under
+    JSON serialization."""
+    return itertools.starmap(COLUMN_SCHEMAS[kind].record_type, iter_rows(kind, array))
 
 
 def array_to_records(kind: str, array: np.ndarray) -> List[object]:

@@ -4,14 +4,16 @@
 player through the CDN (at the granularity of chunks).  We implement
 tracing by using a globally unique session ID and per-session chunk IDs."
 (§2.2).  A :class:`Dataset` holds one collection period's telemetry as
-one canonical structured array per record kind
-(:mod:`repro.telemetry.columnar`), the form spills hold it in too.
-:meth:`Dataset.join_chunks` performs the join on record objects decoded
-from those arrays, and :meth:`Dataset.sessions` groups it by session.
-They are the one join that builds record views, in memory and for
-spills alike (:class:`~repro.telemetry.spill.SpilledDataset`
-materializes, then calls them); the headline analyses run the columnar
-join of :mod:`repro.core.columnar_analysis` on the arrays instead.
+sorted columnar runs per record kind (:mod:`repro.telemetry.columnar`):
+in memory one canonical array per kind, and in a spill
+(:class:`~repro.telemetry.spill.SpilledDataset`, a subclass that only
+opens the spill) the memory-mapped run files.  Every reader sees the
+runs merged into one canonical order.  :meth:`Dataset.join_chunks`
+performs the join on record objects decoded from the runs, and
+:meth:`Dataset.sessions` groups it by session: the one join that builds
+record views, in memory and on a spill alike.  The headline analyses
+run the columnar join of :mod:`repro.core.columnar_analysis` on the runs
+instead.
 """
 
 from __future__ import annotations
@@ -163,21 +165,22 @@ class SessionView:
 
 
 class RecordView(abc.Sequence):
-    """One record kind of a :class:`Dataset` as a read-only sequence, decoded
-    from the kind's array on first access (``len`` decodes nothing)."""
+    """One record kind of a :class:`Dataset` as a read-only sequence: the
+    records of the kind's runs in canonical order, decoded on first
+    access and kept (``len`` decodes nothing)."""
 
-    __slots__ = ("_kind", "_array", "_records")
+    __slots__ = ("_kind", "_runs", "_records")
 
-    def __init__(self, kind: str, array: np.ndarray) -> None:
-        self._kind, self._array, self._records = kind, array, None
+    def __init__(self, kind: str, runs: Tuple[np.ndarray, ...]) -> None:
+        self._kind, self._runs, self._records = kind, runs, None
 
     def _decoded(self) -> Tuple[Any, ...]:
         if self._records is None:
-            self._records = tuple(iter_records(self._kind, self._array))
+            self._records = tuple(iter_records(self._kind, merge_runs(self._kind, self._runs)))
         return self._records
 
     def __len__(self) -> int:
-        return len(self._array)
+        return sum(len(run) for run in self._runs)
 
     def __getitem__(self, index):
         return self._decoded()[index]
@@ -201,18 +204,22 @@ def _record_view(kind: str) -> property:
 class Dataset:
     """All telemetry from one collection period, in canonical order.
 
-    One read-only structured array per record kind, sorted on the kind's
-    keys (chunk kinds by session and chunk, TCP snapshots also by time,
-    session kinds by session), rows sharing a key in emission order.  It
-    is built once and never changes: ``Dataset(**records)`` encodes and
-    sorts record objects, raising
+    Per record kind, a tuple of sorted, read-only structured-array runs
+    in run order, which is the merge tie-break order: merged, they hold
+    the kind's rows sorted on its keys (chunk kinds by session and chunk,
+    TCP snapshots also by time, session kinds by session), rows sharing a
+    key in emission order (:func:`~repro.telemetry.columnar.merge_runs`).
+    In memory a kind has at most one run, its canonical array; a
+    :class:`~repro.telemetry.spill.SpilledDataset` keeps its run files
+    as they are.  A dataset is built once and never changes:
+    ``Dataset(**records)`` encodes and sorts record objects, raising
     :class:`~repro.telemetry.columnar.ColumnOverflowError` for a string
-    wider than its column; :meth:`from_runs` takes sorted runs (the
-    collector's, shards', a spill's); :meth:`filter_sessions` masks rows.
-    The vectorized analyses read the arrays (:meth:`run_arrays`); each
-    kind is also a :class:`RecordView` for the record join and the
-    figure analyses.  ``==`` compares the arrays' bytes, and pickles
-    carry the arrays only.
+    wider than its column; :meth:`from_runs` merges sorted runs (the
+    collector's, shards'); :meth:`filter_sessions` masks rows.  The
+    vectorized analyses read the runs (:meth:`run_arrays`); each kind is
+    also a :class:`RecordView` for the record join and the figure
+    analyses.  ``==`` compares the merged arrays' bytes, and pickles
+    carry them only.
     """
 
     player_chunks = _record_view("player_chunks")
@@ -226,50 +233,59 @@ class Dataset:
         unknown = set(records) - set(SPILL_KINDS)
         if unknown:
             raise TypeError(f"unknown record kinds {sorted(unknown)}")
-        self.__setstate__(
-            {k: sort_array(k, records_to_array(k, records.get(k, ()))) for k in SPILL_KINDS}
+        self._set_runs(
+            {k: (sort_array(k, records_to_array(k, records.get(k, ()))),) for k in SPILL_KINDS}
         )
 
-    @classmethod
-    def from_runs(cls, runs: Mapping[str, Sequence[np.ndarray]]) -> "Dataset":
-        """A dataset over each kind's sorted runs, listed in emission order
-        (:func:`~repro.telemetry.columnar.merge_runs`); a single run is
-        taken as it is, and made read-only."""
-        arrays = {kind: merge_runs(kind, runs.get(kind, ())) for kind in SPILL_KINDS}
-        dataset = cls.__new__(cls)
-        dataset.__setstate__(arrays)
+    @staticmethod
+    def from_runs(runs: Mapping[str, Sequence[np.ndarray]]) -> "Dataset":
+        """An in-memory dataset of each kind's sorted runs, listed in
+        emission order, merged (:func:`~repro.telemetry.columnar.merge_runs`);
+        a single run is taken as it is, and made read-only."""
+        dataset = Dataset.__new__(Dataset)
+        dataset._set_runs({kind: (merge_runs(kind, runs.get(kind, ())),) for kind in SPILL_KINDS})
         return dataset
 
+    def _set_runs(self, runs: Mapping[str, Sequence[np.ndarray]]) -> None:
+        self._runs: Dict[str, Tuple[np.ndarray, ...]] = {}
+        for kind in SPILL_KINDS:
+            self._runs[kind] = tuple(run for run in runs[kind] if len(run))
+            for run in self._runs[kind]:
+                run.flags.writeable = False
+        self._views = {kind: RecordView(kind, kind_runs) for kind, kind_runs in self._runs.items()}
+
+    def _canonical(self, kind: str) -> np.ndarray:
+        return merge_runs(kind, self._runs[kind])
+
     def __getstate__(self) -> Dict[str, np.ndarray]:
-        # the arrays are the state; the decoded record views and the
-        # memo of the columnar analyses stay out of pickles (shard
+        # the canonical arrays are the state; the decoded record views and
+        # the memo of the columnar analyses stay out of pickles (shard
         # workers ship datasets through pipes) and out of ==
-        return self._arrays
+        return {kind: self._canonical(kind) for kind in SPILL_KINDS}
 
     def __setstate__(self, arrays: Dict[str, np.ndarray]) -> None:
-        for array in arrays.values():
-            array.flags.writeable = False
-        self._arrays = arrays
-        self._views = {kind: RecordView(kind, array) for kind, array in arrays.items()}
+        self._set_runs({kind: (array,) for kind, array in arrays.items()})
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Dataset):
             return NotImplemented
-        return all(self._arrays[k].tobytes() == other._arrays[k].tobytes() for k in SPILL_KINDS)
+        return all(
+            self._canonical(k).tobytes() == other._canonical(k).tobytes() for k in SPILL_KINDS
+        )
 
     def __repr__(self) -> str:
-        rows = ", ".join(f"{kind}={len(array)}" for kind, array in self._arrays.items())
-        return f"Dataset({rows})"
+        rows = ", ".join(f"{kind}={len(view)}" for kind, view in self._views.items())
+        return f"{type(self).__name__}({rows})"
 
     # -- basic shape ---------------------------------------------------------
 
     @property
     def n_sessions(self) -> int:
-        return len(self._arrays["player_sessions"])
+        return len(self.player_sessions)
 
     @property
     def n_chunks(self) -> int:
-        return len(self._arrays["player_chunks"])
+        return len(self.player_chunks)
 
     # -- joining -------------------------------------------------------------
 
@@ -329,35 +345,35 @@ class Dataset:
         return [views[sid] for sid in sorted(views)]
 
     def iter_sessions(self) -> Iterator[SessionView]:
-        """Iterate :meth:`sessions` (same views, same order).
-
-        The iteration surface shared with
-        :class:`~repro.telemetry.spill.SpilledDataset`, whose record views
-        come from this same join.
-        """
+        """Iterate :meth:`sessions` (same views, same order)."""
         return iter(self.sessions())
 
     def run_arrays(self, kind: str) -> List[np.ndarray]:
-        """The kind's canonical array as one run (``[]`` when it has none).
-
-        The in-memory side of
-        :meth:`~repro.telemetry.spill.SpilledDataset.run_arrays`, the read
-        surface of the vectorized analyses.  The array is read-only.
-        """
-        array = self._arrays[kind]
-        return [array] if len(array) else []
+        """The kind's sorted, read-only runs in run order (``[]`` when it
+        has none): the read surface of the vectorized analyses.  In
+        memory that is at most one run, the kind's canonical array."""
+        return list(self._runs[kind])
 
     # -- filtering / combining -------------------------------------------------
 
     def filter_sessions(self, keep_ids: Iterable[str]) -> "Dataset":
-        """A new dataset containing only the given session ids."""
-        return filter_runs(self, keep_ids)
+        """An in-memory dataset of the rows whose session is in *keep_ids*:
+        each sorted run masked by session id, then merged."""
+        keep = np.unique(np.array([sid.encode("utf-8") for sid in keep_ids], dtype=bytes))
 
-    @classmethod
-    def merge_all(cls, datasets: Iterable["Dataset"]) -> "Dataset":
-        """Merge the shard datasets of one period into canonical order.
+        def kept(run: np.ndarray) -> np.ndarray:
+            lengths, _, member = session_runs(run["session_id"], keep)
+            return take_rows(run, np.repeat(member, lengths))
 
-        This is the merge the sharded runner uses.  The shards' arrays are
+        return Dataset.from_runs(
+            {kind: [kept(run) for run in self._runs[kind]] for kind in SPILL_KINDS}
+        )
+
+    @staticmethod
+    def merge_all(datasets: Iterable["Dataset"]) -> "Dataset":
+        """Merge the shard datasets of one period into one in-memory dataset.
+
+        This is the merge the sharded runner uses.  The shards' runs are
         concatenated in the order given (sorted shard order) and
         stable-sorted (:meth:`from_runs`), so the result does not depend
         on the shards' completion order, and rows sharing a key keep
@@ -365,24 +381,6 @@ class Dataset:
         periods may reuse session ids.
         """
         datasets = list(datasets)
-        return cls.from_runs(
+        return Dataset.from_runs(
             {kind: [run for d in datasets for run in d.run_arrays(kind)] for kind in SPILL_KINDS}
         )
-
-    def sorted(self) -> "Dataset":
-        """Already canonical: the dataset itself."""
-        return self
-
-
-def filter_runs(source: Any, keep_ids: Iterable[str]) -> Dataset:
-    """A :class:`Dataset` of the rows of *source* (a ``Dataset`` or a spill)
-    whose session is in *keep_ids*: each sorted run masked by session id."""
-    keep = np.unique(np.array([sid.encode("utf-8") for sid in keep_ids], dtype=bytes))
-
-    def kept(run: np.ndarray) -> np.ndarray:
-        lengths, _, member = session_runs(run["session_id"], keep)
-        return take_rows(run, np.repeat(member, lengths))
-
-    return Dataset.from_runs(
-        {kind: [kept(run) for run in source.run_arrays(kind)] for kind in SPILL_KINDS}
-    )

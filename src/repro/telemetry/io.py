@@ -1,56 +1,53 @@
 """Dataset persistence: JSON-lines serialization, one file per record type.
 
 Keeps datasets inspectable with standard tooling (``jq``, pandas) and lets
-the benchmark harness cache expensive simulations on disk.
+the benchmark harness cache expensive simulations on disk.  The writer
+serializes rows straight from a dataset's sorted runs, in memory or
+spilled, and builds no record object; the loader builds records and
+encodes them (``Dataset(**records)``).
 """
 
 from __future__ import annotations
 
-import dataclasses
+import heapq
 import json
+from operator import itemgetter
 from pathlib import Path
-from typing import TYPE_CHECKING, Iterable, List, Type, TypeVar, Union
+from typing import Iterator, List, Sequence, Union
 
+import numpy as np
+
+from .columnar import COLUMN_SCHEMAS, SPILL_KINDS, iter_rows
 from .dataset import Dataset
-from .records import (
-    CdnChunkRecord,
-    CdnSessionRecord,
-    ChunkGroundTruth,
-    PlayerChunkRecord,
-    PlayerSessionRecord,
-    TcpInfoRecord,
-)
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from .spill import SpilledDataset
+from .spill import SPILL_MANIFEST_FILENAME
 
 __all__ = ["save_dataset", "load_dataset"]
 
-_FILES = {
-    "player_chunks": ("player_chunks.jsonl", PlayerChunkRecord),
-    "cdn_chunks": ("cdn_chunks.jsonl", CdnChunkRecord),
-    "tcp_snapshots": ("tcp_snapshots.jsonl", TcpInfoRecord),
-    "player_sessions": ("player_sessions.jsonl", PlayerSessionRecord),
-    "cdn_sessions": ("cdn_sessions.jsonl", CdnSessionRecord),
-    "ground_truth": ("ground_truth.jsonl", ChunkGroundTruth),
-}
-
-T = TypeVar("T")
+#: rows of each run held as Python values at a time while saving: the
+#: writer's memory grows with the number of runs, not with their length
+SAVE_RUN_ROWS = 4_096
 
 
-def _write_jsonl(path: Path, records: Iterable[object]) -> None:
-    # Iterable, not List: a SpilledDataset's per-kind streams write through
-    # here one record at a time without ever materializing the kind.
-    with path.open("w", encoding="utf-8") as handle:
-        for record in records:
-            handle.write(json.dumps(dataclasses.asdict(record)) + "\n")
+def _filename(kind: str) -> str:
+    return f"{kind}.jsonl"
 
 
-def _read_jsonl(path: Path, record_type: Type[T]) -> List[T]:
+def _canonical_rows(kind: str, runs: Sequence[np.ndarray]) -> Iterator[list]:
+    """The rows of *kind*'s sorted *runs* in canonical order: one stable
+    k-way merge on the sort keys, so rows sharing a key come in run
+    order, as :func:`~repro.telemetry.columnar.merge_runs` orders them."""
+    schema = COLUMN_SCHEMAS[kind]
+    keys = [schema.field_names.index(name) for name in schema.sort_keys]
+    streams = [iter_rows(kind, run, SAVE_RUN_ROWS) for run in runs]
+    return heapq.merge(*streams, key=itemgetter(*keys))
+
+
+def _read_jsonl(path: Path, kind: str) -> List[object]:
     if not path.exists():
         return []
-    field_types = {f.name: f.type for f in dataclasses.fields(record_type)}
-    records: List[T] = []
+    schema = COLUMN_SCHEMAS[kind]
+    fields = set(schema.field_names)
+    records: List[object] = []
     with path.open("r", encoding="utf-8") as handle:
         for line_number, line in enumerate(handle, start=1):
             line = line.strip()
@@ -60,37 +57,53 @@ def _read_jsonl(path: Path, record_type: Type[T]) -> List[T]:
                 payload = json.loads(line)
             except json.JSONDecodeError as error:
                 raise ValueError(f"{path}:{line_number}: invalid JSON: {error}") from error
-            unknown = set(payload) - set(field_types)
+            unknown = set(payload) - fields
             if unknown:
                 raise ValueError(f"{path}:{line_number}: unknown fields {sorted(unknown)}")
-            if "tcp" not in path.name and isinstance(payload.get("tcp"), list):
-                payload["tcp"] = tuple(payload["tcp"])
-            records.append(record_type(**payload))
+            records.append(schema.record_type(**payload))
     return records
 
 
-def save_dataset(
-    dataset: Union[Dataset, "SpilledDataset"], directory: Union[str, Path]
-) -> Path:
+def save_dataset(dataset: Dataset, directory: Union[str, Path]) -> Path:
     """Write *dataset* under *directory* (created if needed); returns the path.
 
-    Accepts either memory mode: an in-memory :class:`Dataset` or a
-    :class:`~repro.telemetry.spill.SpilledDataset`.  Both yield records
-    in canonical order, so their JSON-lines bytes are identical.
+    Each kind's rows are serialized from its runs (``run_arrays``) in
+    canonical order, so an in-memory dataset and a spill of the same
+    records write identical bytes, and no record view is decoded.
     """
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
-    for attribute, (filename, _) in _FILES.items():
-        _write_jsonl(directory / filename, getattr(dataset, attribute))
+    for kind in SPILL_KINDS:
+        names = COLUMN_SCHEMAS[kind].field_names
+        with (directory / _filename(kind)).open("w", encoding="utf-8") as handle:
+            for values in _canonical_rows(kind, dataset.run_arrays(kind)):
+                handle.write(json.dumps(dict(zip(names, values))) + "\n")
     return directory
 
 
 def load_dataset(directory: Union[str, Path]) -> Dataset:
-    """Load a dataset previously written by :func:`save_dataset`."""
+    """Load a dataset previously written by :func:`save_dataset`.
+
+    A directory that holds none of the six JSON-lines files raises
+    ``FileNotFoundError`` naming what it holds instead: a spill, or the
+    per-period subdirectories of a multi-period run.
+    """
     directory = Path(directory)
     if not directory.is_dir():
         raise FileNotFoundError(f"dataset directory not found: {directory}")
-    kwargs = {}
-    for attribute, (filename, record_type) in _FILES.items():
-        kwargs[attribute] = _read_jsonl(directory / filename, record_type)
-    return Dataset(**kwargs)
+    if not any((directory / _filename(kind)).exists() for kind in SPILL_KINDS):
+        raise FileNotFoundError(_not_a_dataset(directory))
+    return Dataset(**{kind: _read_jsonl(directory / _filename(kind), kind) for kind in SPILL_KINDS})
+
+
+def _not_a_dataset(directory: Path) -> str:
+    message = f"{directory} holds no telemetry JSON-lines files ({_filename(SPILL_KINDS[0])} ...)"
+    if (directory / SPILL_MANIFEST_FILENAME).is_file():
+        return (
+            f"{message}; it holds a spill ({SPILL_MANIFEST_FILENAME}): open it with "
+            "repro.telemetry.SpilledDataset"
+        )
+    subdirectories = sorted(path.name for path in directory.iterdir() if path.is_dir())
+    if subdirectories:
+        return f"{message}; it holds the subdirectories {subdirectories}: pass one of them"
+    return message

@@ -1,4 +1,4 @@
-"""Sorted columnar runs, kept in RAM or spilled to disk, and the spill facade.
+"""Sorted columnar runs, kept in RAM or spilled to disk, and the spill reader.
 
 Rows buffer per kind, and every ``threshold_rows`` rows become a
 **sorted run** (:mod:`repro.telemetry.columnar`).  In memory the runs
@@ -8,49 +8,30 @@ described by a versioned ``spill.json`` manifest: format version,
 per-kind dtype, and the ordered run list (docs/TELEMETRY.md, "Spill-file
 format").
 
-:class:`SpilledDataset` is the read side — a bounded-memory stand-in for
-:class:`~repro.telemetry.dataset.Dataset`:
-
-* each record kind iterates as a k-way :func:`heapq.merge` of its runs,
-  memory-mapped and materialized block-wise, yielding a ``Dataset``'s
-  canonical order (runs are stable-sorted at flush time and flushed in
-  emission order, so merge ties resolve to emission order — the same
-  tie-break as one big stable sort);
-* record views (:meth:`sessions`, :meth:`iter_sessions`,
-  :meth:`join_chunks`) materialize the spill and run the one join of
-  :mod:`repro.telemetry.dataset` — they are for tests and small spills;
-  whole-spill analyses run the columnar pass instead;
-* :meth:`merge_all` combines one period's shard spill directories
-  *lazily* — no row is read at merge time; the parent's iteration order
-  (shard-index order, then run order) reproduces ``Dataset.merge_all``'s
-  canonical output;
-* :meth:`to_dataset` and :meth:`filter_sessions` merge the runs (all
-  rows, or the kept sessions' rows) into an in-memory ``Dataset``.
-
-The facade is pickle-cheap (directory paths only), which is how shard
-workers ship a million-session result through a multiprocessing pipe.
+:class:`SpilledDataset` is the read side: a
+:class:`~repro.telemetry.dataset.Dataset` whose runs are the spill's run
+files, validated and memory-mapped once, at open.  Everything a dataset
+does it inherits: the runs are read in run order (runs are stable-sorted
+at flush time and flushed in emission order, so merging them in run
+order yields a ``Dataset``'s canonical order), record views decode the
+whole kind, and :meth:`~repro.telemetry.dataset.Dataset.filter_sessions`
+builds an in-memory ``Dataset``.  It adds what the disk format needs:
+pickles carry directory paths only, which is how shard workers ship a
+million-session result through a multiprocessing pipe, and
+:meth:`SpilledDataset.merge_all` combines one period's shard spill
+directories without reading a row.
 """
 
 from __future__ import annotations
 
-import heapq
 import json
 from pathlib import Path
-from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from .columnar import (
-    COLUMN_SCHEMAS,
-    ITER_BLOCK_ROWS,
-    SPILL_KINDS,
-    concat_rows,
-    iter_records,
-    rows_to_array,
-    sort_array,
-    sort_key,
-)
-from .dataset import Dataset, JoinedChunk, SessionView, filter_runs
+from .columnar import COLUMN_SCHEMAS, SPILL_KINDS, concat_rows, rows_to_array, sort_array
+from .dataset import Dataset
 
 __all__ = [
     "SPILL_FORMAT",
@@ -97,7 +78,7 @@ class SpillWriter:
     :class:`~repro.telemetry.columnar.ColumnOverflowError` there, when
     the run is made, not when the row is added.  With a
     *directory*, runs go to disk and ``finalize`` flushes the tails,
-    writes the manifest, and returns the :class:`SpilledDataset` facade;
+    writes the manifest, and returns the :class:`SpilledDataset` over it;
     the directory must not already contain a spill — a writer never
     silently overwrites telemetry.  With ``directory=None``, runs stay in
     RAM and ``finalize`` returns the :class:`Dataset` they merge into.
@@ -197,7 +178,7 @@ class SpillWriter:
         """Flush the tails and return the period's dataset (idempotent).
 
         Memory mode merges the kept runs into a :class:`Dataset`; spill
-        mode writes ``spill.json`` and returns the read facade.
+        mode writes ``spill.json`` and opens the spill.
         """
         if self._finalized is not None:
             return self._finalized
@@ -277,23 +258,15 @@ def _open_run(directory: Path, kind: str, run: Dict[str, Any]) -> np.ndarray:
     return array
 
 
-def _kind_stream(kind: str) -> property:
-    return property(lambda self: self.iter_kind(kind), doc=f"A fresh {kind} iterator.")
+class SpilledDataset(Dataset):
+    """A :class:`Dataset` over one or more spill directories.
 
-
-class SpilledDataset:
-    """Read facade over one or more spill directories.
-
-    Implements the :class:`Dataset` surface the pipeline relies on —
-    per-kind record iteration (as properties, in canonical order),
-    ``run_arrays``, ``n_sessions``/``n_chunks``, ``sorted()``,
-    ``filter_sessions`` and ``to_dataset()`` — while never holding more
-    than one materialized block per run in memory.  The record views
-    (``sessions()``, ``iter_sessions()``, ``join_chunks()``) are the
-    exception: they materialize the whole spill first.  Construction
-    validates the manifest and every run file (header, dtype, row count),
-    so corruption surfaces at open time as :class:`SpillError`, not
-    mid-analysis.
+    Its runs are the run files, in run order: directories in the order
+    given, runs in manifest order within each.  Construction validates
+    every manifest, then memory-maps and validates every run file once
+    (header, dtype, row count), so corruption surfaces at open time as
+    :class:`SpillError`, not mid-analysis; the validated maps are the
+    runs every later read uses.
     """
 
     def __init__(self, directories: Union[str, Path, Sequence[Union[str, Path]]]) -> None:
@@ -302,100 +275,33 @@ class SpilledDataset:
         if not directories:
             raise SpillError("SpilledDataset needs at least one spill directory")
         self._dirs: Tuple[Path, ...] = tuple(Path(d) for d in directories)
-        self._manifests = tuple(_load_manifest(d) for d in self._dirs)
-        for directory, manifest in zip(self._dirs, self._manifests):
-            for kind in SPILL_KINDS:
-                for run in manifest["kinds"][kind]["runs"]:
-                    _open_run(directory, kind, run)  # validate, then drop the map
-
-    # -- pickling: paths only (workers ship spills through pipes) -----------
+        manifests = [_load_manifest(d) for d in self._dirs]
+        self._set_runs(
+            {
+                kind: [
+                    _open_run(directory, kind, run)
+                    for directory, manifest in zip(self._dirs, manifests)
+                    for run in manifest["kinds"][kind]["runs"]
+                ]
+                for kind in SPILL_KINDS
+            }
+        )
 
     def __reduce__(self):
+        # pickles carry paths only (workers ship spills through pipes)
         return (SpilledDataset, (tuple(str(d) for d in self._dirs),))
 
     @property
     def directories(self) -> Tuple[Path, ...]:
         return self._dirs
 
-    # -- shape ---------------------------------------------------------------
+    @staticmethod
+    def merge_all(datasets: Iterable["SpilledDataset"]) -> "SpilledDataset":
+        """Combine one period's shard spills into one spilled dataset.
 
-    def _total_rows(self, kind: str) -> int:
-        return sum(m["kinds"][kind]["rows"] for m in self._manifests)
-
-    @property
-    def n_sessions(self) -> int:
-        return self._total_rows("player_sessions")
-
-    @property
-    def n_chunks(self) -> int:
-        return self._total_rows("player_chunks")
-
-    # -- per-kind streams (canonical order) ----------------------------------
-
-    def run_arrays(self, kind: str) -> List[np.ndarray]:
-        """The kind's sorted run arrays (memory-mapped), in run order.
-
-        Run order is the merge-tie-break order: directories in
-        construction order, runs in manifest order within each.  The
-        vectorized read path (:mod:`repro.core.columnar_analysis`) slices
-        these maps directly instead of materializing record objects.
-        """
-        return [
-            _open_run(directory, kind, run)
-            for directory, manifest in zip(self._dirs, self._manifests)
-            for run in manifest["kinds"][kind]["runs"]
-        ]
-
-    def iter_kind(self, kind: str) -> Iterator[object]:
-        """All records of *kind* in canonical order, lazily merged.
-
-        The :data:`~repro.telemetry.columnar.ITER_BLOCK_ROWS`
-        materialization budget is divided across the kind's open runs, so
-        peak live-object count is bounded per *kind* — independent of how
-        many runs (i.e. how many total rows) the spill holds.
-        """
-        arrays = self.run_arrays(kind)
-        if not arrays:
-            return iter(())
-        if len(arrays) == 1:
-            return iter_records(kind, arrays[0])
-        block_rows = max(256, ITER_BLOCK_ROWS // len(arrays))
-        streams = [iter_records(kind, array, block_rows) for array in arrays]
-        return heapq.merge(*streams, key=sort_key(kind))
-
-    player_chunks = _kind_stream("player_chunks")
-    cdn_chunks = _kind_stream("cdn_chunks")
-    tcp_snapshots = _kind_stream("tcp_snapshots")
-    player_sessions = _kind_stream("player_sessions")
-    cdn_sessions = _kind_stream("cdn_sessions")
-    ground_truth = _kind_stream("ground_truth")
-
-    # -- joining -------------------------------------------------------------
-
-    def sessions(self) -> List[SessionView]:
-        """:meth:`Dataset.sessions` of the materialized spill."""
-        return self.to_dataset().sessions()
-
-    def iter_sessions(self) -> Iterator[SessionView]:
-        return iter(self.sessions())
-
-    def join_chunks(self) -> List[JoinedChunk]:
-        """:meth:`Dataset.join_chunks` of the materialized spill."""
-        return self.to_dataset().join_chunks()
-
-    # -- combining / conversion ----------------------------------------------
-
-    def sorted(self) -> "SpilledDataset":
-        """Already canonical: every stream merges sorted runs stably."""
-        return self
-
-    @classmethod
-    def merge_all(cls, datasets: Sequence["SpilledDataset"]) -> "SpilledDataset":
-        """Lazily combine one period's shard spills into one canonical view.
-
-        No rows are read: the merged facade simply iterates the union of
-        the inputs' runs.  Callers pass shards in sorted shard order, the
-        same tie-break ``Dataset.merge_all`` uses.
+        No row is read: the result opens the union of the inputs'
+        directories, in the order given.  Callers pass shards in sorted
+        shard order, the same tie-break ``Dataset.merge_all`` uses.
         """
         directories: List[Path] = []
         for dataset in datasets:
@@ -406,15 +312,4 @@ class SpilledDataset:
                     "every shard or on none"
                 )
             directories.extend(dataset._dirs)
-        return cls(directories)
-
-    def filter_sessions(self, keep_ids) -> Dataset:
-        """Materialize only the kept sessions into an in-memory Dataset."""
-        return filter_runs(self, keep_ids)
-
-    def to_dataset(self) -> Dataset:
-        """Fully materialize (tests / small spills only): the runs merged
-        into one in-memory Dataset."""
-        return Dataset.from_runs(
-            {kind: [np.array(run) for run in self.run_arrays(kind)] for kind in SPILL_KINDS}
-        )
+        return SpilledDataset(directories)

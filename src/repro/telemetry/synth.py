@@ -14,10 +14,10 @@ Determinism and sharding contract (mirrors docs/PARALLEL.md):
   block *b* draws from ``default_rng((seed, b))``, so a block's rows are
   identical no matter which process generates it;
 * under sharding, shard *k* of *n* owns blocks ``b % n == k`` and writes
-  its own spill directory; the lazily merged facade over all shard
-  directories yields record-for-record the serial (``n_shards=1``) output,
-  because session ids are zero-padded monotonic strings and the k-way
-  merge orders by session id;
+  its own spill directory; the spilled dataset over all shard
+  directories (:meth:`~repro.telemetry.spill.SpilledDataset.merge_all`)
+  equals the serial (``n_shards=1``) output, because session ids are
+  zero-padded monotonic strings and the runs merge in session-id order;
 * generation is bounded-memory by construction: one block of columnar
   arrays is alive at a time, and the spill writer flushes sorted runs at
   its usual threshold.
@@ -203,8 +203,8 @@ def synthesize_sharded(
 ) -> SpilledDataset:
     """Generate shard spills under ``<directory>/shard-<k>`` and merge them.
 
-    The merged facade equals ``synthesize_spill(dir, n_sessions)`` record
-    for record — the shard-identity property the scale tests assert.
+    The merged spill equals ``synthesize_spill(dir, n_sessions)`` — the
+    shard-identity property the scale tests assert.
     """
     shards = [
         synthesize_spill(

@@ -4,7 +4,10 @@ The contract under test (docs/TELEMETRY.md): telemetry records are
 byte-identical whichever memory mode produced them — in-memory dataset,
 serial spill, or sharded spill — a dataset is canonical and never
 changes once built, and a corrupt or incompatible spill fails loudly at
-open time, never silently mid-analysis.  The session coder that codes
+open time, never silently mid-analysis.  A spill is a dataset: it maps
+each run file once, at open, its record kinds, ``==`` and filtering are
+the in-memory dataset's, and saving it holds a bounded number of rows
+per run.  The session coder that codes
 and masks rows by session id equals a Python ``groupby``/``bisect``
 spelling.
 """
@@ -17,6 +20,7 @@ import itertools
 import json
 import pickle
 import random
+import tracemalloc
 from operator import attrgetter
 
 import numpy as np
@@ -24,11 +28,15 @@ import pytest
 
 from helpers import cdn_chunk, make_records, player_chunk, player_session, records_of, row
 from repro.api import run
+from repro.core.columnar_analysis import analyze_dataset
 from repro.faults import FaultEvent, FaultSpec
 from repro.obs.manifest import dump_json
 from repro.simulation.config import SimulationConfig
 from repro.simulation.parallel import PeriodSpec, execute_periods
 from repro.telemetry import columnar
+from repro.telemetry import io as io_module
+from repro.telemetry import spill as spill_module
+from repro.telemetry import synth
 from repro.telemetry.collector import TelemetryCollector
 from repro.telemetry.columnar import (
     COLUMN_SCHEMAS,
@@ -273,8 +281,8 @@ class TestSpillWriterReader:
         assert manifest["kinds"]["player_chunks"]["rows"] > 64  # several runs
         _assert_runs_interleave(spilled, "player_chunks")
         for kind in SPILL_KINDS:
-            assert list(spilled.iter_kind(kind)) == sorted(fed[kind], key=sort_key(kind))
-            assert list(spilled.iter_kind(kind)) == _kind_records(reference_dataset, kind)
+            assert list(getattr(spilled, kind)) == sorted(fed[kind], key=sort_key(kind))
+            assert list(getattr(spilled, kind)) == _kind_records(reference_dataset, kind)
 
     def test_writer_refuses_existing_spill(self, tmp_path):
         SpillWriter(tmp_path / "s").finalize()
@@ -361,7 +369,7 @@ class TestMemoryModeByteIdentity:
         ).dataset
         assert isinstance(spilled, SpilledDataset)
         for kind in SPILL_KINDS:
-            assert list(spilled.iter_kind(kind)) == _kind_records(reference_dataset, kind)
+            assert list(getattr(spilled, kind)) == _kind_records(reference_dataset, kind)
 
     def test_sharded_spill_equals_in_memory_bytes(self, reference_dataset, tmp_path):
         sharded = run(
@@ -516,7 +524,78 @@ class TestOneRepresentation:
         assert reference_dataset.filter_sessions(sorted(keep)) == expected
         assert spilled.filter_sessions(keep) == expected
         assert reference_dataset.filter_sessions([]) == Dataset()
-        assert spilled.to_dataset() == reference_dataset
+        assert spilled == reference_dataset
+
+
+class TestASpillIsADataset:
+    """A spill is a Dataset over its run files, opened once: the record
+    kinds, ``==``, filtering and saving are the in-memory dataset's."""
+
+    @pytest.fixture
+    def spilled(self, tmp_path):
+        return run(_config(spill_dir=str(tmp_path / "s"), spill_threshold_rows=64)).dataset
+
+    def test_open_maps_each_run_once(self, spilled, monkeypatch):
+        n_runs = sum(len(spilled.run_arrays(kind)) for kind in SPILL_KINDS)
+        assert n_runs > len(SPILL_KINDS)
+        keep = [record.session_id for record in list(spilled.player_sessions)[:5]]
+        opened = []
+        open_run = spill_module._open_run
+
+        def spy(directory, kind, entry):
+            opened.append(entry["file"])
+            return open_run(directory, kind, entry)
+
+        monkeypatch.setattr(spill_module, "_open_run", spy)
+        reopened = SpilledDataset(spilled.directories)
+        assert len(opened) == len(set(opened)) == n_runs
+        opened.clear()
+        analyze_dataset(reopened)
+        reopened.filter_sessions(keep)
+        assert opened == []
+
+    def test_record_kinds_equality_and_filtering(self, spilled, reference_dataset):
+        assert isinstance(spilled, Dataset)
+        assert spilled == reference_dataset and reference_dataset == spilled
+        assert spilled != Dataset()
+        with pytest.raises(TypeError):
+            hash(spilled)
+        for kind in SPILL_KINDS:
+            records = getattr(spilled, kind)
+            expected = getattr(reference_dataset, kind)
+            assert len(records) == len(expected) > 0
+            assert records[0] == expected[0]
+            assert list(records) == list(records) == list(expected)
+            assert records == expected
+        keep = [r.session_id for r in reference_dataset.player_sessions[::4]]
+        kept = spilled.filter_sessions(keep)
+        assert type(kept) is Dataset
+        assert kept == reference_dataset.filter_sessions(keep)
+        assert pickle.loads(pickle.dumps(kept)) == kept
+        runs = {kind: spilled.run_arrays(kind) for kind in SPILL_KINDS}
+        assert type(spilled.from_runs(runs)) is Dataset
+        assert type(SpilledDataset.from_runs(runs)) is Dataset
+        assert type(Dataset.merge_all([spilled])) is Dataset
+
+    def test_save_holds_a_bounded_number_of_rows_per_run(self, tmp_path, monkeypatch):
+        # three synthesis blocks make three runs per kind; with 16 rows of
+        # each run held at a time, saving stays far below one kind's bytes
+        monkeypatch.setattr(synth, "BLOCK_SESSIONS", 500)
+        spilled = synthesize_spill(tmp_path / "s", 1_500, seed=8, threshold_rows=500)
+        assert all(len(spilled.run_arrays(kind)) == 3 for kind in SPILL_KINDS)
+        largest = max(
+            sum(run.nbytes for run in spilled.run_arrays(kind)) for kind in SPILL_KINDS
+        )
+        monkeypatch.setattr(io_module, "SAVE_RUN_ROWS", 16)
+        tracemalloc.start()
+        try:
+            save_dataset(spilled, tmp_path / "jsonl")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < largest / 4, (peak, largest)
+        lines = (tmp_path / "jsonl" / "ground_truth.jsonl").read_text().splitlines()
+        assert len(lines) == len(spilled.ground_truth)
 
 
 class TestSyntheticGenerator:
@@ -526,7 +605,7 @@ class TestSyntheticGenerator:
             tmp_path / "sharded", 2000, 3, seed=5, threshold_rows=512
         )
         for kind in SPILL_KINDS:
-            assert list(sharded.iter_kind(kind)) == list(serial.iter_kind(kind))
+            assert list(getattr(sharded, kind)) == list(getattr(serial, kind))
 
     def test_sessions_join_and_analyze(self, tmp_path):
         from repro.core import diagnose_dataset, qoe

@@ -57,6 +57,7 @@ from repro.telemetry import dataset as dataset_module
 from repro.telemetry import spill as spill_module
 from repro.telemetry.columnar import COLUMN_SCHEMAS, SPILL_KINDS, array_to_records
 from repro.telemetry.dataset import Dataset
+from repro.telemetry.io import save_dataset
 from repro.telemetry.spill import SpilledDataset, SpillWriter
 from repro.telemetry.synth import synthesize_sharded, synthesize_spill
 from helpers import cdn_chunk, make_records, player_chunk, records_of, row, tcp_snap
@@ -581,6 +582,15 @@ class TestMergeShapes:
             with mock.patch.object(ca, "ITER_BLOCK_ROWS", block_rows):
                 _assert_paths_identical(spilled)
                 _assert_blocks_hold_the_oracle_views(spilled)
+            # the JSON-lines writer merges the runs' rows into the bytes
+            # of the same records saved from memory
+            records = {kind: [] for kind in SPILL_KINDS}
+            for kind, record in emissions:
+                records[kind].append(record)
+            saved = save_dataset(spilled, Path(tmp) / "spilled")
+            expected = save_dataset(Dataset(**records), Path(tmp) / "memory")
+            for path in sorted(expected.iterdir()):
+                assert (saved / path.name).read_bytes() == path.read_bytes(), path.name
 
 
 def _python_grouped_sums(values, starts, counts):

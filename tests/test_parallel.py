@@ -115,9 +115,8 @@ class TestSerialParallelEquality:
     ):
         spilled = run(_config(spill_dir=str(tmp_path), spill_threshold_rows=64)).dataset
         assert len(spilled.run_arrays("player_chunks")) > 1
-        materialized = spilled.to_dataset()
-        assert serial_result.dataset == materialized
-        assert parallel_result.dataset == materialized
+        assert serial_result.dataset == spilled
+        assert parallel_result.dataset == spilled
 
     def test_server_fleet_union_matches_serial(self, serial_result, parallel_result):
         assert set(parallel_result.servers) == set(serial_result.servers)

@@ -12,10 +12,12 @@ from helpers import (
     row,
     tcp_snap,
 )
+from repro.telemetry import dataset as dataset_module
 from repro.telemetry.collector import TelemetryCollector
 from repro.telemetry.dataset import Dataset
 from repro.telemetry.io import load_dataset, save_dataset
 from repro.telemetry.records import ChunkGroundTruth
+from repro.telemetry.spill import SpillWriter
 
 
 class TestRecords:
@@ -190,6 +192,15 @@ class TestIo:
     def test_load_missing_directory(self, tmp_path):
         with pytest.raises(FileNotFoundError):
             load_dataset(tmp_path / "nope")
+        # a directory without the JSON-lines files is no empty dataset:
+        # a spill, or the root of a two-period scenario output
+        SpillWriter(tmp_path / "spill").finalize()
+        with pytest.raises(FileNotFoundError, match="spill.json.*SpilledDataset"):
+            load_dataset(tmp_path / "spill")
+        for period in ("baseline", "incident"):
+            save_dataset(make_dataset(1), tmp_path / "scenario" / period)
+        with pytest.raises(FileNotFoundError, match=r"\['baseline', 'incident'\]: pass one"):
+            load_dataset(tmp_path / "scenario")
 
     def test_load_rejects_unknown_fields(self, tmp_path):
         directory = save_dataset(make_dataset(1), tmp_path / "ds")
@@ -203,6 +214,19 @@ class TestIo:
         (directory / "cdn_chunks.jsonl").write_text("not json\n")
         with pytest.raises(ValueError):
             load_dataset(directory)
+
+    def test_save_decodes_no_record(self, tmp_path, monkeypatch):
+        # the writer serializes the runs' rows; a record view that decoded
+        # would call iter_records
+        dataset = make_dataset(3)
+
+        def refuse(kind, array):
+            raise AssertionError(f"save decoded the {kind} records")
+
+        monkeypatch.setattr(dataset_module, "iter_records", refuse)
+        save_dataset(dataset, tmp_path / "ds")
+        monkeypatch.undo()
+        assert load_dataset(tmp_path / "ds") == dataset
 
     def test_empty_dataset_round_trip(self, tmp_path):
         save_dataset(Dataset(), tmp_path / "empty")
