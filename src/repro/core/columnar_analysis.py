@@ -65,9 +65,18 @@ from ..telemetry.columnar import (
     session_runs,
     take_rows,
 )
-from .downstack import RTO_FLOOR_MS
+from .downstack import MIN_EQ4_CHUNKS, RTO_FLOOR_MS, TP_BURST_FACTOR
 from .faultscore import EXPECTED_BOTTLENECK, ClassScore, FaultScoreReport, parse_fault_labels
-from .localization import BAD_RENDER_FRACTION, BAD_SCORE, TAIL_RTT_MS, Bottleneck
+from .localization import (
+    BAD_RENDER_FRACTION,
+    BAD_SCORE,
+    DS_BOUND_MS,
+    SERVER_BOUND_MS,
+    TAIL_RTT_MS,
+    THROUGHPUT_SHARE,
+    Bottleneck,
+)
+from .rendering_diag import GOOD_RATE
 
 __all__ = [
     "ANALYSIS_KINDS",
@@ -92,9 +101,6 @@ _EXPECTED_CODES = {
     fault_class: tuple(_CODE_OF[b] for b in expected)
     for fault_class, expected in EXPECTED_BOTTLENECK.items()
 }
-
-#: Eq. 4 needs at least this many TCP-qualified chunks per session
-_MIN_EQ4_CHUNKS = 5
 
 _INT64_MAX = int(np.iinfo(np.int64).max)
 
@@ -725,7 +731,10 @@ def _compute_block(plan: _BlockPlan, index: int) -> Optional[JoinedBlock]:
         (last_cwnd * last_mss) * 8.0, last_srtt, out=np.zeros(n), where=last_srtt > 0
     )
     transient_sig = (
-        has_tcp & (last_srtt > 0) & (connection_tp > 0) & (tp_inst > 2.5 * connection_tp)
+        has_tcp
+        & (last_srtt > 0)
+        & (connection_tp > 0)
+        & (tp_inst > TP_BURST_FACTOR * connection_tp)
     )
 
     # -- Eq. 4 per-session outlier statistics -------------------------------
@@ -753,7 +762,7 @@ def _compute_block(plan: _BlockPlan, index: int) -> Optional[JoinedBlock]:
         sigma = np.sqrt(_grouped_seq_sum(diff * diff, q_starts, q_counts) / q_counts[:, None])
         mu_r = mu[q_inv]
         sg_r = sigma[q_inv]
-        eligible = q_counts[q_inv] >= _MIN_EQ4_CHUNKS
+        eligible = q_counts[q_inv] >= MIN_EQ4_CHUNKS
         high_dfb = (features[:, 0] > mu_r[:, 0] + 2.0 * sg_r[:, 0]) & (sg_r[:, 0] > 0)
         high_tp = (features[:, 1] > mu_r[:, 1] + 2.0 * sg_r[:, 1]) & (sg_r[:, 1] > 0)
         normal_net = (
@@ -773,10 +782,10 @@ def _compute_block(plan: _BlockPlan, index: int) -> Optional[JoinedBlock]:
     # -- the attribution cascade, as one np.select --------------------------
     with np.errstate(invalid="ignore"):
         c_transient = transient_flag | transient_sig
-        c_ds_bound = (ds_bound > np.maximum(server_ms, baseline)) & (ds_bound > 100.0)
-        c_server = (server_ms > baseline) & (server_ms > 40.0)
+        c_ds_bound = (ds_bound > np.maximum(server_ms, baseline)) & (ds_bound > DS_BOUND_MS)
+        c_server = (server_ms > baseline) & (server_ms > SERVER_BOUND_MS)
         c_bad = score < BAD_SCORE
-        c_bad_tp = throughput_share >= 0.5
+        c_bad_tp = throughput_share >= THROUGHPUT_SHARE
         c_tail = (baseline > TAIL_RTT_MS) & (
             np.ascontiguousarray(joined["rebuffer_count"]) > 0
         )
@@ -784,7 +793,7 @@ def _compute_block(plan: _BlockPlan, index: int) -> Optional[JoinedBlock]:
             np.ascontiguousarray(joined["visible"])
             & ~np.ascontiguousarray(joined["hw_rendered"])
             & (drops > BAD_RENDER_FRACTION)
-            & (score >= 1.5)
+            & (score >= GOOD_RATE)
         )
     cds = _CODE_OF[Bottleneck.CLIENT_DOWNLOAD_STACK]
     block.verdict = np.select(

@@ -43,6 +43,12 @@ __all__ = [
 
 #: Linux's minimum-RTO contribution used in the paper's footnote-5 formula.
 RTO_FLOOR_MS = 200.0
+#: Eq. 4 needs at least this many TCP-qualified chunks per session: its
+#: statistics are within-session, so short sessions carry no signal
+MIN_EQ4_CHUNKS = 5
+#: TP_inst above this multiple of the Eq. 3 connection throughput is the
+#: per-chunk transient-burst signature
+TP_BURST_FACTOR = 2.5
 
 
 def instantaneous_throughput_kbps(chunk: JoinedChunk) -> float:
@@ -68,7 +74,7 @@ def _chunk_features(chunk: JoinedChunk) -> Optional[Tuple[float, float, float, f
 
 
 def detect_transient_outliers(
-    session: SessionView, min_chunks: int = 5
+    session: SessionView, min_chunks: int = MIN_EQ4_CHUNKS
 ) -> List[JoinedChunk]:
     """Eq. 4 within one session: chunks buffered by the download stack.
 
@@ -104,7 +110,7 @@ def detect_transient_outliers(
 
 
 def detect_transient_outliers_dataset(
-    dataset: Dataset, min_chunks: int = 5
+    dataset: Dataset, min_chunks: int = MIN_EQ4_CHUNKS
 ) -> Dict[str, List[JoinedChunk]]:
     """Run Eq. 4 over every session; returns {session_id: flagged chunks}."""
     result: Dict[str, List[JoinedChunk]] = {}
@@ -115,7 +121,7 @@ def detect_transient_outliers_dataset(
     return result
 
 
-def transient_signature(chunk: JoinedChunk, tp_factor: float = 2.5) -> bool:
+def transient_signature(chunk: JoinedChunk, tp_factor: float = TP_BURST_FACTOR) -> bool:
     """Per-chunk transient-burst signature (no session statistics needed).
 
     A chunk delivered as a download-stack burst shows an instantaneous

@@ -34,6 +34,7 @@ from typing import Dict, List
 from ..telemetry.dataset import Dataset, JoinedChunk, SessionView
 from . import downstack, perfscore
 from .decomposition import chunk_baseline_rtt
+from .rendering_diag import GOOD_RATE
 
 __all__ = [
     "Bottleneck",
@@ -78,6 +79,15 @@ BAD_SCORE = 1.0
 BAD_RENDER_FRACTION = 0.25
 #: baseline RTT considered tail-grade (§4.2-1's 100 ms threshold)
 TAIL_RTT_MS = 100.0
+#: Eq. 5 bound above which a download stack that out-costs the server and
+#: the network is the chunk's bottleneck
+DS_BOUND_MS = 100.0
+#: server latency (D_CDN + D_BE) that is a QoE-relevant problem when it
+#: out-costs the network — an ordinary ~15 ms disk read is not
+SERVER_BOUND_MS = 40.0
+#: Eq. 2 throughput share at or above which a suffering chunk is
+#: throughput-bound (latency-bound below it)
+THROUGHPUT_SHARE = 0.5
 
 
 def attribute_chunk(
@@ -111,13 +121,13 @@ def attribute_chunk(
     # 1. download-stack buffering or dominant persistent stack latency
     if transient_flagged or downstack.transient_signature(chunk):
         return build(Bottleneck.CLIENT_DOWNLOAD_STACK, "transient-burst")
-    if ds_bound > max(server_ms, baseline) and ds_bound > 100.0:
+    if ds_bound > max(server_ms, baseline) and ds_bound > DS_BOUND_MS:
         detail = "first-chunk-setup" if chunk.chunk_id == 0 else "persistent-stack"
         return build(Bottleneck.CLIENT_DOWNLOAD_STACK, detail)
 
     # 2. the server out-costs the network (the paper's ~5% of chunks) by a
     #    QoE-relevant amount — an ordinary ~15 ms disk read is not a problem
-    if server_ms > baseline and server_ms > 40.0:
+    if server_ms > baseline and server_ms > SERVER_BOUND_MS:
         if not chunk.cdn.is_hit:
             return build(Bottleneck.SERVER, "miss")
         if chunk.cdn.cache_status == "hit_disk":
@@ -126,7 +136,7 @@ def attribute_chunk(
 
     # 3/4. a suffering chunk is split by Eq. 2's latency/throughput shares
     if score < BAD_SCORE:
-        if perfscore.throughput_share(chunk.player) >= 0.5:
+        if perfscore.throughput_share(chunk.player) >= THROUGHPUT_SHARE:
             return build(Bottleneck.NETWORK_THROUGHPUT, "bad-score")
         return build(Bottleneck.NETWORK_LATENCY, "bad-score")
     if baseline > TAIL_RTT_MS and chunk.player.rebuffer_count > 0:
@@ -137,7 +147,7 @@ def attribute_chunk(
         chunk.player.visible
         and not chunk.player.hw_rendered
         and drops > BAD_RENDER_FRACTION
-        and chunk.player.download_rate >= 1.5
+        and chunk.player.download_rate >= GOOD_RATE
     ):
         return build(Bottleneck.CLIENT_RENDERING, "software-rendering")
 

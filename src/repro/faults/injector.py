@@ -181,7 +181,3 @@ class FaultInjector:
         if not labels:
             return None
         return RenderFaultState(drop_add=min(0.95, drop_add), labels=tuple(labels))
-
-    def client_targeted(self, os_name: str) -> bool:
-        """Can any client-layer epoch ever strike *os_name*?"""
-        return any(e.targets_platform(os_name) for e in self._client_events)

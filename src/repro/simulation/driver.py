@@ -32,7 +32,7 @@ from ..telemetry.dataset import Dataset
 from ..telemetry.io import save_dataset
 from ..workload.catalog import Catalog, generate_catalog
 from ..workload.clients import ClientPopulation, generate_population
-from ..workload.sessions import SessionGenerator, SessionPlan
+from ..workload.sessions import SessionGenerator
 from .config import SimulationConfig
 from .engine import run_period
 from .shard import ShardSpec
@@ -523,17 +523,3 @@ class Simulator:
             watch_median_chunks=config.watch_median_chunks,
             watch_sigma_chunks=config.watch_sigma_chunks,
         )
-
-    def _owns_plan(self, plan: SessionPlan) -> bool:
-        """Does this shard simulate *plan*?
-
-        Every shard regenerates the full session stream (so RNG consumption
-        is independent of the shard count) and keeps only its own slice.
-        Ownership follows the traffic-engineering assignment, which is a
-        pure function of stable ids — calling it here and again at session
-        start returns the same decision.
-        """
-        decision = self.mapping.assign(
-            plan.client.prefix.geo, plan.video.video_id, plan.video.rank, plan.session_id
-        )
-        return decision.server_id in self.servers

@@ -44,18 +44,21 @@ def run_period(
     the ``engine.clock_ms`` gauge.
     """
     groups: Dict[str, List[Tuple[SessionPlan, MappingDecision]]] = {}
+    servers = sim.servers
     for plan in sim._session_generator(seed).generate(n_sessions, start_ms=start_ms):
-        if sim.shard is not None and not sim._owns_plan(plan):
-            continue
         # The decision is a pure function of stable ids: the one the
-        # session gets, whenever it is computed.
+        # session gets, whenever it is computed.  Every shard regenerates
+        # the whole stream, so RNG use does not depend on the shard count,
+        # and keeps the plans of the servers it built (a serial run builds
+        # them all).
         decision = sim.mapping.assign(
             plan.client.prefix.geo,
             plan.video.video_id,
             plan.video.rank,
             plan.session_id,
         )
-        groups.setdefault(decision.server_id, []).append((plan, decision))
+        if decision.server_id in servers:
+            groups.setdefault(decision.server_id, []).append((plan, decision))
 
     events = 0
     clock = 0.0

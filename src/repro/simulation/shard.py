@@ -44,8 +44,8 @@ class ShardSpec:
 
     ``index`` is this shard's position in ``[0, n_shards)``.  The spec is
     pickled into the worker process and consulted by
-    :class:`~repro.simulation.driver.Simulator` when building servers and
-    filtering session plans.
+    :class:`~repro.simulation.driver.Simulator` when building servers; a
+    period runs the session plans mapped to the servers it built.
     """
 
     index: int

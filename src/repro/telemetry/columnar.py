@@ -3,10 +3,11 @@
 The record dataclasses in :mod:`repro.telemetry.records` are what the
 record-level analyses read; at scale (the paper's 65 M sessions / 523 M
 chunks) a Python object per record is ~10x the memory of the data it
-carries.  This module declares one numpy structured dtype per record
-kind — the one form telemetry is held in, in memory
-(:class:`~repro.telemetry.dataset.Dataset`) and in spill files — and
-exact, loss-free conversion in both directions:
+carries.  This module builds one numpy structured dtype per record
+kind from the columns the record's fields declare
+(:func:`~repro.telemetry.records.column`) — the one form telemetry is
+held in, in memory (:class:`~repro.telemetry.dataset.Dataset`) and in
+spill files — and exact, loss-free conversion in both directions:
 
 * ``rows_to_array`` — rows (tuples in the kind's field order) → one
   structured array: the one column encoder.  The simulator emits rows,
@@ -15,7 +16,7 @@ exact, loss-free conversion in both directions:
   record (the loaders and ``Dataset(**records)``);
 * ``iter_rows`` — structured array → rows of plain Python values
   (``tolist()``, strings decoded), block-wise: what the JSON-lines
-  writer serializes;
+  and CSV beacon writers serialize;
 * ``iter_records`` / ``array_to_records`` — the same rows as record
   objects, so a round-tripped record compares ``==`` to the original
   and JSON-serializes identically.
@@ -80,37 +81,34 @@ class ColumnSchema:
     """The columnar layout of one record kind.
 
     ``kind`` is the :class:`~repro.telemetry.dataset.Dataset` attribute
-    name; ``fields`` maps every dataclass field, in declaration order, to
-    a numpy dtype string — the order of a row's values; ``sort_keys`` are
-    the canonical-order key columns.
+    name; each field of ``record_type``, in declaration order, is one
+    column of the dtype its declaration names
+    (:func:`~repro.telemetry.records.column`) — the order of a row's
+    values; ``sort_keys`` are the canonical-order key columns.
     """
 
-    def __init__(
-        self,
-        kind: str,
-        record_type: type,
-        fields: Tuple[Tuple[str, str], ...],
-        sort_keys: Tuple[str, ...],
-    ) -> None:
-        declared = tuple(f.name for f in dataclasses.fields(record_type))
-        if tuple(name for name, _ in fields) != declared:
-            raise ValueError(
-                f"{kind}: columnar fields {tuple(n for n, _ in fields)} do not "
-                f"match {record_type.__name__} fields {declared}"
-            )
+    def __init__(self, kind: str, record_type: type, sort_keys: Tuple[str, ...]) -> None:
+        columns = []
+        for field in dataclasses.fields(record_type):
+            if "dtype" not in field.metadata:
+                raise ValueError(
+                    f"{kind}: {record_type.__name__}.{field.name} declares no "
+                    "column (repro.telemetry.records.column)"
+                )
+            columns.append((field.name, field.metadata["dtype"]))
         self.kind = kind
         self.record_type = record_type
         self.sort_keys = sort_keys
-        self.dtype = np.dtype(list(fields))
+        self.dtype = np.dtype(columns)
         #: (index, name, byte width) of every string column
         self.string_fields: Tuple[Tuple[int, str, int], ...] = tuple(
             (index, name, self.dtype[name].itemsize)
-            for index, (name, _) in enumerate(fields)
+            for index, name in enumerate(self.dtype.names)
             if self.dtype[name].kind == "S"
         )
         self._key_getter = attrgetter(*sort_keys)
         #: a record object's row: its field values in column order
-        self.row_of = attrgetter(*(name for name, _ in fields))
+        self.row_of = attrgetter(*self.dtype.names)
 
     @property
     def field_names(self) -> Tuple[str, ...]:
@@ -122,118 +120,20 @@ class ColumnSchema:
 
 
 #: The columnar contract: every record kind's layout, keyed by its
-#: ``Dataset`` attribute name.  Adding or resizing a column REQUIRES a
-#: matching row in docs/TELEMETRY.md (tests/test_docs_contract.py enforces
-#: both directions) and a SPILL_FORMAT_VERSION bump in
-#: :mod:`repro.telemetry.spill`.
+#: ``Dataset`` attribute name.  The columns are declared on the record
+#: fields in :mod:`repro.telemetry.records`; adding or resizing one
+#: REQUIRES a matching row in docs/TELEMETRY.md
+#: (tests/test_docs_contract.py enforces both directions) and a
+#: SPILL_FORMAT_VERSION bump in :mod:`repro.telemetry.spill`.
 COLUMN_SCHEMAS: Dict[str, ColumnSchema] = {
     schema.kind: schema
     for schema in (
-        ColumnSchema(
-            "player_chunks",
-            PlayerChunkRecord,
-            (
-                ("session_id", "S24"),
-                ("chunk_id", "i8"),
-                ("dfb_ms", "f8"),
-                ("dlb_ms", "f8"),
-                ("bitrate_kbps", "f8"),
-                ("chunk_duration_ms", "f8"),
-                ("rebuffer_count", "i8"),
-                ("rebuffer_ms", "f8"),
-                ("visible", "b1"),
-                ("avg_fps", "f8"),
-                ("dropped_frames", "i8"),
-                ("total_frames", "i8"),
-                ("request_sent_ms", "f8"),
-                ("hw_rendered", "b1"),
-            ),
-            ("session_id", "chunk_id"),
-        ),
-        ColumnSchema(
-            "cdn_chunks",
-            CdnChunkRecord,
-            (
-                ("session_id", "S24"),
-                ("chunk_id", "i8"),
-                ("d_wait_ms", "f8"),
-                ("d_open_ms", "f8"),
-                ("d_read_ms", "f8"),
-                ("d_be_ms", "f8"),
-                ("cache_status", "S12"),
-                ("chunk_bytes", "i8"),
-                ("server_id", "S32"),
-                ("pop_id", "S32"),
-                ("served_at_ms", "f8"),
-            ),
-            ("session_id", "chunk_id"),
-        ),
-        ColumnSchema(
-            "tcp_snapshots",
-            TcpInfoRecord,
-            (
-                ("session_id", "S24"),
-                ("chunk_id", "i8"),
-                ("t_ms", "f8"),
-                ("cwnd_segments", "i8"),
-                ("srtt_ms", "f8"),
-                ("rttvar_ms", "f8"),
-                ("retx_total", "i8"),
-                ("mss", "i8"),
-                ("rto_ms", "f8"),
-            ),
-            ("session_id", "chunk_id", "t_ms"),
-        ),
-        ColumnSchema(
-            "player_sessions",
-            PlayerSessionRecord,
-            (
-                ("session_id", "S24"),
-                ("client_ip", "S48"),
-                ("user_agent", "S128"),
-                ("video_id", "i8"),
-                ("video_duration_ms", "f8"),
-                ("start_ms", "f8"),
-                ("os", "S32"),
-                ("browser", "S24"),
-            ),
-            ("session_id",),
-        ),
-        ColumnSchema(
-            "cdn_sessions",
-            CdnSessionRecord,
-            (
-                ("session_id", "S24"),
-                ("client_ip", "S48"),
-                ("user_agent", "S128"),
-                ("pop_id", "S32"),
-                ("server_id", "S32"),
-                ("org", "S64"),
-                ("conn_type", "S16"),
-                ("country", "S8"),
-                ("city", "S40"),
-                ("lat", "f8"),
-                ("lon", "f8"),
-            ),
-            ("session_id",),
-        ),
-        ColumnSchema(
-            "ground_truth",
-            ChunkGroundTruth,
-            (
-                ("session_id", "S24"),
-                ("chunk_id", "i8"),
-                ("true_dds_ms", "f8"),
-                ("true_rtt0_ms", "f8"),
-                ("transient_ds", "b1"),
-                ("segments_sent", "i8"),
-                ("segments_retx", "i8"),
-                ("true_drop_fraction", "f8"),
-                ("network_dlb_ms", "f8"),
-                ("fault_labels", "S160"),
-            ),
-            ("session_id", "chunk_id"),
-        ),
+        ColumnSchema("player_chunks", PlayerChunkRecord, ("session_id", "chunk_id")),
+        ColumnSchema("cdn_chunks", CdnChunkRecord, ("session_id", "chunk_id")),
+        ColumnSchema("tcp_snapshots", TcpInfoRecord, ("session_id", "chunk_id", "t_ms")),
+        ColumnSchema("player_sessions", PlayerSessionRecord, ("session_id",)),
+        ColumnSchema("cdn_sessions", CdnSessionRecord, ("session_id",)),
+        ColumnSchema("ground_truth", ChunkGroundTruth, ("session_id", "chunk_id")),
     )
 }
 

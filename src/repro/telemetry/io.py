@@ -21,10 +21,11 @@ from .columnar import COLUMN_SCHEMAS, SPILL_KINDS, iter_rows
 from .dataset import Dataset
 from .spill import SPILL_MANIFEST_FILENAME
 
-__all__ = ["save_dataset", "load_dataset"]
+__all__ = ["canonical_rows", "save_dataset", "load_dataset"]
 
-#: rows of each run held as Python values at a time while saving: the
-#: writer's memory grows with the number of runs, not with their length
+#: rows of each run held as Python values at a time while saving (JSON
+#: lines or CSV beacons): the writer's memory grows with the number of
+#: runs, not with their length
 SAVE_RUN_ROWS = 4_096
 
 
@@ -32,10 +33,12 @@ def _filename(kind: str) -> str:
     return f"{kind}.jsonl"
 
 
-def _canonical_rows(kind: str, runs: Sequence[np.ndarray]) -> Iterator[list]:
+def canonical_rows(kind: str, runs: Sequence[np.ndarray]) -> Iterator[list]:
     """The rows of *kind*'s sorted *runs* in canonical order: one stable
     k-way merge on the sort keys, so rows sharing a key come in run
-    order, as :func:`~repro.telemetry.columnar.merge_runs` orders them."""
+    order, as :func:`~repro.telemetry.columnar.merge_runs` orders them.
+    Each run holds :data:`SAVE_RUN_ROWS` rows as Python values at a
+    time, and no record object is built."""
     schema = COLUMN_SCHEMAS[kind]
     keys = [schema.field_names.index(name) for name in schema.sort_keys]
     streams = [iter_rows(kind, run, SAVE_RUN_ROWS) for run in runs]
@@ -76,7 +79,7 @@ def save_dataset(dataset: Dataset, directory: Union[str, Path]) -> Path:
     for kind in SPILL_KINDS:
         names = COLUMN_SCHEMAS[kind].field_names
         with (directory / _filename(kind)).open("w", encoding="utf-8") as handle:
-            for values in _canonical_rows(kind, dataset.run_arrays(kind)):
+            for values in canonical_rows(kind, dataset.run_arrays(kind)):
                 handle.write(json.dumps(dict(zip(names, values))) + "\n")
     return directory
 

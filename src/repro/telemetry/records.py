@@ -13,14 +13,23 @@ They share only the (session id, chunk id) join keys.  A separate
 :class:`ChunkGroundTruth` record carries simulator-only truth (true
 download-stack delay, true rtt0, ...) used to *validate* the analysis —
 the analysis itself never reads it.
+
+Every field declares its column here (:func:`column`): the numpy dtype
+of that field in the kind's structured array.  The field order is the
+column order and the order of a row's values, and
+:data:`~repro.telemetry.columnar.COLUMN_SCHEMAS`, the spill files, the
+JSON-lines files and the CSV beacons all derive their layout from these
+declarations (docs/TELEMETRY.md, "Columnar layout").
 """
 
 from __future__ import annotations
 
 import sys
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, field
+from typing import Any
 
 __all__ = [
+    "column",
     "PlayerChunkRecord",
     "CdnChunkRecord",
     "TcpInfoRecord",
@@ -42,27 +51,33 @@ else:  # Python 3.9: dataclasses grow slots=True only in 3.10
         return dataclass(frozen=True)(cls)
 
 
+def column(dtype: str, default: Any = MISSING) -> Any:
+    """A record field stored in a column of numpy dtype *dtype* (``S24``,
+    ``i8``, ``f8``, ``b1``...); *default* as for ``dataclasses.field``."""
+    return field(default=default, metadata={"dtype": dtype})
+
+
 @_record
 class PlayerChunkRecord:
     """Player-side per-chunk beacon (Table 2, 'Player' rows)."""
 
-    session_id: str
-    chunk_id: int
-    dfb_ms: float  # first-byte delay, GET sent -> first byte at player
-    dlb_ms: float  # last-byte delay, first byte -> last byte at player
-    bitrate_kbps: float
-    chunk_duration_ms: float
-    rebuffer_count: int  # bufcount: stalls ended by this chunk
-    rebuffer_ms: float  # bufdur
-    visible: bool  # vis
-    avg_fps: float  # avgfr
-    dropped_frames: int  # dropfr
-    total_frames: int
-    request_sent_ms: float  # wall-clock when the GET left the player
+    session_id: str = column("S24")
+    chunk_id: int = column("i8")
+    dfb_ms: float = column("f8")  # first-byte delay, GET sent -> first byte at player
+    dlb_ms: float = column("f8")  # last-byte delay, first byte -> last byte at player
+    bitrate_kbps: float = column("f8")
+    chunk_duration_ms: float = column("f8")
+    rebuffer_count: int = column("i8")  # bufcount: stalls ended by this chunk
+    rebuffer_ms: float = column("f8")  # bufdur
+    visible: bool = column("b1")  # vis
+    avg_fps: float = column("f8")  # avgfr
+    dropped_frames: int = column("i8")  # dropfr
+    total_frames: int = column("i8")
+    request_sent_ms: float = column("f8")  # wall-clock when the GET left the player
     #: whether the chunk was rendered in hardware (GPU) — the player knows
     #: its rendering mode (StageVideo vs software) and Fig. 19's first bar
     #: reports hardware-rendered chunks separately
-    hw_rendered: bool = False
+    hw_rendered: bool = column("b1", default=False)
 
     @property
     def download_ms(self) -> float:
@@ -87,17 +102,17 @@ class PlayerChunkRecord:
 class CdnChunkRecord:
     """CDN-side per-chunk log (Table 2, 'CDN (App layer)' row)."""
 
-    session_id: str
-    chunk_id: int
-    d_wait_ms: float
-    d_open_ms: float
-    d_read_ms: float
-    d_be_ms: float
-    cache_status: str  # "hit_ram" | "hit_disk" | "miss"
-    chunk_bytes: int
-    server_id: str
-    pop_id: str
-    served_at_ms: float
+    session_id: str = column("S24")
+    chunk_id: int = column("i8")
+    d_wait_ms: float = column("f8")
+    d_open_ms: float = column("f8")
+    d_read_ms: float = column("f8")
+    d_be_ms: float = column("f8")
+    cache_status: str = column("S12")  # "hit_ram" | "hit_disk" | "miss"
+    chunk_bytes: int = column("i8")
+    server_id: str = column("S32")
+    pop_id: str = column("S32")
+    served_at_ms: float = column("f8")
 
     @property
     def d_cdn_ms(self) -> float:
@@ -118,17 +133,17 @@ class CdnChunkRecord:
 class TcpInfoRecord:
     """One kernel ``tcp_info`` snapshot (Table 2, 'CDN (TCP layer)' row)."""
 
-    session_id: str
-    chunk_id: int
-    t_ms: float
-    cwnd_segments: int
-    srtt_ms: float
-    rttvar_ms: float
-    retx_total: int  # cumulative retransmissions on the connection
-    mss: int
+    session_id: str = column("S24")
+    chunk_id: int = column("i8")
+    t_ms: float = column("f8")
+    cwnd_segments: int = column("i8")
+    srtt_ms: float = column("f8")
+    rttvar_ms: float = column("f8")
+    retx_total: int = column("i8")  # cumulative retransmissions on the connection
+    mss: int = column("i8")
     #: retransmission timeout (paper footnote 5: 200 ms + srtt + 4*rttvar);
     #: defaulted so datasets persisted before the field existed still load
-    rto_ms: float = 0.0
+    rto_ms: float = column("f8", default=0.0)
 
     @property
     def throughput_kbps(self) -> float:
@@ -142,48 +157,48 @@ class TcpInfoRecord:
 class PlayerSessionRecord:
     """Player-side per-session beacon (Table 3, 'Player' row)."""
 
-    session_id: str
-    client_ip: str  # the client's own view of its IP
-    user_agent: str
-    video_id: int
-    video_duration_ms: float
-    start_ms: float
-    os: str
-    browser: str
+    session_id: str = column("S24")
+    client_ip: str = column("S48")  # the client's own view of its IP
+    user_agent: str = column("S128")
+    video_id: int = column("i8")
+    video_duration_ms: float = column("f8")
+    start_ms: float = column("f8")
+    os: str = column("S32")
+    browser: str = column("S24")
 
 
 @_record
 class CdnSessionRecord:
     """CDN-side per-session log (Table 3, 'CDN' row)."""
 
-    session_id: str
-    client_ip: str  # as seen by the CDN (a proxy's IP if proxied)
-    user_agent: str
-    pop_id: str
-    server_id: str
-    org: str  # AS / ISP / enterprise organization
-    conn_type: str
-    country: str
-    city: str
-    lat: float
-    lon: float
+    session_id: str = column("S24")
+    client_ip: str = column("S48")  # as seen by the CDN (a proxy's IP if proxied)
+    user_agent: str = column("S128")
+    pop_id: str = column("S32")
+    server_id: str = column("S32")
+    org: str = column("S64")  # AS / ISP / enterprise organization
+    conn_type: str = column("S16")
+    country: str = column("S8")
+    city: str = column("S40")
+    lat: float = column("f8")
+    lon: float = column("f8")
 
 
 @_record
 class ChunkGroundTruth:
     """Simulator-only truth per chunk — validation data, never analysis input."""
 
-    session_id: str
-    chunk_id: int
-    true_dds_ms: float  # actual download-stack latency in D_FB
-    true_rtt0_ms: float  # actual network RTT of the request round
-    transient_ds: bool  # was this a download-stack buffering burst?
-    segments_sent: int
-    segments_retx: int
-    true_drop_fraction: float
-    network_dlb_ms: float  # D_LB before download-stack distortion
+    session_id: str = column("S24")
+    chunk_id: int = column("i8")
+    true_dds_ms: float = column("f8")  # actual download-stack latency in D_FB
+    true_rtt0_ms: float = column("f8")  # actual network RTT of the request round
+    transient_ds: bool = column("b1")  # was this a download-stack buffering burst?
+    segments_sent: int = column("i8")
+    segments_retx: int = column("i8")
+    true_drop_fraction: float = column("f8")
+    network_dlb_ms: float = column("f8")  # D_LB before download-stack distortion
     #: injected faults that actually struck this chunk, as a canonical
     #: comma-joined "class:id" string ("" = no fault).  A plain string so
     #: the record JSON-round-trips unchanged (docs/FAULTS.md); parse with
     #: :func:`repro.core.faultscore.parse_fault_labels`.
-    fault_labels: str = ""
+    fault_labels: str = column("S160", default="")

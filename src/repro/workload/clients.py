@@ -288,10 +288,6 @@ class ClientPopulation:
             bandwidth_kbps=bandwidth,
         )
 
-    def enterprise_orgs(self) -> List[str]:
-        """Distinct enterprise organization names in the population."""
-        return sorted({p.org for p in self.prefixes if p.is_enterprise})
-
 
 def generate_population(config: Optional[PopulationConfig] = None) -> ClientPopulation:
     """Generate the prefix population from a :class:`PopulationConfig`."""

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import hashlib
 import math
-from typing import Iterator
 
 import numpy as np
 
@@ -95,12 +94,3 @@ def bounded_normal(
             return value
     return float(min(max(mean, low), high))
 
-
-def weighted_choice_indices(
-    rng: np.random.Generator, weights: np.ndarray, size: int
-) -> Iterator[int]:
-    """Yield *size* indices sampled proportionally to *weights*."""
-    probabilities = np.asarray(weights, dtype=float)
-    probabilities = probabilities / probabilities.sum()
-    for index in rng.choice(len(probabilities), size=size, p=probabilities):
-        yield int(index)

@@ -8,6 +8,8 @@ variation build its records first (:func:`make_records`,
 import dataclasses
 from typing import Dict
 
+import numpy as np
+
 from repro.telemetry.columnar import SPILL_KINDS
 from repro.telemetry.dataset import Dataset
 from repro.telemetry.records import (
@@ -17,6 +19,7 @@ from repro.telemetry.records import (
     PlayerSessionRecord,
     TcpInfoRecord,
 )
+from repro.telemetry.spill import SpillWriter
 
 
 def row(record) -> tuple:
@@ -137,3 +140,16 @@ def make_dataset(n_chunks=3) -> Dataset:
 def records_of(dataset) -> Dict[str, list]:
     """*dataset*'s records as editable lists keyed by kind, in canonical order."""
     return {kind: list(getattr(dataset, kind)) for kind in SPILL_KINDS}
+
+
+def shuffled_spill(dataset, directory, threshold_rows=64, seed=0):
+    """*dataset* spilled from a seeded shuffle of each kind's rows, so
+    its sorted runs interleave and a session's rows span runs."""
+    writer = SpillWriter(directory, threshold_rows=threshold_rows)
+    rng = np.random.default_rng(seed)
+    for kind in SPILL_KINDS:
+        for array in dataset.run_arrays(kind):
+            shuffled = array[rng.permutation(len(array))]
+            for start in range(0, len(shuffled), 16):
+                writer.add_array(kind, shuffled[start : start + 16])
+    return writer.finalize()

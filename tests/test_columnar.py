@@ -20,6 +20,7 @@ import itertools
 import json
 import pickle
 import random
+import sys
 import tracemalloc
 from operator import attrgetter
 
@@ -42,6 +43,7 @@ from repro.telemetry.columnar import (
     COLUMN_SCHEMAS,
     SPILL_KINDS,
     ColumnOverflowError,
+    ColumnSchema,
     array_to_records,
     byte_change_points,
     iter_records,
@@ -53,7 +55,7 @@ from repro.telemetry.columnar import (
 )
 from repro.telemetry.dataset import Dataset
 from repro.telemetry.io import save_dataset
-from repro.telemetry.records import PlayerSessionRecord
+from repro.telemetry.records import PlayerSessionRecord, column
 from repro.telemetry.spill import (
     SPILL_MANIFEST_FILENAME,
     SpilledDataset,
@@ -230,6 +232,35 @@ class TestColumnarRoundTrip:
         stream = iter_records("player_sessions", array)
         first = next(stream)
         assert first.session_id == "s0000"
+
+
+class TestColumnsDeclaredOnRecords:
+    """A kind's columns are its record's field declarations."""
+
+    #: records._record's two decorators: slots on Python >= 3.10, plain
+    #: frozen on 3.9
+    DECORATORS = [{"frozen": True}] + (
+        [{"frozen": True, "slots": True}] if sys.version_info >= (3, 10) else []
+    )
+
+    @pytest.mark.parametrize("options", DECORATORS)
+    def test_every_field_declares_its_column(self, options):
+        @dataclasses.dataclass(**options)
+        class Probe:
+            session_id: str = column("S24")
+            count: int = column("i8", default=0)
+
+        schema = ColumnSchema("probe", Probe, ("session_id",))
+        assert schema.dtype == np.dtype([("session_id", "S24"), ("count", "i8")])
+        assert Probe("s1").count == 0
+
+        @dataclasses.dataclass(**options)
+        class Undeclared:
+            session_id: str = column("S24")
+            count: int = 0
+
+        with pytest.raises(ValueError, match=r"^probe: Undeclared\.count declares no column"):
+            ColumnSchema("probe", Undeclared, ("session_id",))
 
 
 class TestRowEncoder:

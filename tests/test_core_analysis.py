@@ -16,9 +16,7 @@ from repro.core import (
     rendering_diag,
 )
 from repro.core.proxy_filter import filter_proxies
-from repro.telemetry.columnar import SPILL_KINDS
 from repro.telemetry.dataset import Dataset
-from repro.telemetry.spill import SpillWriter
 
 from helpers import (
     cdn_chunk,
@@ -28,6 +26,7 @@ from helpers import (
     make_records,
     player_chunk,
     player_session,
+    shuffled_spill,
     tcp_snap,
 )
 from proxy_oracle import filter_proxies_records
@@ -90,19 +89,6 @@ class TestProxyFilter:
         assert report.n_removed > 0
         assert 0.7 < report.kept_fraction < 1.0
         assert len(report.ip_mismatch_sessions) > 0
-
-
-def _shuffled_spill(dataset, directory, threshold_rows=64, seed=0):
-    """*dataset* spilled from a seeded shuffle of each kind's rows, so
-    its sorted runs interleave and a session's rows span runs."""
-    writer = SpillWriter(directory, threshold_rows=threshold_rows)
-    rng = np.random.default_rng(seed)
-    for kind in SPILL_KINDS:
-        for array in dataset.run_arrays(kind):
-            shuffled = array[rng.permutation(len(array))]
-            for start in range(0, len(shuffled), 16):
-                writer.add_array(kind, shuffled[start : start + 16])
-    return writer.finalize()
 
 
 def _assert_filter_matches_oracle(dataset, **kwargs):
@@ -201,7 +187,7 @@ class TestProxyFilterOracle:
     def test_crafted_datasets_in_memory_and_spilled(self, build, kwargs, tmp_path):
         dataset = Dataset(**build())
         report = _assert_filter_matches_oracle(dataset, **kwargs)
-        spilled = _shuffled_spill(dataset, tmp_path / "s", threshold_rows=4)
+        spilled = shuffled_spill(dataset, tmp_path / "s", threshold_rows=4)
         assert _assert_filter_matches_oracle(spilled, **kwargs) == report
 
     def test_crafted_datasets_exercise_every_rule(self):
@@ -249,14 +235,14 @@ class TestProxyFilterOracle:
         dataset = common.standard_result("tiny", seed).dataset
         report = _assert_filter_matches_oracle(dataset)
         assert report.n_removed > 0
-        spilled = _shuffled_spill(dataset, tmp_path / "s", threshold_rows=512, seed=seed)
+        spilled = shuffled_spill(dataset, tmp_path / "s", threshold_rows=512, seed=seed)
         assert len(spilled.run_arrays("player_chunks")) > 1
         assert _assert_filter_matches_oracle(spilled) == report
 
     def test_small_simulation_in_memory_and_spilled(self, small_result, tmp_path):
         # with a tighter budget the volume rule fires on simulated IPs too
         tight = {"media_budget_factor": 0.02, "min_sessions_for_mega_ip": 3}
-        spilled = _shuffled_spill(small_result.dataset, tmp_path / "s", threshold_rows=4096)
+        spilled = shuffled_spill(small_result.dataset, tmp_path / "s", threshold_rows=4096)
         for kwargs in ({}, tight):
             report = _assert_filter_matches_oracle(small_result.dataset, **kwargs)
             assert report.ip_mismatch_sessions

@@ -5,12 +5,13 @@ import dataclasses
 import numpy as np
 import pytest
 
-from helpers import make_dataset, make_records, player_chunk
+from helpers import make_dataset, make_records, player_chunk, shuffled_spill
 from repro.api import run
 from repro.cli import main as cli_main
 from repro.core.comparison import bootstrap_ci, compare_datasets
 from repro.sweep import CANNED_SCENARIOS
-from repro.telemetry.beacons import export_beacons_csv, import_beacons_csv
+from repro.telemetry import dataset as dataset_module
+from repro.telemetry.beacons import BEACON_KINDS, export_beacons_csv, import_beacons_csv
 from repro.telemetry.dataset import Dataset
 
 
@@ -39,6 +40,29 @@ class TestBeaconsCsv:
         }
         for chunk in loaded.player_chunks[:100]:
             assert chunk.visible == originals[(chunk.session_id, chunk.chunk_id)]
+
+    def test_export_writes_the_runs_rows_and_decodes_no_record(
+        self, small_result, tmp_path, monkeypatch
+    ):
+        # the exporter writes each kind's canonical row stream; a record
+        # view that decoded would call iter_records
+        keep = [r.session_id for r in small_result.dataset.player_sessions[:40]]
+        dataset = small_result.dataset.filter_sessions(keep)
+        spilled = shuffled_spill(dataset, tmp_path / "spill", threshold_rows=16)
+        assert all(len(spilled.run_arrays(kind)) > 1 for kind in BEACON_KINDS)
+
+        def refuse(kind, array):
+            raise AssertionError(f"export decoded the {kind} records")
+
+        monkeypatch.setattr(dataset_module, "iter_records", refuse)
+        export_beacons_csv(dataset, tmp_path / "memory")
+        export_beacons_csv(spilled, tmp_path / "spilled")
+        monkeypatch.undo()
+        for kind in BEACON_KINDS:
+            written = (tmp_path / "memory" / f"{kind}.csv").read_bytes()
+            assert written == (tmp_path / "spilled" / f"{kind}.csv").read_bytes()
+        loaded = import_beacons_csv(tmp_path / "spilled")
+        assert all(getattr(loaded, kind) == getattr(dataset, kind) for kind in BEACON_KINDS)
 
     def test_missing_files_yield_empty_lists(self, tmp_path):
         directory = export_beacons_csv(make_dataset(1), tmp_path / "b")

@@ -15,6 +15,7 @@ from pathlib import Path
 import pytest
 
 from repro.api import run
+from repro.cdn.mapping import TrafficEngineering
 from repro.cli import main as cli_main
 from repro.faults import FaultEvent, FaultSpec
 from repro.obs.manifest import dump_json, metrics_document
@@ -30,6 +31,7 @@ from repro.simulation.parallel import (
 )
 from repro.simulation.shard import ShardSpec, partition_server_ids, shard_of_server
 from repro.telemetry.io import load_dataset
+from repro.workload.sessions import SessionGenerator
 
 FAULT_SPEC = (
     Path(__file__).resolve().parent.parent / "examples" / "fault_cdn_degradation.json"
@@ -88,6 +90,31 @@ class TestShardSpec:
             ShardSpec(index=3, n_shards=3)
         with pytest.raises(ValueError):
             ShardSpec(index=0, n_shards=0)
+
+    def test_a_shard_maps_each_plan_once(self, monkeypatch):
+        # a shard regenerates every plan and runs those mapped to its own
+        # servers; the one mapping decides both
+        sim = Simulator(_config(n_sessions=60, warmup_sessions=0), shard=ShardSpec(0, 2))
+        generate, assign = SessionGenerator.generate, TrafficEngineering.assign
+        plans, servers = [], []
+
+        def counted_generate(self, *args, **kwargs):
+            for plan in generate(self, *args, **kwargs):
+                plans.append(plan)
+                yield plan
+
+        def counted_assign(self, *args, **kwargs):
+            decision = assign(self, *args, **kwargs)
+            servers.append(decision.server_id)
+            return decision
+
+        monkeypatch.setattr(SessionGenerator, "generate", counted_generate)
+        monkeypatch.setattr(TrafficEngineering, "assign", counted_assign)
+        dataset = sim.run().dataset
+        assert len(servers) == len(plans) == 60
+        owned = sum(server_id in sim.servers for server_id in servers)
+        assert 0 < owned < 60
+        assert dataset.n_sessions == owned
 
 
 class TestSerialParallelEquality:
