@@ -35,7 +35,9 @@ Two invariants drive every line here:
   additions.
 * **Bounded memory.**  Datasets are consumed in session-aligned blocks
   sized by :data:`~repro.telemetry.columnar.ITER_BLOCK_ROWS`; spilled runs
-  stay memory-mapped and only the current block's rows are materialized.
+  stay memory-mapped, only the current block's rows are materialized,
+  and the mapped pages of the rows read so far are dropped after each
+  block, so about one block of each run stays resident.
   The localization and fault-score states hold O(fault classes)
   counters, so a service can carry them across rounds indefinitely; the
   QoE state keeps per-session scalars for its quantiles.
@@ -62,6 +64,7 @@ from ..telemetry.columnar import (
     SPILL_KINDS,
     byte_change_points,
     concat_rows,
+    release_rows,
     session_runs,
     take_rows,
 )
@@ -163,13 +166,23 @@ def _last_of_runs(new: np.ndarray) -> np.ndarray:
 def _session_universe(ps_runs: Sequence[np.ndarray]) -> np.ndarray:
     """The sorted distinct session ids of the session-sorted *ps_runs*.
 
-    numpy's stable sort finds stretches that are already in order, so
-    sorting the runs' concatenation costs about one pass over each run;
-    the change points then drop repeated ids.
+    Each run's ids are copied into one array, and a spilled run drops
+    the mapped pages it was read from right after
+    (:func:`~repro.telemetry.columnar.release_rows`).  numpy's stable
+    sort finds stretches that are already in order, so sorting the
+    runs' concatenation costs about one pass over each run; the change
+    points then drop repeated ids.
     """
-    if not ps_runs:
-        return np.empty(0, dtype=COLUMN_SCHEMAS["player_sessions"].dtype["session_id"])
-    ids = np.sort(np.concatenate([run["session_id"] for run in ps_runs]), kind="stable")
+    ids = np.empty(
+        sum(len(run) for run in ps_runs),
+        dtype=COLUMN_SCHEMAS["player_sessions"].dtype["session_id"],
+    )
+    filled = 0
+    for run in ps_runs:
+        ids[filled : filled + len(run)] = run["session_id"]
+        filled += len(run)
+        release_rows(run)
+    ids.sort(kind="stable")
     return ids[_change_points(ids)]
 
 
@@ -251,9 +264,13 @@ class _BlockPlan:
     Block ``i`` owns a contiguous slice of the sorted universe.  For
     every run of every kind both block boundary vectors come from two
     ``searchsorted`` calls on the run's session-id field view, which
-    copies nothing: planning costs O(blocks) memory per run.
-    :meth:`block` then codes each run's slice of a block by session and
-    merges the slices.
+    copies nothing to the heap: planning costs O(blocks) memory per run.
+    The searches do map pages of a spilled run, and the kernel maps
+    whole page-cache folios around each, so each run drops its mapped
+    pages right after its own searches
+    (:func:`~repro.telemetry.columnar.release_rows`).  :meth:`block`
+    then codes each run's slice of a block by session and merges the
+    slices, and :meth:`release` drops the pages a block has read.
     """
 
     def __init__(self, runs: Dict[str, List[np.ndarray]]):
@@ -276,6 +293,7 @@ class _BlockPlan:
                 ids = run["session_id"]
                 a = np.searchsorted(ids, los, side="left")
                 b = np.searchsorted(ids, his, side="right")
+                release_rows(run)
                 entries.append((run, a, b))
             self.slices[kind] = entries
 
@@ -295,6 +313,19 @@ class _BlockPlan:
         if not parts:
             return np.empty(0, dtype=COLUMN_SCHEMAS[kind].dtype), np.empty(0, dtype=np.int64)
         return _merge_parts(kind, parts, len(sids))
+
+    def release(self, i: int) -> None:
+        """Drop the mapped pages of every run's rows up to block *i*'s
+        end, and of each whole run after the last block.
+
+        Always the prefix, not only block *i*'s slice: reading a slice
+        maps the folios around it, pages before it included
+        (:func:`~repro.telemetry.columnar.release_rows`).
+        """
+        last = i == self.n_blocks - 1
+        for entries in self.slices.values():
+            for run, _, b in entries:
+                release_rows(run, None if last else int(b[i]))
 
 
 def _last_wins_match(
@@ -855,7 +886,11 @@ def iter_joined_blocks(dataset: Any, metrics: Optional[Any] = None) -> Iterator[
     alike.  Blocks with no kept session are skipped.  Each block runs —
     the consumer's work on it included — inside an ``analysis.block``
     span of *metrics* and is counted in its ``analysis.*_total``
-    counters.  Nothing is memoized: every call joins.
+    counters.  Once the consumer has folded a block (or it was skipped),
+    a spilled run drops the mapped pages of every row up to the block's
+    end (:meth:`_BlockPlan.release`), so a pass holds about one block of
+    rows resident whatever the spill's size; in memory that does
+    nothing.  Nothing is memoized: every call joins.
     """
     from .. import obs
 
@@ -869,12 +904,12 @@ def iter_joined_blocks(dataset: Any, metrics: Optional[Any] = None) -> Iterator[
         with registry.span("analysis.block"):
             block = _compute_block(plan, i)
             blocks_total.inc()
-            if block is None:
-                continue
-            sessions_total.inc(block.n_kept)
-            chunks_total.inc(len(block.verdict))
-            yield block
-            del block  # build the next block without holding this one
+            if block is not None:
+                sessions_total.inc(block.n_kept)
+                chunks_total.inc(len(block.verdict))
+                yield block
+                del block  # build the next block without holding this one
+            plan.release(i)
 
 
 def analyze_dataset(

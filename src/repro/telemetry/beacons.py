@@ -12,7 +12,8 @@ analysis pipeline:
     player_sessions.csv, cdn_sessions.csv
 
 Each cell is parsed by its column's dtype
-(:data:`~repro.telemetry.columnar.COLUMN_SCHEMAS`).  Any file may be
+(:data:`~repro.telemetry.columnar.COLUMN_SCHEMAS`); integers exactly, at
+any size, never through a float.  Any file may be
 absent (analyses degrade as under beacon loss); extra columns are
 rejected rather than silently dropped — schema drift in telemetry
 pipelines should fail loudly.  Export writes each kind's rows straight
@@ -50,7 +51,13 @@ def _coerce(value: str, dtype_kind: str, context: str):
     if dtype_kind == "f":
         return float(value)
     if dtype_kind == "i":
-        return int(float(value))  # tolerate "3.0"
+        try:
+            return int(value)  # exact at any size: never through a float
+        except ValueError:
+            number = float(value)  # an integral spelling such as "3.0"
+            if not number.is_integer():
+                raise ValueError(f"{context}: {value!r} is not an integer") from None
+            return int(number)
     if dtype_kind == "b":
         lowered = value.strip().lower()
         if lowered in _TRUE_STRINGS:

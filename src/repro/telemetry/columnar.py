@@ -34,8 +34,9 @@ from __future__ import annotations
 import dataclasses
 import itertools
 import math
+import mmap
 from operator import attrgetter
-from typing import Dict, Iterable, Iterator, List, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -59,6 +60,7 @@ __all__ = [
     "array_to_records",
     "iter_records",
     "iter_rows",
+    "release_rows",
     "take_rows",
     "concat_rows",
     "merge_runs",
@@ -71,6 +73,10 @@ __all__ = [
 #: rows materialized per block when iterating an array back into records —
 #: bounds peak Python-object count regardless of array length
 ITER_BLOCK_ROWS = 65_536
+
+#: the advice that drops resident pages of a map (:func:`release_rows`),
+#: or None where the platform's ``mmap`` cannot give it
+_MADV_DONTNEED = getattr(mmap, "MADV_DONTNEED", None) if hasattr(mmap.mmap, "madvise") else None
 
 
 class ColumnOverflowError(ValueError):
@@ -210,15 +216,19 @@ def iter_rows(kind: str, array: np.ndarray, block_rows: int = ITER_BLOCK_ROWS) -
     string columns are decoded from UTF-8, so a row holds exactly the
     values its record carries.  Blocks of *block_rows* bound the number
     of live Python objects no matter how large the (possibly
-    memory-mapped) array is.
+    memory-mapped) array is, and a spill's run drops the pages of each
+    block once it has been read (:func:`release_rows`).
     """
     decode_indices = [index for index, _, _ in COLUMN_SCHEMAS[kind].string_fields]
     for start in range(0, len(array), block_rows):
-        for row in array[start : start + block_rows].tolist():
+        rows = array[start : start + block_rows].tolist()
+        release_rows(array, start + block_rows)
+        for row in rows:
             values = list(row)
             for index in decode_indices:
                 values[index] = values[index].decode("utf-8")
             yield values
+        del rows  # freed before the next block is read
 
 
 def iter_records(kind: str, array: np.ndarray) -> Iterator[object]:
@@ -232,6 +242,38 @@ def iter_records(kind: str, array: np.ndarray) -> Iterator[object]:
 def array_to_records(kind: str, array: np.ndarray) -> List[object]:
     """List form of :func:`iter_records` (small arrays / tests)."""
     return list(iter_records(kind, array))
+
+
+def release_rows(run: np.ndarray, stop: Optional[int] = None) -> None:
+    """Drop the resident pages of rows ``[0, stop)`` of a read-only
+    memory-mapped run (every row when *stop* is None).
+
+    A spill's runs are ``np.memmap`` arrays opened in mode ``r``: shared
+    read-only file maps, whose pages ``MADV_DONTNEED`` unmaps and the
+    next read maps again from the page cache, so values never depend on
+    when a release runs.  Any other array is left alone: on anonymous
+    or copy-on-write memory the same advice would zero the rows or
+    discard what was written to them.  It does nothing either where
+    ``mmap.madvise`` is missing (Windows).
+
+    The range always starts at row 0: around a fault the kernel maps
+    whole page-cache folios, so reading rows past a released slice maps
+    pages before it again, and only a reader that releases everything
+    it has passed keeps its resident pages bounded.
+    """
+    if not (
+        _MADV_DONTNEED is not None
+        and isinstance(run, np.memmap)
+        and run.mode == "r"
+        and isinstance(run.base, mmap.mmap)  # the run itself, not a view of it
+    ):
+        return
+    stop = len(run) if stop is None else min(stop, len(run))
+    if stop > 0:
+        # np.memmap maps the file from the allocation boundary at or
+        # below the data's offset; the kernel rounds the length up to a page
+        first_row = run.offset % mmap.ALLOCATIONGRANULARITY
+        run.base.madvise(_MADV_DONTNEED, 0, first_row + stop * run.itemsize)
 
 
 def take_rows(rows: np.ndarray, index: np.ndarray) -> np.ndarray:

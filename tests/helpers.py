@@ -6,9 +6,12 @@ variation build its records first (:func:`make_records`,
 """
 
 import dataclasses
+import os
+from pathlib import Path
 from typing import Dict
 
 import numpy as np
+import pytest
 
 from repro.telemetry.columnar import SPILL_KINDS
 from repro.telemetry.dataset import Dataset
@@ -153,3 +156,30 @@ def shuffled_spill(dataset, directory, threshold_rows=64, seed=0):
             for start in range(0, len(shuffled), 16):
                 writer.add_array(kind, shuffled[start : start + 16])
     return writer.finalize()
+
+
+#: this process's memory mappings, each with its resident size (Linux)
+SMAPS = Path("/proc/self/smaps")
+
+#: marks a test that reads :data:`SMAPS`; it skips where the file is missing
+needs_smaps = pytest.mark.skipif(
+    not SMAPS.is_file(), reason="reads /proc/self/smaps, which this platform lacks"
+)
+
+
+def resident_kib(directory) -> int:
+    """Resident KiB of this process's mappings of files under *directory*
+    (a spill's memory-mapped runs): the ``Rss`` of each such mapping in
+    :data:`SMAPS`."""
+    prefix = os.path.join(os.path.realpath(directory), "")
+    total = 0
+    counting = False
+    with SMAPS.open() as handle:
+        for line in handle:
+            fields = line.split(maxsplit=5)
+            if fields[0].endswith(":"):  # one value of the current mapping
+                if counting and fields[0] == "Rss:":
+                    total += int(fields[1])
+            else:  # a mapping: address range, perms, offset, device, inode, path
+                counting = len(fields) == 6 and fields[5].rstrip("\n").startswith(prefix)
+    return total

@@ -27,7 +27,16 @@ from operator import attrgetter
 import numpy as np
 import pytest
 
-from helpers import cdn_chunk, make_records, player_chunk, player_session, records_of, row
+from helpers import (
+    cdn_chunk,
+    make_records,
+    needs_smaps,
+    player_chunk,
+    player_session,
+    records_of,
+    resident_kib,
+    row,
+)
 from repro.api import run
 from repro.core.columnar_analysis import analyze_dataset
 from repro.faults import FaultEvent, FaultSpec
@@ -48,6 +57,7 @@ from repro.telemetry.columnar import (
     byte_change_points,
     iter_records,
     records_to_array,
+    release_rows,
     rows_to_array,
     session_runs,
     sort_array,
@@ -627,6 +637,55 @@ class TestASpillIsADataset:
         assert peak < largest / 4, (peak, largest)
         lines = (tmp_path / "jsonl" / "ground_truth.jsonl").read_text().splitlines()
         assert len(lines) == len(spilled.ground_truth)
+
+
+@needs_smaps
+class TestReleaseRows:
+    """``release_rows`` drops the resident pages of a read-only mapped
+    run, which reads back the same bytes, and leaves any other array
+    alone: values and resident pages."""
+
+    @pytest.fixture
+    def directory(self, tmp_path):
+        synthesize_spill(tmp_path / "s", 2_000, seed=4)
+        return tmp_path / "s"
+
+    def test_a_read_only_map_drops_its_pages(self, directory):
+        (mapped,) = SpilledDataset(directory).run_arrays("ground_truth")
+        assert isinstance(mapped, np.memmap) and mapped.mode == "r"
+        expected = mapped.tobytes()
+        full = resident_kib(directory)
+        assert full * 1024 >= mapped.nbytes
+        release_rows(mapped, len(mapped) // 2)
+        assert 0 < resident_kib(directory) < full
+        release_rows(mapped)
+        assert resident_kib(directory) == 0
+        assert mapped.tobytes() == expected
+
+    def test_other_arrays_keep_their_values_and_pages(self, directory):
+        path = next(directory.glob("ground_truth-*.npy"))
+        in_memory = np.load(path)
+        expected = in_memory.tobytes()
+        release_rows(in_memory)
+        assert in_memory.tobytes() == expected
+        # a copy-on-write map: the advice would discard the written row
+        private = np.load(path, mmap_mode="c")
+        private[0] = private[1]
+        expected = private.tobytes()
+        resident = resident_kib(directory)
+        assert resident > 0
+        release_rows(private)
+        assert resident_kib(directory) == resident
+        assert private.tobytes() == expected
+        del private
+        # a view of a read-only map is no run: its base is the run
+        (mapped,) = SpilledDataset(directory).run_arrays("ground_truth")
+        view = mapped[1:]
+        expected = view.tobytes()
+        resident = resident_kib(directory)
+        release_rows(view)
+        assert resident_kib(directory) == resident
+        assert view.tobytes() == expected
 
 
 class TestSyntheticGenerator:

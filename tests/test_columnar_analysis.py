@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import mmap
 import pickle
 import random
 import tempfile
@@ -57,10 +58,20 @@ from repro.telemetry import dataset as dataset_module
 from repro.telemetry import spill as spill_module
 from repro.telemetry.columnar import COLUMN_SCHEMAS, SPILL_KINDS, array_to_records
 from repro.telemetry.dataset import Dataset
+from repro.telemetry.beacons import export_beacons_csv
 from repro.telemetry.io import save_dataset
 from repro.telemetry.spill import SpilledDataset, SpillWriter
 from repro.telemetry.synth import synthesize_sharded, synthesize_spill
-from helpers import cdn_chunk, make_records, player_chunk, records_of, row, tcp_snap
+from helpers import (
+    cdn_chunk,
+    make_records,
+    needs_smaps,
+    player_chunk,
+    records_of,
+    resident_kib,
+    row,
+    tcp_snap,
+)
 from streaming_oracle import (
     FaultScoreAccumulator,
     LocalizationAccumulator,
@@ -826,3 +837,108 @@ class TestSharedEncode:
         assert dataset == faulted_dataset
         assert repr(dataset) == before[0]
         assert pickle.dumps(dataset) == before[1]
+
+
+# ---------------------------------------------------------------------------
+# mapped pages: a spilled pass keeps about one block of rows resident
+
+
+#: the largest page-cache folio on x86-64 Linux (2 MiB, a PMD): reading
+#: the rows at either edge of a run's block slice maps at most one such
+#: folio beyond the slice, and fault-around stays inside it
+_FOLIO_KIB = 2048
+_PAGE_KIB = mmap.PAGESIZE // 1024
+#: the resident share of the interleaved simulated spill allowed at any
+#: block.  Its runs are 150-500 KiB, so the folios mapped around a
+#: block's slices cover much of each run: dropping every run's read
+#: prefix after each block held at most 0.50 of the spill at any of its
+#: 18 blocks; dropping only each block's slices climbs block by block
+#: to 0.95-0.97, and keeping the pages the plan's searches map starts
+#: at 1.0
+_INTERLEAVED_RESIDENT_SHARE = 0.65
+
+
+@pytest.fixture(scope="module")
+def interleaved_spill(tmp_path_factory):
+    """The directory of a simulated run spilled every 2,048 rows: the runs
+    of each kind interleave sessions.  Only the path is kept, so no map of
+    the simulator's own spill stays open."""
+    directory = tmp_path_factory.mktemp("interleaved") / "spill"
+    config = SimulationConfig(
+        n_sessions=3_000,
+        warmup_sessions=100,
+        seed=11,
+        spill_dir=str(directory),
+        spill_threshold_rows=2_048,
+    )
+    run(config)
+    return directory
+
+
+def _resident_per_block(directory, plans):
+    """One pass over a fresh open of *directory*: its plan (the one
+    appended to *plans*), the resident KiB of the directory's maps at
+    each block and after the pass, and the number of runs."""
+    spilled = SpilledDataset(directory)
+    assert resident_kib(directory) == 0
+    samples = [resident_kib(directory) for _ in ca.iter_joined_blocks(spilled)]
+    (plan,) = plans
+    assert len(samples) == plan.n_blocks
+    n_runs = sum(len(spilled.run_arrays(kind)) for kind in SPILL_KINDS)
+    return plan, samples, resident_kib(directory), n_runs
+
+
+@needs_smaps
+class TestMappedPagesDropped:
+    """A spilled pass drops the mapped pages of the rows it has read, so
+    its resident run pages stay near one block's rows whatever the
+    spill's size, and nothing stays resident after it; the writers drop
+    what they stream.  Residency comes from ``/proc/self/smaps``: the
+    pages mapped into this process, which tracemalloc does not count."""
+
+    @pytest.fixture
+    def plans(self, monkeypatch):
+        plans = []
+
+        class RecordedPlan(ca._BlockPlan):
+            def __init__(self, runs):
+                super().__init__(runs)
+                plans.append(self)
+
+        monkeypatch.setattr(ca, "_BlockPlan", RecordedPlan)
+        return plans
+
+    def test_synthetic_pass_holds_one_block_of_rows(self, tmp_path, monkeypatch, plans):
+        # one run per kind, each many folios long, in 8 blocks
+        directory = tmp_path / "s"
+        synthesize_spill(directory, 16_000, seed=3)
+        monkeypatch.setattr(ca, "ITER_BLOCK_ROWS", 16_384)
+        plan, samples, after, n_runs = _resident_per_block(directory, plans)
+        assert plan.n_blocks >= 4
+        for i, sample in enumerate(samples):
+            share = sum(
+                int(b[i] - a[i]) * run.itemsize
+                for entries in plan.slices.values()
+                for run, a, b in entries
+            )
+            bound = share / 1024 + n_runs * 2 * _FOLIO_KIB
+            assert sample <= bound, (i, sample, bound)
+        assert after <= n_runs * _PAGE_KIB
+
+    def test_interleaved_simulated_pass_stays_bounded(
+        self, interleaved_spill, monkeypatch, plans
+    ):
+        monkeypatch.setattr(ca, "ITER_BLOCK_ROWS", 4_096)
+        plan, samples, after, n_runs = _resident_per_block(interleaved_spill, plans)
+        assert n_runs > 30 and plan.n_blocks >= 12
+        spill_kib = sum(path.stat().st_size for path in interleaved_spill.iterdir()) / 1024
+        assert max(samples) <= _INTERLEAVED_RESIDENT_SHARE * spill_kib, (samples, spill_kib)
+        assert after <= n_runs * _PAGE_KIB
+
+    def test_writers_drop_the_pages_they_stream(self, interleaved_spill, tmp_path):
+        spilled = SpilledDataset(interleaved_spill)
+        n_runs = sum(len(spilled.run_arrays(kind)) for kind in SPILL_KINDS)
+        save_dataset(spilled, tmp_path / "jsonl")
+        assert resident_kib(interleaved_spill) <= n_runs * _PAGE_KIB
+        export_beacons_csv(spilled, tmp_path / "csv")
+        assert resident_kib(interleaved_spill) <= n_runs * _PAGE_KIB

@@ -5,7 +5,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from helpers import make_dataset, make_records, player_chunk, shuffled_spill
+from helpers import cdn_chunk, make_dataset, make_records, player_chunk, shuffled_spill
 from repro.api import run
 from repro.cli import main as cli_main
 from repro.core.comparison import bootstrap_ci, compare_datasets
@@ -107,6 +107,41 @@ class TestBeaconsCsv:
     def test_missing_directory(self, tmp_path):
         with pytest.raises(FileNotFoundError):
             import_beacons_csv(tmp_path / "nope")
+
+    def test_integers_beyond_float_precision_round_trip(self, tmp_path):
+        # 2**60 + 1 has no float64 spelling: parsed through float it
+        # would read back as 2**60
+        records = make_records(2)
+        big = 2**60 + 1
+        records["player_chunks"][1] = player_chunk(chunk=big)
+        records["cdn_chunks"][1] = cdn_chunk(chunk=big)
+        directory = export_beacons_csv(Dataset(**records), tmp_path / "b")
+        loaded = import_beacons_csv(directory)
+        assert [c.chunk_id for c in loaded.player_chunks] == [0, big]
+        assert [c.chunk_id for c in loaded.cdn_chunks] == [0, big]
+
+    @pytest.mark.parametrize("spelling, value", [("7", 7), (" 7 ", 7), ("7.0", 7), ("7e0", 7)])
+    def test_integral_spellings_import(self, tmp_path, spelling, value):
+        loaded = import_beacons_csv(self._edited_chunk_id(tmp_path, spelling))
+        assert loaded.player_chunks[0].chunk_id == value
+
+    @pytest.mark.parametrize("spelling", ["7.5", "inf", "nan"])
+    def test_non_integral_value_reports_line(self, tmp_path, spelling):
+        # a fractional integer is refused, not truncated
+        with pytest.raises(ValueError, match=r":2: bad value for 'chunk_id'"):
+            import_beacons_csv(self._edited_chunk_id(tmp_path, spelling))
+
+    @staticmethod
+    def _edited_chunk_id(tmp_path, spelling):
+        """A one-chunk beacon directory whose player chunk id reads *spelling*."""
+        directory = export_beacons_csv(make_dataset(1), tmp_path / "b")
+        target = directory / "player_chunks.csv"
+        header, row = target.read_text().splitlines()
+        names = header.split(",")
+        cells = row.split(",")
+        cells[names.index("chunk_id")] = spelling
+        target.write_text(header + "\n" + ",".join(cells) + "\n")
+        return directory
 
 
 class TestBootstrapCi:
