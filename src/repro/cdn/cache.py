@@ -11,7 +11,6 @@ found, which is what drives the three server-latency regimes: RAM hit
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from typing import Dict, Hashable, Optional
 
@@ -32,24 +31,6 @@ class CacheStatus(str, Enum):
         return self is not CacheStatus.MISS
 
 
-@dataclass
-class CacheLevelStats:
-    """Hit/miss/eviction counters for one cache level."""
-
-    hits: int = 0
-    misses: int = 0
-    insertions: int = 0
-    evictions: int = 0
-
-    @property
-    def requests(self) -> int:
-        return self.hits + self.misses
-
-    @property
-    def hit_ratio(self) -> float:
-        return self.hits / self.requests if self.requests else 0.0
-
-
 class CacheLevel:
     """A single cache level with byte capacity and an eviction policy."""
 
@@ -59,7 +40,6 @@ class CacheLevel:
         self.capacity_bytes = capacity_bytes
         self.policy = policy if policy is not None else LruPolicy()
         self.used_bytes = 0
-        self.stats = CacheLevelStats()
         self._sizes: Dict[Hashable, int] = {}
 
     def __contains__(self, key: Hashable) -> bool:
@@ -69,16 +49,14 @@ class CacheLevel:
         return len(self._sizes)
 
     def lookup(self, key: Hashable) -> bool:
-        """Check for *key*, updating hit/miss stats and policy metadata."""
+        """Check for *key*, updating the policy's recency on a hit."""
         if key in self._sizes:
-            self.stats.hits += 1
             self.policy.on_hit(key)
             return True
-        self.stats.misses += 1
         return False
 
     def peek(self, key: Hashable) -> bool:
-        """Check for *key* without touching stats or recency."""
+        """Check for *key* without touching recency."""
         return key in self._sizes
 
     def insert(self, key: Hashable, size_bytes: int, fetch_cost: float = 1.0) -> None:
@@ -96,7 +74,6 @@ class CacheLevel:
         self._sizes[key] = size_bytes
         self.used_bytes += size_bytes
         self.policy.on_insert(key, size_bytes, fetch_cost)
-        self.stats.insertions += 1
 
     def invalidate(self, key: Hashable) -> bool:
         """Remove *key* if present; returns whether it was present."""
@@ -112,7 +89,6 @@ class CacheLevel:
         size = self._sizes.pop(victim)
         self.used_bytes -= size
         self.policy.on_remove(victim)
-        self.stats.evictions += 1
 
 
 class TwoLevelCache:
@@ -152,5 +128,5 @@ class TwoLevelCache:
         self.ram.insert(key, size_bytes, fetch_cost)
 
     def contains(self, key: Hashable) -> bool:
-        """True if *key* is resident at any level (no stats side effects)."""
+        """True if *key* is resident at any level (recency untouched)."""
         return self.ram.peek(key) or self.disk.peek(key)

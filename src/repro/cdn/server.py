@@ -19,10 +19,8 @@ prefetching subsequent chunks of a session after its first miss.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, Hashable, Optional, Tuple
-
-import numpy as np
+from dataclasses import dataclass
+from typing import TYPE_CHECKING, Optional, Tuple
 
 from ..obs.registry import MetricsRegistry
 
@@ -91,7 +89,9 @@ class CdnServerConfig:
 
 
 class CdnServer:
-    """One cache server inside a PoP."""
+    """One cache server inside a PoP.  It counts what it serves only into
+    the ``cdn.*`` metrics of its registry (a private one when built
+    without one)."""
 
     def __init__(
         self,
@@ -122,33 +122,29 @@ class CdnServer:
         # simultaneous arrivals from exploding the estimate.)
         self._last_arrival_ms: Optional[float] = None
         self._gap_ewma_ms: Optional[float] = None
-        self.requests_served = 0
-        self.bytes_served = 0
-        self.status_counts: Dict[CacheStatus, int] = {status: 0 for status in CacheStatus}
-        self.backend_fetches = 0
-        self.prefetch_fetches = 0
         # Observability handles, bound once so serve() touches attributes
         # only.  Metric names are part of the docs/OBSERVABILITY.md
         # contract; all series are fleet-wide (no per-server labels).
-        self._metrics = metrics
-        if metrics is not None:
-            self._m_requests = metrics.counter("cdn.requests_total")
-            self._m_bytes = metrics.counter("cdn.bytes_served_total")
-            self._m_status = {
-                CacheStatus.HIT_RAM: metrics.counter("cdn.cache_hits_ram_total"),
-                CacheStatus.HIT_DISK: metrics.counter("cdn.cache_hits_disk_total"),
-                CacheStatus.MISS: metrics.counter("cdn.cache_misses_total"),
-            }
-            self._m_retry = metrics.counter("cdn.retry_timer_hits_total")
-            self._m_backend = metrics.counter("cdn.backend_fetches_total")
-            self._m_prefetch = metrics.counter("cdn.prefetch_fetches_total")
-            self._m_queue_wait = metrics.histogram("cdn.queue_wait_ms")
-            self._m_serve_latency = metrics.histogram("cdn.serve_latency_ms")
-            self._m_backend_latency = metrics.histogram("cdn.backend_latency_ms")
-            self._m_fault_requests = metrics.counter("faults.server_requests_total")
-            # one span handle per server: handles are sequentially
-            # reusable, and serve() is never re-entered
-            self._span_serve = metrics.span("cdn.serve")
+        if metrics is None:
+            metrics = MetricsRegistry()
+        self.metrics = metrics
+        self._m_requests = metrics.counter("cdn.requests_total")
+        self._m_bytes = metrics.counter("cdn.bytes_served_total")
+        self._m_status = {
+            CacheStatus.HIT_RAM: metrics.counter("cdn.cache_hits_ram_total"),
+            CacheStatus.HIT_DISK: metrics.counter("cdn.cache_hits_disk_total"),
+            CacheStatus.MISS: metrics.counter("cdn.cache_misses_total"),
+        }
+        self._m_retry = metrics.counter("cdn.retry_timer_hits_total")
+        self._m_backend = metrics.counter("cdn.backend_fetches_total")
+        self._m_prefetch = metrics.counter("cdn.prefetch_fetches_total")
+        self._m_queue_wait = metrics.histogram("cdn.queue_wait_ms")
+        self._m_serve_latency = metrics.histogram("cdn.serve_latency_ms")
+        self._m_backend_latency = metrics.histogram("cdn.backend_latency_ms")
+        self._m_fault_requests = metrics.counter("faults.server_requests_total")
+        # one span handle per server: handles are sequentially reusable,
+        # and serve() is never re-entered
+        self._span_serve = metrics.span("cdn.serve")
 
     # -- load tracking -------------------------------------------------------
 
@@ -160,13 +156,6 @@ class CdnServer:
             else:
                 self._gap_ewma_ms = 0.9 * self._gap_ewma_ms + 0.1 * gap
         self._last_arrival_ms = now_ms
-
-    @property
-    def request_rate_per_s(self) -> float:
-        """Smoothed request arrival rate (requests per second)."""
-        if self._gap_ewma_ms is None or self._gap_ewma_ms <= 0:
-            return 0.0
-        return 1000.0 / self._gap_ewma_ms
 
     @property
     def load_estimate(self) -> float:
@@ -199,8 +188,6 @@ class CdnServer:
         """
         if size_bytes <= 0:
             raise ValueError("size_bytes must be positive")
-        if self._metrics is None:
-            return self._serve(key, size_bytes, now_ms, trace)
         with self._span_serve:
             result = self._serve(key, size_bytes, now_ms, trace)
         self._m_requests.inc()
@@ -223,8 +210,6 @@ class CdnServer:
         trace: Optional["ChunkTrace"] = None,
     ) -> ServeResult:
         self._update_load(now_ms)
-        self.requests_served += 1
-        self.bytes_served += size_bytes
         cfg = self.config
         rng = self.rng
         fault = (
@@ -232,7 +217,7 @@ class CdnServer:
             if self.faults is not None
             else None
         )
-        if fault is not None and self._metrics is not None:
+        if fault is not None:
             self._m_fault_requests.inc()
 
         # Queue wait: negligible on a provisioned server; grows only under
@@ -250,14 +235,11 @@ class CdnServer:
             # neither lookup nor admit touches it, so post-epoch cache
             # state is exactly the pre-epoch state (and deterministic).
             status = CacheStatus.MISS
-            self.status_counts[status] += 1
             retry_hit = True
             d_read = cfg.retry_timer_ms + bounded_lognormal(rng, 0.6, 0.5, 0.1, 10.0)
             d_be = self.backend.first_byte_latency_ms(self.backend_rtt_ms, rng)
-            self.backend_fetches += 1
         else:
             status = self.cache.lookup(key, size_bytes)
-            self.status_counts[status] += 1
             d_be = 0.0
             retry_hit = False
             if status is CacheStatus.HIT_RAM:
@@ -273,7 +255,6 @@ class CdnServer:
                 retry_hit = True
                 d_read = cfg.retry_timer_ms + bounded_lognormal(rng, 0.6, 0.5, 0.1, 10.0)
                 d_be = self.backend.first_byte_latency_ms(self.backend_rtt_ms, rng)
-                self.backend_fetches += 1
                 self.cache.admit(key, size_bytes, fetch_cost=d_be)
         if fault is not None:
             d_read *= fault.latency_mult
@@ -326,14 +307,5 @@ class CdnServer:
         if self.cache.contains(key):
             return False
         self.cache.admit(key, size_bytes)
-        self.prefetch_fetches += 1
-        if self._metrics is not None:
-            self._m_prefetch.inc()
+        self._m_prefetch.inc()
         return True
-
-    @property
-    def cache_miss_ratio(self) -> float:
-        """Fraction of served requests that missed both cache levels."""
-        if self.requests_served == 0:
-            return 0.0
-        return self.status_counts[CacheStatus.MISS] / self.requests_served

@@ -391,9 +391,8 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
             f"(sample {result.config.trace_sample:g}) to {jsonl_path} "
             f"+ {chrome_path}"
         )
-    if result.metrics is not None:
-        for name, total_s in result.metrics.tracer.totals():
-            print(f"  span {name}: {total_s:.3f}s")
+    for name, total_s in result.metrics.tracer.totals():
+        print(f"  span {name}: {total_s:.3f}s")
     return 0
 
 

@@ -9,7 +9,7 @@ from .abr import (
     make_abr,
 )
 from .browsers import PLATFORM_PROFILES, PlatformProfile, get_profile, sample_platform
-from .buffer import PlaybackBuffer, RebufferEvent
+from .buffer import PlaybackBuffer
 from .downloadstack import DownloadStackEffect, DownloadStackModel
 from .rendering import RenderingModel, RenderResult, rate_drop_term
 
@@ -25,7 +25,6 @@ __all__ = [
     "get_profile",
     "sample_platform",
     "PlaybackBuffer",
-    "RebufferEvent",
     "DownloadStackEffect",
     "DownloadStackModel",
     "RenderingModel",

@@ -14,20 +14,11 @@ how the paper attributes ``bufcount``/``bufdur`` per chunk).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Tuple
+from typing import Optional, Tuple
 
 from ..obs.registry import MetricsRegistry
 
-__all__ = ["RebufferEvent", "PlaybackBuffer"]
-
-
-@dataclass(frozen=True)
-class RebufferEvent:
-    """One stall: when it started, how long it lasted, which chunk ended it."""
-
-    start_ms: float
-    duration_ms: float
-    chunk_index: int
+__all__ = ["PlaybackBuffer"]
 
 
 @dataclass
@@ -37,21 +28,24 @@ class PlaybackBuffer:
     The player calls :meth:`on_chunk_ready` for every chunk in order.
     Playback starts when the first chunk is complete (startup); afterwards
     the buffer drains at 1 media-ms per wall-ms.  If a chunk arrives after
-    the buffer ran dry, the model records a rebuffer event covering the dry
-    interval and resumes playback on arrival.
+    the buffer ran dry, the dry interval is one rebuffer event charged to
+    that chunk: :meth:`on_chunk_ready` returns it, and ``client.rebuffer_*``
+    counts it (in a private registry when ``metrics`` is None).
     """
 
     #: media time buffered ahead of the playhead, in ms
     level_ms: float = 0.0
     started: bool = False
-    startup_at_ms: Optional[float] = None
-    events: List[RebufferEvent] = field(default_factory=list)
-    #: observability registry (stall events feed ``client.rebuffer_*``)
     metrics: Optional[MetricsRegistry] = field(
         default=None, repr=False, compare=False
     )
     _last_update_ms: Optional[float] = None
-    _total_media_ms: float = 0.0
+
+    def __post_init__(self) -> None:
+        if self.metrics is None:
+            self.metrics = MetricsRegistry()
+        self._m_rebuffers = self.metrics.counter("client.rebuffer_events_total")
+        self._m_rebuffer_ms = self.metrics.histogram("client.rebuffer_ms")
 
     def on_chunk_ready(self, chunk_index: int, media_ms: float, now_ms: float) -> Tuple[int, float]:
         """Append *media_ms* of content completing at *now_ms*.
@@ -69,7 +63,6 @@ class PlaybackBuffer:
         rebuffer_ms = 0.0
         if not self.started:
             self.started = True
-            self.startup_at_ms = now_ms
         else:
             previous = self._last_update_ms if self._last_update_ms is not None else now_ms
             elapsed = now_ms - previous
@@ -79,21 +72,12 @@ class PlaybackBuffer:
                 if stall > 0:
                     rebuffer_count = 1
                     rebuffer_ms = stall
-                    self.events.append(
-                        RebufferEvent(
-                            start_ms=now_ms - stall,
-                            duration_ms=stall,
-                            chunk_index=chunk_index,
-                        )
-                    )
-                    if self.metrics is not None:
-                        self.metrics.counter("client.rebuffer_events_total").inc()
-                        self.metrics.histogram("client.rebuffer_ms").observe(stall)
+                    self._m_rebuffers.inc()
+                    self._m_rebuffer_ms.observe(stall)
                 self.level_ms = 0.0
             else:
                 self.level_ms -= elapsed
         self.level_ms += media_ms
-        self._total_media_ms += media_ms
         self._last_update_ms = now_ms
         return rebuffer_count, rebuffer_ms
 
@@ -106,16 +90,3 @@ class PlaybackBuffer:
         if not self.started:
             return self.level_ms
         return max(0.0, self.level_ms - (now_ms - self._last_update_ms))
-
-    @property
-    def total_rebuffer_ms(self) -> float:
-        return sum(event.duration_ms for event in self.events)
-
-    @property
-    def total_rebuffer_count(self) -> int:
-        return len(self.events)
-
-    @property
-    def total_media_ms(self) -> float:
-        """All media appended so far (for rebuffering-rate denominators)."""
-        return self._total_media_ms

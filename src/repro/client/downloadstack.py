@@ -51,7 +51,9 @@ class DownloadStackEffect:
 
 
 class DownloadStackModel:
-    """Samples per-chunk download-stack effects for one session's platform."""
+    """Samples per-chunk download-stack effects for one session's platform,
+    counted into ``client.ds_*`` (of a private registry when built without
+    one)."""
 
     def __init__(
         self,
@@ -61,20 +63,18 @@ class DownloadStackModel:
     ) -> None:
         self.platform = platform
         self.rng = rng
-        self.metrics = metrics
+        self.metrics = metrics if metrics is not None else MetricsRegistry()
         # lognormal locations of the platform's delays, computed once
         self._ds_mu = np.log(platform.ds_mean_ms) - 0.5 * platform.ds_sigma**2
         self._first_chunk_mu = np.log(platform.first_chunk_extra_ms) - 0.5 * 0.25**2
         # metric handles, bound once: sample() runs on every chunk
-        if metrics is not None:
-            self._m_delay = metrics.histogram("client.ds_delay_ms")
-            self._m_transients = metrics.counter("client.ds_transients_total")
+        self._m_delay = self.metrics.histogram("client.ds_delay_ms")
+        self._m_transients = self.metrics.counter("client.ds_transients_total")
 
     def _record(self, effect: "DownloadStackEffect") -> "DownloadStackEffect":
-        if self.metrics is not None:
-            self._m_delay.observe(effect.first_byte_delay_ms)
-            if effect.transient:
-                self._m_transients.inc()
+        self._m_delay.observe(effect.first_byte_delay_ms)
+        if effect.transient:
+            self._m_transients.inc()
         return effect
 
     def sample(self, chunk_index: int, network_dlb_ms: float) -> DownloadStackEffect:

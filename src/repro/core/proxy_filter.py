@@ -20,7 +20,7 @@ from typing import Dict, Set, Tuple
 
 import numpy as np
 
-from ..telemetry.columnar import merge_runs, session_runs
+from ..telemetry.columnar import merge_runs, release_rows, session_runs
 from ..telemetry.dataset import Dataset
 
 __all__ = ["ProxyFilterReport", "filter_proxies"]
@@ -139,5 +139,9 @@ def filter_proxies(
     lengths, _, member = session_runs(ids, np.unique(cdn_ids[removed]))
     kept = ids[~np.repeat(member, lengths)]
     report.n_kept_sessions = len(kept)
+    # the three kinds are read: drop a spill's mapped pages of them
+    for kind in ("player_sessions", "cdn_sessions", "player_chunks"):
+        for run in dataset.run_arrays(kind):
+            release_rows(run)
     filtered = dataset.filter_sessions(_strings(kept))
     return filtered, report

@@ -31,7 +31,12 @@ from .path import NetworkPath
 
 __all__ = ["TcpStateSample", "ChunkTransfer", "TcpConnection", "DEFAULT_MSS"]
 
+#: Segment size of every connection (bytes).
 DEFAULT_MSS = 1460
+#: Slow-start threshold of a fresh connection (segments).
+INITIAL_SSTHRESH = 512
+#: The ``tcp_info`` sampling grid of §2.1 (ms).
+SNAPSHOT_INTERVAL_MS = 500.0
 #: Linux's minimum RTO contribution used in the paper's Eq. 5 bound.
 RTO_FLOOR_MS = 200.0
 #: Safety cap on the congestion window (segments): ~6 MB of in-flight data.
@@ -99,22 +104,23 @@ class ChunkTransfer:
 
 
 class TcpConnection:
-    """A persistent TCP connection carrying all chunks of one session."""
+    """A persistent TCP connection carrying all chunks of one session.
+
+    Only the initial window, the slow-start growth and the receiver-window
+    cap vary per connection; each transfer's counts are in its result.
+    """
+
+    #: segment size (bytes), the same for every connection
+    mss = DEFAULT_MSS
 
     def __init__(
         self,
         path: NetworkPath,
         rng: np.random.Generator,
-        mss: int = DEFAULT_MSS,
         initial_cwnd: int = 10,
-        initial_ssthresh: int = 512,
-        snapshot_interval_ms: float = 500.0,
-        restart_after_idle: bool = False,
         slow_start_growth: float = 2.0,
         max_window_segments: int = MAX_CWND_SEGMENTS,
     ) -> None:
-        if mss <= 0:
-            raise ValueError("mss must be positive")
         if initial_cwnd <= 0:
             raise ValueError("initial_cwnd must be positive")
         if slow_start_growth <= 1.0:
@@ -123,17 +129,12 @@ class TcpConnection:
             raise ValueError("max_window_segments must be positive")
         self.path = path
         self.rng = rng
-        self.mss = mss
         self.initial_cwnd = initial_cwnd
         self.cwnd = float(initial_cwnd)
-        self.ssthresh = float(initial_ssthresh)
+        self.ssthresh = float(INITIAL_SSTHRESH)
         self.srtt_ms: Optional[float] = None
         self.rttvar_ms: float = 0.0
         self.retx_total = 0
-        self.segments_sent_total = 0
-        self.bytes_acked_total = 0
-        self.snapshot_interval_ms = snapshot_interval_ms
-        self.restart_after_idle = restart_after_idle
         #: window growth factor per loss-free slow-start round; 2.0 is
         #: standard TCP, lower values model server-side pacing [19]
         self.slow_start_growth = slow_start_growth
@@ -141,7 +142,6 @@ class TcpConnection:
         #: advertise modest windows never overrun the path and see no loss
         self.max_window_segments = min(max_window_segments, MAX_CWND_SEGMENTS)
         self._next_snapshot_ms: Optional[float] = None
-        self._last_send_ms: Optional[float] = None
 
     # -- RFC 6298 estimator --------------------------------------------------
 
@@ -193,7 +193,7 @@ class TcpConnection:
         """Emit periodic snapshots at the 500 ms sampling grid (§2.1)."""
         while self._next_snapshot_ms is not None and t_ms >= self._next_snapshot_ms:
             out.append(self.state_sample(self._next_snapshot_ms))
-            self._next_snapshot_ms += self.snapshot_interval_ms
+            self._next_snapshot_ms += SNAPSHOT_INTERVAL_MS
 
     # -- data transfer -----------------------------------------------------------
 
@@ -214,13 +214,10 @@ class TcpConnection:
         """
         if nbytes <= 0:
             raise ValueError("nbytes must be positive")
-        if self.restart_after_idle and self._last_send_ms is not None:
-            if now_ms - self._last_send_ms > self.rto_ms:
-                self.cwnd = float(self.initial_cwnd)
         # The 500 ms sampler runs on the connection's own clock; after an
         # idle gap the grid realigns rather than emitting stale samples.
         if self._next_snapshot_ms is None or now_ms > self._next_snapshot_ms:
-            self._next_snapshot_ms = now_ms + self.snapshot_interval_ms
+            self._next_snapshot_ms = now_ms + SNAPSHOT_INTERVAL_MS
 
         mss = self.mss
         path = self.path
@@ -299,13 +296,10 @@ class TcpConnection:
 
             self.observe_rtt(observed_rtt, n_acks=inflight)
             remaining -= inflight  # lost segments are recovered within the round
-            self.bytes_acked_total += inflight_bytes
             t += round_time
             if self._next_snapshot_ms is not None and t >= self._next_snapshot_ms:
                 self._maybe_snapshot(t, samples)
 
-        self.segments_sent_total += sent
-        self._last_send_ms = t
         duration = t - now_ms
         return ChunkTransfer(
             duration_ms=duration,
@@ -438,7 +432,7 @@ class TcpConnection:
         rttvar = self.rttvar_ms
         cwnd = self.cwnd
         next_snap = self._next_snapshot_ms
-        interval = self.snapshot_interval_ms
+        interval = SNAPSHOT_INTERVAL_MS
         retx_total = self.retx_total
         min_rtt = float("inf")
         retx = 0
@@ -524,6 +518,5 @@ class TcpConnection:
         self.cwnd = cwnd
         self.ssthresh = ssthresh
         self.retx_total = retx_total
-        self.bytes_acked_total += delivered * mss
         self._next_snapshot_ms = next_snap
         return t, remaining - delivered, delivered + retx, retx, n_apply, min_rtt

@@ -103,8 +103,7 @@ def _run_identity(result: "SimulationResult") -> Dict[str, Any]:
 
 def metrics_document(result: "SimulationResult") -> Dict[str, Any]:
     """The deterministic ``--metrics-out`` payload: identity + registry."""
-    metrics = result.metrics.snapshot() if result.metrics is not None else {}
-    return {"manifest": _run_identity(result), "metrics": metrics}
+    return {"manifest": _run_identity(result), "metrics": result.metrics.snapshot()}
 
 
 def run_manifest(
@@ -119,14 +118,12 @@ def run_manifest(
         "shard_timeout_s": config.shard_timeout_s,
         "n_shards": len(shards) or 1,
         "shard_reports": shards,
-        "spans": result.metrics.spans_snapshot() if result.metrics is not None else [],
+        "spans": result.metrics.spans_snapshot(),
         # memory mode + spill accounting (docs/TELEMETRY.md): execution-
         # scoped metrics live here, not in the byte-stable metrics document
         "spill_dir": config.spill_dir,
         "spill_threshold_rows": config.spill_threshold_rows,
-        "metrics": (
-            result.metrics.execution_snapshot() if result.metrics is not None else {}
-        ),
+        "metrics": result.metrics.execution_snapshot(),
     }
     if wall_time_s is not None:
         manifest["execution"]["wall_time_s"] = wall_time_s

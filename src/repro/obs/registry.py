@@ -67,8 +67,8 @@ class MetricSpec:
     simulator-internal execution metrics).  ``cardinality`` documents
     how many series the name can produce (all current metrics are
     fleet-wide scalars: cardinality 1 by design — per-server labels
-    would explode the contract and add nothing the ShardReport/server
-    objects don't already expose).
+    would explode the contract and add nothing the ShardReport and the
+    ``cdn_chunks`` rows don't already expose).
 
     ``scope`` separates the two determinism regimes (docs/TELEMETRY.md):
 

@@ -101,12 +101,12 @@ class SimulationResult:
     deployment: Deployment
     servers: Dict[str, CdnServer]
     config: SimulationConfig
+    #: observability registry of the run (merged across shards when
+    #: sharded); see docs/OBSERVABILITY.md for the metrics contract
+    metrics: MetricsRegistry
     labels: Tuple[str, ...] = ("",)
     #: per-shard execution telemetry; empty for serial runs
     shard_reports: List["ShardReport"] = field(default_factory=list)
-    #: observability registry of the run (merged across shards when
-    #: sharded); see docs/OBSERVABILITY.md for the metrics contract
-    metrics: Optional[MetricsRegistry] = None
     #: per-chunk causal trace recorder (merged across shards when sharded);
     #: None unless ``config.trace_sample > 0`` (docs/OBSERVABILITY.md)
     trace: Optional[TraceRecorder] = None
@@ -131,17 +131,12 @@ class SimulationResult:
 
     @property
     def fleet_miss_ratio(self) -> float:
-        """Requests that missed both cache levels, fleet-wide."""
-        total = sum(s.requests_served for s in self.servers.values())
+        """Requests that missed both cache levels, fleet-wide (warmup
+        included): ``cdn.cache_misses_total / cdn.requests_total``."""
+        total = self.metrics.counter("cdn.requests_total").value
         if total == 0:
             return 0.0
-        misses = sum(
-            s.status_counts[status]
-            for s in self.servers.values()
-            for status in s.status_counts
-            if status.value == "miss"
-        )
-        return misses / total
+        return self.metrics.counter("cdn.cache_misses_total").value / total
 
     # -- observability artifacts ---------------------------------------------
 

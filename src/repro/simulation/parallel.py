@@ -110,7 +110,8 @@ class PeriodSpec:
     on the same worker), so cache state and the clock carry over.  A
     period whose ``config`` differs from the previous period's runs on
     :meth:`Simulator.successor`, which keeps the fleet, the clock and the
-    warm state — the flash-crowd pattern.
+    warm state — the flash-crowd pattern.  A period runs its config's
+    ``n_sessions``.
 
     ``mutation`` names a module-level callable as ``"pkg.module:function"``
     invoked as ``fn(simulator, *mutation_args)`` before the period runs
@@ -119,7 +120,6 @@ class PeriodSpec:
     """
 
     config: SimulationConfig
-    n_sessions: Optional[int] = None
     start_ms: float = 0.0
     label: str = ""
     mutation: Optional[str] = None
@@ -179,8 +179,6 @@ def execute_periods(
     if not periods:
         raise ValueError("periods must be non-empty")
     spill_subdirs = _period_spill_subdirs(periods)
-    if metrics is None:
-        metrics = MetricsRegistry()
     # One trace recorder for the whole multi-period run, so config-change
     # periods keep appending to the same event stream (like the registry).
     trace = (
@@ -201,9 +199,7 @@ def execute_periods(
         if spec.mutation is not None:
             _resolve_mutation(spec.mutation)(simulator, *spec.mutation_args)
         datasets.append(
-            simulator.run(
-                spec.n_sessions, start_ms=spec.start_ms, spill_subdir=spill_subdir
-            ).dataset
+            simulator.run(start_ms=spec.start_ms, spill_subdir=spill_subdir).dataset
         )
     return datasets, simulator
 

@@ -54,7 +54,8 @@ class SessionActor:
     When the collector discards (the warmup), the actor builds no session
     rows, no chunk rows and no snapshot list; everything else — the RNG
     draws, the fault-state queries and the ``client.*``/``faults.*``
-    metrics — runs as in a measured period.
+    metrics — runs as in a measured period.  The actor, its buffer and its
+    download stack count into ``metrics`` (a private registry when None).
     """
 
     def __init__(
@@ -81,19 +82,20 @@ class SessionActor:
         # with tracing off) pay one ``is None`` check per chunk.
         self._trace = trace.session_trace(plan.session_id) if trace is not None else None
         # Observability: chunk-lifecycle metrics (docs/OBSERVABILITY.md).
+        if metrics is None:
+            metrics = MetricsRegistry()
         self.metrics = metrics
-        if metrics is not None:
-            metrics.counter("client.sessions_total").inc()
-            self._m_chunks = metrics.counter("client.chunks_total")
-            self._m_dfb = metrics.histogram("client.dfb_ms")
-            self._m_dlb = metrics.histogram("client.dlb_ms")
-            self._m_startup = metrics.histogram("client.startup_delay_ms")
-            self._m_fault_net = metrics.counter("faults.network_chunks_total")
-            self._m_fault_render = metrics.counter("faults.render_chunks_total")
-            self._m_fault_labeled = metrics.counter("faults.labeled_chunks_total")
-            # One span handle per actor: handles are sequentially reusable,
-            # and the per-call name validation is off the chunk hot path.
-            self._span_chunk = metrics.span("session.chunk")
+        metrics.counter("client.sessions_total").inc()
+        self._m_chunks = metrics.counter("client.chunks_total")
+        self._m_dfb = metrics.histogram("client.dfb_ms")
+        self._m_dlb = metrics.histogram("client.dlb_ms")
+        self._m_startup = metrics.histogram("client.startup_delay_ms")
+        self._m_fault_net = metrics.counter("faults.network_chunks_total")
+        self._m_fault_render = metrics.counter("faults.render_chunks_total")
+        self._m_fault_labeled = metrics.counter("faults.labeled_chunks_total")
+        # One span handle per actor: handles are sequentially reusable,
+        # and the per-call name validation is off the chunk hot path.
+        self._span_chunk = metrics.span("session.chunk")
 
         # Keyed by session id so warmup streams (different generator seed)
         # do not replay the measured sessions' noise.
@@ -192,8 +194,6 @@ class SessionActor:
         Returns the absolute time at which the player will issue the next
         chunk request, or None when the session is over.
         """
-        if self.metrics is None:
-            return self._process_chunk(now_ms)
         with self._span_chunk:
             return self._process_chunk(now_ms)
 
@@ -274,12 +274,11 @@ class SessionActor:
         complete_ms = now_ms + dfb + dlb
 
         # --- playout phase ---
-        if self.metrics is not None:
-            self._m_chunks.inc()
-            self._m_dfb.observe(dfb)
-            self._m_dlb.observe(dlb)
-            if index == 0:
-                self._m_startup.observe(dfb + dlb)
+        self._m_chunks.inc()
+        self._m_dfb.observe(dfb)
+        self._m_dlb.observe(dlb)
+        if index == 0:
+            self._m_startup.observe(dfb + dlb)
 
         pre_append_level = self.buffer.level_at(complete_ms)
         rebuffer_count, rebuffer_ms = self.buffer.on_chunk_ready(
@@ -345,13 +344,12 @@ class SessionActor:
                 path_fault.labels if path_fault else (),
                 render_fault.labels if render_fault else (),
             )
-            if self.metrics is not None:
-                if path_fault is not None:
-                    self._m_fault_net.inc()
-                if render_fault is not None:
-                    self._m_fault_render.inc()
-                if fault_labels:
-                    self._m_fault_labeled.inc()
+            if path_fault is not None:
+                self._m_fault_net.inc()
+            if render_fault is not None:
+                self._m_fault_render.inc()
+            if fault_labels:
+                self._m_fault_labeled.inc()
 
         # --- telemetry, both sides: rows in COLUMN_SCHEMAS field order ---
         if self._emit:

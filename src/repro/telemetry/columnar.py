@@ -359,11 +359,15 @@ def merge_runs(kind: str, runs: Sequence[np.ndarray]) -> np.ndarray:
 
     Several runs are concatenated and stable-sorted, so rows sharing a
     key keep run order, as one stable sort of the emission stream would;
-    a single run is returned as it is.
+    the concatenation is a copy, so each run's mapped pages are dropped
+    (:func:`release_rows`).  A single run is returned as it is.
     """
     parts = [run for run in runs if len(run)]
     if len(parts) > 1:
-        return sort_array(kind, concat_rows(parts))
+        merged = concat_rows(parts)
+        for part in parts:
+            release_rows(part)
+        return sort_array(kind, merged)
     return parts[0] if parts else np.empty(0, COLUMN_SCHEMAS[kind].dtype)
 
 

@@ -29,6 +29,7 @@ from .columnar import (
     iter_records,
     merge_runs,
     records_to_array,
+    release_rows,
     session_runs,
     sort_array,
     take_rows,
@@ -167,7 +168,8 @@ class SessionView:
 class RecordView(abc.Sequence):
     """One record kind of a :class:`Dataset` as a read-only sequence: the
     records of the kind's runs in canonical order, decoded on first
-    access and kept (``len`` decodes nothing)."""
+    access and kept (``len`` decodes nothing); a spill's mapped pages of
+    the kind are dropped once decoded."""
 
     __slots__ = ("_kind", "_runs", "_records")
 
@@ -177,6 +179,8 @@ class RecordView(abc.Sequence):
     def _decoded(self) -> Tuple[Any, ...]:
         if self._records is None:
             self._records = tuple(iter_records(self._kind, merge_runs(self._kind, self._runs)))
+            for run in self._runs:
+                release_rows(run)
         return self._records
 
     def __len__(self) -> int:
@@ -269,9 +273,13 @@ class Dataset:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Dataset):
             return NotImplemented
-        return all(
-            self._canonical(k).tobytes() == other._canonical(k).tobytes() for k in SPILL_KINDS
-        )
+        for kind in SPILL_KINDS:
+            same = self._canonical(kind).tobytes() == other._canonical(kind).tobytes()
+            for run in self._runs[kind] + other._runs[kind]:
+                release_rows(run)
+            if not same:
+                return False
+        return True
 
     def __repr__(self) -> str:
         rows = ", ".join(f"{kind}={len(view)}" for kind, view in self._views.items())
@@ -358,12 +366,15 @@ class Dataset:
 
     def filter_sessions(self, keep_ids: Iterable[str]) -> "Dataset":
         """An in-memory dataset of the rows whose session is in *keep_ids*:
-        each sorted run masked by session id, then merged."""
+        each sorted run masked by session id, its mapped pages dropped
+        (:func:`~repro.telemetry.columnar.release_rows`), then merged."""
         keep = np.unique(np.array([sid.encode("utf-8") for sid in keep_ids], dtype=bytes))
 
         def kept(run: np.ndarray) -> np.ndarray:
             lengths, _, member = session_runs(run["session_id"], keep)
-            return take_rows(run, np.repeat(member, lengths))
+            rows = take_rows(run, np.repeat(member, lengths))
+            release_rows(run)
+            return rows
 
         return Dataset.from_runs(
             {kind: [kept(run) for run in self._runs[kind]] for kind in SPILL_KINDS}

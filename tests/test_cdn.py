@@ -15,6 +15,8 @@ from repro.cdn.policies import (
 )
 from repro.cdn.pop import build_default_deployment
 from repro.cdn.server import CdnServer, CdnServerConfig
+from repro.faults import FaultEvent, FaultInjector, FaultSpec
+from repro.obs.registry import MetricsRegistry
 from repro.workload.geo import GeoPoint
 
 
@@ -107,16 +109,20 @@ class TestPolicies:
 
 class TestCacheLevel:
     def test_hit_after_insert(self):
-        cache = CacheLevel(100)
+        cache = CacheLevel(25)
         cache.insert("a", 10)
+        cache.insert("b", 10)
         assert cache.lookup("a")
-        assert cache.stats.hits == 1
+        cache.insert("c", 10)  # the hit made "b" the least recent
+        assert cache.peek("a") and not cache.peek("b")
 
     def test_miss_counted(self):
+        # a miss is reported by the return value (the server counts it)
+        # and admits nothing
         cache = CacheLevel(100)
         assert not cache.lookup("missing")
-        assert cache.stats.misses == 1
-        assert cache.stats.hit_ratio == 0.0
+        assert not cache.peek("missing")
+        assert len(cache) == 0 and cache.used_bytes == 0
 
     def test_eviction_frees_space(self):
         cache = CacheLevel(25)
@@ -126,7 +132,7 @@ class TestCacheLevel:
         assert not cache.peek("a")
         assert cache.peek("b") and cache.peek("c")
         assert cache.used_bytes == 20
-        assert cache.stats.evictions == 1
+        assert len(cache) == 2
 
     def test_oversized_object_not_admitted(self):
         cache = CacheLevel(10)
@@ -173,11 +179,20 @@ class TestTwoLevelCache:
             TwoLevelCache(100, 50)
 
     def test_contains_no_side_effects(self):
-        cache = TwoLevelCache(100, 1000)
-        cache.admit("a", 10)
-        hits_before = cache.ram.stats.hits
-        assert cache.contains("a")
-        assert cache.ram.stats.hits == hits_before
+        # RAM holds two objects: the next admit evicts the least recent
+        # one, which a contains() check must leave as it was (a lookup
+        # makes "a" recent, so "b" goes instead)
+        def evicted_after(probe):
+            cache = TwoLevelCache(20, 1000)
+            cache.admit("a", 10)
+            cache.admit("b", 10)
+            assert probe(cache)
+            cache.admit("c", 10)
+            (gone,) = [key for key in "ab" if not cache.ram.peek(key)]
+            return gone
+
+        assert evicted_after(lambda cache: cache.contains("a")) == "a"
+        assert evicted_after(lambda cache: cache.lookup("a", 10).is_hit) == "b"
 
     def test_policy_name_plumbs_through(self):
         cache = TwoLevelCache(100, 1000, policy_name="gdsize")
@@ -296,11 +311,14 @@ class TestTrafficEngineering:
 
 
 class TestCdnServer:
-    def make_server(self, **config_kwargs):
+    def make_server(self, metrics=None, faults=None, **config_kwargs):
         config_kwargs.setdefault("ram_capacity_bytes", 10 * 1024**2)
         config_kwargs.setdefault("disk_capacity_bytes", 100 * 1024**2)
         config = CdnServerConfig(**config_kwargs)
-        return CdnServer("srv-test-00", backend_rtt_ms=30.0, config=config, seed=1)
+        return CdnServer(
+            "srv-test-00", backend_rtt_ms=30.0, config=config, seed=1,
+            metrics=metrics, faults=faults,
+        )
 
     def test_first_request_misses_and_pays_backend(self):
         server = self.make_server()
@@ -353,20 +371,56 @@ class TestCdnServer:
         assert result.total_ms == pytest.approx(result.d_cdn_ms + result.d_be_ms)
 
     def test_prefetch_warms_cache(self):
-        server = self.make_server()
+        registry = MetricsRegistry()
+        server = self.make_server(metrics=registry)
         assert server.prefetch(("v", 1, 1000), 500_000)
         assert not server.prefetch(("v", 1, 1000), 500_000)  # already cached
         result = server.serve(("v", 1, 1000), 500_000, 0.0)
         assert result.status is not CacheStatus.MISS
-        assert server.prefetch_fetches == 1
+        assert registry.counter("cdn.prefetch_fetches_total").value == 1
 
     def test_stats_counters(self):
-        server = self.make_server()
+        registry = MetricsRegistry()
+        server = self.make_server(metrics=registry)
         server.serve(("v", 0, 1000), 100_000, 0.0)
         server.serve(("v", 0, 1000), 100_000, 1.0)
-        assert server.requests_served == 2
-        assert server.bytes_served == 200_000
-        assert server.cache_miss_ratio == pytest.approx(0.5)
+        counters = registry.snapshot()["counters"]
+        assert counters["cdn.requests_total"] == 2
+        assert counters["cdn.bytes_served_total"] == 200_000
+        assert counters["cdn.cache_misses_total"] == 1
+        assert counters["cdn.cache_hits_ram_total"] == 1
+
+    def test_registry_counts_what_serve_and_prefetch_return(self):
+        registry = MetricsRegistry()
+        brownout = FaultEvent(
+            "brownout", "cache-brownout", start_ms=45.0, end_ms=55.0,
+            servers=("srv-test-00",),
+        )
+        server = self.make_server(
+            metrics=registry, faults=FaultInjector(FaultSpec(events=(brownout,))),
+            ram_capacity_bytes=250_000,
+        )
+        # RAM holds two objects; each key is asked for twice in a row
+        requests = [(("v", i // 2 % 4, 1000), 100_000 + i, 10.0 * i) for i in range(12)]
+        results = [server.serve(key, size, t) for key, size, t in requests]
+        # the request at 50 ms bypasses the cache: a miss on a cached key
+        assert results[5].status is CacheStatus.MISS
+        assert server.cache.contains(requests[5][0])
+        fetched = [
+            server.prefetch(("v", j, 1000), 200_000) for j in (2, 6, 7, 6)
+        ]
+        statuses = [result.status for result in results]
+        assert set(statuses) == set(CacheStatus)
+        counters = registry.snapshot()["counters"]
+        assert counters["cdn.requests_total"] == len(requests)
+        assert counters["cdn.bytes_served_total"] == sum(size for _, size, _ in requests)
+        assert counters["cdn.cache_hits_ram_total"] == statuses.count(CacheStatus.HIT_RAM)
+        assert counters["cdn.cache_hits_disk_total"] == statuses.count(CacheStatus.HIT_DISK)
+        assert counters["cdn.cache_misses_total"] == statuses.count(CacheStatus.MISS)
+        assert counters["cdn.backend_fetches_total"] == sum(r.d_be_ms > 0 for r in results)
+        assert counters["cdn.retry_timer_hits_total"] == sum(r.retry_timer_hit for r in results)
+        assert counters["cdn.prefetch_fetches_total"] == sum(fetched) == 2
+        assert counters["faults.server_requests_total"] == 1
 
     def test_load_estimate_rises_with_rate(self):
         server = self.make_server()
@@ -377,7 +431,8 @@ class TestCdnServer:
         for i in range(50):
             quiet_server.serve(("v", i, 1000), 100_000, i * 1000.0)
         assert busy > quiet_server.load_estimate
-        assert quiet_server.request_rate_per_s < 10.0
+        # one request a second keeps the pool near idle
+        assert quiet_server.load_estimate < 0.01
 
     def test_serve_validation(self):
         server = self.make_server()

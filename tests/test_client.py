@@ -21,6 +21,7 @@ from repro.client.browsers import (
 from repro.client.buffer import PlaybackBuffer
 from repro.client.downloadstack import DownloadStackModel
 from repro.client.rendering import GOOD_RATE_THRESHOLD, RenderingModel, rate_drop_term
+from repro.obs.registry import MetricsRegistry
 
 LADDER = (235, 375, 560, 750, 1050, 1750, 2350, 3000)
 
@@ -159,40 +160,44 @@ class TestHybridAbr:
 
 class TestPlaybackBuffer:
     def test_first_chunk_is_startup_not_rebuffer(self):
-        buffer = PlaybackBuffer()
+        registry = MetricsRegistry()
+        buffer = PlaybackBuffer(metrics=registry)
         count, ms = buffer.on_chunk_ready(0, 6000.0, 1500.0)
         assert (count, ms) == (0, 0.0)
-        assert buffer.startup_at_ms == 1500.0
+        assert registry.counter("client.rebuffer_events_total").value == 0
         assert buffer.level_ms == 6000.0
+        # playback starts when the first chunk completes
+        assert buffer.level_at(2500.0) == pytest.approx(5000.0)
 
     def test_no_stall_when_chunks_keep_up(self):
-        buffer = PlaybackBuffer()
+        registry = MetricsRegistry()
+        buffer = PlaybackBuffer(metrics=registry)
         t = 0.0
         for i in range(5):
             t += 1000.0
             count, ms = buffer.on_chunk_ready(i, 6000.0, t)
             assert count == 0 and ms == 0.0
-        assert buffer.total_rebuffer_ms == 0.0
+        assert registry.counter("client.rebuffer_events_total").value == 0
+        assert registry.histogram("client.rebuffer_ms").count == 0
 
     def test_stall_charged_to_late_chunk(self):
-        buffer = PlaybackBuffer()
+        registry = MetricsRegistry()
+        buffer = PlaybackBuffer(metrics=registry)
         buffer.on_chunk_ready(0, 6000.0, 0.0)
         count, ms = buffer.on_chunk_ready(1, 6000.0, 10_000.0)  # 4 s dry
         assert count == 1
         assert ms == pytest.approx(4000.0)
-        assert buffer.events[0].chunk_index == 1
+        # counted once, as one stall of 4 s (the (2, 5] s bucket)
+        assert registry.counter("client.rebuffer_events_total").value == 1
+        stalls = registry.histogram("client.rebuffer_ms")
+        assert stalls.count == 1
+        assert stalls.counts[stalls.edges.index(5000.0)] == 1
 
     def test_level_drains_in_real_time(self):
         buffer = PlaybackBuffer()
         buffer.on_chunk_ready(0, 6000.0, 0.0)
         assert buffer.level_at(2500.0) == pytest.approx(3500.0)
         assert buffer.level_at(10_000.0) == 0.0
-
-    def test_total_media_accumulates(self):
-        buffer = PlaybackBuffer()
-        buffer.on_chunk_ready(0, 6000.0, 0.0)
-        buffer.on_chunk_ready(1, 4000.0, 1000.0)
-        assert buffer.total_media_ms == 10_000.0
 
     def test_exact_boundary_no_stall(self):
         buffer = PlaybackBuffer()

@@ -18,6 +18,7 @@ import bisect
 import dataclasses
 import itertools
 import json
+import mmap
 import pickle
 import random
 import sys
@@ -39,6 +40,7 @@ from helpers import (
 )
 from repro.api import run
 from repro.core.columnar_analysis import analyze_dataset
+from repro.core.proxy_filter import filter_proxies
 from repro.faults import FaultEvent, FaultSpec
 from repro.obs.manifest import dump_json
 from repro.simulation.config import SimulationConfig
@@ -686,6 +688,60 @@ class TestReleaseRows:
         release_rows(view)
         assert resident_kib(directory) == resident
         assert view.tobytes() == expected
+
+
+@needs_smaps
+class TestReadersDropPages:
+    """The record readers of a spill drop the mapped pages they have read,
+    so no more than one page per run stays resident after them."""
+
+    @pytest.fixture(scope="class")
+    def directory(self, tmp_path_factory):
+        directory = tmp_path_factory.mktemp("readers") / "s"
+        # three 4,096-session blocks: three runs of every kind
+        synthesize_spill(directory, 9_000, seed=9, threshold_rows=2_048)
+        return directory
+
+    @staticmethod
+    def opened(directory):
+        """A fresh open of *directory* and its page budget (KiB)."""
+        spilled = SpilledDataset(directory)
+        n_runs = sum(len(spilled.run_arrays(kind)) for kind in SPILL_KINDS)
+        assert all(len(spilled.run_arrays(kind)) > 1 for kind in SPILL_KINDS)
+        assert resident_kib(directory) == 0
+        return spilled, n_runs * (mmap.PAGESIZE // 1024)
+
+    def test_filter_sessions(self, directory):
+        spilled, budget = self.opened(directory)
+        ids = [session.session_id for session in spilled.player_sessions][::2]
+        filtered = spilled.filter_sessions(ids)
+        assert filtered.n_sessions == len(ids)
+        assert resident_kib(directory) <= budget
+
+    def test_equality(self, directory):
+        (one, budget), (other, _) = self.opened(directory), self.opened(directory)
+        assert one == other
+        assert resident_kib(directory) <= 2 * budget
+
+    def test_multi_run_record_view(self, directory):
+        spilled, budget = self.opened(directory)
+        snapshots = list(spilled.tcp_snapshots)
+        assert len(snapshots) == len(spilled.tcp_snapshots) > 0
+        assert resident_kib(directory) <= budget
+
+    def test_single_run_record_view(self, tmp_path):
+        synthesize_spill(tmp_path / "s", 2_000, seed=4)
+        spilled = SpilledDataset(tmp_path / "s")
+        (run,) = spilled.run_arrays("tcp_snapshots")
+        assert len(list(spilled.tcp_snapshots)) == len(run)
+        assert resident_kib(tmp_path / "s") <= mmap.PAGESIZE // 1024
+
+    def test_filter_proxies(self, directory):
+        spilled, budget = self.opened(directory)
+        # the synthetic clients share a few IPs: the volume rule is off
+        filtered, report = filter_proxies(spilled, min_sessions_for_mega_ip=10**9)
+        assert filtered.n_sessions == report.n_kept_sessions > 0
+        assert resident_kib(directory) <= budget
 
 
 class TestSyntheticGenerator:

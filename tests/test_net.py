@@ -9,6 +9,7 @@ from repro.net.tcp import (
     DEFAULT_MSS,
     MAX_CWND_SEGMENTS,
     RTO_FLOOR_MS,
+    SNAPSHOT_INTERVAL_MS,
     TcpConnection,
 )
 from repro.workload.clients import PopulationConfig, generate_population
@@ -252,12 +253,13 @@ class TestTcpConnection:
 
     def test_snapshots_on_grid(self, rng):
         path = make_path(rng, base_rtt_ms=200.0, bottleneck_kbps=2_000.0)
-        conn = TcpConnection(path, rng, snapshot_interval_ms=500.0)
+        conn = TcpConnection(path, rng)
         result = conn.transfer(1_500_000, 0.0)
         assert result.duration_ms > 1500.0
         assert len(result.samples) >= 2
+        assert result.samples[0].t_ms == SNAPSHOT_INTERVAL_MS == 500.0
         gaps = np.diff([s.t_ms for s in result.samples])
-        assert np.all(gaps >= 499.0)
+        assert np.all(gaps == SNAPSHOT_INTERVAL_MS)
 
     def test_snapshot_grid_realigns_after_idle(self, rng):
         path = make_path(rng, base_rtt_ms=200.0, bottleneck_kbps=2_000.0)
@@ -283,21 +285,11 @@ class TestTcpConnection:
     def test_constructor_validation(self, rng):
         path = make_path(rng)
         with pytest.raises(ValueError):
-            TcpConnection(path, rng, mss=0)
-        with pytest.raises(ValueError):
             TcpConnection(path, rng, initial_cwnd=0)
         with pytest.raises(ValueError):
             TcpConnection(path, rng, slow_start_growth=1.0)
         with pytest.raises(ValueError):
             TcpConnection(path, rng, max_window_segments=0)
-
-    def test_restart_after_idle(self, rng):
-        path = make_path(rng)
-        conn = TcpConnection(path, rng, restart_after_idle=True)
-        conn.transfer(2_000_000, 0.0)
-        grown = conn.cwnd
-        conn.transfer(100_000, 1e9)  # long idle -> restart
-        assert conn.cwnd < grown
 
     def test_first_transfer_highest_retx_on_shallow_path(self):
         """Slow-start overshoot concentrates loss in the first transfer."""

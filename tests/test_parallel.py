@@ -149,6 +149,15 @@ class TestSerialParallelEquality:
         assert set(parallel_result.servers) == set(serial_result.servers)
         assert parallel_result.fleet_miss_ratio == serial_result.fleet_miss_ratio
 
+    def test_fleet_miss_ratio_is_the_registry_ratio(self, serial_result):
+        sharded = run(_config(workers=2))
+        for result in (serial_result, sharded):
+            counters = result.metrics.snapshot()["counters"]
+            misses = counters["cdn.cache_misses_total"]
+            assert 0 < misses < counters["cdn.requests_total"]
+            assert result.fleet_miss_ratio == misses / counters["cdn.requests_total"]
+        assert sharded.fleet_miss_ratio == serial_result.fleet_miss_ratio
+
     def test_shard_reports_cover_all_sessions(self, parallel_result):
         reports = parallel_result.shard_reports
         assert [r.shard_index for r in reports] == [0, 1, 2, 3]

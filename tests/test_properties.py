@@ -19,6 +19,7 @@ from repro.client.rendering import rate_drop_term
 from repro.net.prefix import prefix_of
 from repro.net.tcp import TcpConnection
 from repro.net.path import NetworkPath
+from repro.obs.registry import MetricsRegistry
 from repro.workload.catalog import Video, chunk_size_bytes
 from repro.workload.popularity import PopularityModel
 
@@ -139,17 +140,22 @@ class TestBufferProperties:
     def test_buffer_conservation(self, chunks):
         """Media in = media played + media buffered + media lost-to-nothing
         (nothing: stalls do not destroy media)."""
-        buffer = PlaybackBuffer()
+        registry = MetricsRegistry()
+        buffer = PlaybackBuffer(metrics=registry)
         t = 0.0
         total_media = 0.0
+        stalls = 0
         for media_ms, gap_ms in chunks:
             t += gap_ms
-            buffer.on_chunk_ready(0, media_ms, t)
+            count, stall_ms = buffer.on_chunk_ready(0, media_ms, t)
             total_media += media_ms
+            stalls += count
+            assert stall_ms >= 0.0 and (stall_ms > 0.0) == (count == 1)
             assert buffer.level_ms >= media_ms - 1e-6  # just-added media present
             assert buffer.level_ms <= total_media + 1e-6
-        assert buffer.total_media_ms == total_media
-        assert buffer.total_rebuffer_ms >= 0.0
+        # every stall returned is counted once
+        assert registry.counter("client.rebuffer_events_total").value == stalls
+        assert registry.histogram("client.rebuffer_ms").count == stalls
 
     @given(
         st.floats(min_value=0.0, max_value=50_000.0, allow_nan=False),

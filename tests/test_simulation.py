@@ -7,11 +7,15 @@ import pytest
 
 from repro.api import run
 from repro.cdn.cache import CacheStatus
+from repro.cdn.server import CdnServer
+from repro.client.abr import make_abr
 from repro.faults import FaultEvent, FaultSpec
+from repro.obs.registry import MetricsRegistry
 from repro.simulation import session as session_module
 from repro.simulation.config import SimulationConfig
 from repro.simulation.controlled import run_controlled_rendering_experiment
 from repro.simulation.driver import Simulator
+from repro.simulation.session import SessionActor
 from repro.telemetry.collector import TelemetryCollector
 from repro.telemetry.columnar import COLUMN_SCHEMAS, SPILL_KINDS, ColumnOverflowError
 
@@ -226,6 +230,13 @@ class TestDriver:
     def test_fleet_miss_ratio_in_range(self, tiny_result):
         assert 0.0 <= tiny_result.fleet_miss_ratio <= 1.0
 
+    def test_fleet_miss_ratio_counts_the_served_chunks(self):
+        # no warmup and no prefetch: each request the fleet served is one
+        # measured chunk's CDN row
+        result = run(SimulationConfig(n_sessions=60, seed=21))
+        statuses = [chunk.cache_status for chunk in result.dataset.cdn_chunks]
+        assert result.fleet_miss_ratio == statuses.count("miss") / len(statuses)
+
     def test_run_continues_cache_state(self):
         simulator = Simulator(SimulationConfig(n_sessions=100, seed=9))
         first = simulator.run()
@@ -280,6 +291,59 @@ class TestSessionActorBehaviour:
     def test_visibility_recorded(self, result):
         flags = [c.visible for c in result.dataset.player_chunks]
         assert 0.8 < np.mean(flags) <= 1.0
+
+
+class TestComponentsWithoutRegistry:
+    """Built without a registry, the actor, its buffer and download stack,
+    and the server count into private registries, and simulate what they
+    simulate with the run's registry."""
+
+    def test_components_built_without_a_registry_process_a_chunk(self):
+        config = SimulationConfig(n_sessions=5, seed=4)
+        simulator = Simulator(config)
+        plan = next(
+            plan
+            for plan in simulator._session_generator(config.seed).generate(20)
+            if plan.watch_chunks > 1
+        )
+        decision = simulator.mapping.assign(
+            plan.client.prefix.geo, plan.video.video_id, plan.video.rank,
+            plan.session_id,
+        )
+
+        def session(metrics):
+            server = CdnServer(
+                decision.server_id, decision.pop.backend_rtt_ms,
+                config=config.server, seed=config.seed, metrics=metrics,
+            )
+            collector = TelemetryCollector()
+            actor = SessionActor(
+                plan=plan, mapping=decision, server=server,
+                abr=make_abr(config.abr_name, plan.video.bitrates_kbps),
+                collector=collector, config=config, metrics=metrics,
+            )
+            at_ms = plan.start_ms + actor.manifest_time_ms(plan.start_ms)
+            at_ms = actor.process_chunk(at_ms)
+            assert at_ms is not None  # one chunk done, more to come
+            counts = dict(actor.metrics.snapshot()["counters"])
+            while at_ms is not None:
+                at_ms = actor.process_chunk(at_ms)
+            return actor, server, counts, collector.dataset()
+
+        actor, server, first_chunk, dataset = session(None)
+        assert actor.buffer.metrics is actor.metrics is actor.downloadstack.metrics
+        assert server.metrics is not actor.metrics
+        assert first_chunk["client.chunks_total"] == first_chunk["client.sessions_total"] == 1
+        assert actor.metrics.histogram("client.ds_delay_ms").count == plan.watch_chunks
+        assert server.metrics.counter("cdn.requests_total").value == plan.watch_chunks
+
+        registry = MetricsRegistry()
+        _, _, _, given = session(registry)
+        assert dataset == given and dataset.n_chunks == plan.watch_chunks
+        merged = MetricsRegistry.from_snapshots(
+            [actor.metrics.snapshot(), server.metrics.snapshot()]
+        )
+        assert merged.snapshot() == registry.snapshot()
 
 
 class TestControlledExperiment:
