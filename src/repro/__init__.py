@@ -31,12 +31,7 @@ one :class:`SimulationResult`.  ``Simulator`` stays exported for stepping
 a fleet by hand (custom periods, ``run_days``, service rounds).
 """
 
-from .api import run
-from .faults import FaultSpec
-from .simulation.config import SimulationConfig
-from .simulation.driver import SimulationResult, Simulator
-from .sweep import ScenarioSpec, SweepSpec, run_sweep
-from .telemetry.dataset import Dataset, JoinedChunk, SessionView
+from ._lazy import lazy_exports
 
 __version__ = "1.0.0"
 
@@ -54,3 +49,17 @@ __all__ = [
     "SessionView",
     "__version__",
 ]
+
+# each name is imported on first use, so importing a leaf module such as
+# repro.core.qoe loads no simulator module (docs/ARCHITECTURE.md)
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        ".api": ("run",),
+        ".faults": ("FaultSpec",),
+        ".simulation.config": ("SimulationConfig",),
+        ".simulation.driver": ("SimulationResult", "Simulator"),
+        ".sweep": ("ScenarioSpec", "SweepSpec", "run_sweep"),
+        ".telemetry.dataset": ("Dataset", "JoinedChunk", "SessionView"),
+    },
+)

@@ -1,4 +1,4 @@
-"""One module per paper figure/table, all registered under their ids.
+"""One module per paper figure/table, each named after its id.
 
 Usage::
 
@@ -11,65 +11,25 @@ figures over the production dataset take a :class:`~repro.telemetry.dataset.Data
 geography/fleet analyses (fig09, table01) take the full
 :class:`~repro.simulation.driver.SimulationResult`; scripted case studies
 (fig13, fig17, fig20) and the workload-shape figure (fig03) build their
-own fixtures and take only parameters.
+own fixtures and take only parameters.  The id tuples in
+:mod:`.base` declare which is which; an experiment's module is imported
+only when that experiment is run, so importing this package (or
+:mod:`.common`) loads no figure module.
 """
 
-from . import (  # noqa: F401  (import for registration side effects)
-    fig03,
-    fig04,
-    fig05,
-    fig06,
-    fig07,
-    fig08,
-    fig09,
-    fig10,
-    fig11,
-    fig12,
-    fig13,
-    fig14,
-    fig15,
-    fig16,
-    fig17,
-    fig18,
-    fig19,
-    fig20,
-    fig21,
-    fig22,
-    table01,
-    table04,
-    table05,
-)
 from . import common
-from .base import ExperimentResult, all_experiments, get_experiment
-
-#: experiments whose ``run`` takes the joined/filtered Dataset
-DATASET_EXPERIMENTS = (
-    "fig04",
-    "fig05",
-    "fig06",
-    "fig07",
-    "fig08",
-    "fig10",
-    "fig11",
-    "fig12",
-    "fig14",
-    "fig15",
-    "fig16",
-    "fig18",
-    "fig19",
-    "fig21",
-    "fig22",
-    "table04",
-    "table05",
+from .base import (
+    DATASET_EXPERIMENTS,
+    RESULT_EXPERIMENTS,
+    STANDALONE_EXPERIMENTS,
+    ExperimentResult,
+    all_experiments,
+    get_experiment,
 )
-#: experiments whose ``run`` takes the full SimulationResult
-RESULT_EXPERIMENTS = ("fig09", "table01")
-#: experiments that build their own fixtures
-STANDALONE_EXPERIMENTS = ("fig03", "fig13", "fig17", "fig20")
 
 
 def run_experiment(experiment_id: str, *args, **kwargs) -> ExperimentResult:
-    """Run a registered experiment by id."""
+    """Run the experiment *experiment_id* (see :func:`get_experiment`)."""
     return get_experiment(experiment_id)(*args, **kwargs)
 
 

@@ -1,8 +1,9 @@
-"""Experiment plumbing: result container and registry.
+"""Experiment plumbing: result container and the figure table.
 
-Every paper figure/table maps to one module in this package exposing
+Every paper figure/table maps to one module in this package, named after
+its id, exposing
 
-* ``EXPERIMENT_ID`` — e.g. ``"fig05"`` / ``"table04"``;
+* ``EXPERIMENT_ID`` — the module's name, e.g. ``"fig05"`` / ``"table04"``;
 * ``TITLE`` — the paper artifact it reproduces;
 * ``run(...)`` — returns an :class:`ExperimentResult` whose ``series``
   holds the plottable data (the same rows/curves the paper shows) and
@@ -11,14 +12,53 @@ Every paper figure/table maps to one module in this package exposing
 ``checks`` carries named boolean shape-assertions (the qualitative claims
 that must survive the simulator substitution); EXPERIMENTS.md records the
 paper-vs-measured comparison for each.
+
+The registry is that module table: the three id tuples below declare
+every experiment by the input its ``run`` takes, and
+:func:`get_experiment` imports an experiment's module only when that
+experiment is asked for.  A module is its id, so two experiments cannot
+share one.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from importlib import import_module
 from typing import Any, Callable, Dict, List
 
-__all__ = ["ExperimentResult", "register", "get_experiment", "all_experiments"]
+__all__ = [
+    "ExperimentResult",
+    "get_experiment",
+    "all_experiments",
+    "DATASET_EXPERIMENTS",
+    "RESULT_EXPERIMENTS",
+    "STANDALONE_EXPERIMENTS",
+]
+
+#: experiments whose ``run`` takes the joined/filtered Dataset
+DATASET_EXPERIMENTS = (
+    "fig04",
+    "fig05",
+    "fig06",
+    "fig07",
+    "fig08",
+    "fig10",
+    "fig11",
+    "fig12",
+    "fig14",
+    "fig15",
+    "fig16",
+    "fig18",
+    "fig19",
+    "fig21",
+    "fig22",
+    "table04",
+    "table05",
+)
+#: experiments whose ``run`` takes the full SimulationResult
+RESULT_EXPERIMENTS = ("fig09", "table01")
+#: experiments that build their own fixtures
+STANDALONE_EXPERIMENTS = ("fig03", "fig13", "fig17", "fig20")
 
 
 @dataclass
@@ -45,31 +85,15 @@ class ExperimentResult:
         return "\n".join(lines)
 
 
-_REGISTRY: Dict[str, Callable[..., ExperimentResult]] = {}
-
-
-def register(experiment_id: str):
-    """Decorator: register an experiment's ``run`` under *experiment_id*."""
-
-    def decorator(fn: Callable[..., ExperimentResult]):
-        if experiment_id in _REGISTRY:
-            raise ValueError(f"duplicate experiment id {experiment_id!r}")
-        _REGISTRY[experiment_id] = fn
-        return fn
-
-    return decorator
-
-
 def get_experiment(experiment_id: str) -> Callable[..., ExperimentResult]:
-    """Look up a registered experiment's run function."""
-    try:
-        return _REGISTRY[experiment_id]
-    except KeyError:
+    """The ``run`` of the experiment *experiment_id*, importing its module."""
+    if experiment_id not in all_experiments():
         raise KeyError(
-            f"unknown experiment {experiment_id!r}; known: {sorted(_REGISTRY)}"
-        ) from None
+            f"unknown experiment {experiment_id!r}; known: {all_experiments()}"
+        )
+    return import_module(f"{__package__}.{experiment_id}").run
 
 
 def all_experiments() -> List[str]:
-    """All registered experiment ids, sorted."""
-    return sorted(_REGISTRY)
+    """All experiment ids, sorted."""
+    return sorted(DATASET_EXPERIMENTS + RESULT_EXPERIMENTS + STANDALONE_EXPERIMENTS)

@@ -14,13 +14,12 @@ from ...analysis.stats import empirical_ccdf
 from ...workload.catalog import generate_catalog
 from ...workload.popularity import PopularityModel
 from ...workload.randomness import spawn
-from .base import ExperimentResult, register
+from .base import ExperimentResult
 
 EXPERIMENT_ID = "fig03"
 TITLE = "Fig. 3: video length CCDF and rank-vs-popularity skew"
 
 
-@register(EXPERIMENT_ID)
 def run(
     n_videos: int = 10_000,
     zipf_alpha: float = 0.8,

@@ -12,13 +12,12 @@ import numpy as np
 
 from ...core.qoe import startup_vs_first_chunk_server_latency
 from ...telemetry.dataset import Dataset
-from .base import ExperimentResult, register
+from .base import ExperimentResult
 
 EXPERIMENT_ID = "fig04"
 TITLE = "Fig. 4: startup time vs first-chunk server latency"
 
 
-@register(EXPERIMENT_ID)
 def run(dataset: Dataset) -> ExperimentResult:
     binned = startup_vs_first_chunk_server_latency(dataset)
     rows = binned.rows()

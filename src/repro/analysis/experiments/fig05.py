@@ -18,13 +18,12 @@ import numpy as np
 from ...analysis.stats import empirical_cdf
 from ...core.decomposition import server_latency_exceeds_network
 from ...telemetry.dataset import Dataset
-from .base import ExperimentResult, register
+from .base import ExperimentResult
 
 EXPERIMENT_ID = "fig05"
 TITLE = "Fig. 5: CDN latency breakdown (wait/open/read, hit vs miss)"
 
 
-@register(EXPERIMENT_ID)
 def run(dataset: Dataset) -> ExperimentResult:
     chunks = dataset.join_chunks()
     waits = [c.cdn.d_wait_ms for c in chunks]

@@ -12,13 +12,12 @@ import numpy as np
 
 from ...core.popularity import rank_tail_hit_latency, rank_tail_miss_percentage
 from ...telemetry.dataset import Dataset
-from .base import ExperimentResult, register
+from .base import ExperimentResult
 
 EXPERIMENT_ID = "fig06"
 TITLE = "Fig. 6: cache miss rate and hit latency vs video rank"
 
 
-@register(EXPERIMENT_ID)
 def run(dataset: Dataset) -> ExperimentResult:
     miss_rows = rank_tail_miss_percentage(dataset)
     latency_rows = rank_tail_hit_latency(dataset)

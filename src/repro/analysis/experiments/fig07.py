@@ -9,13 +9,12 @@ from __future__ import annotations
 
 from ...core.qoe import startup_vs_first_chunk_srtt
 from ...telemetry.dataset import Dataset
-from .base import ExperimentResult, register
+from .base import ExperimentResult
 
 EXPERIMENT_ID = "fig07"
 TITLE = "Fig. 7: startup delay vs first-chunk SRTT"
 
 
-@register(EXPERIMENT_ID)
 def run(dataset: Dataset) -> ExperimentResult:
     binned = startup_vs_first_chunk_srtt(dataset)
     rows = binned.rows()

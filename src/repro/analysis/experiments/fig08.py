@@ -13,13 +13,12 @@ import numpy as np
 from ...analysis.stats import empirical_cdf
 from ...core.decomposition import session_min_rtt, session_srtt_sigma
 from ...telemetry.dataset import Dataset
-from .base import ExperimentResult, register
+from .base import ExperimentResult
 
 EXPERIMENT_ID = "fig08"
 TITLE = "Fig. 8: CDFs of srtt_min and sigma(SRTT) across sessions"
 
 
-@register(EXPERIMENT_ID)
 def run(dataset: Dataset) -> ExperimentResult:
     minima = []
     sigmas = []

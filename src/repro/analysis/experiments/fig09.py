@@ -14,14 +14,13 @@ import numpy as np
 from ...core.persistence import tail_latency_prefixes
 from ...simulation.driver import SimulationResult
 from ...core.proxy_filter import filter_proxies
-from .base import ExperimentResult, register
+from .base import ExperimentResult
 from .common import pop_locations
 
 EXPERIMENT_ID = "fig09"
 TITLE = "Fig. 9: distance of persistent tail-latency US prefixes"
 
 
-@register(EXPERIMENT_ID)
 def run(result: SimulationResult) -> ExperimentResult:
     dataset, _ = filter_proxies(result.dataset)
     report = tail_latency_prefixes(dataset, pop_locations(result))

@@ -12,13 +12,12 @@ import numpy as np
 from ...analysis.stats import empirical_cdf
 from ...core.netdiag import path_cv_values
 from ...telemetry.dataset import Dataset
-from .base import ExperimentResult, register
+from .base import ExperimentResult
 
 EXPERIMENT_ID = "fig10"
 TITLE = "Fig. 10: CV of latency per (prefix, PoP) path"
 
 
-@register(EXPERIMENT_ID)
 def run(dataset: Dataset, min_sessions: int = 5) -> ExperimentResult:
     values = path_cv_values(dataset, min_sessions=min_sessions)
     cdf = empirical_cdf(values)

@@ -11,13 +11,12 @@ import numpy as np
 
 from ...core.netdiag import split_sessions_by_loss
 from ...telemetry.dataset import Dataset
-from .base import ExperimentResult, register
+from .base import ExperimentResult
 
 EXPERIMENT_ID = "fig11"
 TITLE = "Fig. 11: session length / bitrate / rebuffering, loss vs no-loss"
 
 
-@register(EXPERIMENT_ID)
 def run(dataset: Dataset) -> ExperimentResult:
     split = split_sessions_by_loss(dataset)
     summary = split.summary()

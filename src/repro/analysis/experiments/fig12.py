@@ -10,13 +10,12 @@ import numpy as np
 
 from ...core.netdiag import session_rebuffer_vs_retx
 from ...telemetry.dataset import Dataset
-from .base import ExperimentResult, register
+from .base import ExperimentResult
 
 EXPERIMENT_ID = "fig12"
 TITLE = "Fig. 12: rebuffering rate vs retransmission rate"
 
 
-@register(EXPERIMENT_ID)
 def run(dataset: Dataset) -> ExperimentResult:
     rows = session_rebuffer_vs_retx(dataset)
     centers = np.array([c for c, _, _ in rows])

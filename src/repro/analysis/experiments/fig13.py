@@ -18,7 +18,7 @@ from ...client.buffer import PlaybackBuffer
 from ...net.path import NetworkPath
 from ...net.tcp import TcpConnection
 from ...workload.catalog import CHUNK_DURATION_MS, chunk_size_bytes
-from .base import ExperimentResult, register
+from .base import ExperimentResult
 
 EXPERIMENT_ID = "fig13"
 TITLE = "Fig. 13: early vs late loss case study"
@@ -101,7 +101,6 @@ def simulate_scripted_session(
     )
 
 
-@register(EXPERIMENT_ID)
 def run(seed: int = 3) -> ExperimentResult:
     # Case #1: a burst of loss over the session's first two chunks, clean
     # after — the thin startup buffer cannot absorb the slow chunks.

@@ -11,13 +11,12 @@ import numpy as np
 
 from ...core.netdiag import rebuffer_given_loss_by_chunk
 from ...telemetry.dataset import Dataset
-from .base import ExperimentResult, register
+from .base import ExperimentResult
 
 EXPERIMENT_ID = "fig14"
 TITLE = "Fig. 14: P(rebuffer at chunk X) and P(rebuffer | loss at X)"
 
 
-@register(EXPERIMENT_ID)
 def run(dataset: Dataset, max_chunk_id: int = 12) -> ExperimentResult:
     rows = rebuffer_given_loss_by_chunk(dataset, max_chunk_id=max_chunk_id)
     # Position 0 is startup (cannot rebuffer by definition); analyze 1+.

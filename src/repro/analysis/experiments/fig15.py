@@ -12,13 +12,12 @@ import numpy as np
 
 from ...core.netdiag import per_chunk_retx_rates
 from ...telemetry.dataset import Dataset
-from .base import ExperimentResult, register
+from .base import ExperimentResult
 
 EXPERIMENT_ID = "fig15"
 TITLE = "Fig. 15: average retransmission rate per chunk position"
 
 
-@register(EXPERIMENT_ID)
 def run(dataset: Dataset, max_chunk_id: int = 12) -> ExperimentResult:
     rows = per_chunk_retx_rates(dataset, max_chunk_id=max_chunk_id)
     rates = {cid: rate for cid, rate in rows}

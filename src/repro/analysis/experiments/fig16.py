@@ -12,13 +12,12 @@ import numpy as np
 
 from ...core.perfscore import latency_share, split_by_score
 from ...telemetry.dataset import Dataset
-from .base import ExperimentResult, register
+from .base import ExperimentResult
 
 EXPERIMENT_ID = "fig16"
 TITLE = "Fig. 16: latency share, D_FB, D_LB by performance score"
 
 
-@register(EXPERIMENT_ID)
 def run(dataset: Dataset) -> ExperimentResult:
     good, bad = split_by_score(dataset.join_chunks())
     good_shares = [latency_share(c.player) for c in good]

@@ -26,7 +26,7 @@ from ...telemetry.records import (
     TcpInfoRecord,
 )
 from ...workload.catalog import CHUNK_DURATION_MS
-from .base import ExperimentResult, register
+from .base import ExperimentResult
 
 EXPERIMENT_ID = "fig17"
 TITLE = "Fig. 17: download-stack buffering case study (Eq. 4 detection)"
@@ -134,7 +134,6 @@ def build_case_dataset(
     )
 
 
-@register(EXPERIMENT_ID)
 def run(ds_chunk: int = 7) -> ExperimentResult:
     dataset = build_case_dataset(ds_chunk=ds_chunk)
     session = dataset.sessions()[0]

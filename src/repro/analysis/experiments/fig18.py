@@ -12,13 +12,12 @@ import numpy as np
 
 from ...core.rendering_diag import first_chunk_equivalence_split
 from ...telemetry.dataset import Dataset
-from .base import ExperimentResult, register
+from .base import ExperimentResult
 
 EXPERIMENT_ID = "fig18"
 TITLE = "Fig. 18: D_FB of first vs other chunks, equivalent conditions"
 
 
-@register(EXPERIMENT_ID)
 def run(
     dataset: Dataset,
     srtt_band_ms=(40.0, 90.0),

@@ -17,13 +17,12 @@ from ...core.rendering_diag import (
     rate_rule_validation,
 )
 from ...telemetry.dataset import Dataset
-from .base import ExperimentResult, register
+from .base import ExperimentResult
 
 EXPERIMENT_ID = "fig19"
 TITLE = "Fig. 19: dropped frames vs chunk download rate"
 
 
-@register(EXPERIMENT_ID)
 def run(dataset: Dataset) -> ExperimentResult:
     binned = drops_vs_download_rate(dataset)
     rows = binned.rows()

@@ -11,13 +11,12 @@ from __future__ import annotations
 import numpy as np
 
 from ...simulation.controlled import run_controlled_rendering_experiment
-from .base import ExperimentResult, register
+from .base import ExperimentResult
 
 EXPERIMENT_ID = "fig20"
 TITLE = "Fig. 20: dropped frames vs CPU load (controlled)"
 
 
-@register(EXPERIMENT_ID)
 def run(n_cores: int = 8, seed: int = 0) -> ExperimentResult:
     result = run_controlled_rendering_experiment(n_cores=n_cores, seed=seed)
     gpu = result.dropped_pct[0]

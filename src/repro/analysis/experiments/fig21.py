@@ -13,13 +13,12 @@ import numpy as np
 
 from ...core.rendering_diag import browser_rendering_table
 from ...telemetry.dataset import Dataset
-from .base import ExperimentResult, register
+from .base import ExperimentResult
 
 EXPERIMENT_ID = "fig21"
 TITLE = "Fig. 21: browser share and dropped frames, Windows vs Mac"
 
 
-@register(EXPERIMENT_ID)
 def run(dataset: Dataset, min_chunks: int = 50) -> ExperimentResult:
     rows = browser_rendering_table(dataset, min_chunks=min_chunks)
     table = [

@@ -12,13 +12,12 @@ import numpy as np
 
 from ...core.rendering_diag import unpopular_browser_drops
 from ...telemetry.dataset import Dataset
-from .base import ExperimentResult, register
+from .base import ExperimentResult
 
 EXPERIMENT_ID = "fig22"
 TITLE = "Fig. 22: dropped % of unpopular browsers vs the rest"
 
 
-@register(EXPERIMENT_ID)
 def run(dataset: Dataset, min_chunks: int = 30) -> ExperimentResult:
     rows, rest_mean = unpopular_browser_drops(dataset, min_chunks=min_chunks)
     worst = rows[0] if rows else (None, float("nan"))

@@ -9,14 +9,13 @@ from __future__ import annotations
 from ...core.proxy_filter import filter_proxies
 from ...core.report import evaluate_key_findings
 from ...simulation.driver import SimulationResult
-from .base import ExperimentResult, register
+from .base import ExperimentResult
 from .common import pop_locations
 
 EXPERIMENT_ID = "table01"
 TITLE = "Table 1: all thirteen key findings"
 
 
-@register(EXPERIMENT_ID)
 def run(result: SimulationResult) -> ExperimentResult:
     dataset, _ = filter_proxies(result.dataset)
     report = evaluate_key_findings(dataset, pop_locations(result))

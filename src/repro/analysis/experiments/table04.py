@@ -11,13 +11,12 @@ import numpy as np
 
 from ...core.netdiag import org_cv_table
 from ...telemetry.dataset import Dataset
-from .base import ExperimentResult, register
+from .base import ExperimentResult
 
 EXPERIMENT_ID = "table04"
 TITLE = "Table 4: orgs by share of sessions with CV(SRTT) > 1"
 
 
-@register(EXPERIMENT_ID)
 def run(dataset: Dataset, min_sessions: int = 30, top_n: int = 5) -> ExperimentResult:
     rows = org_cv_table(dataset, min_sessions=min_sessions)
     table = [

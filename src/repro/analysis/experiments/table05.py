@@ -14,13 +14,12 @@ import numpy as np
 
 from ...core.downstack import persistent_ds_bound_ms, platform_ds_table
 from ...telemetry.dataset import Dataset
-from .base import ExperimentResult, register
+from .base import ExperimentResult
 
 EXPERIMENT_ID = "table05"
 TITLE = "Table 5: platforms by persistent download-stack latency"
 
 
-@register(EXPERIMENT_ID)
 def run(dataset: Dataset, min_chunks: int = 30) -> ExperimentResult:
     rows = platform_ds_table(dataset, min_chunks=min_chunks)
     table = [

@@ -10,6 +10,10 @@ Usage (also via ``python -m repro``):
     repro experiment fig05 [--scale small] [--plot]      # reproduce a figure
     repro report --scale medium --out report.md          # the whole suite
     repro list                                           # experiment catalog
+
+Each command imports what it runs, so building the parser (``repro
+--help``) loads no simulator module (docs/ARCHITECTURE.md, "Import
+layering").
 """
 
 from __future__ import annotations
@@ -18,15 +22,13 @@ import argparse
 import sys
 import time
 from pathlib import Path
-from typing import List, Optional
+from typing import TYPE_CHECKING, List, Optional
 
 from . import __version__
-from .analysis import plotting
-from .api import run
-from .core import diagnose_dataset, evaluate_key_findings, filter_proxies, qoe, whatif
-from .simulation.config import SimulationConfig
-from .telemetry.io import load_dataset
 from .telemetry.spill import DEFAULT_SPILL_THRESHOLD_ROWS
+
+if TYPE_CHECKING:
+    from .simulation.config import SimulationConfig
 
 __all__ = ["main", "build_parser"]
 
@@ -165,7 +167,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--json", default=None, metavar="FILE", dest="json_out",
         help="write the outcome document (per-period QoE, deltas, "
              "faultscore) as JSON — the same serialization sweep cells "
-             "use ('-' for stdout; see docs/SCENARIOS.md)",
+             "use ('-' for stdout, which then carries the document alone "
+             "while the progress lines go to stderr; see docs/SCENARIOS.md)",
     )
 
     sweep = commands.add_parser(
@@ -333,6 +336,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
+    from .api import run
+    from .simulation.config import SimulationConfig
+
     warmup = args.warmup if args.warmup is not None else 2 * args.sessions
     config = SimulationConfig(
         n_sessions=args.sessions,
@@ -544,6 +550,7 @@ def _cmd_metrics(args: argparse.Namespace) -> int:
 
 def _cmd_faultscore(args: argparse.Namespace) -> int:
     from .core.faultscore import score_fault_localization
+    from .telemetry.io import load_dataset
 
     dataset = load_dataset(args.dataset)
     report = score_fault_localization(dataset)
@@ -559,6 +566,7 @@ def _cmd_faultscore(args: argparse.Namespace) -> int:
 
 
 def _cmd_scenario(args: argparse.Namespace) -> int:
+    from .api import run
     from .core import compare_datasets
     from .sweep.spec import CANNED_SCENARIOS
 
@@ -569,16 +577,22 @@ def _cmd_scenario(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
         return 2
+    # with `--json -` stdout carries the document alone, so the lines for
+    # a reader go to stderr
+    console = sys.stderr if args.json_out == "-" else sys.stdout
     print(f"running scenario {args.name!r}, seed {args.seed}, "
-          f"workers {args.workers}...")
+          f"workers {args.workers}...", file=console)
     periods = CANNED_SCENARIOS[args.name].resolve(seed=args.seed, workers=args.workers)
     result = run(periods=periods)
     baseline, incident = result.period("baseline"), result.period("incident")
     comparison = compare_datasets(baseline, incident)
-    print(comparison)
+    print(comparison, file=console)
     if args.out:
         path = result.save(args.out)
-        print(f"wrote baseline/ and incident/ datasets (+ manifest.json) under {path}")
+        print(
+            f"wrote baseline/ and incident/ datasets (+ manifest.json) under {path}",
+            file=console,
+        )
     if args.json_out:
         from .obs.manifest import dump_json
         from .sweep.report import outcome_document
@@ -668,6 +682,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 def _serve_config(args: argparse.Namespace) -> SimulationConfig:
     """Resolve the service config: scenario (canned or file) + CLI knobs."""
+    from .simulation.config import SimulationConfig
     from .sweep.spec import CANNED_SCENARIOS, ScenarioSpec
 
     if args.scenario:
@@ -792,6 +807,9 @@ def _cmd_watch(args: argparse.Namespace) -> int:
 
 def _cmd_analyze(args: argparse.Namespace) -> int:
     from . import obs
+    from .analysis import plotting
+    from .core import diagnose_dataset, filter_proxies, qoe, whatif
+    from .telemetry.io import load_dataset
 
     dataset = load_dataset(args.dataset)
     if not args.no_proxy_filter:
@@ -846,6 +864,9 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
 
 
 def _cmd_findings(args: argparse.Namespace) -> int:
+    from .core import evaluate_key_findings, filter_proxies
+    from .telemetry.io import load_dataset
+
     dataset = load_dataset(args.dataset)
     dataset, _ = filter_proxies(dataset)
     report = evaluate_key_findings(dataset)
@@ -854,7 +875,7 @@ def _cmd_findings(args: argparse.Namespace) -> int:
 
 
 def _cmd_experiment(args: argparse.Namespace) -> int:
-    # imported lazily: pulls in the full experiment registry
+    from .analysis import plotting
     from .analysis.experiments import (
         DATASET_EXPERIMENTS,
         RESULT_EXPERIMENTS,

@@ -5,26 +5,7 @@ Everything in this package consumes only production-observable telemetry
 truth is used exclusively by the test suite to validate the estimators.
 """
 
-from . import (
-    comparison,
-    decomposition,
-    downstack,
-    faultscore,
-    localization,
-    netdiag,
-    perfscore,
-    persistence,
-    popularity,
-    qoe,
-    rendering_diag,
-    report,
-    whatif,
-)
-from .comparison import ComparisonReport, compare_datasets
-from .faultscore import FaultScoreReport, score_fault_localization
-from .localization import Bottleneck, diagnose_dataset, diagnose_session
-from .proxy_filter import ProxyFilterReport, filter_proxies
-from .report import FindingCheck, KeyFindingsReport, evaluate_key_findings
+from .._lazy import lazy_exports
 
 __all__ = [
     "comparison",
@@ -53,3 +34,29 @@ __all__ = [
     "diagnose_session",
     "diagnose_dataset",
 ]
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        ".comparison": ("ComparisonReport", "compare_datasets"),
+        ".faultscore": ("FaultScoreReport", "score_fault_localization"),
+        ".localization": ("Bottleneck", "diagnose_dataset", "diagnose_session"),
+        ".proxy_filter": ("ProxyFilterReport", "filter_proxies"),
+        ".report": ("FindingCheck", "KeyFindingsReport", "evaluate_key_findings"),
+    },
+    submodules=(
+        "comparison",
+        "decomposition",
+        "downstack",
+        "faultscore",
+        "localization",
+        "netdiag",
+        "perfscore",
+        "persistence",
+        "popularity",
+        "qoe",
+        "rendering_diag",
+        "report",
+        "whatif",
+    ),
+)

@@ -1,8 +1,6 @@
 """Network substrate: wide-area paths, TCP model, prefix utilities."""
 
-from .path import NetworkPath, build_session_path
-from .prefix import group_by_prefix, is_valid_ipv4, prefix_of
-from .tcp import DEFAULT_MSS, ChunkTransfer, TcpConnection, TcpStateSample
+from .._lazy import lazy_exports
 
 __all__ = [
     "NetworkPath",
@@ -15,3 +13,12 @@ __all__ = [
     "ChunkTransfer",
     "DEFAULT_MSS",
 ]
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        ".path": ("NetworkPath", "build_session_path"),
+        ".prefix": ("group_by_prefix", "is_valid_ipv4", "prefix_of"),
+        ".tcp": ("DEFAULT_MSS", "ChunkTransfer", "TcpConnection", "TcpStateSample"),
+    },
+)

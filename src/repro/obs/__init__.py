@@ -16,48 +16,12 @@ records without threading a registry through every experiment.
 
 from __future__ import annotations
 
-from typing import Any, Dict, Optional
+from typing import TYPE_CHECKING, Any, Dict, Optional
 
-from .manifest import (
-    EXECUTION_FIELDS,
-    MANIFEST_FILENAME,
-    MANIFEST_SCHEMA,
-    MANIFEST_SCHEMA_VERSION,
-    config_hash,
-    dump_json,
-    load_run_manifest,
-    metrics_document,
-    run_manifest,
-    save_run_manifest,
-    validate_manifest,
-    write_metrics_document,
-)
-from .registry import (
-    LATENCY_BUCKETS_MS,
-    METRIC_SPECS,
-    Counter,
-    Gauge,
-    Histogram,
-    MetricSpec,
-    MetricsRegistry,
-    register_metric,
-)
-from .spans import SPAN_SPECS, SpanSpec, SpanTracer, register_span
-from .trace import (
-    TRACE_EVENT_SPECS,
-    TRACE_SCHEMA,
-    ChunkTrace,
-    SessionTrace,
-    TraceEventSpec,
-    TraceRecorder,
-    chrome_trace_document,
-    read_trace_jsonl,
-    session_sampled,
-    validate_trace,
-    write_chrome_trace,
-    write_trace,
-    write_trace_jsonl,
-)
+from .._lazy import lazy_exports
+
+if TYPE_CHECKING:
+    from .registry import MetricsRegistry
 
 __all__ = [
     "MetricsRegistry",
@@ -100,6 +64,52 @@ __all__ = [
     "publish_last_run",
     "last_run",
 ]
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        ".manifest": (
+            "EXECUTION_FIELDS",
+            "MANIFEST_FILENAME",
+            "MANIFEST_SCHEMA",
+            "MANIFEST_SCHEMA_VERSION",
+            "config_hash",
+            "dump_json",
+            "load_run_manifest",
+            "metrics_document",
+            "run_manifest",
+            "save_run_manifest",
+            "validate_manifest",
+            "write_metrics_document",
+        ),
+        ".registry": (
+            "LATENCY_BUCKETS_MS",
+            "METRIC_SPECS",
+            "Counter",
+            "Gauge",
+            "Histogram",
+            "MetricSpec",
+            "MetricsRegistry",
+            "register_metric",
+        ),
+        ".spans": ("SPAN_SPECS", "SpanSpec", "SpanTracer", "register_span"),
+        ".trace": (
+            "TRACE_EVENT_SPECS",
+            "TRACE_SCHEMA",
+            "ChunkTrace",
+            "SessionTrace",
+            "TraceEventSpec",
+            "TraceRecorder",
+            "chrome_trace_document",
+            "read_trace_jsonl",
+            "session_sampled",
+            "validate_trace",
+            "write_chrome_trace",
+            "write_trace",
+            "write_trace_jsonl",
+        ),
+    },
+)
 
 _LAST_RUN: Optional[Dict[str, Any]] = None
 

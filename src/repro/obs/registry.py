@@ -406,18 +406,30 @@ class MetricsRegistry:
             raise TypeError(f"metric {name!r} is a {spec.kind}, not a {kind}")
         return spec
 
+    # a registered name returns its handle; only a new name is checked
+    # against the contract and gets a handle built
+
     def counter(self, name: str) -> Counter:
-        self._spec(name, "counter")
-        return self._counters.setdefault(name, Counter())
+        handle = self._counters.get(name)
+        if handle is None:
+            self._spec(name, "counter")
+            handle = self._counters[name] = Counter()
+        return handle
 
     def gauge(self, name: str) -> Gauge:
-        self._spec(name, "gauge")
-        return self._gauges.setdefault(name, Gauge())
+        handle = self._gauges.get(name)
+        if handle is None:
+            self._spec(name, "gauge")
+            handle = self._gauges[name] = Gauge()
+        return handle
 
     def histogram(self, name: str) -> Histogram:
-        spec = self._spec(name, "histogram")
-        assert spec.buckets is not None
-        return self._histograms.setdefault(name, Histogram(spec.buckets))
+        handle = self._histograms.get(name)
+        if handle is None:
+            spec = self._spec(name, "histogram")
+            assert spec.buckets is not None
+            handle = self._histograms[name] = Histogram(spec.buckets)
+        return handle
 
     def span(self, name: str):
         """Open a wall-clock span (delegates to the tracer)."""

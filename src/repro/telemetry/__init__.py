@@ -7,21 +7,7 @@ spill.  Record views of both come from one join,
 :meth:`Dataset.sessions`.
 """
 
-from .beacons import export_beacons_csv, import_beacons_csv
-from .collector import TelemetryCollector
-from .columnar import COLUMN_SCHEMAS, ColumnOverflowError
-from .dataset import Dataset, JoinedChunk, SessionView
-from .io import load_dataset, save_dataset
-from .spill import SpillError, SpilledDataset, SpillWriter
-from .synth import synthesize_sharded, synthesize_spill
-from .records import (
-    CdnChunkRecord,
-    CdnSessionRecord,
-    ChunkGroundTruth,
-    PlayerChunkRecord,
-    PlayerSessionRecord,
-    TcpInfoRecord,
-)
+from .._lazy import lazy_exports
 
 __all__ = [
     "TelemetryCollector",
@@ -46,3 +32,24 @@ __all__ = [
     "CdnSessionRecord",
     "ChunkGroundTruth",
 ]
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        ".beacons": ("export_beacons_csv", "import_beacons_csv"),
+        ".collector": ("TelemetryCollector",),
+        ".columnar": ("COLUMN_SCHEMAS", "ColumnOverflowError"),
+        ".dataset": ("Dataset", "JoinedChunk", "SessionView"),
+        ".io": ("load_dataset", "save_dataset"),
+        ".spill": ("SpillError", "SpilledDataset", "SpillWriter"),
+        ".synth": ("synthesize_sharded", "synthesize_spill"),
+        ".records": (
+            "CdnChunkRecord",
+            "CdnSessionRecord",
+            "ChunkGroundTruth",
+            "PlayerChunkRecord",
+            "PlayerSessionRecord",
+            "TcpInfoRecord",
+        ),
+    },
+)

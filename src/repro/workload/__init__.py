@@ -1,16 +1,6 @@
 """Synthetic workload generation: catalog, clients, geography, sessions."""
 
-from .catalog import (
-    CHUNK_DURATION_MS,
-    DEFAULT_BITRATE_LADDER_KBPS,
-    Catalog,
-    Video,
-    chunk_size_bytes,
-    generate_catalog,
-)
-from .clients import Client, ClientPopulation, PopulationConfig, Prefix, generate_population
-from .popularity import PopularityModel
-from .sessions import SessionGenerator, SessionPlan
+from .._lazy import lazy_exports
 
 __all__ = [
     "CHUNK_DURATION_MS",
@@ -28,3 +18,26 @@ __all__ = [
     "SessionGenerator",
     "SessionPlan",
 ]
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        ".catalog": (
+            "CHUNK_DURATION_MS",
+            "DEFAULT_BITRATE_LADDER_KBPS",
+            "Catalog",
+            "Video",
+            "chunk_size_bytes",
+            "generate_catalog",
+        ),
+        ".clients": (
+            "Client",
+            "ClientPopulation",
+            "PopulationConfig",
+            "Prefix",
+            "generate_population",
+        ),
+        ".popularity": ("PopularityModel",),
+        ".sessions": ("SessionGenerator", "SessionPlan"),
+    },
+)

@@ -512,3 +512,32 @@ class TestPerformanceNumbersSync:
         assert _same_number(before, walls["pr4-before"])
         assert _same_number(after, walls["pr4-after"])
         assert _same_number(ratio, walls["pr4-before"] / walls["pr4-after"])
+
+    #: one cell of the "Start-up" table: one target in one record
+    _STARTUP_CELL = r"(\d+) modules \((\d+) after its run\), ([0-9.]+) ms"
+
+    def test_startup_quote_matches_the_records(self):
+        # the "Start-up" table quotes two `startup` records, one per
+        # column, with every target's module counts and best import
+        text = " ".join(PERFORMANCE_MD.read_text(encoding="utf-8").split())
+        section = text.partition("## Start-up ")[2].partition(" ## ")[0]
+        header = re.search(r"\| Target \| `([\w-]+)` \| `([\w-]+)` \|", section)
+        assert header, "docs/PERFORMANCE.md 'Start-up' lacks its table header"
+        records = {record["label"]: record for record in _bench_records("startup")}
+        cell = self._STARTUP_CELL
+        rows = re.findall(rf"\| `([\w-]+)` \| {cell} \| {cell} \|", section)
+        for label in header.groups():
+            assert {row[0] for row in rows} == set(records[label]["targets"]), (
+                f"docs/PERFORMANCE.md 'Start-up' rows {[row[0] for row in rows]} "
+                f"are not the targets of the `{label}` record"
+            )
+        for target, *numbers in rows:
+            for label, (modules, after_run, import_ms) in zip(
+                header.groups(), (numbers[:3], numbers[3:])
+            ):
+                quoted = records[label]["targets"][target]
+                assert (
+                    int(modules) == quoted["repro_modules"]
+                    and int(after_run) == quoted["repro_modules_after_run"]
+                    and _same_number(import_ms, quoted["import_s"] * 1e3)
+                ), f"docs/PERFORMANCE.md quotes {target} in `{label}` as {numbers}; the record says {quoted}"

@@ -16,7 +16,7 @@ from repro.analysis.experiments import (
     get_experiment,
     run_experiment,
 )
-from repro.analysis.experiments.base import ExperimentResult, register
+from repro.analysis.experiments.base import ExperimentResult
 
 
 class TestRegistry:
@@ -37,10 +37,6 @@ class TestRegistry:
     def test_unknown_experiment_raises(self):
         with pytest.raises(KeyError):
             get_experiment("fig99")
-
-    def test_duplicate_registration_rejected(self):
-        with pytest.raises(ValueError):
-            register("fig03")(lambda: None)
 
     def test_result_formatting(self):
         result = ExperimentResult(

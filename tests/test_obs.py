@@ -22,6 +22,9 @@ from repro.obs import (
     LATENCY_BUCKETS_MS,
     METRIC_SPECS,
     MANIFEST_FILENAME,
+    Counter,
+    Gauge,
+    Histogram,
     MetricSpec,
     MetricsRegistry,
     SPAN_SPECS,
@@ -88,6 +91,28 @@ class TestRegistry:
         registry = MetricsRegistry()
         with pytest.raises(TypeError):
             registry.counter("engine.clock_ms")
+        with pytest.raises(TypeError):
+            registry.histogram("cdn.requests_total")
+
+    def test_lookup_of_a_registered_name_builds_no_handle(self, monkeypatch):
+        registry = MetricsRegistry()
+        names = ("cdn.requests_total", "engine.clock_ms", "cdn.serve_latency_ms")
+        lookups = (registry.counter, registry.gauge, registry.histogram)
+        handles = [lookup(name) for lookup, name in zip(lookups, names)]
+        built = []
+        for cls in (Counter, Gauge, Histogram):
+
+            def spy(self, *args, init=cls.__init__, cls=cls):
+                built.append(cls.__name__)
+                init(self, *args)
+
+            monkeypatch.setattr(cls, "__init__", spy)
+        for lookup, name, handle in zip(lookups, names, handles):
+            assert lookup(name) is handle
+        assert built == []
+        # a new name still gets its handle, and a kind mismatch still raises
+        registry.counter("cdn.bytes_served_total")
+        assert built == ["Counter"]
         with pytest.raises(TypeError):
             registry.histogram("cdn.requests_total")
 

@@ -645,9 +645,8 @@ class TestSweepCLI:
 
 
 class TestScenarioJsonExport:
-    def test_scenario_json_file_shares_sweep_serialization(
-        self, tmp_path, capsys, monkeypatch
-    ):
+    @pytest.fixture()
+    def small_flash_crowd(self, monkeypatch):
         # shrink the canned scenario so the CLI test stays fast; the
         # export path is identical for any size
         from repro.sweep import spec as sweep_spec
@@ -659,6 +658,20 @@ class TestScenarioJsonExport:
             base={"n_sessions": 40, "warmup_sessions": 40},
         )
         monkeypatch.setattr(sweep_spec, "CANNED_SCENARIOS", small)
+
+    def test_scenario_json_to_stdout_is_the_document_alone(
+        self, capsys, small_flash_crowd
+    ):
+        code = main(["scenario", "flash-crowd", "--seed", "7", "--json", "-"])
+        assert code == 0
+        captured = capsys.readouterr()
+        document = json.loads(captured.out)
+        assert document["name"] == "flash-crowd"
+        assert "running scenario 'flash-crowd'" in captured.err
+
+    def test_scenario_json_file_shares_sweep_serialization(
+        self, tmp_path, capsys, small_flash_crowd
+    ):
         out = tmp_path / "outcome.json"
         code = main(
             ["scenario", "flash-crowd", "--seed", "7", "--json", str(out)]
